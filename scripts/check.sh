@@ -194,11 +194,13 @@ if [ "${SKIP_UBSAN:-0}" != "1" ]; then
   cmake -B build-ubsan -G Ninja -DLSM_SANITIZE=undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build build-ubsan -j "$jobs" \
-    --target test_ode test_implicit test_anderson test_krylov \
+    --target test_ode test_linalg test_implicit test_anderson test_krylov \
     test_hot_loop_alloc test_model_fixed_point test_phase_type \
     test_serve_protocol
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   ./build-ubsan/tests/test_ode
+  # Profile-skipping dense LU: index arithmetic over row profiles.
+  ./build-ubsan/tests/test_linalg
   ./build-ubsan/tests/test_implicit
   ./build-ubsan/tests/test_anderson
   ./build-ubsan/tests/test_krylov

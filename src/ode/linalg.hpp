@@ -1,6 +1,12 @@
 // Small dense linear algebra: row-major matrix plus LU factorization with
-// partial pivoting. Sized for the truncated mean-field systems (n <= ~500),
-// where a textbook O(n^3) factorization is more than fast enough.
+// partial pivoting. The mean-field Jacobians it factors (up to ~1000
+// dimensions) are a band plus a few dense columns, so the factorization
+// tracks each row's nonzero profile and skips the work on exact zeros: a
+// band with kl/ku below/above the diagonal costs O(n kl (kl + ku)); dense
+// leading columns fill in every row below them, which raises that to
+// O(n^2 (kl + ku)). The textbook algorithm costs O(n^3 / 3) either way.
+// Pivots and every nonzero's arithmetic are the textbook algorithm's, so
+// the factors match it bit for bit up to the sign of exact zeros.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +31,10 @@ class Matrix {
   double operator()(std::size_t r, std::size_t c) const noexcept {
     return data_[r * cols_ + c];
   }
+  double* row(std::size_t r) noexcept { return data_.data() + r * cols_; }
+  const double* row(std::size_t r) const noexcept {
+    return data_.data() + r * cols_;
+  }
 
  private:
   std::size_t rows_ = 0;
@@ -33,6 +43,7 @@ class Matrix {
 };
 
 /// LU factorization with partial pivoting; solve() reuses the factors.
+/// Forward and back substitution run over the rows' profiles only.
 class LuSolver {
  public:
   /// Factors `a` (copied). Throws util::Error on (numerical) singularity.
@@ -51,6 +62,9 @@ class LuSolver {
  private:
   Matrix lu_;
   std::vector<std::size_t> perm_;
+  // Per factored row: first and last column that can be nonzero. L's row
+  // i spans [first_[i], i), U's row i spans [i, last_[i]].
+  std::vector<std::size_t> first_, last_;
 };
 
 }  // namespace lsm::ode
