@@ -3,104 +3,80 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ode/history_qr.hpp"
 #include "util/error.hpp"
 
 namespace lsm::ode {
 
 namespace {
 
-inline double dot(const State& a, const State& b) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
 /// Fixed-capacity workspace for one AA run. Everything is sized once in
-/// the constructor; solve() performs no heap allocations.
+/// the constructor; iterations perform no heap allocations.
 class Workspace {
  public:
   Workspace(std::size_t n, std::size_t m)
-      : m_(m),
-        f_(n),
+      : f_(n),
         r_(n),
         xn_(n),
         fn_(n),
         fbest_(n),
-        rmat_(m * m),
-        rhs_(m),
-        theta_(m) {
-    dx_.assign(m, State(n));
-    dr_.assign(m, State(n));
-    q_.assign(m, State(n));
+        dr_(n),
+        qr_(n, m),
+        dg_(m, State(n)),
+        theta_(m) {}
+
+  std::size_t depth() const noexcept { return qr_.size(); }
+  void clear_history() noexcept {
+    qr_.clear();
+    deficient_ = false;
   }
 
-  std::size_t depth() const noexcept { return mk_; }
-  void clear_history() noexcept { mk_ = 0; slot_ = 0; }
-
+  /// Appends the newest differences dx = x_new - x_old and
+  /// dr = r_new - r_old, dropping the oldest pair once the window is full.
+  /// The QR factors follow dr; dg = dx + dr is what the step combines.
   void push_history(const State& x_old, const State& x_new,
                     const State& r_old, const State& r_new) {
-    State& dx = dx_[slot_];
-    State& dr = dr_[slot_];
-    for (std::size_t i = 0; i < dx.size(); ++i) {
-      dx[i] = x_new[i] - x_old[i];
-      dr[i] = r_new[i] - r_old[i];
+    if (qr_.size() == qr_.capacity()) {
+      qr_.drop_oldest();
+      std::rotate(dg_.begin(), dg_.begin() + 1, dg_.end());
     }
-    slot_ = (slot_ + 1) % m_;
-    mk_ = std::min(mk_ + 1, m_);
+    State& dg = dg_[qr_.size()];
+    for (std::size_t i = 0; i < dg.size(); ++i) {
+      const double dx = x_new[i] - x_old[i];
+      dr_[i] = r_new[i] - r_old[i];
+      dg[i] = dx + dr_[i];
+    }
+    if (!qr_.push(dr_)) deficient_ = true;
   }
 
-  /// Least squares min_theta ||r - DR theta||_2 by modified Gram-Schmidt
-  /// over the mk_ history columns. Returns false when the history is
-  /// numerically rank-deficient (caller should restart).
+  /// Least squares min_theta ||r - DR theta||_2 from the updated QR of the
+  /// history. Returns false once a pushed column was numerically dependent
+  /// on the kept ones (caller should restart).
   bool solve_theta(const State& r) {
-    for (std::size_t j = 0; j < mk_; ++j) {
-      State& qj = q_[j];
-      qj = dr_[j];  // same size: copy without reallocation
-      const double col_norm = std::sqrt(dot(qj, qj));
-      for (std::size_t i = 0; i < j; ++i) {
-        const double rij = dot(q_[i], qj);
-        rmat_[i * m_ + j] = rij;
-        axpy(-rij, q_[i], qj);
-      }
-      const double rjj = std::sqrt(dot(qj, qj));
-      if (!(rjj > 1e-12 * std::max(col_norm, 1e-300))) return false;
-      rmat_[j * m_ + j] = rjj;
-      const double inv = 1.0 / rjj;
-      for (double& v : qj) v *= inv;
-    }
-    for (std::size_t i = 0; i < mk_; ++i) rhs_[i] = dot(q_[i], r);
-    for (std::size_t j = mk_; j-- > 0;) {
-      double acc = rhs_[j];
-      for (std::size_t i = j + 1; i < mk_; ++i) {
-        acc -= rmat_[j * m_ + i] * theta_[i];
-      }
-      theta_[j] = acc / rmat_[j * m_ + j];
-    }
+    if (deficient_) return false;
+    qr_.solve(r, theta_.data());
     return true;
   }
 
   /// xn = x + r - sum_j theta_j (dx_j + dr_j)
   void accelerated_step(const State& x, const State& r, State& xn) const {
     for (std::size_t i = 0; i < x.size(); ++i) xn[i] = x[i] + r[i];
-    for (std::size_t j = 0; j < mk_; ++j) {
+    for (std::size_t j = 0; j < qr_.size(); ++j) {
       const double th = theta_[j];
       if (th == 0.0) continue;
-      const State& dx = dx_[j];
-      const State& dr = dr_[j];
-      for (std::size_t i = 0; i < xn.size(); ++i) {
-        xn[i] -= th * (dx[i] + dr[i]);
-      }
+      const State& dg = dg_[j];
+      for (std::size_t i = 0; i < xn.size(); ++i) xn[i] -= th * dg[i];
     }
   }
 
   State f_, r_, xn_, fn_, fbest_;
 
  private:
-  std::size_t m_;
-  std::size_t mk_ = 0;
-  std::size_t slot_ = 0;
-  std::vector<State> dx_, dr_, q_;
-  std::vector<double> rmat_, rhs_, theta_;
+  State dr_;
+  detail::HistoryQr qr_;
+  std::vector<State> dg_;  // dx + dr per history column, oldest first
+  std::vector<double> theta_;
+  bool deficient_ = false;
 };
 
 }  // namespace

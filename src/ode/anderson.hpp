@@ -2,15 +2,18 @@
 // ds/dt = f(s): accelerate the damped Picard map g(s) = s + gamma * f(s)
 // by extrapolating over the last m residuals (Walker & Ni, SINUM 2011).
 //
-// Each iteration costs ONE derivative evaluation plus an O(n m^2)
-// least-squares solve on the residual-difference history, so the solver
+// Each iteration costs ONE derivative evaluation plus O(n m) of
+// least-squares work: the residual-difference history keeps a QR
+// factorization that is updated as columns enter and leave the window
+// (ode/history_qr.hpp) instead of being refactored, so the solver
 // reaches ||f||_inf ~ 1e-10 in tens of evaluations where time relaxation
 // (steady_state.hpp) spends hundreds of thousands. Safeguards make it
 // droppable wherever relaxation is used today:
 //   * plain damped Picard warmup with automatic gamma backoff while the
 //     map is locally expansive;
 //   * restarts (history reset from the best iterate) after a run of
-//     non-monotone residuals or a rank-deficient history;
+//     non-monotone residuals or when a new difference column is
+//     numerically dependent on the kept ones;
 //   * a divergence bail-out returning the best iterate with
 //     converged = false so callers can fall back to relaxation.
 //

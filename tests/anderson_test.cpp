@@ -2,17 +2,24 @@
 // default must reproduce the legacy relaxation/stiff fixed points across
 // the whole registry, the adaptive truncation ladder must not change
 // observables, and the dispatcher must route and report methods honestly.
+// The sliding-window QR behind the least-squares step is checked directly
+// against a fresh modified Gram-Schmidt of the same window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 #include <tuple>
+#include <vector>
 
 #include "core/fixed_point.hpp"
 #include "core/registry.hpp"
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/anderson.hpp"
+#include "ode/history_qr.hpp"
 #include "ode/solve.hpp"
+#include "util/xoshiro.hpp"
 
 namespace {
 
@@ -246,6 +253,127 @@ TEST(Anderson, ReportsBestIterateWhenIterationBudgetIsTiny) {
   EXPECT_FALSE(out.converged);
   EXPECT_EQ(out.state.size(), model.dimension());
   EXPECT_GT(out.residual_norm, 0.0);
+}
+
+// --- Updating QR of the difference history -------------------------------
+
+/// Fresh modified Gram-Schmidt of `cols` (oldest first): R row-major,
+/// cols.size() x cols.size().
+std::vector<double> fresh_mgs_r(const std::deque<ode::State>& cols) {
+  const std::size_t k = cols.size();
+  std::vector<double> r(k * k, 0.0);
+  std::vector<ode::State> q(cols.begin(), cols.end());
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i < j; ++i) {
+      double rij = 0.0;
+      for (std::size_t t = 0; t < q[j].size(); ++t) rij += q[i][t] * q[j][t];
+      r[i * k + j] = rij;
+      ode::axpy(-rij, q[i], q[j]);
+    }
+    const double rjj = ode::norm_l2(q[j]);
+    r[j * k + j] = rjj;
+    for (double& v : q[j]) v /= rjj;
+  }
+  return r;
+}
+
+ode::State random_column(util::Xoshiro256& rng, std::size_t n) {
+  // Entries over six decades, like residual differences along a tail.
+  ode::State v(n);
+  for (double& x : v) {
+    x = (2.0 * rng.uniform() - 1.0) * std::pow(10.0, -6.0 * rng.uniform());
+  }
+  return v;
+}
+
+TEST(HistoryQr, SlidingWindowMatchesFreshGramSchmidt) {
+  const std::size_t n = 48;
+  const std::size_t m = 10;
+  ode::detail::HistoryQr qr(n, m);
+  std::deque<ode::State> window;
+  util::Xoshiro256 rng(2011);
+  std::size_t drops = 0;
+  for (std::size_t step = 0; step < 5200; ++step) {
+    if (qr.size() == m) {
+      qr.drop_oldest();
+      window.pop_front();
+      ++drops;
+      const std::size_t k = qr.size();
+      ASSERT_EQ(k, window.size());
+      // R is unique given its positive diagonal: it must match the fresh
+      // factorization of what is left in the window.
+      const std::vector<double> r_ref = fresh_mgs_r(window);
+      for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t j = i; j < k; ++j) {
+          const double scale = ode::norm_l2(window[j]);
+          ASSERT_NEAR(qr.r(i, j), r_ref[i * k + j], 1e-10 * scale)
+              << "step " << step << " R(" << i << "," << j << ")";
+        }
+      }
+      double orth = 0.0;
+      for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t j = 0; j < k; ++j) {
+          double g = 0.0;
+          for (std::size_t t = 0; t < n; ++t) g += qr.q(i)[t] * qr.q(j)[t];
+          orth = std::max(orth, std::abs(g - (i == j ? 1.0 : 0.0)));
+        }
+      }
+      ASSERT_LE(orth, 1e-10) << "step " << step;
+    }
+    ode::State v = random_column(rng, n);
+    ASSERT_TRUE(qr.push(v)) << "step " << step;
+    window.push_back(std::move(v));
+  }
+  EXPECT_GT(drops, 5000u);
+
+  // The least-squares solve agrees with the residual's projection: r minus
+  // A theta is orthogonal to every window column.
+  const ode::State r = random_column(rng, n);
+  std::vector<double> theta(qr.size());
+  qr.solve(r, theta.data());
+  ode::State res = r;
+  for (std::size_t j = 0; j < qr.size(); ++j) {
+    ode::axpy(-theta[j], window[j], res);
+  }
+  for (const ode::State& col : window) {
+    double g = 0.0;
+    for (std::size_t t = 0; t < n; ++t) g += col[t] * res[t];
+    EXPECT_NEAR(g, 0.0, 1e-12 * ode::norm_l2(col) * ode::norm_l2(r));
+  }
+}
+
+TEST(HistoryQr, NearlyDependentColumnIsDeficient) {
+  const std::size_t n = 30;
+  ode::detail::HistoryQr qr(n, 10);
+  util::Xoshiro256 rng(7);
+  const ode::State a = random_column(rng, n);
+  const ode::State b = random_column(rng, n);
+  ASSERT_TRUE(qr.push(a));
+  ASSERT_TRUE(qr.push(b));
+  const ode::State noise = random_column(rng, n);
+  // A combination of the kept columns plus a 1e-14 relative wobble: its
+  // new direction is below the 1e-12 test, so it is refused and the
+  // factorization is left as it was.
+  ode::State dep(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    dep[t] = 0.7 * a[t] - 1.3 * b[t] + 1e-14 * noise[t];
+  }
+  const double r01 = qr.r(0, 1);
+  EXPECT_FALSE(qr.push(dep));
+  EXPECT_EQ(qr.size(), 2u);
+  EXPECT_EQ(qr.r(0, 1), r01);
+  // A 1e-6 wobble is a genuine new direction.
+  for (std::size_t t = 0; t < n; ++t) {
+    dep[t] = 0.7 * a[t] - 1.3 * b[t] + 1e-6 * noise[t];
+  }
+  EXPECT_TRUE(qr.push(dep));
+  EXPECT_EQ(qr.size(), 3u);
+  // Dropping the oldest and clearing leave consistent sizes.
+  qr.drop_oldest();
+  EXPECT_EQ(qr.size(), 2u);
+  qr.clear();
+  EXPECT_EQ(qr.size(), 0u);
+  EXPECT_TRUE(qr.push(a));
 }
 
 }  // namespace
