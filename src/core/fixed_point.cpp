@@ -178,6 +178,27 @@ void polish(const MeanFieldModel& model, FixedPointResult& result,
   }
 }
 
+/// Auto mode: re-extends the solution at the ladder's final rung back to
+/// the constructed truncation. The grafted entries continue tails already
+/// below tail_tol, so the observables move by less than the golden
+/// tolerances, but the residual at the returned discretization can still
+/// exceed polish_tol; a polished answer is then polished again there, so
+/// that `polished` keeps meaning residual <= polish_tol.
+void restore_truncation(const MeanFieldModel& model, FixedPointResult& result,
+                        const FixedPointOptions& opts, std::size_t rung,
+                        std::size_t original) {
+  model.set_truncation(original);
+  result.state = model.resized_tail_state(result.state, rung);
+  ode::State f(model.dimension());
+  model.deriv(0.0, result.state, f);
+  result.residual = ode::norm_linf(f);
+  result.rhs_evals += 1;
+  if (result.polished && result.residual > opts.polish_tol) {
+    result.polished = false;
+    polish(model, result, opts);
+  }
+}
+
 /// Continuation warm solve: the warm state replaces the truncation ladder.
 /// The state is geometrically re-discretized to a tail-mass-compatible L
 /// (the previous λ's tail may be too short for this one — growing BEFORE
@@ -266,12 +287,7 @@ FixedPointResult solve_warm(const MeanFieldModel& model,
     return result;
   }
   if (rung != guard.original()) {
-    model.set_truncation(guard.original());
-    result.state = model.resized_tail_state(result.state, rung);
-    ode::State f(model.dimension());
-    model.deriv(0.0, result.state, f);
-    result.residual = ode::norm_linf(f);
-    result.rhs_evals += 1;
+    restore_truncation(model, result, opts, rung, guard.original());
   }
   result.state_truncation = guard.original();
   return result;
@@ -388,17 +404,9 @@ FixedPointResult solve_fixed_point(const MeanFieldModel& model,
     return result;
   }
   // Auto: make the re-discretization invisible. The guard restores the
-  // constructed truncation; extend the state back to match. The grafted
-  // entries continue tails already below tail_tol, so observables move by
-  // less than the golden tolerances and the recomputed residual stays at
-  // the polished level.
+  // constructed truncation; extend the state back to match.
   if (rung != guard.original()) {
-    model.set_truncation(guard.original());
-    result.state = model.resized_tail_state(result.state, rung);
-    ode::State f(model.dimension());
-    model.deriv(0.0, result.state, f);
-    result.residual = ode::norm_linf(f);
-    result.rhs_evals += 1;
+    restore_truncation(model, result, opts, rung, guard.original());
   }
   result.state_truncation = guard.original();
   return result;

@@ -8,7 +8,9 @@
 //                       (s_0 = 1, segment-monotone, entries in [0,1],
 //                       neglected tail mass under tolerance), warm or cold;
 //   (c) monotonicity  — mean sojourn is non-decreasing in λ;
-//   (d) closed forms  — models with analytic fixed points match them.
+//   (d) closed forms  — models with analytic fixed points match them;
+//   (e) honest polish — a result flagged polished has a residual within
+//                       polish_tol at the discretization it is returned at.
 //
 // Plus targeted regressions: the bistable staged-transfer hysteresis sweep
 // (a warm chain must never report a different equilibrium than the cold
@@ -132,6 +134,26 @@ std::string registry_name(const ::testing::TestParamInfo<std::size_t>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllModels, RegistryContinuation,
                          ::testing::Range<std::size_t>(0, 15), registry_name);
+
+// Property (e) over the whole registry, on warm chains over an 8-point
+// grid whose off-rung λ make the Auto-mode restore graft tails back onto
+// the constructed truncation (the step that used to leave polished
+// answers 1e-13 to 1e-11 above polish_tol).
+TEST_P(RegistryContinuation, PolishedMeansPolishTolReached) {
+  const std::string& name = core::model_names()[GetParam()];
+  const double polish_tol = core::FixedPointOptions{}.polish_tol;
+  core::FixedPointContinuation chain;
+  for (int k = 0; k < 8; ++k) {
+    const double lambda = 0.50405 + 0.05 * k;
+    const auto model = core::make_model(name, lambda);
+    const auto warm = chain.solve(*model);
+    if (warm.polished) {
+      EXPECT_LE(warm.residual, polish_tol)
+          << name << " λ=" << lambda << " final L=" << warm.final_truncation
+          << " returned L=" << warm.state_truncation;
+    }
+  }
+}
 
 TEST(RegistryContinuationMeta, CoversTheWholeRegistry) {
   // If a 16th model is registered, widen the Range above.
