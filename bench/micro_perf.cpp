@@ -1,17 +1,25 @@
 // Microbenchmarks (google-benchmark) for the numeric kernels and the
 // discrete-event simulator: derivative evaluation cost by model and
-// truncation, stepper cost, fixed-point solve latency, event throughput.
+// truncation, stepper cost, fixed-point solve latency, the solver layer's
+// linear algebra (dense LU of real Jacobians, Anderson's per-iteration
+// overhead), event throughput.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <memory>
 
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
+#include "core/registry.hpp"
 #include "core/rebalance_ws.hpp"
 #include "core/threshold_ws.hpp"
 #include "core/transfer_ws.hpp"
+#include "ode/anderson.hpp"
 #include "ode/banded.hpp"
 #include "ode/implicit.hpp"
 #include "ode/integrator.hpp"
 #include "ode/linalg.hpp"
+#include "ode/newton.hpp"
 #include "ode/steppers.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
@@ -107,6 +115,117 @@ void BM_LuSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LuSolve)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
+
+/// A registry model at an explicit truncation, solved there; the dense
+/// LU and Anderson benchmarks below run on its real Jacobian and RHS.
+struct Rung {
+  const char* model;
+  core::ModelParams params;
+  std::size_t truncation;
+};
+
+/// The serve_solve classes whose Newton polish factors the largest dense
+/// Jacobians, at the truncations they reach near lambda = 0.85: 193, 400,
+/// 621 and 988 dimensions.
+const Rung kRungs[] = {
+    {"no-stealing", {}, 192},
+    {"transfer", {}, 199},
+    {"erlang", {{"c", 10}}, 620},
+    {"simple", {{"service", "hyperexp:4"}}, 493},
+};
+
+std::unique_ptr<core::MeanFieldModel> rung_model(const Rung& r) {
+  core::ModelParams params = r.params;
+  params["L"] = static_cast<double>(r.truncation);
+  return core::make_model(r.model, 0.85, params);
+}
+
+/// Forward-difference Jacobian of the root residual at the model's fixed
+/// point, as the Newton polish builds it.
+ode::Matrix rung_jacobian(const core::MeanFieldModel& model) {
+  core::FixedPointOptions opts;
+  opts.truncation = core::TruncationMode::Fixed;
+  opts.polish = false;
+  const ode::State s = core::solve_fixed_point(model, opts).state;
+  const std::size_t n = s.size();
+  const double fd_eps = ode::NewtonOptions{}.fd_eps;
+  ode::State f(n), fp(n), pert = s;
+  model.root_residual(s, f);
+  ode::Matrix jac(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double h = fd_eps * std::max(1.0, std::abs(s[j]));
+    pert[j] = s[j] + h;
+    model.root_residual(pert, fp);
+    pert[j] = s[j];
+    for (std::size_t i = 0; i < n; ++i) jac(i, j) = (fp[i] - f[i]) / h;
+  }
+  return jac;
+}
+
+void BM_DenseLuFactor(benchmark::State& state) {
+  const Rung& rung = kRungs[state.range(0)];
+  const auto model = rung_model(rung);
+  const ode::Matrix jac = rung_jacobian(*model);
+  for (auto _ : state) {
+    state.PauseTiming();
+    ode::Matrix a = jac;  // LuSolver consumes its matrix
+    state.ResumeTiming();
+    ode::LuSolver lu(std::move(a));
+    benchmark::DoNotOptimize(lu.size());
+  }
+  state.SetLabel(std::string(rung.model) + " n=" +
+                 std::to_string(jac.rows()));
+}
+BENCHMARK(BM_DenseLuFactor)
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_AndersonIteration(benchmark::State& state) {
+  // AA(10) from the empty state for a fixed 200 iterations (the tolerance
+  // is out of reach), timed as a whole; the same number of RHS evaluations,
+  // at the start state, is timed on its own and subtracted, leaving the
+  // accelerator's own cost per iteration: history update, least squares,
+  // extrapolation, projection.
+  const Rung& rung = kRungs[state.range(0)];
+  const auto model = rung_model(rung);
+  ode::AndersonOptions opts;
+  opts.depth = 10;
+  opts.tol = 0.0;
+  opts.max_iter = 200;
+  opts.stall_patience = opts.max_iter;
+  using clock = std::chrono::steady_clock;
+  double aa_ns = 0.0;
+  std::size_t iterations = 0, evals = 0;
+  for (auto _ : state) {
+    const auto t0 = clock::now();
+    const auto out = ode::anderson_fixed_point(*model, model->empty_state(),
+                                               opts);
+    aa_ns += std::chrono::duration<double, std::nano>(clock::now() - t0)
+                 .count();
+    iterations += out.iterations;
+    evals += out.rhs_evals;
+    benchmark::DoNotOptimize(out.residual_norm);
+  }
+  const ode::State s = model->empty_state();
+  ode::State ds(s.size());
+  const auto t0 = clock::now();
+  for (std::size_t k = 0; k < evals; ++k) {
+    model->deriv(0.0, s, ds);
+    benchmark::DoNotOptimize(ds.data());
+  }
+  const double rhs_ns =
+      std::chrono::duration<double, std::nano>(clock::now() - t0).count();
+  const auto per = [](double ns, std::size_t count) {
+    return ns / static_cast<double>(std::max<std::size_t>(1, count));
+  };
+  state.counters["overhead_ns_per_iter"] = per(aa_ns - rhs_ns, iterations);
+  state.counters["rhs_ns_per_eval"] = per(rhs_ns, evals);
+  state.SetLabel(std::string(rung.model) + " n=" +
+                 std::to_string(model->dimension()));
+}
+BENCHMARK(BM_AndersonIteration)
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BandedLuSolve(benchmark::State& state) {
   // Banded factorization at the Erlang model's shape: n x n, band c.

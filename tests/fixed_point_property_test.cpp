@@ -136,9 +136,9 @@ INSTANTIATE_TEST_SUITE_P(AllModels, RegistryContinuation,
                          ::testing::Range<std::size_t>(0, 15), registry_name);
 
 // Property (e) over the whole registry, on warm chains over an 8-point
-// grid whose off-rung λ make the Auto-mode restore graft tails back onto
-// the constructed truncation (the step that used to leave polished
-// answers 1e-13 to 1e-11 above polish_tol).
+// grid whose λ make the Auto-mode restore graft tails back onto the
+// constructed truncation; the grafted tail can lift the residual there
+// above polish_tol.
 TEST_P(RegistryContinuation, PolishedMeansPolishTolReached) {
   const std::string& name = core::model_names()[GetParam()];
   const double polish_tol = core::FixedPointOptions{}.polish_tol;
