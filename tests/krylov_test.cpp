@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/batch.hpp"
@@ -241,8 +242,10 @@ TEST(JacobianOperator, DirectionalDifferenceMatchesAnalyticJacobian) {
 
 // --- Krylov-vs-dense-Newton parity across the registry -------------------
 
+// std::string, not const char*: gtest prints a const char* parameter with
+// its address, which would put a per-run value into every case's name.
 class KrylovParity
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(KrylovParity, SojournMatchesDenseNewtonEngine) {
   const auto [name, lambda] = GetParam();
