@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the numeric kernels and the
 // discrete-event simulator: derivative evaluation cost by model and
 // truncation, stepper cost, fixed-point solve latency, the solver layer's
-// linear algebra (dense LU of real Jacobians, Anderson's per-iteration
-// overhead), event throughput.
+// linear algebra (LU of real Jacobians, alone and with their
+// finite-difference assembly; Anderson's per-iteration overhead), event
+// throughput.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -116,15 +117,15 @@ void BM_LuSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_LuSolve)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
-/// A registry model at an explicit truncation, solved there; the dense
-/// LU and Anderson benchmarks below run on its real Jacobian and RHS.
+/// A registry model at an explicit truncation, solved there; the LU and
+/// Anderson benchmarks below run on its real Jacobian and RHS.
 struct Rung {
   const char* model;
   core::ModelParams params;
   std::size_t truncation;
 };
 
-/// The serve_solve classes whose Newton polish factors the largest dense
+/// The serve_solve classes whose Newton polish factors the largest
 /// Jacobians, at the truncations they reach near lambda = 0.85: 193, 400,
 /// 621 and 988 dimensions.
 const Rung kRungs[] = {
@@ -140,43 +141,89 @@ std::unique_ptr<core::MeanFieldModel> rung_model(const Rung& r) {
   return core::make_model(r.model, 0.85, params);
 }
 
-/// Forward-difference Jacobian of the root residual at the model's fixed
-/// point, as the Newton polish builds it.
-ode::Matrix rung_jacobian(const core::MeanFieldModel& model) {
+/// The model's root residual as an OdeSystem, as the Newton polish sees it.
+class RootSystem final : public ode::OdeSystem {
+ public:
+  explicit RootSystem(const core::MeanFieldModel& model) : model_(model) {}
+  void deriv(double, const ode::State& s, ode::State& ds) const override {
+    model_.root_residual(s, ds);
+  }
+  [[nodiscard]] bool deriv_batch(double, std::size_t nb, const double* x,
+                                 double* dx) const override {
+    return model_.root_residual_batch(nb, nullptr, x, dx);
+  }
+  [[nodiscard]] std::size_t dimension() const override {
+    return model_.dimension();
+  }
+
+ private:
+  const core::MeanFieldModel& model_;
+};
+
+/// The model's unpolished fixed point: where the Newton polish starts.
+ode::State rung_state(const core::MeanFieldModel& model) {
   core::FixedPointOptions opts;
   opts.truncation = core::TruncationMode::Fixed;
   opts.polish = false;
-  const ode::State s = core::solve_fixed_point(model, opts).state;
+  return core::solve_fixed_point(model, opts).state;
+}
+
+/// Forward-difference Jacobian of the root residual at the model's fixed
+/// point, compressed.
+ode::SparseColumns rung_jacobian(const core::MeanFieldModel& model) {
+  const ode::State s = rung_state(model);
   const std::size_t n = s.size();
   const double fd_eps = ode::NewtonOptions{}.fd_eps;
   ode::State f(n), fp(n), pert = s;
   model.root_residual(s, f);
-  ode::Matrix jac(n, n);
+  ode::SparseColumns jac;
+  jac.n = n;
   for (std::size_t j = 0; j < n; ++j) {
     const double h = fd_eps * std::max(1.0, std::abs(s[j]));
     pert[j] = s[j] + h;
     model.root_residual(pert, fp);
     pert[j] = s[j];
-    for (std::size_t i = 0; i < n; ++i) jac(i, j) = (fp[i] - f[i]) / h;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = (fp[i] - f[i]) / h;
+      if (d == 0.0) continue;
+      jac.row.push_back(i);
+      jac.value.push_back(d);
+    }
+    jac.col_start.push_back(jac.row.size());
   }
   return jac;
 }
 
-void BM_DenseLuFactor(benchmark::State& state) {
+void BM_LuFactor(benchmark::State& state) {
   const Rung& rung = kRungs[state.range(0)];
   const auto model = rung_model(rung);
-  const ode::Matrix jac = rung_jacobian(*model);
+  const ode::SparseColumns jac = rung_jacobian(*model);
   for (auto _ : state) {
-    state.PauseTiming();
-    ode::Matrix a = jac;  // LuSolver consumes its matrix
-    state.ResumeTiming();
-    ode::LuSolver lu(std::move(a));
+    ode::LuSolver lu(jac);
     benchmark::DoNotOptimize(lu.size());
   }
-  state.SetLabel(std::string(rung.model) + " n=" +
-                 std::to_string(jac.rows()));
+  state.SetLabel(std::string(rung.model) + " n=" + std::to_string(jac.n));
 }
-BENCHMARK(BM_DenseLuFactor)
+BENCHMARK(BM_LuFactor)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+
+void BM_FdJacobianFactor(benchmark::State& state) {
+  // The Newton polish's hot path end to end: n finite-difference residual
+  // evaluations (batched where the model has a kernel), the sparse
+  // assembly and the factorization.
+  const Rung& rung = kRungs[state.range(0)];
+  const auto model = rung_model(rung);
+  const RootSystem root(*model);
+  const ode::State s = rung_state(*model);
+  ode::State f(s.size());
+  model->root_residual(s, f);
+  const double fd_eps = ode::NewtonOptions{}.fd_eps;
+  for (auto _ : state) {
+    const auto lu = ode::detail::factor_fd_jacobian(root, s, f, fd_eps);
+    benchmark::DoNotOptimize(lu->size());
+  }
+  state.SetLabel(std::string(rung.model) + " n=" + std::to_string(s.size()));
+}
+BENCHMARK(BM_FdJacobianFactor)
     ->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);
 

@@ -2,11 +2,13 @@
 # Tier-1 gate: full build + test suite, the fixed-point property suite
 # over its full λ grids, a ThreadSanitizer pass over the
 # concurrency-sensitive pieces (work-stealing thread pool + experiment
-# runner), and report-only perf smokes against the committed baselines.
+# runner), UBSan and ASan+UBSan passes over the solver stack, and
+# report-only perf smokes against the committed baselines.
 #
 #   scripts/check.sh               # everything (~4 min)
 #   SKIP_TSAN=1 scripts/check.sh   # skip the thread-sanitizer pass
 #   SKIP_UBSAN=1 scripts/check.sh  # skip the UB-sanitizer pass
+#   SKIP_ASAN=1 scripts/check.sh   # skip the address+UB-sanitizer pass
 #   SKIP_PERF=1 scripts/check.sh   # skip the perf smokes
 #   SKIP_PROPERTIES=1 scripts/check.sh  # skip the full-grid property pass
 #   SKIP_FAULTS=1 scripts/check.sh # skip the fault-injection leg
@@ -199,7 +201,7 @@ if [ "${SKIP_UBSAN:-0}" != "1" ]; then
     test_serve_protocol
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   ./build-ubsan/tests/test_ode
-  # Profile-skipping dense LU: index arithmetic over row profiles.
+  # Band + border LU: index arithmetic over row windows.
   ./build-ubsan/tests/test_linalg
   ./build-ubsan/tests/test_implicit
   ./build-ubsan/tests/test_anderson
@@ -210,6 +212,25 @@ if [ "${SKIP_UBSAN:-0}" != "1" ]; then
   # The daemon's protocol suite: socket I/O, JSON parsing of hostile
   # input, and the size_t/double counter plumbing in responses.
   ./build-ubsan/tests/test_serve_protocol
+fi
+
+if [ "${SKIP_ASAN:-0}" != "1" ]; then
+  # The LU's row windows are addressed by offsets into one arena; an
+  # out-of-bounds write there corrupts a neighbouring row silently, so the
+  # LU and its users run under AddressSanitizer (with UBSan and the
+  # libstdc++ container assertions). test_hot_loop_alloc replaces operator
+  # new and stays on the UBSan leg.
+  echo "== asan: LU, ODE solvers and the property suite under -fsanitize=address,undefined"
+  cmake -B build-asan -G Ninja -DLSM_SANITIZE=address,undefined \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS >/dev/null
+  cmake --build build-asan -j "$jobs" \
+    --target test_linalg test_ode test_krylov test_fixed_point_properties
+  export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
+  ./build-asan/tests/test_linalg
+  ./build-asan/tests/test_ode
+  ./build-asan/tests/test_krylov
+  ./build-asan/tests/test_fixed_point_properties
 fi
 
 if [ "${SKIP_PERF:-0}" != "1" ]; then

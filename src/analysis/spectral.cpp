@@ -67,7 +67,7 @@ SpectralResult dominant_relaxation_mode(const core::MeanFieldModel& model,
     for (std::size_t i = 0; i < n; ++i) shifted(i, i) -= mu;
     std::vector<double> w;
     try {
-      w = ode::LuSolver(std::move(shifted)).solve(v);
+      w = ode::LuSolver(shifted).solve(v);
     } catch (const util::Error&) {
       out.converged = true;  // exactly singular: mu IS an eigenvalue
       break;

@@ -8,18 +8,17 @@
 //  * JacobianOperator - J·v by a one-sided directional difference
 //    (f(s + h v) − f(s)) / h: ONE derivative evaluation per product, no
 //    Jacobian ever materialized. That is the whole point: at n = 10^4 a
-//    dense finite-difference Jacobian costs n evaluations and O(n^3) to
-//    factor, while a Krylov solve needs only as many J·v products as
-//    iterations.
+//    full finite-difference Jacobian costs n evaluations of O(n) each,
+//    while a Krylov solve needs only as many J·v products as iterations.
 //  * newton_krylov_fixed_point - inexact Newton over GMRES with
 //    Eisenstat–Walker forcing, a backtracking line search on the true
-//    residual, and a chord preconditioner: a dense LU for small systems
-//    (reusable across solves via ode::NewtonWorkspace, same contract as the
-//    dense polish) or a finite-difference banded LU for large ones. The
-//    mean-field Jacobians are band + low-rank tail couplings, so the exact
-//    band (per-column differences) preconditions the system down to a
-//    low-rank perturbation of the identity — GMRES's best case — while an
-//    O(n b^2) factorization replaces the O(n^3) dense one.
+//    residual, and a chord preconditioner: an LU of the full
+//    finite-difference Jacobian for small systems (reusable across solves
+//    via ode::NewtonWorkspace, same contract as the Newton polish) or a
+//    finite-difference banded LU for large ones. The mean-field Jacobians
+//    are band + low-rank tail couplings, so the exact band (per-column
+//    differences) preconditions the system down to a low-rank perturbation
+//    of the identity — GMRES's best case.
 #pragma once
 
 #include <cstddef>
@@ -125,10 +124,11 @@ struct NewtonKrylovOptions {
   /// eta * ||f||_2 with eta shrinking as the outer iteration converges.
   double forcing_max = 1e-2;
   double forcing_min = 1e-8;
-  /// Chord preconditioner selection. At or below dense_precond_max_dim a
-  /// dense finite-difference LU is built (n evaluations — worth it only
-  /// while n^3 factorization is cheap) and reused chord-style across
-  /// iterations and, via the NewtonWorkspace argument, across solves.
+  /// Chord preconditioner selection. At or below dense_precond_max_dim an
+  /// LU of the full finite-difference Jacobian is built (n evaluations of
+  /// O(n) each — worth it only while n is small) and reused chord-style
+  /// across iterations and, via the NewtonWorkspace argument, across
+  /// solves.
   /// Above it, a banded LU with kl = ku = banded_precond_bandwidth;
   /// 0 bandwidth runs unpreconditioned.
   std::size_t dense_precond_max_dim = 600;

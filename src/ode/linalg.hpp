@@ -1,12 +1,20 @@
-// Small dense linear algebra: row-major matrix plus LU factorization with
-// partial pivoting. The mean-field Jacobians it factors (up to ~1000
-// dimensions) are a band plus a few dense columns, so the factorization
-// tracks each row's nonzero profile and skips the work on exact zeros: a
-// band with kl/ku below/above the diagonal costs O(n kl (kl + ku)); dense
-// leading columns fill in every row below them, which raises that to
-// O(n^2 (kl + ku)). The textbook algorithm costs O(n^3 / 3) either way.
-// Pivots and every nonzero's arithmetic are the textbook algorithm's, so
-// the factors match it bit for bit up to the sign of exact zeros.
+// Linear algebra for the solvers' finite-difference Jacobians: a row-major
+// dense matrix, compressed sparse columns, and an LU factorization with
+// partial pivoting that costs what the sparsity costs.
+//
+// The mean-field Jacobians (up to ~1000 dimensions) are a band plus a few
+// dense columns; multi-segment states (phase-type service, transfer) store
+// their segments one after the other, so the band shows up at offsets
+// +-L as well. LuSolver therefore orders the unknowns symmetrically first:
+// columns with more than n/4 nonzeros go last as a dense border, and the
+// rest follow a Cuthill-McKee breadth-first order, which interleaves the
+// segments into one narrow band b. Elimination then keeps each row as a
+// window over the band columns plus a dense border segment: with n_b
+// border columns it costs O(nnz b + n b n_b + n_b^3) and stores
+// O(n (b + n_b)) numbers, against O(n^3) and n^2 for a dense LU. Pivots
+// and the arithmetic on nonzeros are those of a textbook partial-pivot LU
+// of P A P^T, so the factors equal it bit for bit up to the sign of exact
+// zeros.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +50,25 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// LU factorization with partial pivoting; solve() reuses the factors.
-/// Forward and back substitution run over the rows' profiles only.
+/// Square n x n matrix in compressed sparse columns: column j holds the
+/// rows row[col_start[j]] .. row[col_start[j + 1] - 1], ascending and
+/// distinct, with their values alongside. Entries not listed are zero.
+struct SparseColumns {
+  std::size_t n = 0;
+  std::vector<std::size_t> col_start{0};
+  std::vector<std::size_t> row;
+  std::vector<double> value;
+};
+
+/// LU factorization with partial pivoting of P A P^T (see the file
+/// comment for the ordering P); solve() reuses the factors.
 class LuSolver {
  public:
-  /// Factors `a` (copied). Throws util::Error on (numerical) singularity.
-  explicit LuSolver(Matrix a);
+  /// Factors `a`. Throws util::Error on (numerical) singularity.
+  explicit LuSolver(const SparseColumns& a);
+  /// Compresses `a` and factors it: the same factors as the sparse
+  /// constructor on the same nonzeros.
+  explicit LuSolver(const Matrix& a);
 
   /// Solves A x = b.
   [[nodiscard]] std::vector<double> solve(std::vector<double> b) const;
@@ -57,14 +78,29 @@ class LuSolver {
   /// size(); the two must not alias.
   void solve_into(const double* b, double* x) const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return lu_.rows(); }
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
+
+  /// The symmetric ordering: unknown i of the factored matrix P A P^T is
+  /// unknown order()[i] of A.
+  [[nodiscard]] const std::vector<std::size_t>& order() const noexcept {
+    return order_;
+  }
 
  private:
-  Matrix lu_;
-  std::vector<std::size_t> perm_;
-  // Per factored row: first and last column that can be nonzero. L's row
-  // i spans [first_[i], i), U's row i spans [i, last_[i]].
-  std::vector<std::size_t> first_, last_;
+  /// Factored row i: band columns [lo, end) at band_[off]; it is row
+  /// `row` of P A P^T, whose border columns sit at border_[row * (n_ - m_)]
+  /// and whose right-hand side is b[order_[row]].
+  struct Window {
+    std::size_t off, lo, end, row;
+  };
+
+  std::size_t n_ = 0;
+  std::size_t m_ = 0;  // band unknowns; the border is [m_, n_)
+  std::vector<std::size_t> order_;
+  std::vector<std::size_t> cycle_leaders_;  // of order_, for the output scatter
+  std::vector<Window> window_;
+  std::vector<double> band_;
+  std::vector<double> border_;
 };
 
 }  // namespace lsm::ode

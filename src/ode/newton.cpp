@@ -38,6 +38,44 @@ struct NewtonWorkspaceAccess {
   }
 };
 
+namespace {
+
+/// Gives every row of `jac` whose largest |entry| is zero a unit diagonal,
+/// inserting the entry or overwriting a stored one.
+void unit_diagonal_on_zero_rows(SparseColumns& jac) {
+  const std::size_t n = jac.n;
+  std::vector<double> row_max(n, 0.0);
+  for (std::size_t p = 0; p < jac.row.size(); ++p) {
+    double& m = row_max[jac.row[p]];
+    m = std::max(m, std::abs(jac.value[p]));
+  }
+  if (std::find(row_max.begin(), row_max.end(), 0.0) == row_max.end()) return;
+  SparseColumns reg;
+  reg.n = n;
+  reg.col_start.reserve(n + 1);
+  reg.row.reserve(jac.row.size() + n);
+  reg.value.reserve(jac.row.size() + n);
+  const auto copy = [&](std::size_t p) {
+    reg.row.push_back(jac.row[p]);
+    reg.value.push_back(jac.value[p]);
+  };
+  for (std::size_t j = 0; j < n; ++j) {
+    std::size_t p = jac.col_start[j];
+    const std::size_t p_end = jac.col_start[j + 1];
+    for (; p < p_end && jac.row[p] < j; ++p) copy(p);
+    if (row_max[j] == 0.0) {
+      reg.row.push_back(j);
+      reg.value.push_back(1.0);
+      if (p < p_end && jac.row[p] == j) ++p;
+    }
+    for (; p < p_end; ++p) copy(p);
+    reg.col_start.push_back(reg.row.size());
+  }
+  jac = std::move(reg);
+}
+
+}  // namespace
+
 namespace detail {
 
 std::unique_ptr<LuSolver> factor_fd_jacobian(const OdeSystem& sys,
@@ -45,13 +83,31 @@ std::unique_ptr<LuSolver> factor_fd_jacobian(const OdeSystem& sys,
                                              double fd_eps,
                                              bool regularize_zero_rows) {
   const std::size_t n = sys.dimension();
-  Matrix jac(n, n);
+  SparseColumns jac;
+  jac.n = n;
+  jac.col_start.reserve(n + 1);
+  jac.row.reserve(8 * n);
+  jac.value.reserve(8 * n);
+  // Appends the next column's nonzero differences; fp[i * stride] is the
+  // perturbed residual's component i. What the loop reads is captured by
+  // value, so the push_backs do not force it to be reloaded.
+  const auto push_column = [&jac, n, f0 = f.data()](const double* fp,
+                                                    std::size_t stride,
+                                                    double inv_h) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = (fp[i * stride] - f0[i]) * inv_h;
+      if (d == 0.0) continue;
+      jac.row.push_back(i);
+      jac.value.push_back(d);
+    }
+    jac.col_start.push_back(jac.row.size());
+  };
   // Batched assembly: kLanes perturbed columns per RHS pass, SoA layout.
   // Each lane reproduces the scalar arithmetic bit for bit and the counter
   // charges nb per pass, so the factorization (and everything downstream,
   // golden artifacts included) is independent of the path taken. A false
-  // return from the first block means the system has no batched kernel;
-  // nothing was written, so the scalar loop below starts clean.
+  // return means the system has no batched kernel; the scalar loop below
+  // then assembles every column afresh.
   constexpr std::size_t kLanes = 8;
   bool batched = true;
   {
@@ -75,14 +131,14 @@ std::unique_ptr<LuSolver> factor_fd_jacobian(const OdeSystem& sys,
         break;
       }
       for (std::size_t l = 0; l < nb; ++l) {
-        const double inv_h = 1.0 / h_lane[l];
-        for (std::size_t i = 0; i < n; ++i) {
-          jac(i, j0 + l) = (fb[i * nb + l] - f[i]) * inv_h;
-        }
+        push_column(fb.data() + l, nb, 1.0 / h_lane[l]);
       }
     }
   }
   if (!batched) {
+    jac.col_start.assign(1, 0);
+    jac.row.clear();
+    jac.value.clear();
     State pert = s;
     State f_pert(n);
     for (std::size_t j = 0; j < n; ++j) {
@@ -90,22 +146,11 @@ std::unique_ptr<LuSolver> factor_fd_jacobian(const OdeSystem& sys,
       pert[j] = s[j] + h;
       sys.deriv(0.0, pert, f_pert);
       pert[j] = s[j];
-      const double inv_h = 1.0 / h;
-      for (std::size_t i = 0; i < n; ++i) {
-        jac(i, j) = (f_pert[i] - f[i]) * inv_h;
-      }
+      push_column(f_pert.data(), 1, 1.0 / h);
     }
   }
-  if (regularize_zero_rows) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double row_max = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        row_max = std::max(row_max, std::abs(jac(i, j)));
-      }
-      if (row_max == 0.0) jac(i, i) = 1.0;
-    }
-  }
-  return std::make_unique<LuSolver>(std::move(jac));
+  if (regularize_zero_rows) unit_diagonal_on_zero_rows(jac);
+  return std::make_unique<LuSolver>(jac);
 }
 
 LuSolver* cached_lu(NewtonWorkspace& ws, std::size_t dim) {
@@ -134,15 +179,6 @@ void cache_banded(NewtonWorkspace& ws, std::unique_ptr<BandedLuSolver> lu,
 
 namespace {
 
-/// Forward-difference Jacobian of sys.deriv at `s` (residual `f` already
-/// evaluated there), factored. Costs n derivative evaluations. Throws
-/// util::Error on numerical singularity.
-std::unique_ptr<LuSolver> factor_jacobian(const OdeSystem& sys, const State& s,
-                                          const State& f, double fd_eps,
-                                          State& /*f_pert*/) {
-  return detail::factor_fd_jacobian(sys, s, f, fd_eps);
-}
-
 /// The classic path: fresh Jacobian every iteration plus a backtracking
 /// line search. Kept bit-for-bit as before so cold solves (and their golden
 /// artifacts) are untouched by the continuation machinery.
@@ -163,7 +199,7 @@ NewtonResult newton_classic(const OdeSystem& sys, NewtonResult result,
 
     std::unique_ptr<LuSolver> lu;
     try {
-      lu = factor_jacobian(sys, result.state, f, opts.fd_eps, f_pert);
+      lu = detail::factor_fd_jacobian(sys, result.state, f, opts.fd_eps);
     } catch (const util::Error&) {
       return result;  // singular Jacobian: hand back best-so-far
     }
@@ -230,8 +266,8 @@ NewtonResult newton_chord(const OdeSystem& sys, NewtonResult result,
     for (;;) {
       if (!ws.holds(n)) {
         try {
-          NewtonWorkspaceAccess::lu(ws) =
-              factor_jacobian(sys, result.state, f, opts.fd_eps, f_pert);
+          NewtonWorkspaceAccess::lu(ws) = detail::factor_fd_jacobian(
+              sys, result.state, f, opts.fd_eps);
           NewtonWorkspaceAccess::dim(ws) = n;
         } catch (const util::Error&) {
           ws.reset();

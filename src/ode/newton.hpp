@@ -53,15 +53,16 @@ class NewtonWorkspace {
   /// Drops the cached factorizations (e.g. when the chain jumps to an
   /// unrelated model or the discretization changes shape).
   void reset();
-  /// A dense factorization of the given dimension is available for chord
-  /// steps.
+  /// An LuSolver factorization of the given dimension is available for
+  /// chord steps.
   [[nodiscard]] bool holds(std::size_t dim) const;
 
  private:
   friend struct NewtonWorkspaceAccess;  // implementation backdoor
   std::unique_ptr<LuSolver> lu_;
   /// Banded chord cache for the Krylov path (large dimensions, where the
-  /// dense LU is unaffordable); cached and invalidated alongside lu_.
+  /// n-evaluation finite-difference Jacobian behind lu_ is unaffordable);
+  /// cached and invalidated alongside lu_.
   std::unique_ptr<BandedLuSolver> banded_;
   std::size_t dim_ = 0;
   std::size_t banded_dim_ = 0;
@@ -79,12 +80,14 @@ NewtonResult newton_fixed_point(const OdeSystem& sys, State s0,
 
 namespace detail {
 
-/// Builds and factors the dense forward-difference Jacobian of sys.deriv
-/// at `s` (residual `f` already evaluated there). Costs exactly
-/// `dimension` derivative evaluations — assembled through deriv_batch in
-/// blocks when the system provides it (bit-identical entries and eval
-/// count either way). Throws util::Error on numerical singularity. Shared
-/// by the Newton polish and the Krylov path's dense chord preconditioner.
+/// Builds and factors the forward-difference Jacobian of sys.deriv at `s`
+/// (residual `f` already evaluated there). Costs exactly `dimension`
+/// derivative evaluations — assembled through deriv_batch in blocks when
+/// the system provides it (bit-identical entries and eval count either
+/// way). Each column's nonzeros go straight into compressed sparse
+/// columns; no n x n matrix is formed. Throws util::Error on numerical
+/// singularity. Shared by the Newton polish and the Krylov path's dense
+/// chord preconditioner.
 /// With regularize_zero_rows, identically-zero rows (e.g. the conserved
 /// ds_0/dt = 0 row of a raw mean-field derivative) get a unit diagonal
 /// before factoring — harmless for a preconditioner, since the residual

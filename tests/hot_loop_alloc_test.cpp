@@ -1,7 +1,8 @@
 // Counting-allocator enforcement of the allocation-free hot loops: once an
 // AdaptiveIntegrator (or a fixed-step Stepper) is warm, further integration
-// performs zero heap allocations, and an Anderson run's allocation count is
-// a function of the problem size only, never of the iteration count.
+// performs zero heap allocations, an Anderson run's allocation count is a
+// function of the problem size only, never of the iteration count, and a
+// factored LuSolver solves without touching the heap.
 //
 // The counter hooks the global operator new/delete for this test binary.
 // Only allocation DELTAS measured around the hot region are asserted, so
@@ -19,6 +20,7 @@
 #include "ode/anderson.hpp"
 #include "ode/integrator.hpp"
 #include "ode/krylov.hpp"
+#include "ode/linalg.hpp"
 #include "ode/steppers.hpp"
 
 namespace {
@@ -138,6 +140,36 @@ TEST(HotLoopAlloc, GmresIterationsAllocationFree) {
   }
   EXPECT_EQ(allocations(), warm)
       << "warm GMRES solves must reuse the workspace buffers";
+}
+
+TEST(HotLoopAlloc, LuSolveIntoAllocationFree) {
+  // The Krylov path's dense-chord preconditioner calls solve_into on every
+  // GMRES iteration. Two coupled segments plus two dense columns exercise
+  // the reordering, the border block and the in-place output scatter.
+  const std::size_t len = 48, n = 2 * len;
+  ode::Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a(i, i) = 4.0;
+    if (i % len > 0) a(i, i - 1) = -1.0;
+    if (i % len + 1 < len) a(i, i + 1) = -1.0;
+    if (i < len) {
+      a(i, i + len) = 0.5;
+    } else {
+      a(i, i - len) = 0.25;
+    }
+    a(i, 1) += 0.1;
+    a(i, len + 2) += 0.2;
+  }
+  const ode::LuSolver lu(a);
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < n; ++i) moved += lu.order()[i] != i ? 1 : 0;
+  ASSERT_GT(moved, 0U);
+  std::vector<double> b(n, 1.0), x(n);
+
+  const std::size_t before = allocations();
+  for (int rep = 0; rep < 4; ++rep) lu.solve_into(b.data(), x.data());
+  EXPECT_EQ(allocations(), before)
+      << "LuSolver::solve_into must not touch the heap";
 }
 
 TEST(HotLoopAlloc, BatchedRhsEvaluatorAllocationFree) {
