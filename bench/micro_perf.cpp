@@ -141,25 +141,6 @@ std::unique_ptr<core::MeanFieldModel> rung_model(const Rung& r) {
   return core::make_model(r.model, 0.85, params);
 }
 
-/// The model's root residual as an OdeSystem, as the Newton polish sees it.
-class RootSystem final : public ode::OdeSystem {
- public:
-  explicit RootSystem(const core::MeanFieldModel& model) : model_(model) {}
-  void deriv(double, const ode::State& s, ode::State& ds) const override {
-    model_.root_residual(s, ds);
-  }
-  [[nodiscard]] bool deriv_batch(double, std::size_t nb, const double* x,
-                                 double* dx) const override {
-    return model_.root_residual_batch(nb, nullptr, x, dx);
-  }
-  [[nodiscard]] std::size_t dimension() const override {
-    return model_.dimension();
-  }
-
- private:
-  const core::MeanFieldModel& model_;
-};
-
 /// The model's unpolished fixed point: where the Newton polish starts.
 ode::State rung_state(const core::MeanFieldModel& model) {
   core::FixedPointOptions opts;
@@ -212,7 +193,7 @@ void BM_FdJacobianFactor(benchmark::State& state) {
   // assembly and the factorization.
   const Rung& rung = kRungs[state.range(0)];
   const auto model = rung_model(rung);
-  const RootSystem root(*model);
+  const core::RootSystem root(*model);
   const ode::State s = rung_state(*model);
   ode::State f(s.size());
   model->root_residual(s, f);

@@ -13,30 +13,6 @@ namespace lsm::core {
 
 namespace {
 
-/// Newton view of one lane's model: deriv is the root-residual map (row 0
-/// replaced by its conservation constraint), batched assembly goes through
-/// root_residual_batch at the lane's own lambda.
-class RootAdapter final : public ode::OdeSystem {
- public:
-  explicit RootAdapter(const MeanFieldModel& model) : model_(model) {}
-
-  [[nodiscard]] std::size_t dimension() const override {
-    return model_.dimension();
-  }
-  void deriv(double /*t*/, const ode::State& s,
-             ode::State& ds) const override {
-    model_.root_residual(s, ds);
-  }
-  [[nodiscard]] bool deriv_batch(double /*t*/, std::size_t nb,
-                                 const double* x, double* dx) const override {
-    return model_.root_residual_batch(nb, nullptr, x, dx);
-  }
-  void project(ode::State& s) const override { model_.project(s); }
-
- private:
-  const MeanFieldModel& model_;
-};
-
 void gather_lane(const std::vector<double>& x, std::size_t nb, std::size_t l,
                  ode::State& out) {
   const std::size_t dim = x.size() / nb;
@@ -243,7 +219,7 @@ BatchSweepResult batched_lambda_sweep(
         res.rhs_evals += 2;
         if (stair_res < smoothed_res) lane_states[l] = stair;
       }
-      RootAdapter root(*models[l]);
+      const RootSystem root(*models[l]);
       ode::CountingSystem counted(root);
       double residual = 0.0;
       if (dim <= opts.newton_max_dim) {

@@ -19,11 +19,14 @@
 namespace lsm::core {
 
 /// Evaluates a block of states through the model's batched kernel when it
-/// has one, or lane-by-lane scalar deriv() otherwise. Component-major
-/// layout throughout: x[i * nb + l] is component i of lane l. The scalar
-/// fallback evaluates lane l with models[l] (so per-lane arrival rates
-/// work without a lambdas array), and all scratch is owned and reused —
-/// steady-state eval() calls are allocation-free (hot_loop_alloc_test).
+/// has one, or lane-by-lane scalar deriv() otherwise. Either way lane l
+/// equals models[l]->deriv() bit for bit: a model with a kernel has no
+/// other recurrence, its deriv() is the kernel's one-lane call.
+/// Component-major layout throughout: x[i * nb + l] is component i of
+/// lane l. The scalar fallback evaluates lane l with models[l] (so
+/// per-lane arrival rates work without a lambdas array), and all scratch
+/// is owned and reused — steady-state eval() calls are allocation-free
+/// (hot_loop_alloc_test).
 class RhsBatchEvaluator {
  public:
   /// `models` must all share the model type, truncation and dimension;

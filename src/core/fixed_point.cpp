@@ -20,28 +20,6 @@ double since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Adapter presenting the model's root_residual as an OdeSystem so the
-/// generic Newton solver can drive it.
-class RootSystem final : public ode::OdeSystem {
- public:
-  explicit RootSystem(const MeanFieldModel& model) : model_(model) {}
-
-  void deriv(double /*t*/, const ode::State& s, ode::State& ds) const override {
-    model_.root_residual(s, ds);
-  }
-  [[nodiscard]] bool deriv_batch(double /*t*/, std::size_t nb, const double* x,
-                                 double* dx) const override {
-    return model_.root_residual_batch(nb, nullptr, x, dx);
-  }
-  [[nodiscard]] std::size_t dimension() const override {
-    return model_.dimension();
-  }
-  void project(ode::State& s) const override { model_.project(s); }
-
- private:
-  const MeanFieldModel& model_;
-};
-
 /// Restores the model's truncation on scope exit unless release()d; keeps
 /// the Auto mode exception-safe (set_truncation is const but sticky).
 class TruncationGuard {

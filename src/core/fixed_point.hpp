@@ -141,6 +141,29 @@ struct FixedPointResult {
   std::string failure;  ///< human-readable reason when status != Converged
 };
 
+/// The model's root_residual as an OdeSystem, as the Newton polish sees
+/// it: deriv is the root-residual map, batched Jacobian assembly goes
+/// through root_residual_batch at the model's own lambda.
+class RootSystem final : public ode::OdeSystem {
+ public:
+  explicit RootSystem(const MeanFieldModel& model) : model_(model) {}
+
+  void deriv(double /*t*/, const ode::State& s, ode::State& ds) const override {
+    model_.root_residual(s, ds);
+  }
+  [[nodiscard]] bool deriv_batch(double /*t*/, std::size_t nb, const double* x,
+                                 double* dx) const override {
+    return model_.root_residual_batch(nb, nullptr, x, dx);
+  }
+  [[nodiscard]] std::size_t dimension() const override {
+    return model_.dimension();
+  }
+  void project(ode::State& s) const override { model_.project(s); }
+
+ private:
+  const MeanFieldModel& model_;
+};
+
 /// Computes the fixed point of `model`. When no applicable path
 /// converges (see ode::solve_fixed_point) throws util::FailureError (a
 /// util::Error subclass), or — with opts.throw_on_failure=false —

@@ -99,6 +99,14 @@ void MeanFieldModel::project(ode::State& s) const {
   project_segment(s, 0, dimension(), 1.0);
 }
 
+void MeanFieldModel::deriv(double /*t*/, const ode::State& s,
+                           ode::State& ds) const {
+  const std::size_t n = dimension();
+  LSM_ASSERT(s.size() == n && ds.size() == n);
+  LSM_EXPECT(rhs_batch(1, nullptr, s.data(), ds.data()),
+             "model has neither a scalar deriv nor a lane kernel");
+}
+
 void MeanFieldModel::root_residual(const ode::State& s, ode::State& f) const {
   deriv(0.0, s, f);
   f[0] = 1.0 - s[0];

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <string>
+#include <type_traits>
 
 #include "ode/state.hpp"
 #include "ode/system.hpp"
@@ -101,6 +102,11 @@ class MeanFieldModel : public ode::OdeSystem {
   /// use pseudo-transient continuation with a banded chord Jacobian.
   [[nodiscard]] virtual std::size_t stiff_bandwidth() const { return 0; }
 
+  /// The model's right-hand side at its own lambda: lane 0 of a one-lane
+  /// rhs_batch call. Models with a lane kernel write their recurrence only
+  /// there; models without one override this with a scalar recurrence.
+  void deriv(double t, const ode::State& s, ode::State& ds) const override;
+
   /// Residual map used by the Newton fixed-point polisher: identical to
   /// deriv(0, s) except that identically-conserved rows are replaced by
   /// constraint residuals (default: row 0 becomes 1 - s_0), keeping the
@@ -109,13 +115,15 @@ class MeanFieldModel : public ode::OdeSystem {
 
   /// Batched right-hand side over `nb` states in component-major
   /// (structure-of-arrays) layout: x[i * nb + l] holds component i of lane
-  /// l, dx likewise. `lambdas` optionally gives a per-lane arrival rate
+  /// l, dx likewise (x and dx must not overlap: kernels may stage values
+  /// in dx rows). `lambdas` optionally gives a per-lane arrival rate
   /// (nullptr = every lane at lambda()), which is what lets a lambda-sweep
-  /// evaluate its whole grid in one pass. Lane arithmetic must be
-  /// bit-identical to the scalar deriv() at the same lambda — same
-  /// operation order — so finite-difference Jacobians and golden artifacts
-  /// do not depend on which path ran. Returns false (x/dx untouched) when
-  /// the model has no batched kernel; callers fall back to scalar deriv().
+  /// evaluate its whole grid in one pass. Each lane's arithmetic depends
+  /// only on that lane's state and arrival rate, so a lane of an nb-lane
+  /// pass equals the one-lane pass that is deriv() — finite-difference
+  /// Jacobians and golden artifacts do not depend on which path ran.
+  /// Returns false (x/dx untouched) when the model has no batched kernel;
+  /// such models override deriv() and callers fall back to it per lane.
   [[nodiscard]] virtual bool rhs_batch(std::size_t nb, const double* lambdas,
                                        const double* x, double* dx) const {
     (void)nb;
@@ -145,6 +153,20 @@ class MeanFieldModel : public ode::OdeSystem {
   }
 
  protected:
+  /// Runs a lane kernel's body with `nb` a compile-time 1 for the one-lane
+  /// call that is deriv(), else with the runtime lane count. The one body
+  /// then compiles to straight-line code along the state for deriv() and
+  /// to vector loops across lanes for batches. Returns true.
+  template <class Body>
+  static bool for_lanes(std::size_t nb, Body&& body) {
+    if (nb == 1) {
+      body(std::integral_constant<std::size_t, 1>{});
+    } else {
+      body(nb);
+    }
+    return true;
+  }
+
   /// Clamp + monotone projection over s[begin..end) treating s[begin] as
   /// the segment head pinned to `head` (pass a negative head to leave the
   /// head dynamic).

@@ -33,81 +33,66 @@ std::string MultiChoiceWS::name() const {
          ",T=" + std::to_string(threshold_) + ")";
 }
 
-void MultiChoiceWS::deriv(double /*t*/, const ode::State& s,
-                          ode::State& ds) const {
-  const std::size_t L = trunc_;
-  const std::size_t T = threshold_;
-  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
-  const double fail_prob = int_pow(1.0 - s[T], choices_);
-  const double steal_rate = s[1] - s[2];
-  ds[0] = 0.0;
-  ds[1] = lambda_ * (s[0] - s[1]) - (s[1] - s[2]) * fail_prob;
-  for (std::size_t i = 2; i <= L; ++i) {
-    const double s_next = (i < L) ? s[i + 1] : 0.0;
-    double d = lambda_ * (s[i - 1] - s[i]) - (s[i] - s_next);
-    if (i >= T) {
-      // Probability the best of d probes holds exactly i tasks.
-      const double victim_prob =
-          int_pow(1.0 - s_next, choices_) - int_pow(1.0 - s[i], choices_);
-      d -= victim_prob * steal_rate;
-    }
-    ds[i] = d;
-  }
-}
-
-bool MultiChoiceWS::rhs_batch(std::size_t nb, const double* lambdas,
+bool MultiChoiceWS::rhs_batch(std::size_t lanes, const double* lambdas,
                               const double* x, double* dx) const {
-  const std::size_t L = trunc_;
-  const std::size_t T = threshold_;
-  const std::size_t d = choices_;
-  // Rows split at T so the victim-probability evaluation is hoisted out of
-  // the plain inner loops; int_pow per lane matches the scalar d-fold
-  // product bit for bit.
-  const double* s1 = x + nb;
-  const double* s2 = x + 2 * nb;
-  const double* sT = x + T * nb;
-  for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
-  for (std::size_t l = 0; l < nb; ++l) {
-    const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-    const double fail_prob = int_pow(1.0 - sT[l], d);
-    dx[nb + l] = lam * (x[l] - s1[l]) - (s1[l] - s2[l]) * fail_prob;
-  }
-  for (std::size_t i = 2; i < T; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;  // i < T < L, tracked
-    double* out = dx + i * nb;
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const double own_lambda = lambda_;  // a local cannot alias dx
+    const std::size_t T = threshold_;
+    const std::size_t d = choices_;
+    // Rows split at T so the victim-probability evaluation is hoisted out
+    // of the plain inner loops. Rows i >= T first hold the powers
+    // (1 - s_i)^d, so each d-fold product is computed once, not twice.
+    const double* s1 = x + nb;
+    const double* s2 = x + 2 * nb;
+    const double* sT = x + T * nb;
+    for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
+      const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+      const double fail_prob = int_pow(1.0 - sT[l], d);
+      dx[nb + l] = lam * (x[l] - s1[l]) - (s1[l] - s2[l]) * fail_prob;
     }
-  }
-  for (std::size_t i = T; i < L; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;
-    double* out = dx + i * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      const double victim_prob =
-          int_pow(1.0 - sn[l], d) - int_pow(1.0 - si[l], d);
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
-               victim_prob * (s1[l] - s2[l]);
+    for (std::size_t i = 2; i < T; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;  // i < T < L, tracked
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
+      }
     }
-  }
-  {
-    const double* sp = x + (L - 1) * nb;
-    const double* si = x + L * nb;
-    double* out = dx + L * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      const double victim_prob =
-          int_pow(1.0 - 0.0, d) - int_pow(1.0 - si[l], d);
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) -
-               victim_prob * (s1[l] - s2[l]);
+    for (std::size_t i = T; i <= L; ++i) {
+      const double* si = x + i * nb;
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) out[l] = int_pow(1.0 - si[l], d);
     }
-  }
-  return true;
+    // Row i reads its own power and row i + 1's before overwriting its own.
+    for (std::size_t i = T; i < L; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      double* out = dx + i * nb;
+      const double* pow_next = out + nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        const double victim_prob = pow_next[l] - out[l];
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
+                 victim_prob * (s1[l] - s2[l]);
+      }
+    }
+    {
+      const double* sp = x + (L - 1) * nb;
+      const double* si = x + L * nb;
+      double* out = dx + L * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        const double victim_prob = int_pow(1.0 - 0.0, d) - out[l];
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) -
+                 victim_prob * (s1[l] - s2[l]);
+      }
+    }
+  });
 }
 
 double MultiChoiceWS::tail_ratio_bound(const ode::State& pi) const {

@@ -28,119 +28,96 @@ std::string MultiStealWS::name() const {
          ",T=" + std::to_string(threshold_) + ")";
 }
 
-void MultiStealWS::deriv(double /*t*/, const ode::State& s,
-                         ode::State& ds) const {
-  const std::size_t L = trunc_;
-  const std::size_t T = threshold_;
-  const std::size_t k = k_;
-  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
-  auto at = [&](std::size_t i) { return i <= L ? s[i] : 0.0; };
-  const double steal_rate = s[1] - s[2];
-  const double s_T = s[T];
-  ds[0] = 0.0;
-  ds[1] = lambda_ * (s[0] - s[1]) - (s[1] - s[2]) * (1.0 - s_T);
-  for (std::size_t i = 2; i <= L; ++i) {
-    const double s_next = (i < L) ? s[i + 1] : 0.0;
-    double d = lambda_ * (s[i - 1] - s[i]) - (s[i] - s_next);
-    if (i <= k) d += steal_rate * s_T;  // successful thief jumps 0 -> k
-    if (i + k > T) {
-      // Victim with load in [max(i,T), i+k) drops below level i.
-      const double hi = at(i + k);
-      const double lo = s[std::max(i, T)];
-      d -= steal_rate * (lo - hi);
-    }
-    ds[i] = d;
-  }
-}
-
-bool MultiStealWS::rhs_batch(std::size_t nb, const double* lambdas,
+bool MultiStealWS::rhs_batch(std::size_t lanes, const double* lambdas,
                              const double* x, double* dx) const {
-  const std::size_t L = trunc_;
-  const std::size_t T = threshold_;
-  const std::size_t k = k_;
-  // deriv()'s i <= k / i + k > T branches become disjoint i-ranges (k <= T/2
-  // and L >= T + k + 3 keep them non-overlapping and in-bounds), so every
-  // inner lane loop is branch-free. Per-lane arithmetic matches deriv().
-  const double* s1 = x + nb;
-  const double* s2 = x + 2 * nb;
-  const double* sT = x + T * nb;
-  for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
-  for (std::size_t l = 0; l < nb; ++l) {
-    const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-    dx[nb + l] = lam * (x[l] - s1[l]) - (s1[l] - s2[l]) * (1.0 - sT[l]);
-  }
-  // 2 <= i <= k: a successful steal lifts the thief across these levels.
-  for (std::size_t i = 2; i <= k; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;
-    double* out = dx + i * nb;
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const double own_lambda = lambda_;  // a local cannot alias dx
+    const std::size_t T = threshold_;
+    const std::size_t k = k_;
+    // The recurrence's i <= k / i + k > T cases become disjoint i-ranges
+    // (k <= T/2 and L >= T + k + 3 keep them non-overlapping and in-bounds),
+    // so every inner lane loop is branch-free.
+    const double* s1 = x + nb;
+    const double* s2 = x + 2 * nb;
+    const double* sT = x + T * nb;
+    for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) +
-               (s1[l] - s2[l]) * sT[l];
+      const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+      dx[nb + l] = lam * (x[l] - s1[l]) - (s1[l] - s2[l]) * (1.0 - sT[l]);
     }
-  }
-  // k + 1 <= i <= T - k: untouched by steals.
-  for (std::size_t i = std::max<std::size_t>(2, k + 1); i <= T - k; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;
-    double* out = dx + i * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
+    // 2 <= i <= k: a successful steal lifts the thief across these levels.
+    for (std::size_t i = 2; i <= k; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) +
+                 (s1[l] - s2[l]) * sT[l];
+      }
     }
-  }
-  // T - k + 1 <= i <= T - 1: victim drop with lo pinned at s_T.
-  for (std::size_t i = T - k + 1; i < T; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;
-    const double* hi = x + (i + k) * nb;  // i + k <= T + k - 1 < L
-    double* out = dx + i * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
-               (s1[l] - s2[l]) * (sT[l] - hi[l]);
+    // k + 1 <= i <= T - k: untouched by steals.
+    for (std::size_t i = std::max<std::size_t>(2, k + 1); i <= T - k; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
+      }
     }
-  }
-  // T <= i <= L - k: victim drop with lo = s_i, hi tracked.
-  for (std::size_t i = T; i + k <= L; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;
-    const double* hi = x + (i + k) * nb;
-    double* out = dx + i * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
-               (s1[l] - s2[l]) * (si[l] - hi[l]);
+    // T - k + 1 <= i <= T - 1: victim drop with lo pinned at s_T.
+    for (std::size_t i = T - k + 1; i < T; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      const double* hi = x + (i + k) * nb;  // i + k <= T + k - 1 < L
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
+                 (s1[l] - s2[l]) * (sT[l] - hi[l]);
+      }
     }
-  }
-  // L - k < i < L: hi beyond the truncation (treated as 0).
-  for (std::size_t i = L - k + 1; i < L; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;
-    double* out = dx + i * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
-               (s1[l] - s2[l]) * (si[l] - 0.0);
+    // T <= i <= L - k: victim drop with lo = s_i, hi tracked.
+    for (std::size_t i = T; i + k <= L; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      const double* hi = x + (i + k) * nb;
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
+                 (s1[l] - s2[l]) * (si[l] - hi[l]);
+      }
     }
-  }
-  {
-    const double* sp = x + (L - 1) * nb;
-    const double* si = x + L * nb;
-    double* out = dx + L * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) -
-               (s1[l] - s2[l]) * (si[l] - 0.0);
+    // L - k < i < L: hi beyond the truncation (treated as 0).
+    for (std::size_t i = L - k + 1; i < L; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
+                 (s1[l] - s2[l]) * (si[l] - 0.0);
+      }
     }
-  }
-  return true;
+    {
+      const double* sp = x + (L - 1) * nb;
+      const double* si = x + L * nb;
+      double* out = dx + L * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) -
+                 (s1[l] - s2[l]) * (si[l] - 0.0);
+      }
+    }
+  });
 }
 
 }  // namespace lsm::core

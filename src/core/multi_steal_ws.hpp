@@ -22,7 +22,6 @@ class MultiStealWS final : public MeanFieldModel {
   MultiStealWS(double lambda, std::size_t steal_count, std::size_t threshold,
                std::size_t truncation = 0);
 
-  void deriv(double t, const ode::State& s, ode::State& ds) const override;
   [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
                                const double* x, double* dx) const override;
   [[nodiscard]] std::string name() const override;

@@ -24,42 +24,33 @@ NoStealing::NoStealing(double lambda, std::size_t truncation)
   LSM_EXPECT(lambda < 1.0, "no-stealing model is unstable for lambda >= 1");
 }
 
-void NoStealing::deriv(double /*t*/, const ode::State& s,
-                       ode::State& ds) const {
-  const std::size_t L = trunc_;
-  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
-  ds[0] = 0.0;
-  for (std::size_t i = 1; i <= L; ++i) {
-    const double s_next = (i < L) ? s[i + 1] : 0.0;
-    ds[i] = lambda_ * (s[i - 1] - s[i]) - (s[i] - s_next);
-  }
-}
-
-bool NoStealing::rhs_batch(std::size_t nb, const double* lambdas,
+bool NoStealing::rhs_batch(std::size_t lanes, const double* lambdas,
                            const double* x, double* dx) const {
-  const std::size_t L = trunc_;
-  // Component-major lanes, bit-identical per lane to deriv().
-  for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
-  for (std::size_t i = 1; i < L; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;
-    double* out = dx + i * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const double own_lambda = lambda_;  // a local cannot alias dx
+    // Component-major lanes; deriv() is the one-lane call.
+    for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
+    for (std::size_t i = 1; i < L; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
+      }
     }
-  }
-  {
-    const double* sp = x + (L - 1) * nb;
-    const double* si = x + L * nb;
-    double* out = dx + L * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0);
+    {
+      const double* sp = x + (L - 1) * nb;
+      const double* si = x + L * nb;
+      double* out = dx + L * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0);
+      }
     }
-  }
-  return true;
+  });
 }
 
 ode::State NoStealing::analytic_fixed_point() const { return mm1_state(); }

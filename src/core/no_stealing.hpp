@@ -16,7 +16,6 @@ class NoStealing final : public MeanFieldModel {
   /// truncation = 0 picks an automatic L sized to lambda's tail decay.
   explicit NoStealing(double lambda, std::size_t truncation = 0);
 
-  void deriv(double t, const ode::State& s, ode::State& ds) const override;
   [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
                                const double* x, double* dx) const override;
   [[nodiscard]] std::string name() const override { return "no-stealing"; }

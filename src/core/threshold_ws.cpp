@@ -22,72 +22,55 @@ std::string ThresholdWS::name() const {
   return "threshold-ws(T=" + std::to_string(threshold_) + ")";
 }
 
-void ThresholdWS::deriv(double /*t*/, const ode::State& s,
-                        ode::State& ds) const {
-  const std::size_t L = trunc_;
-  const std::size_t T = threshold_;
-  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
-  const double s_T = s[T];
-  const double steal_rate = s[1] - s[2];  // processors emptying per unit time
-  ds[0] = 0.0;
-  // i = 1: the final task is effectively lost only if the steal fails.
-  ds[1] = lambda_ * (s[0] - s[1]) - (s[1] - s[2]) * (1.0 - s_T);
-  for (std::size_t i = 2; i <= L; ++i) {
-    const double s_next = (i < L) ? s[i + 1] : 0.0;
-    double d = lambda_ * (s[i - 1] - s[i]) - (s[i] - s_next);
-    if (i >= T) d -= (s[i] - s_next) * steal_rate;  // victims of thieves
-    ds[i] = d;
-  }
-}
-
-bool ThresholdWS::rhs_batch(std::size_t nb, const double* lambdas,
+bool ThresholdWS::rhs_batch(std::size_t lanes, const double* lambdas,
                             const double* x, double* dx) const {
-  const std::size_t L = trunc_;
-  const std::size_t T = threshold_;
-  // Component-major lanes; the bulk rows split at T so the steal term is
-  // hoisted out of the inner loops, which then vectorize. Each lane's
-  // arithmetic matches deriv() operation for operation.
-  const double* s0 = x;
-  const double* s1 = x + nb;
-  const double* s2 = x + 2 * nb;
-  const double* sT = x + T * nb;
-  for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
-  for (std::size_t l = 0; l < nb; ++l) {
-    const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-    dx[nb + l] = lam * (s0[l] - s1[l]) - (s1[l] - s2[l]) * (1.0 - sT[l]);
-  }
-  for (std::size_t i = 2; i < T; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;  // i < T < L, so i + 1 is tracked
-    double* out = dx + i * nb;
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const double own_lambda = lambda_;  // a local cannot alias dx
+    const std::size_t T = threshold_;
+    // Component-major lanes; equation (6)'s i >= T steal term becomes a
+    // range split at T, so every inner lane loop is branch-free.
+    const double* s0 = x;
+    const double* s1 = x + nb;
+    const double* s2 = x + 2 * nb;
+    const double* sT = x + T * nb;
+    for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
+      const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+      dx[nb + l] = lam * (s0[l] - s1[l]) - (s1[l] - s2[l]) * (1.0 - sT[l]);
     }
-  }
-  for (std::size_t i = T; i < L; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;
-    double* out = dx + i * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
-               (si[l] - sn[l]) * (s1[l] - s2[l]);
+    for (std::size_t i = 2; i < T; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;  // i < T < L, so i + 1 is tracked
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
+      }
     }
-  }
-  {
-    const double* sp = x + (L - 1) * nb;
-    const double* si = x + L * nb;
-    double* out = dx + L * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) -
-               (si[l] - 0.0) * (s1[l] - s2[l]);
+    for (std::size_t i = T; i < L; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
+                 (si[l] - sn[l]) * (s1[l] - s2[l]);
+      }
     }
-  }
-  return true;
+    {
+      const double* sp = x + (L - 1) * nb;
+      const double* si = x + L * nb;
+      double* out = dx + L * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) -
+                 (si[l] - 0.0) * (s1[l] - s2[l]);
+      }
+    }
+  });
 }
 
 double ThresholdWS::analytic_pi_threshold() const {

@@ -24,7 +24,6 @@ class ThresholdWS : public MeanFieldModel {
   /// `threshold` T >= 2; truncation = 0 picks an automatic L.
   ThresholdWS(double lambda, std::size_t threshold, std::size_t truncation = 0);
 
-  void deriv(double t, const ode::State& s, ode::State& ds) const override;
   [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
                                const double* x, double* dx) const override;
   [[nodiscard]] std::string name() const override;

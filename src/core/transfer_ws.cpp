@@ -27,104 +27,76 @@ std::string TransferTimeWS::name() const {
          ",T=" + std::to_string(threshold_) + ")";
 }
 
-void TransferTimeWS::deriv(double /*t*/, const ode::State& x,
-                           ode::State& dx) const {
-  const std::size_t L = trunc_;
-  const std::size_t T = threshold_;
-  const std::size_t W = L + 1;  // offset of the w block
-  LSM_ASSERT(x.size() == 2 * W && dx.size() == 2 * W);
-  auto s = [&](std::size_t i) { return i <= L ? x[i] : 0.0; };
-  auto w = [&](std::size_t i) { return i <= L ? x[W + i] : 0.0; };
-
-  const double thief_rate = s(1) - s(2);       // procs emptying (s-class)
-  const double success = s(T) + w(T);          // victim has >= T tasks
-  const double start_wait = thief_rate * success;  // s -> w transitions
-
-  dx[0] = rate_ * w(0) - start_wait;
-  for (std::size_t i = 1; i <= L; ++i) {
-    double d = lambda_ * (s(i - 1) - s(i)) + rate_ * w(i - 1) -
-               (s(i) - s(i + 1));
-    if (i >= T) d -= (s(i) - s(i + 1)) * thief_rate;
-    dx[i] = d;
-  }
-
-  dx[W] = -rate_ * w(0) + start_wait;
-  for (std::size_t i = 1; i <= L; ++i) {
-    double d = lambda_ * (w(i - 1) - w(i)) - rate_ * w(i) -
-               (w(i) - w(i + 1));
-    if (i >= T) d -= (w(i) - w(i + 1)) * thief_rate;
-    dx[W + i] = d;
-  }
-}
-
-bool TransferTimeWS::rhs_batch(std::size_t nb, const double* lambdas,
+bool TransferTimeWS::rhs_batch(std::size_t lanes, const double* lambdas,
                                const double* x, double* dx) const {
-  const std::size_t L = trunc_;
-  const std::size_t T = threshold_;
-  const std::size_t W = L + 1;  // offset of the w block (in components)
-  // Component-major lanes over the packed [s | w] state; the i >= T thief
-  // branch becomes a range split as in the single-segment models. Per-lane
-  // arithmetic matches deriv().
-  const double* s1 = x + nb;
-  const double* s2 = x + 2 * nb;
-  const double* sT = x + T * nb;
-  const double* wT = x + (W + T) * nb;
-  const double* w0 = x + W * nb;
-  for (std::size_t l = 0; l < nb; ++l) {
-    const double start_wait = (s1[l] - s2[l]) * (sT[l] + wT[l]);
-    dx[l] = rate_ * w0[l] - start_wait;
-    dx[W * nb + l] = -rate_ * w0[l] + start_wait;
-  }
-  for (std::size_t i = 1; i < T; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;  // i < T <= L, tracked
-    const double* wp = x + (W + i - 1) * nb;
-    const double* wi = x + (W + i) * nb;
-    const double* wn = x + (W + i + 1) * nb;
-    double* outs = dx + i * nb;
-    double* outw = dx + (W + i) * nb;
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const double own_lambda = lambda_;  // locals cannot alias dx
+    const double rate = rate_;
+    const std::size_t T = threshold_;
+    const std::size_t W = L + 1;  // offset of the w block (in components)
+    // Component-major lanes over the packed [s | w] state; the i >= T thief
+    // term becomes a range split as in the single-segment models.
+    const double* s1 = x + nb;
+    const double* s2 = x + 2 * nb;
+    const double* sT = x + T * nb;
+    const double* wT = x + (W + T) * nb;
+    const double* w0 = x + W * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      outs[l] = lam * (sp[l] - si[l]) + rate_ * wp[l] - (si[l] - sn[l]);
-      outw[l] = lam * (wp[l] - wi[l]) - rate_ * wi[l] - (wi[l] - wn[l]);
+      const double start_wait = (s1[l] - s2[l]) * (sT[l] + wT[l]);
+      dx[l] = rate * w0[l] - start_wait;
+      dx[W * nb + l] = -rate * w0[l] + start_wait;
     }
-  }
-  for (std::size_t i = T; i < L; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;
-    const double* wp = x + (W + i - 1) * nb;
-    const double* wi = x + (W + i) * nb;
-    const double* wn = x + (W + i + 1) * nb;
-    double* outs = dx + i * nb;
-    double* outw = dx + (W + i) * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      const double thief = s1[l] - s2[l];
-      outs[l] = lam * (sp[l] - si[l]) + rate_ * wp[l] - (si[l] - sn[l]) -
-                (si[l] - sn[l]) * thief;
-      outw[l] = lam * (wp[l] - wi[l]) - rate_ * wi[l] - (wi[l] - wn[l]) -
-                (wi[l] - wn[l]) * thief;
+    for (std::size_t i = 1; i < T; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;  // i < T <= L, tracked
+      const double* wp = x + (W + i - 1) * nb;
+      const double* wi = x + (W + i) * nb;
+      const double* wn = x + (W + i + 1) * nb;
+      double* outs = dx + i * nb;
+      double* outw = dx + (W + i) * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        outs[l] = lam * (sp[l] - si[l]) + rate * wp[l] - (si[l] - sn[l]);
+        outw[l] = lam * (wp[l] - wi[l]) - rate * wi[l] - (wi[l] - wn[l]);
+      }
     }
-  }
-  {
-    const double* sp = x + (L - 1) * nb;
-    const double* si = x + L * nb;
-    const double* wp = x + (W + L - 1) * nb;
-    const double* wi = x + (W + L) * nb;
-    double* outs = dx + L * nb;
-    double* outw = dx + (W + L) * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      const double thief = s1[l] - s2[l];
-      outs[l] = lam * (sp[l] - si[l]) + rate_ * wp[l] - (si[l] - 0.0) -
-                (si[l] - 0.0) * thief;
-      outw[l] = lam * (wp[l] - wi[l]) - rate_ * wi[l] - (wi[l] - 0.0) -
-                (wi[l] - 0.0) * thief;
+    for (std::size_t i = T; i < L; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      const double* wp = x + (W + i - 1) * nb;
+      const double* wi = x + (W + i) * nb;
+      const double* wn = x + (W + i + 1) * nb;
+      double* outs = dx + i * nb;
+      double* outw = dx + (W + i) * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        const double thief = s1[l] - s2[l];
+        outs[l] = lam * (sp[l] - si[l]) + rate * wp[l] - (si[l] - sn[l]) -
+                  (si[l] - sn[l]) * thief;
+        outw[l] = lam * (wp[l] - wi[l]) - rate * wi[l] - (wi[l] - wn[l]) -
+                  (wi[l] - wn[l]) * thief;
+      }
     }
-  }
-  return true;
+    {
+      const double* sp = x + (L - 1) * nb;
+      const double* si = x + L * nb;
+      const double* wp = x + (W + L - 1) * nb;
+      const double* wi = x + (W + L) * nb;
+      double* outs = dx + L * nb;
+      double* outw = dx + (W + L) * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        const double thief = s1[l] - s2[l];
+        outs[l] = lam * (sp[l] - si[l]) + rate * wp[l] - (si[l] - 0.0) -
+                  (si[l] - 0.0) * thief;
+        outw[l] = lam * (wp[l] - wi[l]) - rate * wi[l] - (wi[l] - 0.0) -
+                  (wi[l] - 0.0) * thief;
+      }
+    }
+  });
 }
 
 void TransferTimeWS::project(ode::State& x) const {
@@ -135,17 +107,16 @@ void TransferTimeWS::project(ode::State& x) const {
 }
 
 void TransferTimeWS::root_residual(const ode::State& x, ode::State& f) const {
-  deriv(0.0, x, f);
-  // d(s_0 + w_0)/dt == 0 identically makes the Jacobian singular; replace
-  // the redundant w_0 row with the conservation constraint itself.
-  f[w_index(0)] = 1.0 - x[0] - x[w_index(0)];
+  LSM_ASSERT(x.size() == dimension() && f.size() == dimension());
+  (void)root_residual_batch(1, nullptr, x.data(), f.data());
 }
 
 bool TransferTimeWS::root_residual_batch(std::size_t nb, const double* lambdas,
                                          const double* x, double* f) const {
-  if (!rhs_batch(nb, lambdas, x, f)) return false;
+  (void)rhs_batch(nb, lambdas, x, f);
   const std::size_t W = trunc_ + 1;
-  // Same constraint swap as root_residual, on the w_0 component row.
+  // d(s_0 + w_0)/dt == 0 identically makes the Jacobian singular; replace
+  // the redundant w_0 row with the conservation constraint itself.
   for (std::size_t l = 0; l < nb; ++l) {
     f[W * nb + l] = 1.0 - x[l] - x[W * nb + l];
   }

@@ -34,7 +34,6 @@ class TransferTimeWS final : public MeanFieldModel {
     return 2 * (trunc_ + 1);
   }
 
-  void deriv(double t, const ode::State& s, ode::State& ds) const override;
   [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
                                const double* x, double* dx) const override;
   [[nodiscard]] std::string name() const override;

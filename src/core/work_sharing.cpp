@@ -33,59 +33,46 @@ std::string WorkSharingWS::name() const {
   return "work-sharing(S=" + std::to_string(threshold_) + ")";
 }
 
-void WorkSharingWS::deriv(double /*t*/, const ode::State& s,
-                          ode::State& ds) const {
-  const std::size_t L = trunc_;
-  const std::size_t S = threshold_;
-  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
-  const double forwarded = lambda_ * s[S];  // per-processor forwarded stream
-  ds[0] = 0.0;
-  for (std::size_t i = 1; i <= L; ++i) {
-    const double s_next = (i < L) ? s[i + 1] : 0.0;
-    const double direct = (i - 1 < S) ? lambda_ : 0.0;
-    ds[i] = (direct + forwarded) * (s[i - 1] - s[i]) - (s[i] - s_next);
-  }
-}
-
-bool WorkSharingWS::rhs_batch(std::size_t nb, const double* lambdas,
+bool WorkSharingWS::rhs_batch(std::size_t lanes, const double* lambdas,
                               const double* x, double* dx) const {
-  const std::size_t L = trunc_;
-  const std::size_t S = threshold_;
-  // Rows split at S so the direct-arrival term is hoisted out of each
-  // inner loop; per-lane arithmetic matches deriv() (including the
-  // 0.0 + forwarded sum beyond S, which is exact).
-  const double* sS = x + S * nb;
-  for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
-  for (std::size_t i = 1; i <= S; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;  // i <= S < L - 1, tracked
-    double* out = dx + i * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = (lam + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - sn[l]);
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const double own_lambda = lambda_;  // a local cannot alias dx
+    const std::size_t S = threshold_;
+    // Rows split at S so the direct-arrival term [i-1 < S] is hoisted out
+    // of each inner loop (beyond S it is the exact 0.0 + forwarded sum).
+    const double* sS = x + S * nb;
+    for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
+    for (std::size_t i = 1; i <= S; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;  // i <= S < L - 1, tracked
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = (lam + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - sn[l]);
+      }
     }
-  }
-  for (std::size_t i = S + 1; i < L; ++i) {
-    const double* sp = x + (i - 1) * nb;
-    const double* si = x + i * nb;
-    const double* sn = x + (i + 1) * nb;
-    double* out = dx + i * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = (0.0 + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - sn[l]);
+    for (std::size_t i = S + 1; i < L; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = (0.0 + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - sn[l]);
+      }
     }
-  }
-  {
-    const double* sp = x + (L - 1) * nb;
-    const double* si = x + L * nb;
-    double* out = dx + L * nb;
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
-      out[l] = (0.0 + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - 0.0);
+    {
+      const double* sp = x + (L - 1) * nb;
+      const double* si = x + L * nb;
+      double* out = dx + L * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
+        out[l] = (0.0 + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - 0.0);
+      }
     }
-  }
-  return true;
+  });
 }
 
 double WorkSharingWS::message_rate(const ode::State& s) const {

@@ -27,7 +27,6 @@ class WorkSharingWS final : public MeanFieldModel {
   WorkSharingWS(double lambda, std::size_t share_threshold,
                 std::size_t truncation = 0);
 
-  void deriv(double t, const ode::State& s, ode::State& ds) const override;
   [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
                                const double* x, double* dx) const override;
   [[nodiscard]] std::string name() const override;

@@ -17,11 +17,12 @@ class OdeSystem {
 
   /// Batched evaluation of `nb` states in component-major (structure-of-
   /// arrays) layout: x[i * nb + l] holds component i of lane l, dx likewise.
-  /// Implementations must be bit-identical to nb scalar deriv() calls (same
-  /// per-lane operation order) so finite-difference Jacobians and golden
-  /// artifacts built on top do not depend on the path taken. Returns false
-  /// when no batched kernel exists — x/dx untouched, callers fall back to
-  /// per-lane deriv().
+  /// Lane l must equal deriv() at lane l's state bit for bit, so
+  /// finite-difference Jacobians and golden artifacts built on top do not
+  /// depend on the path taken; the mean-field models get this by
+  /// construction, since their deriv() is the one-lane call of the same
+  /// kernel. Returns false when no batched kernel exists — x/dx untouched,
+  /// callers fall back to per-lane deriv().
   [[nodiscard]] virtual bool deriv_batch(double t, std::size_t nb,
                                          const double* x, double* dx) const {
     (void)t;

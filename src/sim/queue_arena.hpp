@@ -1,21 +1,19 @@
 // Structure-of-arrays storage for the simulator's n per-processor task
 // queues: one shared slab of task stamps plus flat per-processor
-// (offset, head, length, capacity) slots, replacing the old
-// one-TaskRing-plus-heap-block-per-processor layout whose allocator
-// metadata alone dwarfed the queue contents at n = 10^6.
+// (offset, head, length, capacity) slots. No processor owns a heap block,
+// so allocator metadata does not dwarf the queue contents at n = 10^6.
 //
 // Each processor owns a power-of-two block of the slab and uses it as a
 // ring (push_back new work, pop_front FIFO service, take_back for
-// steal-from-tail — the same deque shape TaskRing modelled). A queue that
-// outgrows its block is relocated to a fresh block twice the size; the
-// vacated block goes on a per-size free list, so blocks recycle across
-// processors as the load profile shifts and the slab grows only when no
-// freed block fits. Every element access is index arithmetic into one
-// contiguous allocation: 2 heap blocks per processor becomes 0.
+// steal-from-tail). A queue that outgrows its block is relocated to a
+// fresh block twice the size; the vacated block goes on a per-size free
+// list, so blocks recycle across processors as the load profile shifts
+// and the slab grows only when no freed block fits. Every element access
+// is index arithmetic into one contiguous allocation.
 //
-// Semantics match TaskRing exactly (FIFO order, steal-from-tail order,
-// amortised O(1) growth), which tests/sim_containers_test.cpp pins by
-// driving both against std::deque on randomized traces.
+// Each queue behaves exactly like a std::deque (FIFO order, steal-from-
+// tail order, amortised O(1) growth), which tests/sim_shard_test.cpp pins
+// on wrap-around, grow-mid-wrap and randomized traces.
 #pragma once
 
 #include <cstddef>

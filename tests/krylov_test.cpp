@@ -3,13 +3,15 @@
 // finite-difference J.v against the analytic simple-WS Jacobian, parity of
 // the Krylov-polished fixed points with the dense-Newton engine across the
 // registry, the Auto routing of 10^3.5+-dimensional systems, and the
-// batched RHS kernels (bit-equality with the scalar path, per-lane
-// arrival rates, the scalar fallback, and the batched lambda sweep).
+// batched RHS kernels (bit-equality with the branch-form reference
+// recurrences of reference_rhs.hpp, per-lane arrival rates, the scalar
+// fallback, and the batched lambda sweep).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/batch.hpp"
@@ -19,6 +21,7 @@
 #include "ode/krylov.hpp"
 #include "ode/linalg.hpp"
 #include "ode/solve.hpp"
+#include "reference_rhs.hpp"
 
 namespace {
 
@@ -301,14 +304,15 @@ TEST(KrylovDispatch, PolishSkipIsRecordedNotSilent) {
 
 // --- Batched RHS kernels -------------------------------------------------
 
-/// The six sweep models with batched kernels; explicit L pins a shared
-/// discretization across lanes.
+/// Lanes of one model family at the given lambdas; explicit L pins a
+/// shared discretization across lanes.
 std::vector<std::unique_ptr<core::MeanFieldModel>> batched_lanes(
-    const std::string& name, const std::vector<double>& lambdas) {
+    const std::string& name, const std::vector<double>& lambdas,
+    const core::ModelParams& params = {}) {
   std::vector<std::unique_ptr<core::MeanFieldModel>> lanes;
   std::size_t trunc = 0;
   for (const double lam : lambdas) {
-    lanes.push_back(core::make_model(name, lam));
+    lanes.push_back(core::make_model(name, lam, params));
     trunc = std::max(trunc, lanes.back()->truncation());
   }
   for (auto& m : lanes) m->set_truncation(trunc);
@@ -316,16 +320,32 @@ std::vector<std::unique_ptr<core::MeanFieldModel>> batched_lanes(
 }
 
 TEST(BatchedRhs, BitEqualToScalarKernelWithPerLaneLambdas) {
+  // The six models with a lane kernel, at their registry defaults and at a
+  // second parameter set that moves every range split of the kernel.
+  const std::vector<std::pair<std::string, core::ModelParams>> cases = {
+      {"no-stealing", {}},
+      {"simple", {}},
+      {"threshold", {}},
+      {"threshold", {{"T", 5}}},
+      {"multi-choice", {}},
+      {"multi-choice", {{"d", 3}, {"T", 4}}},
+      {"multi-steal", {}},
+      {"multi-steal", {{"k", 3}, {"T", 7}}},
+      {"transfer", {}},
+      {"transfer", {{"T", 4}}},
+      {"sharing", {}},
+      {"sharing", {{"S", 1}}},
+  };
   const std::vector<double> lambdas = {0.5, 0.7, 0.8, 0.9};
   const std::size_t nb = lambdas.size();
-  for (const char* name : {"simple", "threshold", "multi-choice",
-                           "multi-steal", "transfer", "sharing"}) {
-    auto lanes = batched_lanes(name, lambdas);
+  for (const auto& [name, params] : cases) {
+    auto lanes = batched_lanes(name, lambdas, params);
+    const std::string tag = lanes[0]->name();
     const std::size_t dim = lanes[0]->dimension();
 
     // Distinct smooth state per lane so a lane mix-up cannot cancel out.
     std::vector<double> x(dim * nb), dx(dim * nb);
-    ode::State lane_s(dim), lane_f(dim), batch_f(dim);
+    ode::State lane_s(dim), lane_f(dim), ref_f(dim);
     for (std::size_t l = 0; l < nb; ++l) {
       const double decay = 0.6 + 0.08 * static_cast<double>(l);
       x[0 * nb + l] = 1.0;
@@ -334,21 +354,39 @@ TEST(BatchedRhs, BitEqualToScalarKernelWithPerLaneLambdas) {
       }
     }
 
+    // Bit equality with the branch-form reference recurrences, so solver
+    // trajectories are identical whichever path runs: the 4-lane kernel
+    // at per-lane lambdas, its one-lane form deriv(), and the root-residual
+    // map in scalar and batched form.
     ASSERT_TRUE(lanes[0]->rhs_batch(nb, lambdas.data(), x.data(), dx.data()))
-        << name << " advertises no batched kernel";
+        << tag << " advertises no batched kernel";
     for (std::size_t l = 0; l < nb; ++l) {
       for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
+      reference::deriv(*lanes[l], lambdas[l], lane_s, ref_f);
       lanes[l]->deriv(0.0, lane_s, lane_f);
       for (std::size_t i = 0; i < dim; ++i) {
-        // Bit equality: the batched lanes promise the scalar arithmetic
-        // operation for operation, so solver trajectories are identical
-        // whichever path runs.
-        EXPECT_EQ(dx[i * nb + l], lane_f[i])
-            << name << " lane=" << l << " i=" << i;
+        EXPECT_EQ(dx[i * nb + l], ref_f[i])
+            << tag << " rhs_batch lane=" << l << " i=" << i;
+        EXPECT_EQ(lane_f[i], ref_f[i]) << tag << " deriv lane=" << l
+                                       << " i=" << i;
       }
     }
 
-    // Same contract for the root-residual form the Newton phases consume.
+    ASSERT_TRUE(lanes[0]->root_residual_batch(nb, lambdas.data(), x.data(),
+                                              dx.data()));
+    for (std::size_t l = 0; l < nb; ++l) {
+      for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
+      reference::root_residual(*lanes[l], lambdas[l], lane_s, ref_f);
+      lanes[l]->root_residual(lane_s, lane_f);
+      for (std::size_t i = 0; i < dim; ++i) {
+        EXPECT_EQ(dx[i * nb + l], ref_f[i])
+            << tag << " root_residual_batch lane=" << l << " i=" << i;
+        EXPECT_EQ(lane_f[i], ref_f[i])
+            << tag << " root_residual lane=" << l << " i=" << i;
+      }
+    }
+
+    // The evaluator the Newton phases consume takes the same batched path.
     core::RhsBatchEvaluator eval_root(
         [&] {
           std::vector<const core::MeanFieldModel*> ptrs;
@@ -356,12 +394,13 @@ TEST(BatchedRhs, BitEqualToScalarKernelWithPerLaneLambdas) {
           return ptrs;
         }());
     eval_root.eval(x.data(), dx.data(), /*root=*/true);
+    EXPECT_EQ(eval_root.batch_passes(), 1U) << tag;
     for (std::size_t l = 0; l < nb; ++l) {
       for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
-      lanes[l]->root_residual(lane_s, lane_f);
+      reference::root_residual(*lanes[l], lambdas[l], lane_s, ref_f);
       for (std::size_t i = 0; i < dim; ++i) {
-        EXPECT_EQ(dx[i * nb + l], lane_f[i])
-            << name << " root lane=" << l << " i=" << i;
+        EXPECT_EQ(dx[i * nb + l], ref_f[i])
+            << tag << " evaluator root lane=" << l << " i=" << i;
       }
     }
   }

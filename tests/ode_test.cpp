@@ -7,7 +7,6 @@
 #include "ode/integrator.hpp"
 #include "ode/linalg.hpp"
 #include "ode/newton.hpp"
-#include "ode/richardson.hpp"
 #include "ode/steady_state.hpp"
 #include "ode/steppers.hpp"
 #include "util/error.hpp"
@@ -263,40 +262,6 @@ TEST(Newton, ReportsNonConvergenceGracefully) {
   opts.max_iter = 0;
   const auto res = ode::newton_fixed_point(sys, {1.0}, opts);
   EXPECT_FALSE(res.converged);
-}
-
-// --- Richardson extrapolation -----------------------------------------------
-
-TEST(Richardson, RaisesEulerToSecondOrder) {
-  Decay sys;
-  ode::ExplicitEuler euler;
-  const auto coarse =
-      ode::integrate_richardson(sys, euler, {1.0}, 0.0, 2.0, 0.02);
-  const auto fine =
-      ode::integrate_richardson(sys, euler, {1.0}, 0.0, 2.0, 0.01);
-  const double exact = std::exp(-2.0);
-  const double e1 = std::abs(coarse.state[0] - exact);
-  const double e2 = std::abs(fine.state[0] - exact);
-  EXPECT_NEAR(e1 / e2, 4.0, 0.6);  // second order: halving h quarters error
-}
-
-TEST(Richardson, ErrorEstimateBoundsTrueError) {
-  Decay sys;
-  ode::RungeKutta4 rk4;
-  const auto res = ode::integrate_richardson(sys, rk4, {1.0}, 0.0, 2.0, 0.1);
-  const double true_err = std::abs(res.state[0] - std::exp(-2.0));
-  EXPECT_GT(res.error_estimate, 0.0);
-  // The extrapolated state is (much) better than the estimate for the
-  // un-extrapolated run, and the estimate is the right magnitude.
-  EXPECT_LT(true_err, res.error_estimate);
-}
-
-TEST(Richardson, RejectsBadStep) {
-  Decay sys;
-  ode::ExplicitEuler euler;
-  EXPECT_THROW(
-      (void)ode::integrate_richardson(sys, euler, {1.0}, 0.0, 1.0, 0.0),
-      util::LogicError);
 }
 
 // --- state ops --------------------------------------------------------------

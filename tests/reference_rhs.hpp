@@ -1,0 +1,184 @@
+// Test-only oracle: the paper's tail recurrences for the six models with a
+// lane kernel, written as scalar loops in the per-index branch form of the
+// equations (§2.2–§3.4 and the work-sharing foil). The library writes each
+// of these recurrences once, as a range-split lane kernel; these loops are
+// the independent reference the kernels are compared against bit for bit.
+// Each keeps the operation order of the equations as printed, which is
+// also the kernels' per-lane order (the build contracts no FMAs).
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+
+#include "core/model.hpp"
+#include "core/multi_choice_ws.hpp"
+#include "core/multi_steal_ws.hpp"
+#include "core/no_stealing.hpp"
+#include "core/threshold_ws.hpp"
+#include "core/transfer_ws.hpp"
+#include "core/work_sharing.hpp"
+#include "ode/state.hpp"
+#include "util/error.hpp"
+
+namespace lsm::reference {
+
+/// Equation (1): independent M/M/1 queues.
+inline void no_stealing(double lambda, std::size_t L, const ode::State& s,
+                        ode::State& ds) {
+  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
+  ds[0] = 0.0;
+  for (std::size_t i = 1; i <= L; ++i) {
+    const double s_next = (i < L) ? s[i + 1] : 0.0;
+    ds[i] = lambda * (s[i - 1] - s[i]) - (s[i] - s_next);
+  }
+}
+
+/// Equations (4)-(6): threshold stealing (T = 2 is the simple model).
+inline void threshold(double lambda, std::size_t T, std::size_t L,
+                      const ode::State& s, ode::State& ds) {
+  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
+  const double s_T = s[T];
+  const double steal_rate = s[1] - s[2];  // processors emptying per unit time
+  ds[0] = 0.0;
+  // i = 1: the final task is effectively lost only if the steal fails.
+  ds[1] = lambda * (s[0] - s[1]) - (s[1] - s[2]) * (1.0 - s_T);
+  for (std::size_t i = 2; i <= L; ++i) {
+    const double s_next = (i < L) ? s[i + 1] : 0.0;
+    double d = lambda * (s[i - 1] - s[i]) - (s[i] - s_next);
+    if (i >= T) d -= (s[i] - s_next) * steal_rate;  // victims of thieves
+    ds[i] = d;
+  }
+}
+
+/// Sender-initiated work sharing with forwarding threshold S.
+inline void work_sharing(double lambda, std::size_t S, std::size_t L,
+                         const ode::State& s, ode::State& ds) {
+  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
+  const double forwarded = lambda * s[S];  // per-processor forwarded stream
+  ds[0] = 0.0;
+  for (std::size_t i = 1; i <= L; ++i) {
+    const double s_next = (i < L) ? s[i + 1] : 0.0;
+    const double direct = (i - 1 < S) ? lambda : 0.0;
+    ds[i] = (direct + forwarded) * (s[i - 1] - s[i]) - (s[i] - s_next);
+  }
+}
+
+inline double int_pow(double x, std::size_t d) {
+  double acc = 1.0;
+  for (std::size_t k = 0; k < d; ++k) acc *= x;
+  return acc;
+}
+
+/// Section 3.3: steal from the most loaded of d probed victims.
+inline void multi_choice(double lambda, std::size_t d, std::size_t T,
+                         std::size_t L, const ode::State& s, ode::State& ds) {
+  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
+  const double fail_prob = int_pow(1.0 - s[T], d);
+  const double steal_rate = s[1] - s[2];
+  ds[0] = 0.0;
+  ds[1] = lambda * (s[0] - s[1]) - (s[1] - s[2]) * fail_prob;
+  for (std::size_t i = 2; i <= L; ++i) {
+    const double s_next = (i < L) ? s[i + 1] : 0.0;
+    double di = lambda * (s[i - 1] - s[i]) - (s[i] - s_next);
+    if (i >= T) {
+      // Probability the best of d probes holds exactly i tasks.
+      const double victim_prob =
+          int_pow(1.0 - s_next, d) - int_pow(1.0 - s[i], d);
+      di -= victim_prob * steal_rate;
+    }
+    ds[i] = di;
+  }
+}
+
+/// Section 3.4: steal k tasks per successful attempt.
+inline void multi_steal(double lambda, std::size_t k, std::size_t T,
+                        std::size_t L, const ode::State& s, ode::State& ds) {
+  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
+  auto at = [&](std::size_t i) { return i <= L ? s[i] : 0.0; };
+  const double steal_rate = s[1] - s[2];
+  const double s_T = s[T];
+  ds[0] = 0.0;
+  ds[1] = lambda * (s[0] - s[1]) - (s[1] - s[2]) * (1.0 - s_T);
+  for (std::size_t i = 2; i <= L; ++i) {
+    const double s_next = (i < L) ? s[i + 1] : 0.0;
+    double d = lambda * (s[i - 1] - s[i]) - (s[i] - s_next);
+    if (i <= k) d += steal_rate * s_T;  // successful thief jumps 0 -> k
+    if (i + k > T) {
+      // Victim with load in [max(i,T), i+k) drops below level i.
+      const double hi = at(i + k);
+      const double lo = s[std::max(i, T)];
+      d -= steal_rate * (lo - hi);
+    }
+    ds[i] = d;
+  }
+}
+
+/// Section 3.2: Exp(1/r) transfer time, packed state [s_0..s_L, w_0..w_L].
+inline void transfer(double lambda, double rate, std::size_t T, std::size_t L,
+                     const ode::State& x, ode::State& dx) {
+  const std::size_t W = L + 1;  // offset of the w block
+  LSM_ASSERT(x.size() == 2 * W && dx.size() == 2 * W);
+  auto s = [&](std::size_t i) { return i <= L ? x[i] : 0.0; };
+  auto w = [&](std::size_t i) { return i <= L ? x[W + i] : 0.0; };
+
+  const double thief_rate = s(1) - s(2);       // procs emptying (s-class)
+  const double success = s(T) + w(T);          // victim has >= T tasks
+  const double start_wait = thief_rate * success;  // s -> w transitions
+
+  dx[0] = rate * w(0) - start_wait;
+  for (std::size_t i = 1; i <= L; ++i) {
+    double d = lambda * (s(i - 1) - s(i)) + rate * w(i - 1) -
+               (s(i) - s(i + 1));
+    if (i >= T) d -= (s(i) - s(i + 1)) * thief_rate;
+    dx[i] = d;
+  }
+
+  dx[W] = -rate * w(0) + start_wait;
+  for (std::size_t i = 1; i <= L; ++i) {
+    double d = lambda * (w(i - 1) - w(i)) - rate * w(i) -
+               (w(i) - w(i + 1));
+    if (i >= T) d -= (w(i) - w(i + 1)) * thief_rate;
+    dx[W + i] = d;
+  }
+}
+
+/// Dispatches to the recurrence of `model`'s type at arrival rate
+/// `lambda` and the model's own parameters and truncation.
+inline void deriv(const core::MeanFieldModel& model, double lambda,
+                  const ode::State& s, ode::State& ds) {
+  const std::size_t L = model.truncation();
+  if (dynamic_cast<const core::NoStealing*>(&model) != nullptr) {
+    no_stealing(lambda, L, s, ds);
+  } else if (const auto* th = dynamic_cast<const core::ThresholdWS*>(&model)) {
+    threshold(lambda, th->threshold(), L, s, ds);
+  } else if (const auto* sh =
+                 dynamic_cast<const core::WorkSharingWS*>(&model)) {
+    work_sharing(lambda, sh->share_threshold(), L, s, ds);
+  } else if (const auto* mc =
+                 dynamic_cast<const core::MultiChoiceWS*>(&model)) {
+    multi_choice(lambda, mc->choices(), mc->threshold(), L, s, ds);
+  } else if (const auto* ms =
+                 dynamic_cast<const core::MultiStealWS*>(&model)) {
+    multi_steal(lambda, ms->steal_count(), ms->threshold(), L, s, ds);
+  } else if (const auto* tr =
+                 dynamic_cast<const core::TransferTimeWS*>(&model)) {
+    transfer(lambda, tr->transfer_rate(), tr->threshold(), L, s, ds);
+  } else {
+    LSM_EXPECT(false, "no reference recurrence for " + model.name());
+  }
+}
+
+/// The Newton root-residual map: the recurrence with its conserved row
+/// replaced by the conservation constraint (1 - s_0, or for the transfer
+/// model 1 - s_0 - w_0 on the w_0 row).
+inline void root_residual(const core::MeanFieldModel& model, double lambda,
+                          const ode::State& s, ode::State& f) {
+  deriv(model, lambda, s, f);
+  if (const auto* m = dynamic_cast<const core::TransferTimeWS*>(&model)) {
+    f[m->w_index(0)] = 1.0 - s[0] - s[m->w_index(0)];
+  } else {
+    f[0] = 1.0 - s[0];
+  }
+}
+
+}  // namespace lsm::reference

@@ -1,7 +1,7 @@
-// Unit tests for the simulator's hot-path containers: the d-ary event
-// calendar (EventQueue) and the ring-buffer task queue (TaskRing).
+// Unit tests for the simulator's d-ary event calendar (EventQueue). The
+// per-processor task queues (QueueArena) are tested in sim_shard_test.cpp.
 //
-// The event-queue tests pin the ordering contract the whole simulator
+// The tests pin the ordering contract the whole simulator
 // leans on: pops follow the strict (time, insertion seq) total order, so
 // any heap arity produces the same event sequence. A reference binary
 // heap (a copy of the original implementation) cross-checks that on
@@ -9,11 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/task_ring.hpp"
 #include "util/xoshiro.hpp"
 
 namespace {
@@ -157,112 +155,6 @@ TEST(EventQueue, TopAgreesWithPop) {
     EXPECT_GE(t, last);
     last = t;
   }
-}
-
-TEST(TaskRing, FifoOrder) {
-  sim::TaskRing<double> ring;
-  EXPECT_TRUE(ring.empty());
-  for (int i = 0; i < 5; ++i) ring.push_back(i);
-  EXPECT_EQ(ring.size(), 5u);
-  EXPECT_EQ(ring.front(), 0.0);
-  EXPECT_EQ(ring.back(), 4.0);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(ring.front(), static_cast<double>(i));
-    ring.pop_front();
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(TaskRing, WrapsAroundWithoutGrowing) {
-  sim::TaskRing<double> ring;
-  for (int i = 0; i < 8; ++i) ring.push_back(i);
-  const std::size_t cap = ring.capacity();
-  // Slide the live window far past the physical end of the array.
-  for (int i = 8; i < 1000; ++i) {
-    EXPECT_EQ(ring.front(), static_cast<double>(i - 8));
-    ring.pop_front();
-    ring.push_back(i);
-  }
-  EXPECT_EQ(ring.capacity(), cap) << "steady-state slide must not reallocate";
-  EXPECT_EQ(ring.size(), 8u);
-  EXPECT_EQ(ring.front(), 992.0);
-  EXPECT_EQ(ring.back(), 999.0);
-}
-
-TEST(TaskRing, GrowPreservesFifoOrderMidWrap) {
-  sim::TaskRing<int> ring;
-  std::deque<int> oracle;
-  // Force the head into the middle of the array, then grow repeatedly.
-  for (int i = 0; i < 6; ++i) {
-    ring.push_back(i);
-    oracle.push_back(i);
-  }
-  for (int i = 0; i < 3; ++i) {
-    ring.pop_front();
-    oracle.pop_front();
-  }
-  for (int i = 6; i < 200; ++i) {
-    ring.push_back(i);
-    oracle.push_back(i);
-  }
-  ASSERT_EQ(ring.size(), oracle.size());
-  for (std::size_t i = 0; i < oracle.size(); ++i) {
-    EXPECT_EQ(ring[i], oracle[i]);
-  }
-}
-
-TEST(TaskRing, TakeBackMatchesDequeSemantics) {
-  sim::TaskRing<int> ring;
-  std::deque<int> oracle;
-  for (int i = 0; i < 20; ++i) {
-    ring.push_back(i);
-    oracle.push_back(i);
-  }
-  std::vector<int> taken;
-  ring.take_back(6, taken);
-  ASSERT_EQ(taken.size(), 6u);
-  for (int i = 0; i < 6; ++i) EXPECT_EQ(taken[static_cast<std::size_t>(i)], 14 + i);
-  EXPECT_EQ(ring.size(), 14u);
-  EXPECT_EQ(ring.back(), 13);
-  // Scratch reuse: take_back appends, callers clear between uses.
-  taken.clear();
-  ring.take_back(1, taken);
-  ASSERT_EQ(taken.size(), 1u);
-  EXPECT_EQ(taken[0], 13);
-}
-
-TEST(TaskRing, RandomizedAgainstDeque) {
-  util::Xoshiro256 rng(99);
-  sim::TaskRing<int> ring;
-  std::deque<int> oracle;
-  int next = 0;
-  for (int step = 0; step < 50000; ++step) {
-    const double u = rng.uniform();
-    if (oracle.empty() || u < 0.5) {
-      ring.push_back(next);
-      oracle.push_back(next);
-      ++next;
-    } else if (u < 0.8) {
-      ASSERT_EQ(ring.front(), oracle.front());
-      ring.pop_front();
-      oracle.pop_front();
-    } else if (u < 0.9) {
-      ASSERT_EQ(ring.back(), oracle.back());
-      ring.pop_back();
-      oracle.pop_back();
-    } else {
-      const auto take = static_cast<std::size_t>(rng.below(oracle.size())) + 0;
-      std::vector<int> got;
-      ring.take_back(take, got);
-      for (std::size_t i = 0; i < take; ++i) {
-        ASSERT_EQ(got[i], oracle[oracle.size() - take + i]);
-      }
-      oracle.erase(oracle.end() - static_cast<std::ptrdiff_t>(take),
-                   oracle.end());
-    }
-    ASSERT_EQ(ring.size(), oracle.size());
-  }
-  for (std::size_t i = 0; i < oracle.size(); ++i) ASSERT_EQ(ring[i], oracle[i]);
 }
 
 }  // namespace

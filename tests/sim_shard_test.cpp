@@ -197,10 +197,35 @@ TEST(ShardedCalendar, ShardGeometry) {
 TEST(QueueArena, MatchesDequeOnRandomizedTrace) {
   // The arena must behave exactly like n independent deques (FIFO pops,
   // steal-from-tail in FIFO order) while blocks grow, relocate, and
-  // recycle underneath.
+  // recycle underneath. Two scripted inputs on processor 0 come before
+  // the random trace: a window slid far past its block's end (wrap-around
+  // without growth), then repeated growth starting with the head mid-block.
   constexpr std::size_t kProcs = 19;
   sim::QueueArena arena(kProcs);
   std::vector<std::deque<double>> ref(kProcs);
+  const auto push = [&](std::uint32_t p, double v) {
+    arena.push_back(p, v);
+    ref[p].push_back(v);
+  };
+  const auto pop = [&](std::uint32_t p) {
+    EXPECT_EQ(arena.front(p), ref[p].front());
+    arena.pop_front(p);
+    ref[p].pop_front();
+  };
+  for (int i = 0; i < 8; ++i) push(0, i);
+  const std::size_t cap = arena.capacity(0);
+  for (int i = 8; i < 1000; ++i) {
+    pop(0);
+    push(0, i);
+  }
+  EXPECT_EQ(arena.capacity(0), cap) << "steady-state slide must not grow";
+  for (int i = 0; i < 3; ++i) pop(0);  // head now mid-block
+  for (int i = 1000; i < 1200; ++i) push(0, i);
+  ASSERT_EQ(arena.size(0), ref[0].size());
+  for (std::size_t i = 0; i < ref[0].size(); ++i) {
+    EXPECT_EQ(arena.at(0, i), ref[0][i]);
+  }
+
   util::Xoshiro256 rng(99);
   std::vector<double> got;
   for (int step = 0; step < 50000; ++step) {
@@ -208,15 +233,10 @@ TEST(QueueArena, MatchesDequeOnRandomizedTrace) {
     switch (rng.below(4)) {
       case 0:
       case 1:
-        arena.push_back(p, static_cast<double>(step));
-        ref[p].push_back(static_cast<double>(step));
+        push(p, static_cast<double>(step));
         break;
       case 2:
-        if (!ref[p].empty()) {
-          EXPECT_EQ(arena.front(p), ref[p].front());
-          arena.pop_front(p);
-          ref[p].pop_front();
-        }
+        if (!ref[p].empty()) pop(p);
         break;
       case 3:
         if (!ref[p].empty()) {
