@@ -255,26 +255,53 @@ BENCHMARK(BM_AndersonIteration)
     ->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);
 
-void BM_BandedLuSolve(benchmark::State& state) {
-  // Banded factorization at the Erlang model's shape: n x n, band c.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t band = 20;
-  ode::BandedMatrix a(n, band, band);
-  util::Xoshiro256 rng(7);
+/// The stiff stepper's iteration matrix I - h J at the erlang c = 10
+/// rung (n = 621, kl = ku = 10): the FD Jacobian band at the rung's fixed
+/// point, h = 100 as pseudo-transient continuation reaches within a few
+/// doublings.
+ode::BandedMatrix erlang_iteration_matrix() {
+  const auto model = rung_model(kRungs[2]);
+  const ode::State s = rung_state(*model);
+  const std::size_t n = s.size();
+  const std::size_t band = 10;
+  const auto jac = ode::banded_fd_jacobian(*model, 0.0, s, band, band);
+  const double h = 100.0;
+  ode::BandedMatrix m(n, band, band);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t j_lo = i >= band ? i - band : 0;
     const std::size_t j_hi = std::min(i + band, n - 1);
     for (std::size_t j = j_lo; j <= j_hi; ++j) {
-      a.set(i, j, i == j ? 4.0 : 0.05 * rng.uniform());
+      m.set(i, j, (i == j ? 1.0 : 0.0) - h * jac.get(i, j));
     }
   }
-  std::vector<double> b(n, 1.0);
+  return m;
+}
+
+void BM_BandedLuFactor(benchmark::State& state) {
+  const ode::BandedMatrix a = erlang_iteration_matrix();
   for (auto _ : state) {
     ode::BandedLuSolver lu(a);
-    benchmark::DoNotOptimize(lu.solve(b));
+    benchmark::DoNotOptimize(lu.size());
   }
+  state.SetLabel("erlang c=10 n=" + std::to_string(a.size()));
 }
-BENCHMARK(BM_BandedLuSolve)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BandedLuFactor)->Unit(benchmark::kMicrosecond);
+
+void BM_BandedLuSolveInto(benchmark::State& state) {
+  const ode::BandedLuSolver lu(erlang_iteration_matrix());
+  const std::size_t n = lu.size();
+  std::vector<double> b(n), x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = 1.0 / static_cast<double>(i + 1);
+  }
+  for (auto _ : state) {
+    lu.solve_into(b.data(), x.data());
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("erlang c=10 n=" + std::to_string(n));
+}
+BENCHMARK(BM_BandedLuSolveInto)->Unit(benchmark::kMicrosecond);
 
 void BM_StiffErlangFixedPoint(benchmark::State& state) {
   // Full pseudo-transient solve of the c = 10 stage model at lambda = 0.9

@@ -221,19 +221,23 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   # libstdc++ container assertions). The lane kernels, which are every
   # solver's right-hand side for six of the models, index raw pointers
   # (x + (i +- 1) * nb) with no container check, so the model suites run
-  # here too. test_hot_loop_alloc replaces operator new and stays on the
-  # UBSan leg.
-  echo "== asan: LU, ODE solvers, lane kernels and the property suite under -fsanitize=address,undefined"
+  # here too, as do the banded LU (pointer walks down and across the
+  # column-major band) and Anderson's fused, blocked history passes (raw
+  # column pointers) with their bit-for-bit oracle tests.
+  # test_hot_loop_alloc replaces operator new and stays on the UBSan leg.
+  echo "== asan: LUs, ODE solvers, Anderson, lane kernels and the property suite under -fsanitize=address,undefined"
   cmake -B build-asan -G Ninja -DLSM_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS >/dev/null
   cmake --build build-asan -j "$jobs" \
     --target test_linalg test_ode test_krylov test_fixed_point_properties \
-    test_model_basic test_model_registry_sweep
+    test_model_basic test_model_registry_sweep test_implicit test_anderson
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   ./build-asan/tests/test_linalg
   ./build-asan/tests/test_ode
   ./build-asan/tests/test_krylov
+  ./build-asan/tests/test_implicit
+  ./build-asan/tests/test_anderson
   ./build-asan/tests/test_fixed_point_properties
   ./build-asan/tests/test_model_basic
   ./build-asan/tests/test_model_registry_sweep

@@ -60,13 +60,7 @@ class Workspace {
 
   /// xn = x + r - sum_j theta_j (dx_j + dr_j)
   void accelerated_step(const State& x, const State& r, State& xn) const {
-    for (std::size_t i = 0; i < x.size(); ++i) xn[i] = x[i] + r[i];
-    for (std::size_t j = 0; j < qr_.size(); ++j) {
-      const double th = theta_[j];
-      if (th == 0.0) continue;
-      const State& dg = dg_[j];
-      for (std::size_t i = 0; i < xn.size(); ++i) xn[i] -= th * dg[i];
-    }
+    detail::extrapolate(x, r, dg_, theta_.data(), qr_.size(), xn);
   }
 
   State f_, r_, xn_, fn_, fbest_;

@@ -5,8 +5,31 @@
 
 namespace lsm::ode {
 
+namespace {
+
+/// y[r] -= l[r] * u for r = 1 .. len: one column of the elimination's
+/// rank-1 update. y and l are distinct columns of the band, so they never
+/// overlap, and saying so lets the short loop vectorize without a runtime
+/// overlap check.
+void eliminate_column(double* __restrict y, const double* __restrict l,
+                      double u, std::size_t len) {
+  for (std::size_t r = 1; r <= len; ++r) y[r] -= l[r] * u;
+}
+
+/// The same for two columns in one pass, sharing each multiplier load.
+void eliminate_columns(double* __restrict y, double* __restrict z,
+                       const double* __restrict l, double uy, double uz,
+                       std::size_t len) {
+  for (std::size_t r = 1; r <= len; ++r) {
+    y[r] -= l[r] * uy;
+    z[r] -= l[r] * uz;
+  }
+}
+
+}  // namespace
+
 BandedMatrix::BandedMatrix(std::size_t n, std::size_t kl, std::size_t ku)
-    : n_(n), kl_(kl), ku_(ku), data_((2 * kl + ku + 1) * n, 0.0) {
+    : n_(n), kl_(kl), ku_(ku), ld_(2 * kl + ku + 1), data_(ld_ * n, 0.0) {
   LSM_EXPECT(n >= 1, "matrix must be non-empty");
   LSM_EXPECT(kl < n && ku < n, "bandwidths must be below the dimension");
 }
@@ -30,38 +53,61 @@ void BandedMatrix::add(std::size_t i, std::size_t j, double v) {
 
 BandedLuSolver::BandedLuSolver(BandedMatrix a)
     : lu_(std::move(a)), pivot_(lu_.n_) {
+  factor();
+}
+
+// Right-looking elimination over the column-major band. Every entry sees
+// the operations of the row-by-row textbook loop in the same order (step k
+// updates each A(r, c) once, from column k and row k, neither of which it
+// writes), so the factors match it bit for bit.
+void BandedLuSolver::factor() {
   const std::size_t n = lu_.n_;
   const std::size_t kl = lu_.kl_;
   const std::size_t ku_eff = lu_.ku_ + kl;  // fill region counts as upper band
+  const std::size_t right_step = lu_.ld_ - 1;  // A(k, c) -> A(k, c + 1)
   for (std::size_t k = 0; k < n; ++k) {
-    // Pivot among rows k .. min(k + kl, n-1) in column k.
-    std::size_t pivot = k;
-    double best = std::abs(lu_.get(k, k));
-    const std::size_t row_max = std::min(k + kl, n - 1);
-    for (std::size_t r = k + 1; r <= row_max; ++r) {
-      const double v = std::abs(lu_.get(r, k));
+    // col[r] = A(k + r, k): the pivot column from the diagonal down.
+    double* col = lu_.data_.data() + lu_.index(k, k);
+    const std::size_t below = std::min(kl, n - 1 - k);
+    const std::size_t right = std::min(ku_eff, n - 1 - k);
+    std::size_t p = 0;
+    double best = std::abs(col[0]);
+    for (std::size_t r = 1; r <= below; ++r) {
+      const double v = std::abs(col[r]);
       if (v > best) {
         best = v;
-        pivot = r;
+        p = r;
       }
     }
     if (best < 1e-300) throw util::Error("BandedLuSolver: singular matrix");
-    pivot_[k] = pivot;
-    const std::size_t col_max = std::min(k + ku_eff, n - 1);
-    if (pivot != k) {
-      for (std::size_t c = k; c <= col_max; ++c) {
-        const double tmp = lu_.get(pivot, c);
-        lu_.set(pivot, c, lu_.get(k, c));
-        lu_.set(k, c, tmp);
+    pivot_[k] = k + p;
+    if (p != 0) {
+      double* row = col;  // A(k, c); A(k + p, c) is p further down
+      for (std::size_t c = 0; c <= right; ++c, row += right_step) {
+        std::swap(row[0], row[p]);
       }
     }
-    const double inv = 1.0 / lu_.get(k, k);
-    for (std::size_t r = k + 1; r <= row_max; ++r) {
-      const double factor = lu_.get(r, k) * inv;
-      lu_.set(r, k, factor);  // store the multiplier in place of the zero
-      if (factor != 0.0) {
-        for (std::size_t c = k + 1; c <= col_max; ++c) {
-          lu_.add(r, c, -factor * lu_.get(k, c));
+    const double inv = 1.0 / col[0];
+    bool dense = true;  // every multiplier nonzero: the usual case
+    for (std::size_t r = 1; r <= below; ++r) {
+      col[r] *= inv;
+      dense &= col[r] != 0.0;
+    }
+    double* cc = col + right_step;  // cc[r] = A(k + r, k + c)
+    std::size_t c = 1;
+    if (dense) {
+      for (; c + 1 <= right; c += 2, cc += 2 * right_step) {
+        double* next = cc + right_step;
+        eliminate_columns(cc, next, col, cc[0], next[0], below);
+      }
+      if (c <= right) eliminate_column(cc, col, cc[0], below);
+    } else {
+      // Rows with a zero multiplier are left untouched, as the textbook
+      // loop skips them.
+      for (; c <= right; ++c, cc += right_step) {
+        const double ukc = cc[0];
+        for (std::size_t r = 1; r <= below; ++r) {
+          if (col[r] != 0.0) cc[r] -= col[r] * ukc;
         }
       }
     }
@@ -78,25 +124,32 @@ void BandedLuSolver::solve_into(const double* b, double* x) const {
   const std::size_t n = lu_.n_;
   const std::size_t kl = lu_.kl_;
   const std::size_t ku_eff = lu_.ku_ + kl;
+  const std::size_t right_step = lu_.ld_ - 1;
+  const double* a = lu_.data_.data();
   if (x != b) {
     for (std::size_t i = 0; i < n; ++i) x[i] = b[i];
   }
-  // Forward: apply row swaps and the unit-lower multipliers.
+  // Forward: apply row swaps and the unit-lower multipliers, column k of L
+  // being contiguous below its diagonal.
   for (std::size_t k = 0; k < n; ++k) {
     if (pivot_[k] != k) std::swap(x[k], x[pivot_[k]]);
-    const std::size_t row_max = std::min(k + kl, n - 1);
-    for (std::size_t r = k + 1; r <= row_max; ++r) {
-      x[r] -= lu_.get(r, k) * x[k];
-    }
+    const double* l = a + lu_.index(k, k);
+    const double xk = x[k];
+    const std::size_t below = std::min(kl, n - 1 - k);
+    for (std::size_t r = 1; r <= below; ++r) x[k + r] -= l[r] * xk;
   }
-  // Back substitution on the upper factor.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = x[ii];
-    const std::size_t col_max = std::min(ii + ku_eff, n - 1);
-    for (std::size_t j = ii + 1; j <= col_max; ++j) {
-      acc -= lu_.get(ii, j) * x[j];
+  // Back substitution on the upper factor, one row at a time with the
+  // subtractions in column order (row i of U steps ld - 1 per column).
+  for (std::size_t i = n; i-- > 0;) {
+    const double* u = a + lu_.index(i, i);
+    double acc = x[i];
+    const std::size_t right = std::min(ku_eff, n - 1 - i);
+    const double* uc = u;
+    for (std::size_t c = 1; c <= right; ++c) {
+      uc += right_step;
+      acc -= *uc * x[i + c];
     }
-    x[ii] = acc / lu_.get(ii, ii);
+    x[i] = acc / u[0];
   }
 }
 

@@ -4,6 +4,7 @@
 // factorization replaces the O(n^3) dense one.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -12,8 +13,9 @@
 namespace lsm::ode {
 
 /// n x n matrix with kl subdiagonals and ku superdiagonals. Storage holds
-/// kl extra superdiagonals for the fill-in produced by partial pivoting
-/// (the standard *gbtrf layout).
+/// kl extra superdiagonals for the fill-in produced by partial pivoting,
+/// column by column (the *gbtrf layout): column j keeps rows
+/// j - ku - kl .. j + kl contiguously, so a column is one pointer walk.
 class BandedMatrix {
  public:
   BandedMatrix(std::size_t n, std::size_t kl, std::size_t ku);
@@ -28,6 +30,18 @@ class BandedMatrix {
   void set(std::size_t i, std::size_t j, double v);
   void add(std::size_t i, std::size_t j, double v);
 
+  /// Pointer to A(i, j); rows i + 1 .. min(j + kl, n - 1) of column j
+  /// follow it contiguously. (i, j) must lie in the stored band.
+  [[nodiscard]] double* column_from(std::size_t i, std::size_t j) {
+    LSM_ASSERT(i < n_ && j < n_ && in_storage(i, j));
+    return data_.data() + index(i, j);
+  }
+  [[nodiscard]] const double* column_from(std::size_t i,
+                                          std::size_t j) const {
+    LSM_ASSERT(i < n_ && j < n_ && in_storage(i, j));
+    return data_.data() + index(i, j);
+  }
+
  private:
   friend class BandedLuSolver;
 
@@ -38,11 +52,12 @@ class BandedMatrix {
            d <= static_cast<std::ptrdiff_t>(ku_ + kl_);
   }
   [[nodiscard]] std::size_t index(std::size_t i, std::size_t j) const noexcept {
-    // Row i of column j sits at band row (ku + kl + i - j).
-    return (kl_ + ku_ + i - j) * n_ + j;
+    // Row i of column j sits at band row (ku + kl + i - j) of that column.
+    return j * ld_ + kl_ + ku_ + i - j;
   }
 
   std::size_t n_, kl_, ku_;
+  std::size_t ld_;  // stored rows per column: 2 kl + ku + 1
   std::vector<double> data_;
 };
 
@@ -52,6 +67,17 @@ class BandedLuSolver {
   /// Factors `a` (consumed). Throws util::Error on singularity.
   explicit BandedLuSolver(BandedMatrix a);
 
+  /// Refactors in place: zeroes this solver's storage, lets
+  /// `assemble(BandedMatrix&)` write the new matrix into it (entries only;
+  /// the shape stays) and factors that. The storage is reused, so there
+  /// is no heap allocation. Throws util::Error on singularity.
+  template <class Assemble>
+  void refactor(Assemble&& assemble) {
+    std::fill(lu_.data_.begin(), lu_.data_.end(), 0.0);
+    assemble(lu_);
+    factor();
+  }
+
   [[nodiscard]] std::vector<double> solve(std::vector<double> b) const;
 
   /// Allocation-free solve for hot paths: reads b, writes x, both length
@@ -60,7 +86,17 @@ class BandedLuSolver {
 
   [[nodiscard]] std::size_t size() const noexcept { return lu_.size(); }
 
+  /// The factors in place of the matrix: the unit-lower multipliers below
+  /// the diagonal, U on and above it (fill rows included).
+  [[nodiscard]] const BandedMatrix& factors() const noexcept { return lu_; }
+  /// Row swapped with row k at elimination step k.
+  [[nodiscard]] const std::vector<std::size_t>& pivots() const noexcept {
+    return pivot_;
+  }
+
  private:
+  void factor();
+
   BandedMatrix lu_;
   std::vector<std::size_t> pivot_;  // pivot row chosen at each step
 };

@@ -5,7 +5,10 @@
 // iteration. Here a new column costs one modified Gram-Schmidt pass
 // against the kept Q, dropping the oldest costs one sweep of Givens
 // rotations over R and Q, and the least-squares solve is Q^T r plus a
-// back-substitution: O(n m) per iteration in total.
+// back-substitution: O(n m) per iteration in total. The loops over n are
+// fused and blocked (k + 2 passes for a push, ceil(k / 4) for Q^T r, one
+// chunked sweep for a drop) with every entry seeing the operations of the
+// plain loops in the same order, so the results are those loops' bits.
 //
 // All storage is sized in the constructor; push/drop/solve never touch the
 // heap (tests/hot_loop_alloc_test.cpp checks the Anderson loop around it).
@@ -52,6 +55,15 @@ class HistoryQr {
   std::vector<State> q_;    // m columns of length n; the first k_ are Q
   std::vector<double> r_;   // m x m row-major; the leading k_ x k_ is R
   std::vector<double> rhs_;  // Q^T r of the last solve
+  std::vector<double> cos_, sin_;  // rotations of the last drop
 };
+
+/// Anderson's extrapolation xn = x + r - sum_j theta[j] cols[j] over the
+/// first k columns, skipping those with theta[j] = 0. The columns are
+/// subtracted oldest first, four per pass over n, each entry seeing the
+/// subtractions in the order of one pass per column.
+void extrapolate(const State& x, const State& r,
+                 const std::vector<State>& cols, const double* theta,
+                 std::size_t k, State& xn);
 
 }  // namespace lsm::ode::detail

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/failure.hpp"
@@ -11,57 +12,74 @@ namespace lsm::ode {
 
 namespace {
 
-BandedMatrix fd_per_column(const OdeSystem& sys, double t, const State& s,
-                           std::size_t kl, std::size_t ku, double eps) {
+// Both FD routines overwrite every band entry of jac, one column at a time,
+// and leave its fill rows alone.
+void fd_per_column(const OdeSystem& sys, double t, const State& s,
+                   double eps, detail::BandedFdScratch& w,
+                   BandedMatrix& jac) {
   const std::size_t n = s.size();
-  BandedMatrix jac(n, kl, ku);
-  State f0(n), f1(n);
-  sys.deriv(t, s, f0);
-  State pert = s;
+  const std::size_t kl = jac.lower();
+  const std::size_t ku = jac.upper();
+  w.f0.resize(n);
+  w.f1.resize(n);
+  sys.deriv(t, s, w.f0);
+  w.pert = s;
   for (std::size_t j = 0; j < n; ++j) {
     const double h = eps * std::max(1.0, std::abs(s[j]));
-    pert[j] = s[j] + h;
-    sys.deriv(t, pert, f1);
-    pert[j] = s[j];
+    w.pert[j] = s[j] + h;
+    sys.deriv(t, w.pert, w.f1);
+    w.pert[j] = s[j];
     const double inv_h = 1.0 / h;
     const std::size_t i_lo = j >= ku ? j - ku : 0;
     const std::size_t i_hi = std::min(j + kl, n - 1);
+    double* col = jac.column_from(i_lo, j);
     for (std::size_t i = i_lo; i <= i_hi; ++i) {
-      jac.set(i, j, (f1[i] - f0[i]) * inv_h);
+      *col++ = (w.f1[i] - w.f0[i]) * inv_h;
     }
   }
-  return jac;
 }
 
-BandedMatrix fd_grouped(const OdeSystem& sys, double t, const State& s,
-                        std::size_t kl, std::size_t ku, double eps) {
+void fd_grouped(const OdeSystem& sys, double t, const State& s, double eps,
+                detail::BandedFdScratch& w, BandedMatrix& jac) {
   const std::size_t n = s.size();
-  BandedMatrix jac(n, kl, ku);
-  State f0(n), f1(n);
-  sys.deriv(t, s, f0);
+  const std::size_t kl = jac.lower();
+  const std::size_t ku = jac.upper();
+  w.f0.resize(n);
+  w.f1.resize(n);
+  w.h.resize(n);
+  sys.deriv(t, s, w.f0);
   // Columns a full bandwidth apart touch disjoint row ranges, so each
   // group of them shares one perturbed evaluation. Only exact when the
   // Jacobian really is banded.
   const std::size_t groups = kl + ku + 1;
-  State pert = s;
-  std::vector<double> h(n, 0.0);
+  w.pert = s;
   for (std::size_t g = 0; g < groups; ++g) {
     for (std::size_t j = g; j < n; j += groups) {
-      h[j] = eps * std::max(1.0, std::abs(s[j]));
-      pert[j] = s[j] + h[j];
+      w.h[j] = eps * std::max(1.0, std::abs(s[j]));
+      w.pert[j] = s[j] + w.h[j];
     }
-    sys.deriv(t, pert, f1);
+    sys.deriv(t, w.pert, w.f1);
     for (std::size_t j = g; j < n; j += groups) {
       const std::size_t i_lo = j >= ku ? j - ku : 0;
       const std::size_t i_hi = std::min(j + kl, n - 1);
-      const double inv_h = 1.0 / h[j];
+      const double inv_h = 1.0 / w.h[j];
+      double* col = jac.column_from(i_lo, j);
       for (std::size_t i = i_lo; i <= i_hi; ++i) {
-        jac.set(i, j, (f1[i] - f0[i]) * inv_h);
+        *col++ = (w.f1[i] - w.f0[i]) * inv_h;
       }
-      pert[j] = s[j];
+      w.pert[j] = s[j];
     }
   }
-  return jac;
+}
+
+void fill_fd_jacobian(const OdeSystem& sys, double t, const State& s,
+                      FdMode mode, double eps, detail::BandedFdScratch& w,
+                      BandedMatrix& jac) {
+  if (mode == FdMode::PerColumn) {
+    fd_per_column(sys, t, s, eps, w, jac);
+  } else {
+    fd_grouped(sys, t, s, eps, w, jac);
+  }
 }
 
 }  // namespace
@@ -71,23 +89,48 @@ BandedMatrix banded_fd_jacobian(const OdeSystem& sys, double t,
                                 std::size_t ku, FdMode mode, double eps) {
   LSM_EXPECT(kl < s.size() && ku < s.size(),
              "bandwidths must be below the dimension");
-  return mode == FdMode::PerColumn ? fd_per_column(sys, t, s, kl, ku, eps)
-                                   : fd_grouped(sys, t, s, kl, ku, eps);
+  BandedMatrix jac(s.size(), kl, ku);
+  detail::BandedFdScratch scratch;
+  fill_fd_jacobian(sys, t, s, mode, eps, scratch, jac);
+  return jac;
+}
+
+void ImplicitEulerBanded::refresh_jacobian(const OdeSystem& sys, double t,
+                                           const State& s) {
+  if (!jac_ || jac_->size() != s.size()) {
+    jac_.emplace(s.size(), opts_.kl, opts_.ku);
+  }
+  fill_fd_jacobian(sys, t, s, opts_.fd_mode, kBandedFdEps, fd_, *jac_);
+  have_jac_ = true;
+  steps_since_jac_ = 0;
 }
 
 bool ImplicitEulerBanded::newton_solve(const OdeSystem& sys, double t,
                                        const State& s, double h, State& out) {
   const std::size_t n = s.size();
-  // Assemble and factor M = I - h J from the cached Jacobian band.
-  BandedMatrix m(n, opts_.kl, opts_.ku);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j_lo = i >= opts_.kl ? i - opts_.kl : 0;
-    const std::size_t j_hi = std::min(i + opts_.ku, n - 1);
-    for (std::size_t j = j_lo; j <= j_hi; ++j) {
-      m.set(i, j, (i == j ? 1.0 : 0.0) - h * jac_->get(i, j));
+  const std::size_t kl = opts_.kl;
+  const std::size_t ku = opts_.ku;
+  // Assemble M = I - h J from the cached Jacobian band, column by column
+  // (the fill rows stay zero), and factor it, in the previous step's
+  // storage once there is one.
+  const auto assemble = [&](BandedMatrix& m) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t i_lo = j >= ku ? j - ku : 0;
+      const std::size_t i_hi = std::min(j + kl, n - 1);
+      const double* jc = jac_->column_from(i_lo, j);
+      double* mc = m.column_from(i_lo, j);
+      for (std::size_t i = i_lo; i <= i_hi; ++i) {
+        *mc++ = (i == j ? 1.0 : 0.0) - h * *jc++;
+      }
     }
+  };
+  if (lu_ && lu_->size() == n) {
+    lu_->refactor(assemble);
+  } else {
+    BandedMatrix m(n, kl, ku);
+    assemble(m);
+    lu_.emplace(std::move(m));
   }
-  BandedLuSolver lu(std::move(m));
 
   out = s;
   double prev_update = 1e300;
@@ -96,11 +139,11 @@ bool ImplicitEulerBanded::newton_solve(const OdeSystem& sys, double t,
     for (std::size_t i = 0; i < n; ++i) {
       residual_[i] = out[i] - s[i] - h * f_[i];
     }
-    const std::vector<double> delta = lu.solve(residual_);
+    lu_->solve_into(residual_.data(), delta_.data());
     double update = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] -= delta[i];
-      update = std::max(update, std::abs(delta[i]));
+      out[i] -= delta_[i];
+      update = std::max(update, std::abs(delta_[i]));
     }
     if (update < opts_.newton_tol) return true;
     if (it > 1 && update > 0.9 * prev_update) return false;  // not contracting
@@ -113,11 +156,10 @@ bool ImplicitEulerBanded::step(const OdeSystem& sys, double t, State& s,
                                double h) {
   f_.resize(s.size());
   residual_.resize(s.size());
-  const bool stale = jac_ && steps_since_jac_ >= opts_.refresh_every;
-  if (!jac_ || stale) {
-    jac_ = banded_fd_jacobian(sys, t, s, opts_.kl, opts_.ku, opts_.fd_mode);
-    steps_since_jac_ = 0;
-  }
+  delta_.resize(s.size());
+  const bool stale = have_jac_ && (steps_since_jac_ >= opts_.refresh_every ||
+                                   jac_->size() != s.size());
+  if (!have_jac_ || stale) refresh_jacobian(sys, t, s);
   if (newton_solve(sys, t, s, h, trial_)) {
     s = trial_;
     sys.project(s);
@@ -126,8 +168,7 @@ bool ImplicitEulerBanded::step(const OdeSystem& sys, double t, State& s,
   }
   // One retry with a fresh Jacobian before reporting failure.
   if (steps_since_jac_ > 0) {
-    jac_ = banded_fd_jacobian(sys, t, s, opts_.kl, opts_.ku, opts_.fd_mode);
-    steps_since_jac_ = 0;
+    refresh_jacobian(sys, t, s);
     if (newton_solve(sys, t, s, h, trial_)) {
       s = trial_;
       sys.project(s);

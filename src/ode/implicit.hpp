@@ -8,7 +8,9 @@
 //    mean-field models are band + low-rank, so they use per-column).
 //  * ImplicitEulerBanded - backward Euler with an inexact (chord) Newton
 //    whose linear solves use the banded Jacobian; the Jacobian is cached
-//    across steps and refreshed lazily.
+//    across steps and refreshed lazily. Its Jacobian, I - hJ factors and
+//    Newton vectors live in buffers sized by the first step, so later
+//    steps do not touch the heap.
 //  * stiff_relax_to_fixed_point - pseudo-transient continuation: backward
 //    Euler with a step that doubles on success, converging to ds/dt = 0
 //    in tens of cheap banded steps where the explicit relaxation needs
@@ -29,12 +31,22 @@ enum class FdMode {
   Grouped,    ///< Curtis-Powell-Reid; only for truly banded Jacobians
 };
 
+/// Default relative step of the banded FD Jacobians.
+inline constexpr double kBandedFdEps = 1e-7;
+
 /// Approximates the (kl, ku) band of the Jacobian of sys.deriv(t, .) at s.
 BandedMatrix banded_fd_jacobian(const OdeSystem& sys, double t,
                                 const State& s, std::size_t kl,
                                 std::size_t ku,
                                 FdMode mode = FdMode::PerColumn,
-                                double eps = 1e-7);
+                                double eps = kBandedFdEps);
+
+namespace detail {
+/// Scratch states of a banded FD Jacobian build, sized on first use.
+struct BandedFdScratch {
+  State f0, f1, pert, h;
+};
+}  // namespace detail
 
 struct ImplicitOptions {
   std::size_t kl = 1;
@@ -56,16 +68,20 @@ class ImplicitEulerBanded {
   bool step(const OdeSystem& sys, double t, State& s, double h);
 
   /// Drops the cached Jacobian (e.g. after an external state change).
-  void invalidate() noexcept { jac_.reset(); }
+  void invalidate() noexcept { have_jac_ = false; }
 
  private:
+  void refresh_jacobian(const OdeSystem& sys, double t, const State& s);
   bool newton_solve(const OdeSystem& sys, double t, const State& s, double h,
                     State& out);
 
   ImplicitOptions opts_;
   std::optional<BandedMatrix> jac_;  ///< cached df/ds band
+  bool have_jac_ = false;            ///< jac_ holds the current chord
   std::size_t steps_since_jac_ = 0;
-  State f_, trial_, residual_;
+  std::optional<BandedLuSolver> lu_;  ///< I - h J, refactored per step
+  detail::BandedFdScratch fd_;
+  State f_, trial_, residual_, delta_;
 };
 
 struct StiffRelaxOptions {

@@ -27,19 +27,6 @@ double dot(const double* a, const double* b, std::size_t n) {
   return acc;
 }
 
-/// norm_linf that reports a non-finite vector as +infinity. The plain
-/// max-based norm silently skips NaN entries (max(acc, NaN) keeps acc), so
-/// a diverged iterate could masquerade as a zero residual and be accepted;
-/// +infinity makes every comparison reject it instead.
-double norm_linf_checked(const State& v) {
-  double acc = 0.0;
-  for (double x : v) {
-    if (!std::isfinite(x)) return std::numeric_limits<double>::infinity();
-    acc = std::max(acc, std::abs(x));
-  }
-  return acc;
-}
-
 }  // namespace
 
 void GmresWorkspace::ensure(std::size_t n, std::size_t restart) {
@@ -238,14 +225,19 @@ std::unique_ptr<BandedLuSolver> build_banded_precond(const OdeSystem& sys,
                                                      double fd_eps) {
   BandedMatrix jac = banded_fd_jacobian(sys, 0.0, s, bw, bw, mode, fd_eps);
   const std::size_t n = jac.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    double row_max = 0.0;
-    const std::size_t j_lo = i > bw ? i - bw : 0;
-    const std::size_t j_hi = std::min(i + bw, n - 1);
-    for (std::size_t j = j_lo; j <= j_hi; ++j) {
-      row_max = std::max(row_max, std::abs(jac.get(i, j)));
+  // A row with no entry of positive magnitude in its band gets a unit
+  // diagonal; one pass down the columns finds the rows that have one.
+  std::vector<char> live(n, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t i_lo = j > bw ? j - bw : 0;
+    const std::size_t i_hi = std::min(j + bw, n - 1);
+    const double* col = jac.column_from(i_lo, j);
+    for (std::size_t i = i_lo; i <= i_hi; ++i) {
+      if (std::abs(*col++) > 0.0) live[i] = 1;
     }
-    if (row_max == 0.0) jac.set(i, i, 1.0);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (live[i] == 0) jac.set(i, i, 1.0);
   }
   return std::make_unique<BandedLuSolver>(std::move(jac));
 }
@@ -264,7 +256,7 @@ NewtonKrylovResult newton_krylov_fixed_point(const OdeSystem& sys, State s0,
   res.state = std::move(s0);
   State f(n), trial(n), f_trial(n), rhs(n), delta(n);
   counted.deriv(0.0, res.state, f);
-  res.residual_norm = norm_linf_checked(f);
+  res.residual_norm = norm_linf(f);
 
   JacobianOperator jac(counted, opts.fd_eps);
   GmresWorkspace gws;
@@ -390,7 +382,7 @@ NewtonKrylovResult newton_krylov_fixed_point(const OdeSystem& sys, State s0,
       }
       counted.project(trial);
       counted.deriv(0.0, trial, f_trial);
-      const double trial_norm = norm_linf_checked(f_trial);
+      const double trial_norm = norm_linf(f_trial);
       if (trial_norm < res.residual_norm) {
         prev_norm = res.residual_norm;
         res.state.swap(trial);

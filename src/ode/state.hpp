@@ -3,8 +3,11 @@
 // std::vector<double> keep the steppers allocation-free on the hot path.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -32,10 +35,23 @@ inline double norm_l1(const State& x) {
   return acc;
 }
 
+/// Max-norm; +infinity when any entry is NaN or infinite. (A max over
+/// doubles skips NaN, since max(acc, NaN) keeps acc, and would let a
+/// diverged iterate pass a convergence test.) The max runs over the bit
+/// patterns of |v|: for non-negative doubles they order as the values do,
+/// with infinity above every finite value and NaN above infinity, so one
+/// branch-free integer pass finds the largest |v| bit for bit and flags
+/// any non-finite entry.
 inline double norm_linf(const State& x) {
-  double acc = 0.0;
-  for (double v : x) acc = std::max(acc, std::abs(v));
-  return acc;
+  constexpr std::uint64_t kMagnitude = 0x7fffffffffffffffULL;  // drops the sign
+  constexpr std::uint64_t kInfinity = 0x7ff0000000000000ULL;
+  std::uint64_t acc = 0;
+  for (double v : x) {
+    const std::uint64_t a = std::bit_cast<std::uint64_t>(v) & kMagnitude;
+    acc = acc < a ? a : acc;
+  }
+  return acc < kInfinity ? std::bit_cast<double>(acc)
+                         : std::numeric_limits<double>::infinity();
 }
 
 inline double norm_l2(const State& x) {

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <tuple>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "ode/anderson.hpp"
 #include "ode/history_qr.hpp"
 #include "ode/solve.hpp"
+#include "reference_solvers.hpp"
 #include "util/xoshiro.hpp"
 
 namespace {
@@ -374,6 +377,97 @@ TEST(HistoryQr, NearlyDependentColumnIsDeficient) {
   qr.clear();
   EXPECT_EQ(qr.size(), 0u);
   EXPECT_TRUE(qr.push(a));
+}
+
+// --- HistoryQr and the extrapolation against the one-pass-per-column oracle --
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Counts entries of R (leading k x k), Q (first k columns) and theta
+/// whose bits differ from the oracle's.
+std::size_t qr_mismatches(const ode::detail::HistoryQr& qr,
+                          const reference::HistoryQr& ref,
+                          const std::vector<double>& theta,
+                          const std::vector<double>& theta_ref) {
+  std::size_t bad = 0;
+  const std::size_t k = qr.size();
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = i; j < k; ++j) {
+      bad += bits(qr.r(i, j)) != bits(ref.r(i, j)) ? 1 : 0;
+    }
+    for (std::size_t t = 0; t < qr.q(i).size(); ++t) {
+      bad += bits(qr.q(i)[t]) != bits(ref.q(i)[t]) ? 1 : 0;
+    }
+    bad += bits(theta[i]) != bits(theta_ref[i]) ? 1 : 0;
+  }
+  return bad;
+}
+
+TEST(HistoryQrOracle, PushDropSolveSequencesMatchBitForBit) {
+  // Depths on both sides of the four-column block, most of them not a
+  // multiple of it; n = 621 is the erlang c = 10 shape, not a multiple of
+  // the Givens chunk.
+  for (const std::size_t n : {1U, 37U, 621U}) {
+    for (const std::size_t m : {1U, 2U, 3U, 4U, 5U, 7U, 8U, 10U, 13U}) {
+      ode::detail::HistoryQr qr(n, m);
+      reference::HistoryQr ref(n, m);
+      util::Xoshiro256 rng(1000 * n + m);
+      std::vector<double> theta(m), theta_ref(m);
+      std::size_t rejected = 0;
+      for (std::size_t step = 0; step < 60; ++step) {
+        if (qr.size() == m) {
+          qr.drop_oldest();
+          ref.drop_oldest();
+        }
+        ode::State v = random_column(rng, n);
+        if (step % 7 == 6 && qr.size() >= 1) {
+          // A combination of kept columns plus a 1e-14 wobble: dependent,
+          // so both refuse it.
+          for (std::size_t t = 0; t < n; ++t) {
+            v[t] = 0.7 * qr.q(0)[t] * qr.r(0, 0) + 1e-14 * v[t];
+          }
+        }
+        const bool kept = qr.push(v);
+        ASSERT_EQ(kept, ref.push(v)) << "n=" << n << " m=" << m;
+        rejected += kept ? 0 : 1;
+        ASSERT_EQ(qr.size(), ref.size());
+        const ode::State r = random_column(rng, n);
+        qr.solve(r, theta.data());
+        ref.solve(r, theta_ref.data());
+        ASSERT_EQ(qr_mismatches(qr, ref, theta, theta_ref), 0U)
+            << "n=" << n << " m=" << m << " step=" << step;
+      }
+      // (Depth 1 drops its only column before every push.)
+      if (n > 1 && m > 1) {
+        EXPECT_GT(rejected, 0U) << "n=" << n << " m=" << m;
+      }
+    }
+  }
+}
+
+TEST(HistoryQrOracle, ExtrapolationMatchesBitForBit) {
+  // Depths above four that are not a multiple of it, with some theta_j
+  // exactly zero (skipped, not subtracted as zero).
+  util::Xoshiro256 rng(44);
+  for (const std::size_t n : {5U, 621U}) {
+    for (const std::size_t k : {0U, 1U, 3U, 4U, 5U, 6U, 9U, 11U, 13U}) {
+      std::vector<ode::State> cols;
+      for (std::size_t j = 0; j < k; ++j) cols.push_back(random_column(rng, n));
+      std::vector<double> theta(k);
+      for (double& th : theta) {
+        th = rng.uniform() < 0.25 ? 0.0 : 2.0 * rng.uniform() - 1.0;
+      }
+      const ode::State x = random_column(rng, n);
+      ode::State r = random_column(rng, n);
+      r[0] = -x[0];  // an exact zero for the signs of zeros to follow
+      ode::State xn(n), want(n);
+      ode::detail::extrapolate(x, r, cols, theta.data(), k, xn);
+      reference::extrapolate(x, r, cols, theta.data(), k, want);
+      for (std::size_t t = 0; t < n; ++t) {
+        ASSERT_EQ(bits(xn[t]), bits(want[t])) << "k=" << k << " t=" << t;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Counting-allocator enforcement of the allocation-free hot loops: once an
 // AdaptiveIntegrator (or a fixed-step Stepper) is warm, further integration
 // performs zero heap allocations, an Anderson run's allocation count is a
-// function of the problem size only, never of the iteration count, and a
-// factored LuSolver solves without touching the heap.
+// function of the problem size only, never of the iteration count, a
+// factored LuSolver or BandedLuSolver solves without touching the heap,
+// and the stiff stepper's steps after its first do not allocate.
 //
 // The counter hooks the global operator new/delete for this test binary.
 // Only allocation DELTAS measured around the hot region are asserted, so
@@ -16,8 +17,11 @@
 #include <vector>
 
 #include "core/batch.hpp"
+#include "core/erlang_ws.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/anderson.hpp"
+#include "ode/banded.hpp"
+#include "ode/implicit.hpp"
 #include "ode/integrator.hpp"
 #include "ode/krylov.hpp"
 #include "ode/linalg.hpp"
@@ -170,6 +174,50 @@ TEST(HotLoopAlloc, LuSolveIntoAllocationFree) {
   for (int rep = 0; rep < 4; ++rep) lu.solve_into(b.data(), x.data());
   EXPECT_EQ(allocations(), before)
       << "LuSolver::solve_into must not touch the heap";
+}
+
+TEST(HotLoopAlloc, StiffStepperAllocationFreeAfterFirstStep) {
+  // The first step sizes the Jacobian band, the I - h J factors and the
+  // Newton vectors; later steps, Jacobian refreshes included, reuse them.
+  const core::ErlangServiceWS model(0.85, 10, 620);
+  ode::ImplicitOptions opts;
+  opts.kl = opts.ku = model.stiff_bandwidth();
+  opts.refresh_every = 3;
+  ode::ImplicitEulerBanded stepper(opts);
+  ode::State s = model.empty_state();
+  double t = 0.0;
+  double h = 0.1;
+  ASSERT_TRUE(stepper.step(model, t, s, h));
+  t += h;
+
+  const std::size_t warm = allocations();
+  for (int i = 0; i < 10; ++i) {
+    h *= 2.0;  // pseudo-transient growth: a new I - h J every step
+    ASSERT_TRUE(stepper.step(model, t, s, h));
+    t += h;
+  }
+  stepper.invalidate();  // a forced rebuild reuses the band too
+  ASSERT_TRUE(stepper.step(model, t, s, h));
+  EXPECT_EQ(allocations(), warm)
+      << "ImplicitEulerBanded::step must reuse its workspaces once warm";
+}
+
+TEST(HotLoopAlloc, BandedLuSolveIntoAllocationFree) {
+  const std::size_t n = 64;
+  ode::BandedMatrix a(n, 2, 3);
+  for (std::size_t i = 0; i < n; ++i) {
+    a.set(i, i, 0.5);
+    if (i + 2 < n) a.set(i + 2, i, 1.0);  // below the diagonal: row swaps
+    if (i + 3 < n) a.set(i, i + 3, -0.25);
+  }
+  const ode::BandedLuSolver lu(std::move(a));
+  std::vector<double> b(n, 1.0), x(n);
+
+  const std::size_t before = allocations();
+  for (int rep = 0; rep < 4; ++rep) lu.solve_into(b.data(), x.data());
+  lu.solve_into(x.data(), x.data());
+  EXPECT_EQ(allocations(), before)
+      << "BandedLuSolver::solve_into must not touch the heap";
 }
 
 TEST(HotLoopAlloc, BatchedRhsEvaluatorAllocationFree) {

@@ -3,7 +3,9 @@
 // pseudo-transient continuation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
@@ -11,6 +13,7 @@
 #include "ode/implicit.hpp"
 #include "ode/linalg.hpp"
 #include "ode/steady_state.hpp"
+#include "reference_solvers.hpp"
 #include "util/error.hpp"
 #include "util/xoshiro.hpp"
 
@@ -111,6 +114,157 @@ TEST(BandedLu, TridiagonalLaplacianRoundTrip) {
   }
   const auto x = ode::BandedLuSolver(std::move(m)).solve(b);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
+}
+
+// --- BandedLuSolver against the row-major oracle ------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// One band matrix written into both storages.
+struct BandPair {
+  ode::BandedMatrix band;
+  reference::RowMajorBand oracle;
+
+  BandPair(std::size_t n, std::size_t kl, std::size_t ku)
+      : band(n, kl, ku), oracle(n, kl, ku) {}
+  void set(std::size_t i, std::size_t j, double v) {
+    band.set(i, j, v);
+    oracle.set(i, j, v);
+  }
+};
+
+/// Random band with weak diagonals, so partial pivoting swaps rows, and
+/// some exact zeros, so some multipliers vanish.
+BandPair random_band(std::size_t n, std::size_t kl, std::size_t ku,
+                     std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  BandPair m(n, kl, ku);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j_lo = i >= kl ? i - kl : 0;
+    const std::size_t j_hi = std::min(i + ku, n - 1);
+    for (std::size_t j = j_lo; j <= j_hi; ++j) {
+      const double u = rng.uniform();
+      if (u < 0.15 && i != j) continue;  // an exact zero in the band
+      m.set(i, j, (i == j ? 0.3 : 1.0) * (2.0 * rng.uniform() - 1.0));
+    }
+  }
+  return m;
+}
+
+/// I - h J for the erlang c = 10 model at n = 621 (kl = ku = 10), the
+/// stiff stepper's iteration matrix.
+BandPair erlang_iteration(double h) {
+  const core::ErlangServiceWS model(0.85, 10, 620);
+  const State s = model.empty_state();
+  const auto jac = ode::banded_fd_jacobian(model, 0.0, s, 10, 10);
+  const std::size_t n = s.size();
+  BandPair m(n, 10, 10);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j_lo = i >= 10 ? i - 10 : 0;
+    const std::size_t j_hi = std::min(i + 10, n - 1);
+    for (std::size_t j = j_lo; j <= j_hi; ++j) {
+      m.set(i, j, (i == j ? 1.0 : 0.0) - h * jac.get(i, j));
+    }
+  }
+  return m;
+}
+
+/// Factors, pivots and solves of `lu` equal the oracle's bit for bit;
+/// returns the number of row swaps.
+std::size_t expect_matches_oracle(const ode::BandedLuSolver& lu,
+                                  const BandPair& m, std::uint64_t seed) {
+  const reference::RowMajorBandedLu ref(m.oracle);
+  const std::size_t n = m.band.size();
+  const std::size_t kl = m.band.lower();
+  const std::size_t ku = m.band.upper();
+  EXPECT_EQ(lu.pivots(), ref.pivots());
+  std::size_t mismatches = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    // Every stored entry of column j, fill rows included.
+    const std::size_t i_lo = j >= ku + kl ? j - ku - kl : 0;
+    const std::size_t i_hi = std::min(j + kl, n - 1);
+    for (std::size_t i = i_lo; i <= i_hi; ++i) {
+      if (bits(lu.factors().get(i, j)) != bits(ref.factors().get(i, j))) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0U) << "n=" << n << " kl=" << kl << " ku=" << ku;
+  util::Xoshiro256 rng(seed);
+  std::vector<double> b(n), x(n);
+  for (int rep = 0; rep < 3; ++rep) {
+    for (double& v : b) v = 2.0 * rng.uniform() - 1.0;
+    const std::vector<double> want = ref.solve(b);
+    lu.solve_into(b.data(), x.data());
+    const std::vector<double> in_place = lu.solve(b);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(bits(x[i]), bits(want[i])) << "i=" << i;
+      EXPECT_EQ(bits(in_place[i]), bits(want[i])) << "i=" << i;
+    }
+  }
+  std::size_t swaps = 0;
+  for (std::size_t k = 0; k < n; ++k) swaps += ref.pivots()[k] != k ? 1 : 0;
+  return swaps;
+}
+
+TEST(BandedLuOracle, UnequalBandsWithRowSwapsMatchBitForBit) {
+  struct Shape {
+    std::size_t n, kl, ku;
+  };
+  for (const Shape shape : {Shape{40, 3, 1}, Shape{57, 1, 4}, Shape{33, 5, 2},
+                            Shape{64, 2, 7}, Shape{9, 8, 0}, Shape{12, 0, 3}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const BandPair m = random_band(shape.n, shape.kl, shape.ku, seed);
+      const ode::BandedLuSolver lu(m.band);
+      const std::size_t swaps = expect_matches_oracle(lu, m, seed);
+      if (shape.kl > 0) {
+        EXPECT_GT(swaps, 0U) << "n=" << shape.n << " kl=" << shape.kl;
+      }
+    }
+  }
+}
+
+TEST(BandedLuOracle, ErlangIterationMatricesMatchBitForBit) {
+  // Small steps keep the diagonal dominant; the long pseudo-transient
+  // steps pivot.
+  std::size_t swaps = 0;
+  for (const double h : {0.1, 100.0, 1e6}) {
+    const BandPair m = erlang_iteration(h);
+    ASSERT_EQ(m.band.size(), 621U);
+    const ode::BandedLuSolver lu(m.band);
+    swaps += expect_matches_oracle(lu, m, 5);
+  }
+  EXPECT_GT(swaps, 0U);
+}
+
+TEST(BandedLuOracle, RefactorMatchesAFreshFactorization) {
+  // Reusing the storage of an earlier factorization (pivots, fill) leaves
+  // no trace: the factors are those of a fresh solver.
+  const std::size_t n = 50, kl = 3, ku = 2;
+  ode::BandedLuSolver lu(random_band(n, kl, ku, 7).band);
+  for (std::uint64_t seed = 8; seed <= 10; ++seed) {
+    const BandPair next = random_band(n, kl, ku, seed);
+    lu.refactor([&](ode::BandedMatrix& m) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::size_t i_lo = j >= ku ? j - ku : 0;
+        for (std::size_t i = i_lo; i <= std::min(j + kl, n - 1); ++i) {
+          m.set(i, j, next.band.get(i, j));
+        }
+      }
+    });
+    expect_matches_oracle(lu, next, seed);
+  }
+}
+
+TEST(BandedMatrix, ColumnsAreContiguous) {
+  ode::BandedMatrix m(6, 2, 1);
+  double* col = m.column_from(1, 2);  // rows 1..4 of column 2
+  for (std::size_t i = 1; i <= 4; ++i) *col++ = static_cast<double>(10 * i + 2);
+  for (std::size_t i = 1; i <= 4; ++i) {
+    EXPECT_EQ(m.get(i, 2), static_cast<double>(10 * i + 2));
+  }
+  EXPECT_EQ(m.get(0, 2), 0.0);  // a fill row of column 2: untouched
+  EXPECT_EQ(m.get(5, 2), 0.0);  // below the band
 }
 
 // --- banded FD Jacobians ----------------------------------------------------------

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "ode/anderson.hpp"
+#include "ode/implicit.hpp"
 #include "ode/integrator.hpp"
 #include "ode/linalg.hpp"
 #include "ode/newton.hpp"
@@ -273,12 +276,86 @@ TEST(StateOps, Norms) {
   EXPECT_DOUBLE_EQ(ode::norm_linf(x), 4.0);
 }
 
+TEST(StateOps, LinfNormReportsNonFiniteEntriesAsInfinity) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(ode::norm_linf({1.0, nan, 2.0}), inf);
+  EXPECT_EQ(ode::norm_linf({nan}), inf);
+  EXPECT_EQ(ode::norm_linf({0.5, -inf}), inf);
+  EXPECT_EQ(ode::norm_linf({-0.0, 0.25, -3.0}), 3.0);
+  EXPECT_EQ(ode::norm_linf({}), 0.0);
+}
+
 TEST(StateOps, AxpyAndDistance) {
   State y = {1.0, 1.0};
   ode::axpy(2.0, {1.0, -1.0}, y);
   EXPECT_DOUBLE_EQ(y[0], 3.0);
   EXPECT_DOUBLE_EQ(y[1], -1.0);
   EXPECT_DOUBLE_EQ(ode::distance_l1({1.0, 2.0}, {4.0, 0.0}), 5.0);
+}
+
+// --- a residual with one NaN component ------------------------------------
+
+/// ds_i = 1 - s_i, except component 2, which is NaN everywhere. At
+/// s = (1, 1, 1, 1) every finite component is zero, so a max-norm that
+/// skips NaN reads as converged there.
+class OneNanComponent final : public ode::OdeSystem {
+ public:
+  void deriv(double, const State& s, State& ds) const override {
+    for (std::size_t i = 0; i < s.size(); ++i) ds[i] = 1.0 - s[i];
+    ds[2] = std::numeric_limits<double>::quiet_NaN();
+  }
+  [[nodiscard]] std::size_t dimension() const override { return 4; }
+};
+
+/// Where the solvers start: at the finite components' fixed point and
+/// away from it.
+const State kNanStarts[] = {{1.0, 1.0, 1.0, 1.0}, {0.0, 0.5, 0.0, 2.0}};
+
+TEST(NonFiniteResidual, AndersonDoesNotConverge) {
+  const OneNanComponent sys;
+  ode::AndersonOptions opts;
+  opts.max_iter = 40;
+  for (const State& s0 : kNanStarts) {
+    const auto res = ode::anderson_fixed_point(sys, s0, opts);
+    EXPECT_FALSE(res.converged);
+    EXPECT_FALSE(std::isfinite(res.residual_norm));
+  }
+}
+
+TEST(NonFiniteResidual, StiffRelaxationReportsDivergence) {
+  const OneNanComponent sys;
+  ode::StiffRelaxOptions opts;
+  opts.implicit.kl = opts.implicit.ku = 1;
+  opts.throw_on_failure = false;
+  for (const State& s0 : kNanStarts) {
+    const auto res = ode::stiff_relax_to_fixed_point(sys, s0, opts);
+    EXPECT_EQ(res.status, ode::SolveStatus::Diverged) << res.failure;
+    EXPECT_FALSE(std::isfinite(res.deriv_norm));
+  }
+  opts.throw_on_failure = true;
+  EXPECT_THROW(ode::stiff_relax_to_fixed_point(sys, kNanStarts[0], opts),
+               util::Error);
+}
+
+TEST(NonFiniteResidual, RelaxationReportsDivergence) {
+  const OneNanComponent sys;
+  ode::SteadyStateOptions opts;
+  opts.throw_on_failure = false;
+  for (const State& s0 : kNanStarts) {
+    const auto res = ode::relax_to_fixed_point(sys, s0, opts);
+    EXPECT_EQ(res.status, ode::SolveStatus::Diverged) << res.failure;
+    EXPECT_FALSE(std::isfinite(res.deriv_norm));
+  }
+}
+
+TEST(NonFiniteResidual, NewtonDoesNotConverge) {
+  const OneNanComponent sys;
+  for (const State& s0 : kNanStarts) {
+    const auto res = ode::newton_fixed_point(sys, s0, {});
+    EXPECT_FALSE(res.converged);
+    EXPECT_FALSE(std::isfinite(res.residual_norm));
+  }
 }
 
 }  // namespace
