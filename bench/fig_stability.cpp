@@ -41,8 +41,8 @@ int main() {
               << from_mm1.max_increase << "\n";
 
     const auto starts = analysis::random_starts(model, 6, 2026);
-    const auto report =
-        analysis::check_convergence(model, starts, pi, 2000.0, 1e-6);
+    const auto report = analysis::check_convergence(
+        model, starts, pi, {.t_max = 2000.0, .tol = 1e-6});
     std::cout << "random starts converged: " << report.converged << "/"
               << report.starts
               << " (worst final distance " << report.worst_final_distance

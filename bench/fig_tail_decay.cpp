@@ -37,7 +37,9 @@ int main() {
   cfg.warmup = f.warmup;
   cfg.seed = 42;
   par::ThreadPool pool(util::worker_threads());
-  const auto rep = sim::replicate(cfg, f.replications, pool);
+  const auto rep = sim::replicate(
+      cfg,
+      sim::ReplicateOptions{.replications = f.replications, .pool = &pool});
 
   util::Table table({"i", "no-steal", "simple-ws", "sim(128) simple",
                      "threshold T=4", "2 choices"});

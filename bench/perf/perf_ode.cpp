@@ -9,7 +9,7 @@
 // up as a diff.
 //
 //   perf_ode [out.json] [baseline.json]
-//            [--mode=current|legacy|sweep-warm|sweep-cold|batch]
+//            [--mode=current|legacy|sweep-warm|sweep-cold]
 //
 // Defaults: out = BENCH_ode.json, no baseline, mode = current. Mode
 // `legacy` pins the pre-engine behaviour (explicit relaxation or banded
@@ -27,13 +27,9 @@
 // core::FixedPointContinuation (sweep-warm) or solved point-by-point from
 // scratch (sweep-cold). sweep-warm also runs the cold reference in-process
 // and reports, per model, the evaluation reduction and the worst
-// warm-vs-cold sojourn deviation. Mode `batch` runs the same grid through
-// core::batched_lambda_sweep (SIMD-batched lanes, see core/batch.hpp) plus
-// the warm and cold scalar references in-process, reporting the batch
-// mode's evaluation and wall-time advantage over the warm scalar chain.
-// The default output file for all three is BENCH_ode_sweep.json (the
-// committed copy tracks the batch numbers, which embed the warm/cold
-// columns).
+// warm-vs-cold sojourn deviation. The default output file for both is
+// BENCH_ode_sweep.json (the committed copy tracks the sweep-warm numbers,
+// which embed the cold columns).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -46,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/fixed_point.hpp"
 #include "core/multi_class_ws.hpp"
 #include "core/registry.hpp"
@@ -336,126 +331,6 @@ int run_sweep_mode(bool warm, const std::string& out_path) {
   return 0;
 }
 
-/// Solves the model's whole λ grid through the SIMD-batched block driver.
-core::BatchSweepResult run_batch_chain(const SweepModel& sm,
-                                       const std::vector<double>& lambdas) {
-  return core::batched_lambda_sweep(
-      [&](double lam) { return reg(sm.reg_name, lam, sm.params); }, lambdas);
-}
-
-/// --mode=batch: the batched lane sweep against its scalar references. The
-/// warm scalar chain is the incumbent (the previous tracked configuration),
-/// so the headline columns are batch-vs-warm; cold totals are kept so the
-/// historic warm-vs-cold reduction stays visible in the same file.
-int run_batch_mode(const std::string& out_path) {
-  const auto lambdas = sweep_lambdas();
-  std::cout << "=== perf_ode: batched λ-sweep (batch mode, "
-            << sweep_models().size() << " models x " << lambdas.size()
-            << " λ) ===\n\n";
-
-  util::Table table({"model", "batch evals", "warm evals", "cold evals",
-                     "redux", "wall speedup", "max |Δ sojourn|", "fb",
-                     "ms"});
-  auto cases_json = util::Json::array();
-  std::size_t total_batch = 0, total_warm = 0, total_cold = 0;
-  std::size_t total_fallbacks = 0;
-  double total_batch_secs = 0.0, total_warm_secs = 0.0, max_dev_all = 0.0;
-  for (const auto& sm : sweep_models()) {
-    const auto batch = run_batch_chain(sm, lambdas);
-    double batch_secs = 0.0;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-      const auto t0 = Clock::now();
-      (void)run_batch_chain(sm, lambdas);
-      const double s = seconds_since(t0);
-      if (rep == 0 || s < batch_secs) batch_secs = s;
-    }
-    const auto warm = run_sweep_chain(sm, lambdas, true);
-    double warm_secs = 0.0;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-      const auto t0 = Clock::now();
-      (void)run_sweep_chain(sm, lambdas, true);
-      const double s = seconds_since(t0);
-      if (rep == 0 || s < warm_secs) warm_secs = s;
-    }
-    const auto cold = run_sweep_chain(sm, lambdas, false);
-
-    double max_dev = 0.0;
-    for (std::size_t k = 0; k < lambdas.size(); ++k) {
-      max_dev = std::max(
-          max_dev, std::abs(batch.points[k].sojourn - warm.sojourns[k]));
-    }
-    total_batch += batch.rhs_evals;
-    total_warm += warm.rhs_evals;
-    total_cold += cold.rhs_evals;
-    total_fallbacks += batch.fallback_solves;
-    total_batch_secs += batch_secs;
-    total_warm_secs += warm_secs;
-    max_dev_all = std::max(max_dev_all, max_dev);
-    const double redux = static_cast<double>(warm.rhs_evals) /
-                         static_cast<double>(batch.rhs_evals);
-    const double speedup = warm_secs / batch_secs;
-
-    auto j = util::Json::object();
-    j["name"] = sm.name;
-    j["rhs_evals"] = batch.rhs_evals;
-    j["seconds"] = batch_secs;
-    j["sojourn_last"] = batch.points.back().sojourn;
-    j["batch_passes"] = batch.batch_passes;
-    j["fallback_solves"] = batch.fallback_solves;
-    j["warm_rhs_evals"] = warm.rhs_evals;
-    j["warm_seconds"] = warm_secs;
-    j["cold_rhs_evals"] = cold.rhs_evals;
-    j["batch_eval_reduction"] = redux;
-    j["batch_wall_speedup"] = speedup;
-    j["max_sojourn_dev"] = max_dev;
-    table.add_row({sm.name, std::to_string(batch.rhs_evals),
-                   std::to_string(warm.rhs_evals),
-                   std::to_string(cold.rhs_evals), util::Table::fmt(redux, 2),
-                   util::Table::fmt(speedup, 2), sci(max_dev),
-                   std::to_string(batch.fallback_solves),
-                   util::Table::fmt(batch_secs * 1e3, 2)});
-    cases_json.push_back(std::move(j));
-  }
-  table.print(std::cout);
-
-  const double agg_redux =
-      static_cast<double>(total_warm) / static_cast<double>(total_batch);
-  const double agg_speedup = total_warm_secs / total_batch_secs;
-  auto aggregate = util::Json::object();
-  aggregate["name"] = "aggregate";
-  aggregate["rhs_evals"] = total_batch;
-  aggregate["seconds"] = total_batch_secs;
-  aggregate["warm_rhs_evals"] = total_warm;
-  aggregate["warm_seconds"] = total_warm_secs;
-  aggregate["cold_rhs_evals"] = total_cold;
-  aggregate["batch_eval_reduction"] = agg_redux;
-  aggregate["batch_wall_speedup"] = agg_speedup;
-  aggregate["max_sojourn_dev"] = max_dev_all;
-  aggregate["fallback_solves"] = total_fallbacks;
-  std::cout << "\naggregate: batch " << total_batch << " rhs evals, "
-            << util::Table::fmt(total_batch_secs * 1e3, 1) << " ms (warm "
-            << total_warm << " evals, "
-            << util::Table::fmt(total_warm_secs * 1e3, 1) << " ms -> "
-            << util::Table::fmt(agg_redux, 2) << "x fewer evals, "
-            << util::Table::fmt(agg_speedup, 2) << "x faster, max dev "
-            << max_dev_all << ", " << total_fallbacks << " fallbacks)\n\n";
-
-  auto doc = util::Json::object();
-  doc["schema"] = "lsm-ode-sweep-perf/1";
-  doc["mode"] = "batch";
-  doc["workload"] =
-      "6-model x 16-λ ascending sweep, SIMD-batched lanes vs scalar warm "
-      "continuation; rhs_evals is deterministic, wall time best-of-" +
-      std::to_string(kRepetitions);
-  doc["lambda_grid"] = "0.50 + 0.032j, j = 0..15";
-  doc["sweep_cases"] = std::move(cases_json);
-  doc["aggregate"] = std::move(aggregate);
-  std::ofstream out(out_path, std::ios::trunc);
-  out << doc.dump(2) << "\n";
-  std::cout << "wrote " << out_path << "\n";
-  return 0;
-}
-
 /// Pulls `"<key>": <v>` following `"name": "<name>"` out of a previously
 /// written BENCH_ode.json. A full JSON parser is overkill for reading back
 /// our own flat output.
@@ -484,7 +359,6 @@ int main(int argc, char** argv) {
   std::string baseline_path;
   bool legacy = false;
   int sweep = -1;  // -1 = not a sweep mode, else bool: warm?
-  bool batch = false;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -496,12 +370,10 @@ int main(int argc, char** argv) {
       sweep = 1;
     } else if (arg == "--mode=sweep-cold") {
       sweep = 0;
-    } else if (arg == "--mode=batch") {
-      batch = true;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "unknown flag " << arg
                 << " (usage: perf_ode [out.json] [baseline.json]"
-                   " [--mode=current|legacy|sweep-warm|sweep-cold|batch])\n";
+                   " [--mode=current|legacy|sweep-warm|sweep-cold])\n";
       return 2;
     } else {
       positional.push_back(arg);
@@ -510,10 +382,8 @@ int main(int argc, char** argv) {
   if (!positional.empty()) out_path = positional[0];
   if (positional.size() > 1) baseline_path = positional[1];
   if (out_path.empty()) {
-    out_path =
-        (sweep >= 0 || batch) ? "BENCH_ode_sweep.json" : "BENCH_ode.json";
+    out_path = sweep >= 0 ? "BENCH_ode_sweep.json" : "BENCH_ode.json";
   }
-  if (batch) return run_batch_mode(out_path);
   if (sweep >= 0) return run_sweep_mode(sweep == 1, out_path);
   const std::string baseline =
       baseline_path.empty() ? "" : slurp(baseline_path);

@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
   cfg.policy = lsm::sim::StealPolicy::on_empty(threshold);
   cfg.horizon = 30000.0;
   cfg.warmup = 3000.0;
-  const auto rep = lsm::sim::replicate(cfg, 3);
+  const auto rep = lsm::sim::replicate(
+      cfg, lsm::sim::ReplicateOptions{.replications = 3});
 
   std::cout << "simulation (n=" << n << ", 3 replications)\n"
             << "  mean sojourn         : " << rep.sojourn.mean << " +/- "

@@ -50,7 +50,9 @@ int main(int argc, char** argv) {
     cfg.horizon = std::max(4000.0, 10.0 * recommended);
     cfg.warmup = warmup;
     cfg.seed = 9;
-    return lsm::sim::replicate(cfg, 3).sojourn.mean;
+    return lsm::sim::replicate(
+               cfg, lsm::sim::ReplicateOptions{.replications = 3})
+        .sojourn.mean;
   };
   const double with_warmup = measure(recommended);
   const double without = measure(0.0);

@@ -168,8 +168,7 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
     --target test_serve_concurrency test_serve_lifecycle test_serve_fault
   ./build-tsan/tests/test_parallel
   # The Krylov/batched-RHS suite: single-threaded by design, run under
-  # TSan anyway so a future pooled batch sweep cannot silently introduce
-  # unsynchronized shared workspace state.
+  # TSan to catch unsynchronized shared workspace state.
   ./build-tsan/tests/test_krylov
   # Sharded-engine replications across the pool: shard-count independence
   # must hold with the SoA engines running on pool threads.
@@ -262,13 +261,13 @@ if [ "${SKIP_PERF:-0}" != "1" ]; then
   ./build/bench/perf/perf_ode bench/perf/BENCH_ode.json \
     bench/perf/BENCH_ode.baseline.json
 
-  # Batched λ-sweep: runs the 6-model x 16-λ grid through the SIMD-batched
-  # block driver AND the warm/cold scalar chains in one process; a
-  # regression shows as a shrinking batch_eval_reduction /
-  # batch_wall_speedup column in the BENCH_ode_sweep.json diff.
-  echo "== perf smoke: batched sweep vs warm/cold scalar chains (report-only)"
+  # λ-sweep continuation: runs the 6-model x 16-λ grid through the warm
+  # chain AND the cold per-point solves in one process; a regression
+  # shows as a shrinking eval_reduction (warm vs cold) or a growing
+  # max_sojourn_dev in the BENCH_ode_sweep.json diff.
+  echo "== perf smoke: warm vs cold λ-sweep chains (report-only)"
   ./build/bench/perf/perf_ode bench/perf/BENCH_ode_sweep.json \
-    --mode=batch
+    --mode=sweep-warm
 fi
 
 echo "check: all green"

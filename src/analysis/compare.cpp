@@ -25,7 +25,9 @@ ComparisonRow compare_row(const sim::SimConfig& base,
     cfg.horizon = spec.horizon;
     cfg.warmup = spec.warmup;
     cfg.seed = spec.seed;
-    const auto rep = sim::replicate(cfg, spec.replications, pool);
+    const auto rep = sim::replicate(
+        cfg, sim::ReplicateOptions{.replications = spec.replications,
+                                   .pool = &pool});
     row.sim_sojourn.push_back(rep.sojourn.mean);
   }
   row.rel_error_pct =

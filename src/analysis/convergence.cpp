@@ -74,14 +74,4 @@ ConvergenceReport check_convergence(const core::MeanFieldModel& model,
   return report;
 }
 
-ConvergenceReport check_convergence(const core::MeanFieldModel& model,
-                                    const std::vector<ode::State>& starts,
-                                    const ode::State& fixed_point,
-                                    double t_max, double tol) {
-  MultiStartOptions mopts;
-  mopts.t_max = t_max;
-  mopts.tol = tol;
-  return check_convergence(model, starts, fixed_point, mopts);
-}
-
 }  // namespace lsm::analysis

@@ -46,9 +46,4 @@ struct MultiStartOptions {
     const core::MeanFieldModel& model, const std::vector<ode::State>& starts,
     const ode::State& fixed_point, const MultiStartOptions& opts = {});
 
-/// Back-compat shim: trajectory drive with an explicit horizon.
-[[nodiscard]] ConvergenceReport check_convergence(
-    const core::MeanFieldModel& model, const std::vector<ode::State>& starts,
-    const ode::State& fixed_point, double t_max, double tol = 1e-6);
-
 }  // namespace lsm::analysis

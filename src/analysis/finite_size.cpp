@@ -106,7 +106,10 @@ ScalingFit sojourn_scaling(const sim::SimConfig& base,
   for (std::size_t n : counts) {
     sim::SimConfig cfg = base;
     cfg.processors = n;
-    values.push_back(sim::replicate(cfg, replications, pool).sojourn.mean);
+    values.push_back(
+        sim::replicate(cfg, sim::ReplicateOptions{.replications = replications,
+                                                  .pool = &pool})
+            .sojourn.mean);
   }
   return fit_one_over_n(counts, values);
 }

@@ -143,7 +143,7 @@ struct FixedPointResult {
 
 /// The model's root_residual as an OdeSystem, as the Newton polish sees
 /// it: deriv is the root-residual map, batched Jacobian assembly goes
-/// through root_residual_batch at the model's own lambda.
+/// through root_residual_batch.
 class RootSystem final : public ode::OdeSystem {
  public:
   explicit RootSystem(const MeanFieldModel& model) : model_(model) {}
@@ -153,7 +153,7 @@ class RootSystem final : public ode::OdeSystem {
   }
   [[nodiscard]] bool deriv_batch(double /*t*/, std::size_t nb, const double* x,
                                  double* dx) const override {
-    return model_.root_residual_batch(nb, nullptr, x, dx);
+    return model_.root_residual_batch(nb, x, dx);
   }
   [[nodiscard]] std::size_t dimension() const override {
     return model_.dimension();

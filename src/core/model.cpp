@@ -103,7 +103,7 @@ void MeanFieldModel::deriv(double /*t*/, const ode::State& s,
                            ode::State& ds) const {
   const std::size_t n = dimension();
   LSM_ASSERT(s.size() == n && ds.size() == n);
-  LSM_EXPECT(rhs_batch(1, nullptr, s.data(), ds.data()),
+  LSM_EXPECT(rhs_batch(1, s.data(), ds.data()),
              "model has neither a scalar deriv nor a lane kernel");
 }
 
@@ -112,9 +112,9 @@ void MeanFieldModel::root_residual(const ode::State& s, ode::State& f) const {
   f[0] = 1.0 - s[0];
 }
 
-bool MeanFieldModel::root_residual_batch(std::size_t nb, const double* lambdas,
-                                         const double* x, double* f) const {
-  if (!rhs_batch(nb, lambdas, x, f)) return false;
+bool MeanFieldModel::root_residual_batch(std::size_t nb, const double* x,
+                                         double* f) const {
+  if (!rhs_batch(nb, x, f)) return false;
   for (std::size_t l = 0; l < nb; ++l) f[l] = 1.0 - x[l];
   return true;
 }

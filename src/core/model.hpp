@@ -116,18 +116,15 @@ class MeanFieldModel : public ode::OdeSystem {
   /// Batched right-hand side over `nb` states in component-major
   /// (structure-of-arrays) layout: x[i * nb + l] holds component i of lane
   /// l, dx likewise (x and dx must not overlap: kernels may stage values
-  /// in dx rows). `lambdas` optionally gives a per-lane arrival rate
-  /// (nullptr = every lane at lambda()), which is what lets a lambda-sweep
-  /// evaluate its whole grid in one pass. Each lane's arithmetic depends
-  /// only on that lane's state and arrival rate, so a lane of an nb-lane
-  /// pass equals the one-lane pass that is deriv() — finite-difference
+  /// in dx rows). Every lane runs at lambda(). Each lane's arithmetic
+  /// depends only on that lane's state, so a lane of an nb-lane pass
+  /// equals the one-lane pass that is deriv() — finite-difference
   /// Jacobians and golden artifacts do not depend on which path ran.
   /// Returns false (x/dx untouched) when the model has no batched kernel;
   /// such models override deriv() and callers fall back to it per lane.
-  [[nodiscard]] virtual bool rhs_batch(std::size_t nb, const double* lambdas,
-                                       const double* x, double* dx) const {
+  [[nodiscard]] virtual bool rhs_batch(std::size_t nb, const double* x,
+                                       double* dx) const {
     (void)nb;
-    (void)lambdas;
     (void)x;
     (void)dx;
     return false;
@@ -139,17 +136,15 @@ class MeanFieldModel : public ode::OdeSystem {
   /// constraint row MUST also override this (or inherit the base's false
   /// when they have no batched kernel, which is always safe).
   [[nodiscard]] virtual bool root_residual_batch(std::size_t nb,
-                                                 const double* lambdas,
                                                  const double* x,
                                                  double* f) const;
 
-  /// Bridges the generic OdeSystem batch hook to rhs_batch at this model's
-  /// own lambda, so ode-layer machinery (batched Jacobian assembly) picks
-  /// up the SIMD kernels without knowing about arrival rates.
+  /// Bridges the generic OdeSystem batch hook to rhs_batch, so ode-layer
+  /// machinery (batched Jacobian assembly) picks up the SIMD kernels.
   [[nodiscard]] bool deriv_batch(double t, std::size_t nb, const double* x,
                                  double* dx) const override {
     (void)t;
-    return rhs_batch(nb, nullptr, x, dx);
+    return rhs_batch(nb, x, dx);
   }
 
  protected:

@@ -33,11 +33,11 @@ std::string MultiChoiceWS::name() const {
          ",T=" + std::to_string(threshold_) + ")";
 }
 
-bool MultiChoiceWS::rhs_batch(std::size_t lanes, const double* lambdas,
-                              const double* x, double* dx) const {
+bool MultiChoiceWS::rhs_batch(std::size_t lanes, const double* x,
+                              double* dx) const {
   return for_lanes(lanes, [&](auto nb) {
     const std::size_t L = trunc_;
-    const double own_lambda = lambda_;  // a local cannot alias dx
+    const double lam = lambda_;  // a local cannot alias dx
     const std::size_t T = threshold_;
     const std::size_t d = choices_;
     // Rows split at T so the victim-probability evaluation is hoisted out
@@ -48,7 +48,6 @@ bool MultiChoiceWS::rhs_batch(std::size_t lanes, const double* lambdas,
     const double* sT = x + T * nb;
     for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
       const double fail_prob = int_pow(1.0 - sT[l], d);
       dx[nb + l] = lam * (x[l] - s1[l]) - (s1[l] - s2[l]) * fail_prob;
     }
@@ -58,7 +57,6 @@ bool MultiChoiceWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* sn = x + (i + 1) * nb;  // i < T < L, tracked
       double* out = dx + i * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
       }
     }
@@ -75,7 +73,6 @@ bool MultiChoiceWS::rhs_batch(std::size_t lanes, const double* lambdas,
       double* out = dx + i * nb;
       const double* pow_next = out + nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         const double victim_prob = pow_next[l] - out[l];
         out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
                  victim_prob * (s1[l] - s2[l]);
@@ -86,7 +83,6 @@ bool MultiChoiceWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* si = x + L * nb;
       double* out = dx + L * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         const double victim_prob = int_pow(1.0 - 0.0, d) - out[l];
         out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) -
                  victim_prob * (s1[l] - s2[l]);

@@ -21,8 +21,8 @@ class MultiChoiceWS final : public MeanFieldModel {
   MultiChoiceWS(double lambda, std::size_t choices, std::size_t threshold,
                 std::size_t truncation = 0);
 
-  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
-                               const double* x, double* dx) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] std::size_t choices() const noexcept { return choices_; }

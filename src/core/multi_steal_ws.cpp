@@ -28,11 +28,11 @@ std::string MultiStealWS::name() const {
          ",T=" + std::to_string(threshold_) + ")";
 }
 
-bool MultiStealWS::rhs_batch(std::size_t lanes, const double* lambdas,
-                             const double* x, double* dx) const {
+bool MultiStealWS::rhs_batch(std::size_t lanes, const double* x,
+                             double* dx) const {
   return for_lanes(lanes, [&](auto nb) {
     const std::size_t L = trunc_;
-    const double own_lambda = lambda_;  // a local cannot alias dx
+    const double lam = lambda_;  // a local cannot alias dx
     const std::size_t T = threshold_;
     const std::size_t k = k_;
     // The recurrence's i <= k / i + k > T cases become disjoint i-ranges
@@ -43,7 +43,6 @@ bool MultiStealWS::rhs_batch(std::size_t lanes, const double* lambdas,
     const double* sT = x + T * nb;
     for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
       dx[nb + l] = lam * (x[l] - s1[l]) - (s1[l] - s2[l]) * (1.0 - sT[l]);
     }
     // 2 <= i <= k: a successful steal lifts the thief across these levels.
@@ -53,7 +52,6 @@ bool MultiStealWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* sn = x + (i + 1) * nb;
       double* out = dx + i * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) +
                  (s1[l] - s2[l]) * sT[l];
       }
@@ -65,7 +63,6 @@ bool MultiStealWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* sn = x + (i + 1) * nb;
       double* out = dx + i * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
       }
     }
@@ -77,7 +74,6 @@ bool MultiStealWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* hi = x + (i + k) * nb;  // i + k <= T + k - 1 < L
       double* out = dx + i * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
                  (s1[l] - s2[l]) * (sT[l] - hi[l]);
       }
@@ -90,7 +86,6 @@ bool MultiStealWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* hi = x + (i + k) * nb;
       double* out = dx + i * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
                  (s1[l] - s2[l]) * (si[l] - hi[l]);
       }
@@ -102,7 +97,6 @@ bool MultiStealWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* sn = x + (i + 1) * nb;
       double* out = dx + i * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
                  (s1[l] - s2[l]) * (si[l] - 0.0);
       }
@@ -112,7 +106,6 @@ bool MultiStealWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* si = x + L * nb;
       double* out = dx + L * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) -
                  (s1[l] - s2[l]) * (si[l] - 0.0);
       }

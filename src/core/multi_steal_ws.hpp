@@ -22,8 +22,8 @@ class MultiStealWS final : public MeanFieldModel {
   MultiStealWS(double lambda, std::size_t steal_count, std::size_t threshold,
                std::size_t truncation = 0);
 
-  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
-                               const double* x, double* dx) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] std::size_t steal_count() const noexcept { return k_; }

@@ -24,11 +24,11 @@ NoStealing::NoStealing(double lambda, std::size_t truncation)
   LSM_EXPECT(lambda < 1.0, "no-stealing model is unstable for lambda >= 1");
 }
 
-bool NoStealing::rhs_batch(std::size_t lanes, const double* lambdas,
-                           const double* x, double* dx) const {
+bool NoStealing::rhs_batch(std::size_t lanes, const double* x,
+                           double* dx) const {
   return for_lanes(lanes, [&](auto nb) {
     const std::size_t L = trunc_;
-    const double own_lambda = lambda_;  // a local cannot alias dx
+    const double lam = lambda_;  // a local cannot alias dx
     // Component-major lanes; deriv() is the one-lane call.
     for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
     for (std::size_t i = 1; i < L; ++i) {
@@ -37,7 +37,6 @@ bool NoStealing::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* sn = x + (i + 1) * nb;
       double* out = dx + i * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
       }
     }
@@ -46,7 +45,6 @@ bool NoStealing::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* si = x + L * nb;
       double* out = dx + L * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0);
       }
     }

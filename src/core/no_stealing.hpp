@@ -16,8 +16,8 @@ class NoStealing final : public MeanFieldModel {
   /// truncation = 0 picks an automatic L sized to lambda's tail decay.
   explicit NoStealing(double lambda, std::size_t truncation = 0);
 
-  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
-                               const double* x, double* dx) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
   [[nodiscard]] std::string name() const override { return "no-stealing"; }
 
   /// Closed-form stationary tails pi_i = lambda^i (truncated).

@@ -1,8 +1,5 @@
 #include "core/registry.hpp"
 
-#include <atomic>
-#include <cstdio>
-
 #include "core/composed_ws.hpp"
 #include "core/erlang_ws.hpp"
 #include "core/general_arrival_ws.hpp"
@@ -81,16 +78,6 @@ ServiceChoice service_of(const ModelParams& params) {
   return choice;
 }
 
-void warn_stages_deprecated() {
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    std::fputs(
-        "warning: model parameter 'stages' is deprecated; use 'c' or the "
-        "unified 'service=erlang:k' spec instead\n",
-        stderr);
-  }
-}
-
 }  // namespace
 
 bool ModelSpec::accepts(const std::string& key) const {
@@ -151,8 +138,6 @@ const std::vector<ModelSpec>& model_specs() {
        "stages (Section 3.1); a non-Erlang service spec dispatches to the "
        "phase-type generalization",
        {{"c", 10.0, "Erlang service stages"},
-        {"stages", 10.0, "deprecated alias for c", ParamSpec::Kind::Number,
-         "", true},
         kService,
         kTrunc}},
       {"transfer",
@@ -263,7 +248,7 @@ std::unique_ptr<MeanFieldModel> make_model(const std::string& name,
     // The unified service spec wins when given; an Erlang-shaped spec
     // keeps the classic stage-state class (identical dynamics, stiff
     // banded solver), anything else generalizes to phase-type state. The
-    // historical integer keys remain: `c`, and the deprecated `stages`.
+    // historical integer key `c` remains.
     if (svc.given) {
       if (svc.dist.is_erlang()) {
         return std::make_unique<ErlangServiceWS>(lambda, svc.dist.phases(),
@@ -271,14 +256,8 @@ std::unique_ptr<MeanFieldModel> make_model(const std::string& name,
       }
       return std::make_unique<PhaseTypeWS>(lambda, svc.dist, 2, L);
     }
-    std::size_t c = get_n(params, "c", 10);
-    if (params.count("stages") != 0) {
-      warn_stages_deprecated();
-      LSM_EXPECT(params.count("c") == 0,
-                 "give either 'c' or the deprecated 'stages', not both");
-      c = get_n(params, "stages", 10);
-    }
-    return std::make_unique<ErlangServiceWS>(lambda, c, L);
+    return std::make_unique<ErlangServiceWS>(lambda, get_n(params, "c", 10),
+                                             L);
   }
   if (name == "transfer") {
     if (svc.phase_typed) {

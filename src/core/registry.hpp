@@ -52,24 +52,18 @@ struct ParamSpec {
   enum class Kind { Number, Distribution };
 
   ParamSpec(std::string key_in, double fallback_in, std::string doc_in,
-            Kind kind_in = Kind::Number, std::string fallback_text_in = "",
-            bool deprecated_in = false)
+            Kind kind_in = Kind::Number, std::string fallback_text_in = "")
       : key(std::move(key_in)),
         fallback(fallback_in),
         doc(std::move(doc_in)),
         kind(kind_in),
-        fallback_text(std::move(fallback_text_in)),
-        deprecated(deprecated_in) {}
+        fallback_text(std::move(fallback_text_in)) {}
 
   std::string key;
   double fallback = 0.0;
   std::string doc;
   Kind kind = Kind::Number;
   std::string fallback_text;
-  /// Accepted (with a one-time warning) but excluded from generated help
-  /// defaults; a deprecated key usually aliases a preferred one and the
-  /// two cannot be given together.
-  bool deprecated = false;
 };
 
 /// Introspection record for one registered model.

@@ -22,11 +22,11 @@ std::string ThresholdWS::name() const {
   return "threshold-ws(T=" + std::to_string(threshold_) + ")";
 }
 
-bool ThresholdWS::rhs_batch(std::size_t lanes, const double* lambdas,
-                            const double* x, double* dx) const {
+bool ThresholdWS::rhs_batch(std::size_t lanes, const double* x,
+                            double* dx) const {
   return for_lanes(lanes, [&](auto nb) {
     const std::size_t L = trunc_;
-    const double own_lambda = lambda_;  // a local cannot alias dx
+    const double lam = lambda_;  // a local cannot alias dx
     const std::size_t T = threshold_;
     // Component-major lanes; equation (6)'s i >= T steal term becomes a
     // range split at T, so every inner lane loop is branch-free.
@@ -36,7 +36,6 @@ bool ThresholdWS::rhs_batch(std::size_t lanes, const double* lambdas,
     const double* sT = x + T * nb;
     for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
       dx[nb + l] = lam * (s0[l] - s1[l]) - (s1[l] - s2[l]) * (1.0 - sT[l]);
     }
     for (std::size_t i = 2; i < T; ++i) {
@@ -45,7 +44,6 @@ bool ThresholdWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* sn = x + (i + 1) * nb;  // i < T < L, so i + 1 is tracked
       double* out = dx + i * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
       }
     }
@@ -55,7 +53,6 @@ bool ThresholdWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* sn = x + (i + 1) * nb;
       double* out = dx + i * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
                  (si[l] - sn[l]) * (s1[l] - s2[l]);
       }
@@ -65,7 +62,6 @@ bool ThresholdWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* si = x + L * nb;
       double* out = dx + L * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) -
                  (si[l] - 0.0) * (s1[l] - s2[l]);
       }

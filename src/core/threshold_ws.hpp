@@ -24,8 +24,8 @@ class ThresholdWS : public MeanFieldModel {
   /// `threshold` T >= 2; truncation = 0 picks an automatic L.
   ThresholdWS(double lambda, std::size_t threshold, std::size_t truncation = 0);
 
-  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
-                               const double* x, double* dx) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] std::size_t threshold() const noexcept { return threshold_; }

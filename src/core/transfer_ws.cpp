@@ -27,11 +27,11 @@ std::string TransferTimeWS::name() const {
          ",T=" + std::to_string(threshold_) + ")";
 }
 
-bool TransferTimeWS::rhs_batch(std::size_t lanes, const double* lambdas,
-                               const double* x, double* dx) const {
+bool TransferTimeWS::rhs_batch(std::size_t lanes, const double* x,
+                               double* dx) const {
   return for_lanes(lanes, [&](auto nb) {
     const std::size_t L = trunc_;
-    const double own_lambda = lambda_;  // locals cannot alias dx
+    const double lam = lambda_;  // locals cannot alias dx
     const double rate = rate_;
     const std::size_t T = threshold_;
     const std::size_t W = L + 1;  // offset of the w block (in components)
@@ -57,7 +57,6 @@ bool TransferTimeWS::rhs_batch(std::size_t lanes, const double* lambdas,
       double* outs = dx + i * nb;
       double* outw = dx + (W + i) * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         outs[l] = lam * (sp[l] - si[l]) + rate * wp[l] - (si[l] - sn[l]);
         outw[l] = lam * (wp[l] - wi[l]) - rate * wi[l] - (wi[l] - wn[l]);
       }
@@ -72,7 +71,6 @@ bool TransferTimeWS::rhs_batch(std::size_t lanes, const double* lambdas,
       double* outs = dx + i * nb;
       double* outw = dx + (W + i) * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         const double thief = s1[l] - s2[l];
         outs[l] = lam * (sp[l] - si[l]) + rate * wp[l] - (si[l] - sn[l]) -
                   (si[l] - sn[l]) * thief;
@@ -88,7 +86,6 @@ bool TransferTimeWS::rhs_batch(std::size_t lanes, const double* lambdas,
       double* outs = dx + L * nb;
       double* outw = dx + (W + L) * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         const double thief = s1[l] - s2[l];
         outs[l] = lam * (sp[l] - si[l]) + rate * wp[l] - (si[l] - 0.0) -
                   (si[l] - 0.0) * thief;
@@ -108,12 +105,12 @@ void TransferTimeWS::project(ode::State& x) const {
 
 void TransferTimeWS::root_residual(const ode::State& x, ode::State& f) const {
   LSM_ASSERT(x.size() == dimension() && f.size() == dimension());
-  (void)root_residual_batch(1, nullptr, x.data(), f.data());
+  (void)root_residual_batch(1, x.data(), f.data());
 }
 
-bool TransferTimeWS::root_residual_batch(std::size_t nb, const double* lambdas,
-                                         const double* x, double* f) const {
-  (void)rhs_batch(nb, lambdas, x, f);
+bool TransferTimeWS::root_residual_batch(std::size_t nb, const double* x,
+                                         double* f) const {
+  (void)rhs_batch(nb, x, f);
   const std::size_t W = trunc_ + 1;
   // d(s_0 + w_0)/dt == 0 identically makes the Jacobian singular; replace
   // the redundant w_0 row with the conservation constraint itself.

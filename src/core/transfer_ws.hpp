@@ -34,13 +34,12 @@ class TransferTimeWS final : public MeanFieldModel {
     return 2 * (trunc_ + 1);
   }
 
-  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
-                               const double* x, double* dx) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
   [[nodiscard]] std::string name() const override;
   void project(ode::State& s) const override;
   void root_residual(const ode::State& s, ode::State& f) const override;
-  [[nodiscard]] bool root_residual_batch(std::size_t nb, const double* lambdas,
-                                         const double* x,
+  [[nodiscard]] bool root_residual_batch(std::size_t nb, const double* x,
                                          double* f) const override;
 
   [[nodiscard]] double transfer_rate() const noexcept { return rate_; }

@@ -33,11 +33,11 @@ std::string WorkSharingWS::name() const {
   return "work-sharing(S=" + std::to_string(threshold_) + ")";
 }
 
-bool WorkSharingWS::rhs_batch(std::size_t lanes, const double* lambdas,
-                              const double* x, double* dx) const {
+bool WorkSharingWS::rhs_batch(std::size_t lanes, const double* x,
+                              double* dx) const {
   return for_lanes(lanes, [&](auto nb) {
     const std::size_t L = trunc_;
-    const double own_lambda = lambda_;  // a local cannot alias dx
+    const double lam = lambda_;  // a local cannot alias dx
     const std::size_t S = threshold_;
     // Rows split at S so the direct-arrival term [i-1 < S] is hoisted out
     // of each inner loop (beyond S it is the exact 0.0 + forwarded sum).
@@ -49,7 +49,6 @@ bool WorkSharingWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* sn = x + (i + 1) * nb;  // i <= S < L - 1, tracked
       double* out = dx + i * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = (lam + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - sn[l]);
       }
     }
@@ -59,7 +58,6 @@ bool WorkSharingWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* sn = x + (i + 1) * nb;
       double* out = dx + i * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = (0.0 + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - sn[l]);
       }
     }
@@ -68,7 +66,6 @@ bool WorkSharingWS::rhs_batch(std::size_t lanes, const double* lambdas,
       const double* si = x + L * nb;
       double* out = dx + L * nb;
       for (std::size_t l = 0; l < nb; ++l) {
-        const double lam = lambdas != nullptr ? lambdas[l] : own_lambda;
         out[l] = (0.0 + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - 0.0);
       }
     }

@@ -27,8 +27,8 @@ class WorkSharingWS final : public MeanFieldModel {
   WorkSharingWS(double lambda, std::size_t share_threshold,
                 std::size_t truncation = 0);
 
-  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
-                               const double* x, double* dx) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] std::size_t share_threshold() const noexcept {

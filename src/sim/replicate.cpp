@@ -56,17 +56,4 @@ ReplicationResult replicate(const SimConfig& config,
   return aggregate(std::move(runs));
 }
 
-ReplicationResult replicate(const SimConfig& config, std::size_t replications,
-                            par::ThreadPool& pool) {
-  return replicate(config,
-                   ReplicateOptions{.replications = replications,
-                                    .pool = &pool,
-                                    .collect_sojourns = std::nullopt});
-}
-
-ReplicationResult replicate(const SimConfig& config,
-                            std::size_t replications) {
-  return replicate(config, ReplicateOptions{.replications = replications});
-}
-
 }  // namespace lsm::sim

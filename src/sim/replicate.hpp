@@ -21,8 +21,7 @@ struct ReplicationResult {
   std::vector<SimResult> replications;
 };
 
-/// How to run a batch of replications. The single entry point subsumes the
-/// old (config, n[, pool]) overload pair.
+/// How to run a batch of replications.
 struct ReplicateOptions {
   std::size_t replications = 1;
   /// Workers to fan the replications across; nullptr runs them serially on
@@ -37,12 +36,5 @@ struct ReplicateOptions {
 /// schedule.
 [[nodiscard]] ReplicationResult replicate(const SimConfig& config,
                                           const ReplicateOptions& opts);
-
-/// Deprecated shims for the pre-ReplicateOptions API.
-[[nodiscard]] ReplicationResult replicate(const SimConfig& config,
-                                          std::size_t replications,
-                                          par::ThreadPool& pool);
-[[nodiscard]] ReplicationResult replicate(const SimConfig& config,
-                                          std::size_t replications);
 
 }  // namespace lsm::sim

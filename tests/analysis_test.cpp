@@ -61,7 +61,8 @@ TEST(Convergence, AllRandomStartsReachFixedPoint) {
   core::SimpleWS model(0.8);
   const auto pi = model.analytic_fixed_point();
   const auto starts = analysis::random_starts(model, 8, 77);
-  const auto report = analysis::check_convergence(model, starts, pi, 400.0);
+  const auto report = analysis::check_convergence(
+      model, starts, pi, {.t_max = 400.0, .tol = 1e-6});
   EXPECT_TRUE(report.all_converged())
       << "worst distance " << report.worst_final_distance;
 }
@@ -81,8 +82,8 @@ TEST(Convergence, ReportsFailureForTinyHorizon) {
   core::SimpleWS model(0.8);
   const auto pi = model.analytic_fixed_point();
   const auto starts = analysis::random_starts(model, 3, 5);
-  const auto report =
-      analysis::check_convergence(model, starts, pi, 0.01, 1e-9);
+  const auto report = analysis::check_convergence(
+      model, starts, pi, {.t_max = 0.01, .tol = 1e-9});
   EXPECT_FALSE(report.all_converged());
 }
 

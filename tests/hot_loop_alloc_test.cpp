@@ -3,7 +3,8 @@
 // performs zero heap allocations, an Anderson run's allocation count is a
 // function of the problem size only, never of the iteration count, a
 // factored LuSolver or BandedLuSolver solves without touching the heap,
-// and the stiff stepper's steps after its first do not allocate.
+// the stiff stepper's steps after its first do not allocate, and neither
+// does a lane-kernel RHS evaluation (one lane or a batch).
 //
 // The counter hooks the global operator new/delete for this test binary.
 // Only allocation DELTAS measured around the hot region are asserted, so
@@ -16,8 +17,8 @@
 #include <new>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/erlang_ws.hpp"
+#include "core/fixed_point.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/anderson.hpp"
 #include "ode/banded.hpp"
@@ -220,28 +221,34 @@ TEST(HotLoopAlloc, BandedLuSolveIntoAllocationFree) {
       << "BandedLuSolver::solve_into must not touch the heap";
 }
 
-TEST(HotLoopAlloc, BatchedRhsEvaluatorAllocationFree) {
-  // All evaluator scratch is sized in the constructor; steady-state eval()
-  // calls (batched kernel AND per-lane arithmetic) stay off the heap.
-  core::SimpleWS lane_a(0.85, 96), lane_b(0.9, 96);
-  core::RhsBatchEvaluator eval({&lane_a, &lane_b});
-  const std::size_t dim = eval.dimension();
-  std::vector<double> x(dim * 2, 0.0), dx(dim * 2);
-  x[0] = x[1] = 1.0;
-  for (std::size_t i = 1; i < dim; ++i) {
-    x[i * 2] = x[(i - 1) * 2] * 0.8;
-    x[i * 2 + 1] = x[(i - 1) * 2 + 1] * 0.85;
+TEST(HotLoopAlloc, LaneKernelsAllocationFree) {
+  // deriv() is the one-lane kernel call; deriv_batch and the Newton
+  // polish's RootSystem::deriv_batch run the same kernel over 4 lanes.
+  // None of them may touch the heap once the caller's buffers exist.
+  const core::SimpleWS model(0.9, 96);
+  const core::RootSystem root(model);
+  constexpr std::size_t nb = 4;
+  const std::size_t dim = model.dimension();
+  ode::State s(dim), ds(dim);
+  std::vector<double> x(dim * nb), dx(dim * nb);
+  for (std::size_t l = 0; l < nb; ++l) {
+    const double decay = 0.7 + 0.05 * static_cast<double>(l);
+    x[l] = 1.0;
+    for (std::size_t i = 1; i < dim; ++i) {
+      x[i * nb + l] = x[(i - 1) * nb + l] * decay;
+    }
   }
-  eval.eval(x.data(), dx.data(), /*root=*/false);  // warm any lazy paths
+  for (std::size_t i = 0; i < dim; ++i) s[i] = x[i * nb];
+  model.deriv(0.0, s, ds);  // warm any lazy paths
 
   const std::size_t warm = allocations();
   for (int rep = 0; rep < 4; ++rep) {
-    eval.eval(x.data(), dx.data(), /*root=*/false);
-    eval.eval(x.data(), dx.data(), /*root=*/true);
+    model.deriv(0.0, s, ds);
+    ASSERT_TRUE(model.deriv_batch(0.0, nb, x.data(), dx.data()));
+    ASSERT_TRUE(root.deriv_batch(0.0, nb, x.data(), dx.data()));
   }
   EXPECT_EQ(allocations(), warm)
-      << "steady-state batched RHS evaluation must not touch the heap";
-  EXPECT_GT(eval.batch_passes(), 0U);
+      << "lane-kernel RHS evaluation must not touch the heap";
 }
 
 }  // namespace

@@ -4,8 +4,7 @@
 // the Krylov-polished fixed points with the dense-Newton engine across the
 // registry, the Auto routing of 10^3.5+-dimensional systems, and the
 // batched RHS kernels (bit-equality with the branch-form reference
-// recurrences of reference_rhs.hpp, per-lane arrival rates, the scalar
-// fallback, and the batched lambda sweep).
+// recurrences of reference_rhs.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/fixed_point.hpp"
 #include "core/registry.hpp"
 #include "core/threshold_ws.hpp"
@@ -304,22 +302,7 @@ TEST(KrylovDispatch, PolishSkipIsRecordedNotSilent) {
 
 // --- Batched RHS kernels -------------------------------------------------
 
-/// Lanes of one model family at the given lambdas; explicit L pins a
-/// shared discretization across lanes.
-std::vector<std::unique_ptr<core::MeanFieldModel>> batched_lanes(
-    const std::string& name, const std::vector<double>& lambdas,
-    const core::ModelParams& params = {}) {
-  std::vector<std::unique_ptr<core::MeanFieldModel>> lanes;
-  std::size_t trunc = 0;
-  for (const double lam : lambdas) {
-    lanes.push_back(core::make_model(name, lam, params));
-    trunc = std::max(trunc, lanes.back()->truncation());
-  }
-  for (auto& m : lanes) m->set_truncation(trunc);
-  return lanes;
-}
-
-TEST(BatchedRhs, BitEqualToScalarKernelWithPerLaneLambdas) {
+TEST(BatchedRhs, BitEqualToReferenceKernel) {
   // The six models with a lane kernel, at their registry defaults and at a
   // second parameter set that moves every range split of the kernel.
   const std::vector<std::pair<std::string, core::ModelParams>> cases = {
@@ -336,128 +319,56 @@ TEST(BatchedRhs, BitEqualToScalarKernelWithPerLaneLambdas) {
       {"sharing", {}},
       {"sharing", {{"S", 1}}},
   };
-  const std::vector<double> lambdas = {0.5, 0.7, 0.8, 0.9};
-  const std::size_t nb = lambdas.size();
+  constexpr std::size_t nb = 4;
   for (const auto& [name, params] : cases) {
-    auto lanes = batched_lanes(name, lambdas, params);
-    const std::string tag = lanes[0]->name();
-    const std::size_t dim = lanes[0]->dimension();
+    for (const double lambda : {0.5, 0.7, 0.8, 0.9}) {
+      const auto model = core::make_model(name, lambda, params);
+      const std::string tag =
+          model->name() + " lambda=" + std::to_string(lambda);
+      const std::size_t dim = model->dimension();
 
-    // Distinct smooth state per lane so a lane mix-up cannot cancel out.
-    std::vector<double> x(dim * nb), dx(dim * nb);
-    ode::State lane_s(dim), lane_f(dim), ref_f(dim);
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double decay = 0.6 + 0.08 * static_cast<double>(l);
-      x[0 * nb + l] = 1.0;
-      for (std::size_t i = 1; i < dim; ++i) {
-        x[i * nb + l] = x[(i - 1) * nb + l] * decay;
+      // Distinct smooth state per lane so a lane mix-up cannot cancel out.
+      std::vector<double> x(dim * nb), dx(dim * nb);
+      ode::State lane_s(dim), lane_f(dim), ref_f(dim);
+      for (std::size_t l = 0; l < nb; ++l) {
+        const double decay = 0.6 + 0.08 * static_cast<double>(l);
+        x[0 * nb + l] = 1.0;
+        for (std::size_t i = 1; i < dim; ++i) {
+          x[i * nb + l] = x[(i - 1) * nb + l] * decay;
+        }
+      }
+
+      // Bit equality with the branch-form reference recurrences, so solver
+      // trajectories are identical whichever path runs: the 4-lane kernel,
+      // its one-lane form deriv(), and the root-residual map in scalar and
+      // batched form.
+      ASSERT_TRUE(model->rhs_batch(nb, x.data(), dx.data()))
+          << tag << " advertises no batched kernel";
+      for (std::size_t l = 0; l < nb; ++l) {
+        for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
+        reference::deriv(*model, lambda, lane_s, ref_f);
+        model->deriv(0.0, lane_s, lane_f);
+        for (std::size_t i = 0; i < dim; ++i) {
+          EXPECT_EQ(dx[i * nb + l], ref_f[i])
+              << tag << " rhs_batch lane=" << l << " i=" << i;
+          EXPECT_EQ(lane_f[i], ref_f[i])
+              << tag << " deriv lane=" << l << " i=" << i;
+        }
+      }
+
+      ASSERT_TRUE(model->root_residual_batch(nb, x.data(), dx.data()));
+      for (std::size_t l = 0; l < nb; ++l) {
+        for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
+        reference::root_residual(*model, lambda, lane_s, ref_f);
+        model->root_residual(lane_s, lane_f);
+        for (std::size_t i = 0; i < dim; ++i) {
+          EXPECT_EQ(dx[i * nb + l], ref_f[i])
+              << tag << " root_residual_batch lane=" << l << " i=" << i;
+          EXPECT_EQ(lane_f[i], ref_f[i])
+              << tag << " root_residual lane=" << l << " i=" << i;
+        }
       }
     }
-
-    // Bit equality with the branch-form reference recurrences, so solver
-    // trajectories are identical whichever path runs: the 4-lane kernel
-    // at per-lane lambdas, its one-lane form deriv(), and the root-residual
-    // map in scalar and batched form.
-    ASSERT_TRUE(lanes[0]->rhs_batch(nb, lambdas.data(), x.data(), dx.data()))
-        << tag << " advertises no batched kernel";
-    for (std::size_t l = 0; l < nb; ++l) {
-      for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
-      reference::deriv(*lanes[l], lambdas[l], lane_s, ref_f);
-      lanes[l]->deriv(0.0, lane_s, lane_f);
-      for (std::size_t i = 0; i < dim; ++i) {
-        EXPECT_EQ(dx[i * nb + l], ref_f[i])
-            << tag << " rhs_batch lane=" << l << " i=" << i;
-        EXPECT_EQ(lane_f[i], ref_f[i]) << tag << " deriv lane=" << l
-                                       << " i=" << i;
-      }
-    }
-
-    ASSERT_TRUE(lanes[0]->root_residual_batch(nb, lambdas.data(), x.data(),
-                                              dx.data()));
-    for (std::size_t l = 0; l < nb; ++l) {
-      for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
-      reference::root_residual(*lanes[l], lambdas[l], lane_s, ref_f);
-      lanes[l]->root_residual(lane_s, lane_f);
-      for (std::size_t i = 0; i < dim; ++i) {
-        EXPECT_EQ(dx[i * nb + l], ref_f[i])
-            << tag << " root_residual_batch lane=" << l << " i=" << i;
-        EXPECT_EQ(lane_f[i], ref_f[i])
-            << tag << " root_residual lane=" << l << " i=" << i;
-      }
-    }
-
-    // The evaluator the Newton phases consume takes the same batched path.
-    core::RhsBatchEvaluator eval_root(
-        [&] {
-          std::vector<const core::MeanFieldModel*> ptrs;
-          for (const auto& m : lanes) ptrs.push_back(m.get());
-          return ptrs;
-        }());
-    eval_root.eval(x.data(), dx.data(), /*root=*/true);
-    EXPECT_EQ(eval_root.batch_passes(), 1U) << tag;
-    for (std::size_t l = 0; l < nb; ++l) {
-      for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
-      reference::root_residual(*lanes[l], lambdas[l], lane_s, ref_f);
-      for (std::size_t i = 0; i < dim; ++i) {
-        EXPECT_EQ(dx[i * nb + l], ref_f[i])
-            << tag << " evaluator root lane=" << l << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(BatchedRhs, EvaluatorFallsBackLaneByLaneWithoutBatchedKernel) {
-  // The rebalance model has no batched kernel; the evaluator must produce
-  // the per-lane scalar results (at each lane's own lambda) anyway and
-  // count zero batch passes.
-  const std::vector<double> lambdas = {0.6, 0.85};
-  auto lanes = batched_lanes("rebalance", lambdas);
-  const std::size_t nb = lanes.size();
-  const std::size_t dim = lanes[0]->dimension();
-
-  std::vector<double> x(dim * nb), dx(dim * nb);
-  for (std::size_t l = 0; l < nb; ++l) {
-    x[0 * nb + l] = 1.0;
-    for (std::size_t i = 1; i < dim; ++i) {
-      x[i * nb + l] = x[(i - 1) * nb + l] * 0.7;
-    }
-  }
-
-  std::vector<const core::MeanFieldModel*> ptrs;
-  for (const auto& m : lanes) ptrs.push_back(m.get());
-  core::RhsBatchEvaluator eval(ptrs);
-  eval.eval(x.data(), dx.data(), /*root=*/false);
-
-  EXPECT_EQ(eval.batch_passes(), 0U);
-  EXPECT_EQ(eval.rhs_evals(), nb);
-  ode::State lane_s(dim), lane_f(dim);
-  for (std::size_t l = 0; l < nb; ++l) {
-    for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
-    lanes[l]->deriv(0.0, lane_s, lane_f);
-    for (std::size_t i = 0; i < dim; ++i) {
-      EXPECT_EQ(dx[i * nb + l], lane_f[i]) << "lane=" << l << " i=" << i;
-    }
-  }
-}
-
-TEST(BatchedSweep, MatchesScalarSolvesAcrossTheGrid) {
-  std::vector<double> lambdas;
-  for (int j = 0; j < 12; ++j) lambdas.push_back(0.50 + 0.04 * j);
-
-  const auto factory = [](double lam) {
-    return core::make_model("threshold", lam, {{"T", 4}});
-  };
-  const core::BatchSweepResult batch =
-      core::batched_lambda_sweep(factory, lambdas);
-
-  ASSERT_EQ(batch.points.size(), lambdas.size());
-  for (std::size_t k = 0; k < lambdas.size(); ++k) {
-    const auto& pt = batch.points[k];
-    EXPECT_LE(pt.residual, core::BatchSweepOptions{}.tol);
-    const auto model = factory(lambdas[k]);
-    const auto scalar = core::solve_fixed_point(*model);
-    EXPECT_NEAR(pt.sojourn, model->mean_sojourn(scalar.state), 1e-8)
-        << "lambda=" << lambdas[k];
   }
 }
 

@@ -86,7 +86,7 @@ TEST(MultiClass, ThreeClassSimMatchesModel) {
   cfg.horizon = 12000.0;
   cfg.warmup = 1500.0;
   cfg.seed = 41;
-  const auto rep = sim::replicate(cfg, 2);
+  const auto rep = sim::replicate(cfg, {.replications = 2});
 
   core::MultiClassWS model(lambda, {{0.2, 1.5}, {0.5, 1.0}, {0.3, 0.75}}, 2);
   const auto fp = core::solve_fixed_point(model);

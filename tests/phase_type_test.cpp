@@ -325,14 +325,6 @@ TEST(PhaseTypeRegistry, NonExponentialServiceDispatchesToPhaseClasses) {
   EXPECT_NE(gen->name().find("ph-ws"), std::string::npos);
 }
 
-TEST(PhaseTypeRegistry, DeprecatedStagesAliasStillWorks) {
-  const auto m = core::make_model("erlang", 0.9, {{"stages", 4}});
-  EXPECT_NE(m->name().find("erlang-ws(c=4)"), std::string::npos);
-  EXPECT_THROW(
-      (void)core::make_model("erlang", 0.9, {{"stages", 4}, {"c", 4}}),
-      util::LogicError);
-}
-
 TEST(PhaseTypeRegistry, ServiceParameterValidation) {
   // Models without a service axis reject the key outright.
   EXPECT_THROW(

@@ -81,7 +81,7 @@ TEST(Registry, MakeModelAcceptsEveryDeclaredParameter) {
     for (const auto& p : spec.params) {
       EXPECT_TRUE(spec.accepts(p.key)) << spec.name << " " << p.key;
       EXPECT_EQ(spec.fallback(p.key), p.fallback) << spec.name << " " << p.key;
-      if (p.key == "L" || p.deprecated) continue;
+      if (p.key == "L") continue;
       if (p.kind == core::ParamSpec::Kind::Distribution) {
         params[p.key] = p.fallback_text;
       } else {
@@ -95,6 +95,8 @@ TEST(Registry, MakeModelAcceptsEveryDeclaredParameter) {
 
 TEST(Registry, RejectsUnknownParameterKey) {
   EXPECT_THROW((void)core::make_model("simple", 0.9, {{"T", 2}}), util::Error);
+  EXPECT_THROW((void)core::make_model("erlang", 0.9, {{"stages", 4}}),
+               util::Error);
   try {
     (void)core::make_model("threshold", 0.9, {{"zeta", 1}});
     FAIL() << "expected util::Error";

@@ -317,8 +317,9 @@ TEST(Replicate, SerialAndPooledAgreeExactly) {
   cfg.warmup = 150.0;
   cfg.seed = 30;
   par::ThreadPool pool(4);
-  const auto serial = sim::replicate(cfg, 4);
-  const auto pooled = sim::replicate(cfg, 4, pool);
+  const auto serial = sim::replicate(cfg, {.replications = 4});
+  const auto pooled = sim::replicate(
+      cfg, sim::ReplicateOptions{.replications = 4, .pool = &pool});
   EXPECT_DOUBLE_EQ(serial.sojourn.mean, pooled.sojourn.mean);
   EXPECT_DOUBLE_EQ(serial.mean_tasks.mean, pooled.mean_tasks.mean);
 }
@@ -330,8 +331,8 @@ TEST(Replicate, HalfWidthShrinksWithMoreReps) {
   cfg.horizon = 1200.0;
   cfg.warmup = 120.0;
   cfg.seed = 31;
-  const auto few = sim::replicate(cfg, 3);
-  const auto many = sim::replicate(cfg, 12);
+  const auto few = sim::replicate(cfg, {.replications = 3});
+  const auto many = sim::replicate(cfg, {.replications = 12});
   EXPECT_LT(many.sojourn.half_width, few.sojourn.half_width);
 }
 
@@ -341,7 +342,7 @@ TEST(Replicate, AveragesTailFractions) {
   cfg.arrival_rate = 0.6;
   cfg.horizon = 1500.0;
   cfg.warmup = 150.0;
-  const auto rep = sim::replicate(cfg, 3);
+  const auto rep = sim::replicate(cfg, {.replications = 3});
   ASSERT_FALSE(rep.tail_fraction.empty());
   EXPECT_NEAR(rep.tail_fraction[0], 1.0, 1e-9);
   EXPECT_NEAR(rep.tail_fraction[1], 0.6, 0.05);

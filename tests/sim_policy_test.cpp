@@ -33,7 +33,7 @@ double sim_sojourn(sim::SimConfig cfg, double lambda) {
   cfg.horizon = 12000.0;
   cfg.warmup = 1500.0;
   cfg.seed = 101;
-  return sim::replicate(cfg, 2).sojourn.mean;
+  return sim::replicate(cfg, {.replications = 2}).sojourn.mean;
 }
 
 TEST(SimVsModel, SimpleWS) {
@@ -207,7 +207,7 @@ TEST(SimVsModel, SpawningInternalArrivals) {
   cfg.horizon = 12000.0;
   cfg.warmup = 1500.0;
   cfg.seed = 104;
-  const auto rep = sim::replicate(cfg, 2);
+  const auto rep = sim::replicate(cfg, {.replications = 2});
 
   auto model = core::GeneralArrivalWS::spawning(0.5, 0.3, 2);
   const auto fp = core::solve_fixed_point(model);
@@ -228,7 +228,7 @@ TEST(SimVsModel, TailFractionsMatchFixedPoint) {
   cfg.horizon = 12000.0;
   cfg.warmup = 1500.0;
   cfg.seed = 102;
-  const auto rep = sim::replicate(cfg, 2);
+  const auto rep = sim::replicate(cfg, {.replications = 2});
   const auto pi = core::SimpleWS(lambda).analytic_fixed_point();
   for (std::size_t i = 1; i <= 6; ++i) {
     EXPECT_NEAR(rep.tail_fraction[i], pi[i], 0.035) << "i=" << i;
@@ -248,9 +248,11 @@ TEST(SimVsModel, PredictionImprovesWithN) {
     cfg.warmup = 2000.0;
     cfg.seed = 103 + rep;
     cfg.processors = 8;
-    err_small += sim::replicate(cfg, 2).sojourn.mean - estimate;
+    err_small +=
+        sim::replicate(cfg, {.replications = 2}).sojourn.mean - estimate;
     cfg.processors = 128;
-    err_large += sim::replicate(cfg, 2).sojourn.mean - estimate;
+    err_large +=
+        sim::replicate(cfg, {.replications = 2}).sojourn.mean - estimate;
   }
   EXPECT_GT(err_small, 0.0);  // finite systems run slower than the limit
   EXPECT_GT(err_large, 0.0);

@@ -98,7 +98,7 @@ TEST(WorkSharingSim, MatchesMeanFieldSojourn) {
   cfg.horizon = 12000.0;
   cfg.warmup = 1500.0;
   cfg.seed = 31;
-  const auto rep = sim::replicate(cfg, 2);
+  const auto rep = sim::replicate(cfg, {.replications = 2});
   core::WorkSharingWS model(lambda, 2);
   const double est = core::fixed_point_sojourn(model);
   EXPECT_NEAR(rep.sojourn.mean / est, 1.0, 0.05);
