@@ -47,7 +47,7 @@ int main() {
     double best_w = 1e300;
     std::size_t best_T = 0;
     for (const std::size_t T : thresholds) {
-      const std::string label = "T" + std::to_string(T);
+      const std::string label = std::string("T").append(std::to_string(T));
       row.push_back(util::Table::fmt(report.sim(label, lambda)));
       const double est = report.estimate(label, lambda);
       row.push_back(util::Table::fmt(est));

@@ -2,7 +2,8 @@
 # Tier-1 gate: full build + test suite, the fixed-point property suite
 # over its full λ grids, a ThreadSanitizer pass over the
 # concurrency-sensitive pieces (work-stealing thread pool + experiment
-# runner), UBSan and ASan+UBSan passes over the solver stack, and
+# runner), UBSan and ASan+UBSan passes over the solver stack (plus
+# parallel_map and the runner under ASan+UBSan), a warning-free build, and
 # report-only perf smokes against the committed baselines.
 #
 #   scripts/check.sh               # everything (~4 min)
@@ -22,7 +23,16 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 
 echo "== tier 1: build + ctest"
 cmake -B build -G Ninja >/dev/null
-cmake --build build -j "$jobs"
+# The Release build of every target compiles warning-free; any compiler
+# warning fails the gate so a new one cannot hide in the noise.
+build_log="$(mktemp)"
+cmake --build build -j "$jobs" 2>&1 | tee "$build_log"
+if grep -q "warning:" "$build_log"; then
+  echo "tier 1: the build printed compiler warnings (see above)" >&2
+  rm -f "$build_log"
+  exit 1
+fi
+rm -f "$build_log"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
 if [ "${SKIP_PROPERTIES:-0}" != "1" ]; then
@@ -166,6 +176,8 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
     --target test_phase_type test_sim_shards test_krylov
   cmake --build build-tsan -j "$jobs" \
     --target test_serve_concurrency test_serve_lifecycle test_serve_fault
+  # Unfiltered: the pool tests and every ParallelMap test (in-order
+  # cursor claims, drain-before-rethrow).
   ./build-tsan/tests/test_parallel
   # The Krylov/batched-RHS suite: single-threaded by design, run under
   # TSan to catch unsynchronized shared workspace state.
@@ -178,8 +190,10 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
   # across the pool.
   ./build-tsan/tests/test_phase_type \
     --gtest_filter='PhaseTypeSimulation.*:ServiceDistribution.*'
+  # Replication units: every job's replications run as separate pool
+  # units, and the last one to finish assembles the job's result.
   ./build-tsan/tests/test_exp_runner \
-    --gtest_filter='Runner.ManifestIsIdenticalAcrossPoolWidths:Runner.ExternalPoolIsUsable:SweepRunner.ManifestIsIdenticalAcrossPoolWidths:SweepRunner.MixedSimAndEstimateEntriesMergeIntoOneReport'
+    --gtest_filter='Runner.ManifestIsIdenticalAcrossPoolWidths:Runner.ExternalPoolIsUsable:Runner.ReplicationUnitsMatchSerialReplicate:Runner.JobWallNeverExceedsRunWall:SweepRunner.ManifestIsIdenticalAcrossPoolWidths:SweepRunner.MixedSimAndEstimateEntriesMergeIntoOneReport:SweepRunner.ReplicationUnitsMatchSerialReplicate'
   # Faulted runs add retry/backoff + failure merging on the pool paths.
   ./build-tsan/tests/test_fault_injection --gtest_filter='FaultRunner.*:FaultSweep.*'
   # The sweep daemon: session threads, dispatcher threads, the solver
@@ -223,14 +237,18 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   # here too, as do the banded LU (pointer walks down and across the
   # column-major band) and Anderson's fused, blocked history passes (raw
   # column pointers) with their bit-for-bit oracle tests.
+  # parallel_map's cursor writes result slots from pool threads, and the
+  # runner's replication units write per-job slots the last unit then
+  # reads, so test_parallel and test_exp_runner run here too.
   # test_hot_loop_alloc replaces operator new and stays on the UBSan leg.
-  echo "== asan: LUs, ODE solvers, Anderson, lane kernels and the property suite under -fsanitize=address,undefined"
+  echo "== asan: LUs, ODE solvers, Anderson, lane kernels, the property suite, parallel_map and the runner under -fsanitize=address,undefined"
   cmake -B build-asan -G Ninja -DLSM_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS >/dev/null
   cmake --build build-asan -j "$jobs" \
     --target test_linalg test_ode test_krylov test_fixed_point_properties \
-    test_model_basic test_model_registry_sweep test_implicit test_anderson
+    test_model_basic test_model_registry_sweep test_implicit test_anderson \
+    test_parallel test_exp_runner
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   ./build-asan/tests/test_linalg
   ./build-asan/tests/test_ode
@@ -240,6 +258,8 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   ./build-asan/tests/test_fixed_point_properties
   ./build-asan/tests/test_model_basic
   ./build-asan/tests/test_model_registry_sweep
+  ./build-asan/tests/test_parallel
+  ./build-asan/tests/test_exp_runner
 fi
 
 if [ "${SKIP_PERF:-0}" != "1" ]; then

@@ -9,6 +9,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -74,7 +75,8 @@ OnFailure RunnerOptions::default_on_failure() {
   return OnFailure::Abort;
 }
 
-JobResult execute_job(const Job& job, core::FixedPointContinuation* chain,
+JobResult execute_job(const Job& job, const Replications& reps,
+                      core::FixedPointContinuation* chain,
                       std::uint64_t attempt) {
   {
     const auto& injector = util::FaultInjector::instance();
@@ -124,11 +126,13 @@ JobResult execute_job(const Job& job, core::FixedPointContinuation* chain,
   }
 
   if (job.simulate) {
-    // Replications run serially here: the job is the unit of sharding,
-    // and stream i always drives replication i, so the result does not
-    // depend on how jobs land on pool threads.
-    const auto rep = sim::replicate(
-        job.config, sim::ReplicateOptions{.replications = job.replications});
+    LSM_EXPECT(!reps.runs.empty(), "need at least one replication");
+    // A replication is a pure function of (config, k), so a retried
+    // attempt replays its stored outcome instead of simulating it again.
+    for (const auto& e : reps.errors) {
+      if (e) std::rethrow_exception(e);
+    }
+    const auto rep = sim::aggregate(reps.runs);
     r.has_sim = true;
     r.sim_sojourn = rep.sojourn;
     r.sim_mean_tasks = rep.mean_tasks;
@@ -139,7 +143,7 @@ JobResult execute_job(const Job& job, core::FixedPointContinuation* chain,
                         rep.tail_fraction.begin() + n);
     }
     double rate = 0.0;
-    for (const auto& run : rep.replications) {
+    for (const auto& run : reps.runs) {
       r.steal_attempts += run.steal_attempts;
       r.steal_successes += run.steal_successes;
       r.tasks_moved += run.tasks_moved;
@@ -148,7 +152,7 @@ JobResult execute_job(const Job& job, core::FixedPointContinuation* chain,
                   run.forwards;
       rate += run.message_rate(job.config.processors);
     }
-    r.message_rate = rate / static_cast<double>(rep.replications.size());
+    r.message_rate = rate / static_cast<double>(reps.runs.size());
   }
   return r;
 }
@@ -174,31 +178,93 @@ RunReport Runner::run(const ExperimentSpec& spec) {
                                                        : opts_.cache_dir);
   const ResultCache& cache =
       opts_.cache != nullptr ? *opts_.cache : local_cache;
-  report.results =
-      par::parallel_map(*pool, report.jobs.size(), [&](std::size_t i) {
-        const Job& job = report.jobs[i];
-        const auto job_t0 = std::chrono::steady_clock::now();
-        JobResult r = detail::run_isolated(
-            job, opts_.on_failure, opts_.retry, [&](std::uint64_t attempt) {
-              JobResult out;
-              out.label = job.label;
-              out.lambda = job.lambda;
-              out.key = job.key();
-              if (cache.load(out.key, out)) {
-                out.cache_hit = true;
-              } else {
-                out = execute_job(job, nullptr, attempt);
-                detail::store_quietly(cache, out.key, out);
-              }
-              return out;
-            });
-        r.wall_seconds = seconds_since(job_t0);
-        return r;
+
+  // A cache hit completes here. Each miss becomes its JobShards units,
+  // listed in job order, so the pool's in-order cursor finishes the
+  // earliest jobs first.
+  report.results.resize(report.jobs.size());
+  std::vector<std::unique_ptr<detail::JobShards>> misses;
+  std::vector<std::pair<detail::JobShards*, std::size_t>> units;
+  for (std::size_t i = 0; i < report.jobs.size(); ++i) {
+    if (auto hit = detail::load_cached(cache, report.jobs[i])) {
+      report.results[i] = std::move(*hit);
+      continue;
+    }
+    misses.push_back(std::make_unique<detail::JobShards>(i, report.jobs[i]));
+    for (std::size_t k = 0; k < misses.back()->units(); ++k) {
+      units.emplace_back(misses.back().get(), k);
+    }
+  }
+  auto finished = par::parallel_map(
+      *pool, units.size(), [&](std::size_t u) -> std::optional<JobResult> {
+        const auto [shards, k] = units[u];
+        if (!shards->run_unit(k)) return std::nullopt;
+        return shards->finish(cache, opts_.on_failure, opts_.retry);
       });
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    if (finished[u]) {
+      report.results[units[u].first->index()] = std::move(*finished[u]);
+    }
+  }
 
   report.wall_seconds = seconds_since(t0);
   detail::finalize_report(report, opts_.artifact_dir);
   return report;
+}
+
+std::optional<JobResult> detail::load_cached(const ResultCache& cache,
+                                             const Job& job) {
+  const auto t0 = std::chrono::steady_clock::now();
+  JobResult r;
+  r.label = job.label;
+  r.lambda = job.lambda;
+  r.key = job.key();
+  if (!cache.load(r.key, r)) return std::nullopt;
+  r.cache_hit = true;
+  r.wall_seconds = seconds_since(t0);
+  return r;
+}
+
+detail::JobShards::JobShards(std::size_t index, Job job)
+    : index_(index), job_(std::move(job)) {
+  const std::size_t replications = job_.simulate ? job_.replications : 0;
+  reps_.runs.resize(replications);
+  reps_.errors.resize(replications);
+  // A job with nothing to replicate still needs one unit to finish it.
+  units_ = std::max<std::size_t>(replications, 1);
+  remaining_.store(units_, std::memory_order_relaxed);
+}
+
+bool detail::JobShards::run_unit(std::size_t k,
+                                 const std::atomic<bool>* cancel) {
+  if (!started_.exchange(true, std::memory_order_relaxed)) {
+    t0_ = std::chrono::steady_clock::now();
+  }
+  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+    cancelled_.store(true, std::memory_order_relaxed);
+  } else if (k < reps_.runs.size()) {
+    try {
+      reps_.runs[k] = sim::run_replication(job_.config, k);
+    } catch (...) {
+      reps_.errors[k] = std::current_exception();
+    }
+  }
+  // acq_rel: the last unit sees every other unit's slot and t0_.
+  return remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+}
+
+JobResult detail::JobShards::finish(const ResultCache& cache,
+                                    OnFailure on_failure,
+                                    const RetryPolicy& retry) {
+  JobResult r =
+      run_isolated(job_, on_failure, retry, [&](std::uint64_t attempt) {
+        JobResult out = execute_job(job_, reps_, nullptr, attempt);
+        store_quietly(cache, out.key, out);
+        return out;
+      });
+  reps_ = {};
+  r.wall_seconds = seconds_since(t0_);
+  return r;
 }
 
 JobResult detail::run_isolated(

@@ -1,25 +1,31 @@
 // Parallel sharded experiment runner with result caching and run
 // observability — the engine behind the table/figure benches.
 //
-// Runner::run expands an ExperimentSpec into Jobs, shards them across a
-// thread pool (each job runs its replications serially on deterministic
-// per-replication jump streams, so results are byte-identical regardless
-// of the thread count), consults the on-disk ResultCache before
-// computing anything, and emits structured artifacts: a CSV of all job
-// outputs plus a JSON run manifest with per-job wall time, event counts,
-// cache provenance and aggregate steal statistics.
+// Runner::run expands an ExperimentSpec into Jobs, consults the on-disk
+// ResultCache before computing anything, and shards every miss across a
+// thread pool as one unit per simulation replication (each replication
+// runs on its own deterministic jump stream, so results are
+// byte-identical regardless of the thread count). It emits structured
+// artifacts: a CSV of all job outputs plus a JSON run manifest with
+// per-job wall time, event counts, cache provenance and aggregate steal
+// statistics.
 //
 // Scheduling independence: par::ThreadPool is a work-stealing pool, so
-// which worker executes a job — and in what order jobs complete — is
-// nondeterministic. That is fine by contract: a Job's results are a pure
-// function of (spec.seed, entry, lambda, replication count); no state
-// flows between jobs, and the report assembles results by spec order,
-// not completion order. tests/exp_runner_test.cpp pins this down by
-// comparing timing-free manifests across pool widths 1, 2 and 8.
+// which worker executes a replication — and in what order units complete
+// — is nondeterministic. That is fine by contract: a Job's results are a
+// pure function of (spec.seed, entry, lambda, replication count); no
+// state flows between jobs, a job's replications are aggregated in
+// replication order, and the report assembles results by spec order, not
+// completion order. tests/exp_runner_test.cpp pins this down by comparing
+// timing-free manifests across pool widths 1, 2 and 8.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +33,7 @@
 #include "exp/result.hpp"
 #include "exp/spec.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sim/simulator.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -60,8 +67,8 @@ struct RetryPolicy {
 };
 
 struct RunnerOptions {
-  /// External pool to shard jobs on; nullptr spawns a private pool of
-  /// `threads` workers (0 = util::worker_threads()).
+  /// External pool to shard replications on; nullptr spawns a private
+  /// pool of `threads` workers (0 = util::worker_threads()).
   par::ThreadPool* pool = nullptr;
   unsigned threads = 0;
   /// "" disables caching. Defaults to LSM_CACHE_DIR / ".lsm-cache".
@@ -143,15 +150,25 @@ class Runner {
   RunnerOptions opts_;
 };
 
-/// Computes one job without cache or pool; the unit of work the runner
-/// shards. Exposed for tests. With a non-null `chain` the estimate side
-/// solves through the continuation (warm-started from the chain's carried
-/// state, which the call then updates); nullptr solves cold, exactly as
-/// before. `attempt` (1-based) only feeds the fault-injection hooks, so
-/// a retry draws a fresh deterministic fault decision.
-[[nodiscard]] JobResult execute_job(
-    const Job& job, core::FixedPointContinuation* chain = nullptr,
-    std::uint64_t attempt = 1);
+/// The simulation replications of one job, run before execute_job (as
+/// pool units, see detail::JobShards): runs[k] is replication k, unless
+/// errors[k] holds the exception it threw. Empty for estimate-only jobs.
+struct Replications {
+  std::vector<sim::SimResult> runs;
+  std::vector<std::exception_ptr> errors;
+};
+
+/// Computes one job's result without cache or pool: the fault-injection
+/// prologue, the estimate, then the simulation outputs aggregated from
+/// `reps` in replication order (the lowest-index replication error is
+/// rethrown instead). With a non-null `chain` the estimate side solves
+/// through the continuation (warm-started from the chain's carried state,
+/// which the call then updates); nullptr solves cold. `attempt` (1-based)
+/// only feeds the fault-injection hooks, so a retry draws a fresh
+/// deterministic fault decision.
+[[nodiscard]] JobResult execute_job(const Job& job, const Replications& reps,
+                                    core::FixedPointContinuation* chain,
+                                    std::uint64_t attempt);
 
 namespace detail {
 
@@ -161,6 +178,60 @@ namespace detail {
 /// manifest + CSV artifacts atomically (recording their paths in the
 /// report). Artifact I/O failures degrade to report.artifact_error.
 void finalize_report(RunReport& report, const std::string& artifact_dir);
+
+/// The cached result of `job` (cache_hit set, wall_seconds the lookup
+/// time), or nullopt on a miss. ResultCache::load reports every read
+/// failure as a miss, so a lookup never fails a job.
+[[nodiscard]] std::optional<JobResult> load_cached(const ResultCache& cache,
+                                                   const Job& job);
+
+/// A job whose cache lookup missed, computed as pool units: unit k runs
+/// simulation replication k (sim::run_replication, exactly what
+/// sim::replicate runs), and a job with nothing to replicate is one unit
+/// that runs none. Units may run on any worker in any order; run_unit()
+/// tells the call that completed the job's last unit, which alone may
+/// then call finish(). So no job's result waits for another job's units.
+/// Neither copyable nor movable: units hold its address.
+class JobShards {
+ public:
+  /// `index` is the job's position in spec order.
+  JobShards(std::size_t index, Job job);
+  JobShards(const JobShards&) = delete;
+  JobShards& operator=(const JobShards&) = delete;
+
+  [[nodiscard]] std::size_t index() const noexcept { return index_; }
+  [[nodiscard]] const Job& job() const noexcept { return job_; }
+  [[nodiscard]] std::size_t units() const noexcept { return units_; }
+
+  /// Runs unit k, catching a replication's exception into its slot. A
+  /// unit that finds `cancel` set runs nothing and marks the job
+  /// cancelled. Returns true for the call that completed the last unit.
+  [[nodiscard]] bool run_unit(std::size_t k,
+                              const std::atomic<bool>* cancel = nullptr);
+
+  /// Whether any unit saw the cancel flag (valid after the last unit).
+  [[nodiscard]] bool cancelled() const noexcept {
+    return cancelled_.load(std::memory_order_relaxed);
+  }
+
+  /// The job's result, after the last unit: execute_job over the
+  /// replications under run_isolated (the job's failure boundary), cached
+  /// on success; the replications are released. wall_seconds runs from
+  /// the first unit's start to the end of this call.
+  [[nodiscard]] JobResult finish(const ResultCache& cache,
+                                 OnFailure on_failure,
+                                 const RetryPolicy& retry);
+
+ private:
+  std::size_t index_;
+  Job job_;
+  Replications reps_;
+  std::size_t units_ = 1;
+  std::atomic<std::size_t> remaining_{0};
+  std::atomic<bool> started_{false};
+  std::atomic<bool> cancelled_{false};
+  std::chrono::steady_clock::time_point t0_{};
+};
 
 /// Runs `fn(attempt)` under the failure policy: a retryable failure
 /// (per util::classify_exception) is retried with bounded exponential

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/fixed_point.hpp"
@@ -22,8 +23,9 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// One half of a job's outputs (estimate or simulation), tagged with the
-/// job's index in the report. Chains and sim points compute partials
-/// concurrently; the merge back into spec order is single-threaded.
+/// job's index in the report. Chains and sim points' replication units
+/// compute partials concurrently; the merge back into spec order is
+/// single-threaded.
 ///
 /// Solver annotations ride along instead of being written into
 /// report.jobs up front: a chain break (failed point) cold-restarts the
@@ -139,7 +141,7 @@ std::vector<Partial> run_chain(const std::vector<std::size_t>& indices,
             r.cache_hit = true;
             if (opts.warm) chain.seed(r.est_state, r.est_state_truncation);
           } else {
-            r = execute_job(ejob, opts.warm ? &chain : nullptr, attempt);
+            r = execute_job(ejob, {}, opts.warm ? &chain : nullptr, attempt);
             detail::store_quietly(cache, r.key, r);
           }
           return r;
@@ -160,35 +162,41 @@ std::vector<Partial> run_chain(const std::vector<std::size_t>& indices,
   return out;
 }
 
-/// Runs (or loads) one job's simulation half.
-Partial run_sim(std::size_t index, const std::vector<Job>& jobs,
-                const ResultCache& cache, const SweepOptions& opts) {
+/// A simulated point that completes without running anything: cancelled
+/// before it started, or answered by the cache. nullopt means it must be
+/// simulated.
+std::optional<Partial> settle_sim(std::size_t index, const Job& sjob,
+                                  const ResultCache& cache,
+                                  const SweepOptions& opts) {
+  std::optional<Partial> p;
   if (cancelled(opts)) {
-    Partial p = cancelled_partial(index, jobs[index]);
-    if (opts.on_point) opts.on_point(index, p.r);
-    return p;
+    p = cancelled_partial(index, sjob);
+  } else if (auto hit = detail::load_cached(cache, sjob)) {
+    p.emplace();
+    p->index = index;
+    p->r = std::move(*hit);
   }
-  const Job sjob = simulate_part(jobs[index]);
-  const auto t0 = std::chrono::steady_clock::now();
-  Partial p;
-  p.index = index;
-  p.r = detail::run_isolated(
-      sjob, opts.on_failure, opts.retry, [&](std::uint64_t attempt) {
-        JobResult r;
-        r.label = sjob.label;
-        r.lambda = sjob.lambda;
-        r.key = sjob.key();
-        if (cache.load(r.key, r)) {
-          r.cache_hit = true;
-        } else {
-          r = execute_job(sjob, nullptr, attempt);
-          detail::store_quietly(cache, r.key, r);
-        }
-        return r;
-      });
-  p.r.wall_seconds = seconds_since(t0);
-  if (opts.on_point) opts.on_point(index, p.r);
+  if (p && opts.on_point) opts.on_point(index, p->r);
   return p;
+}
+
+/// Unit k of a simulated point; the unit that completes the point returns
+/// its partial.
+std::vector<Partial> run_sim_unit(detail::JobShards& shards, std::size_t k,
+                                  const ResultCache& cache,
+                                  const SweepOptions& opts) {
+  std::vector<Partial> out;
+  if (!shards.run_unit(k, opts.cancel)) return out;
+  Partial p;
+  if (shards.cancelled()) {
+    p = cancelled_partial(shards.index(), shards.job());
+  } else {
+    p.index = shards.index();
+    p.r = shards.finish(cache, opts.on_failure, opts.retry);
+  }
+  if (opts.on_point) opts.on_point(p.index, p.r);
+  out.push_back(std::move(p));
+  return out;
 }
 
 }  // namespace
@@ -242,19 +250,31 @@ RunReport SweepRunner::run(const SweepSpec& sweep) {
   const ResultCache& cache =
       opts_.cache != nullptr ? *opts_.cache : local_cache;
 
-  // Work units: one per estimate chain (serial within, λ order), one per
-  // simulated point. The units only read disjoint report.jobs slots and
-  // return partials, so any pool schedule produces the same merge.
+  // Work units, entry by entry: each simulated point's replication units
+  // (a point the cache answers, or one cancelled before it started,
+  // completes here and schedules none), then the entry's estimate chain
+  // (serial within, λ order). The units read disjoint report.jobs slots
+  // and return partials, so any pool schedule produces the same merge.
+  std::vector<Partial> settled;
+  std::vector<std::unique_ptr<detail::JobShards>> sims;
   std::vector<std::function<std::vector<Partial>()>> units;
   for (std::size_t e = 0; e < spec.entries.size(); ++e) {
     const std::size_t base = e * n_lambdas;
     std::vector<std::size_t> chain_indices;
     for (std::size_t j = 0; j < n_lambdas; ++j) {
-      if (report.jobs[base + j].estimate) chain_indices.push_back(base + j);
-      if (report.jobs[base + j].simulate) {
-        units.emplace_back([&, index = base + j] {
-          return std::vector<Partial>{
-              run_sim(index, report.jobs, cache, opts_)};
+      const std::size_t index = base + j;
+      if (report.jobs[index].estimate) chain_indices.push_back(index);
+      if (!report.jobs[index].simulate) continue;
+      Job sjob = simulate_part(report.jobs[index]);
+      if (auto p = settle_sim(index, sjob, cache, opts_)) {
+        settled.push_back(std::move(*p));
+        continue;
+      }
+      sims.push_back(
+          std::make_unique<detail::JobShards>(index, std::move(sjob)));
+      for (std::size_t k = 0; k < sims.back()->units(); ++k) {
+        units.emplace_back([&, shards = sims.back().get(), k] {
+          return run_sim_unit(*shards, k, cache, opts_);
         });
       }
     }
@@ -265,9 +285,12 @@ RunReport SweepRunner::run(const SweepSpec& sweep) {
     }
   }
 
-  const auto partials =
+  auto partials =
       par::parallel_map(*pool, units.size(),
                         [&](std::size_t i) { return units[i](); });
+  // Settled sim halves merge first: per job, a sim half still merges
+  // ahead of its estimate half, as the units are listed.
+  partials.insert(partials.begin(), std::move(settled));
 
   // Apply the solver annotations each chain actually used, now that the
   // parallel phase is over — every report key derived below must reflect

@@ -8,8 +8,8 @@
 // factorization are a far better start than a cold solve. SweepRunner
 // therefore shards the ESTIMATE side by grid entry — one chain per
 // model, points solved in λ order through a core::FixedPointContinuation
-// — while the simulation side still fans out per point; the partial
-// results merge into one Runner-compatible RunReport.
+// — while the simulation side fans out one unit per replication, as in
+// Runner; the partial results merge into one Runner-compatible RunReport.
 //
 // Caching: chained estimate results are cached under warm-aware keys
 // (Job::solver and the full warm_chain prefix feed the content hash)
@@ -63,24 +63,29 @@ struct SweepOptions {
   /// cold (keyed as such) and warm chaining resumes behind it.
   OnFailure on_failure = RunnerOptions::default_on_failure();
   RetryPolicy retry{};
-  /// Streaming progress: called once per completed work-unit half (an
+  /// Streaming progress: called once per completed job half (an
   /// estimate chain point, or a simulated point) with the job's index in
   /// spec order and the partial result — including Failed partials, whose
   /// error/error_kind fields describe the failure. Invoked from pool
-  /// threads, possibly concurrently for independent units; an estimate
-  /// chain's points always arrive in λ order. The callback must not
-  /// throw; keep it cheap (the chain blocks on it between solves).
+  /// threads (for a simulated point, by the replication unit that
+  /// finished it), possibly concurrently for independent units, or from
+  /// the calling thread for a simulated point answered by the cache or
+  /// cancelled before it started; an estimate chain's points always
+  /// arrive in λ order. The callback must not throw; keep it cheap (the
+  /// chain blocks on it between solves).
   std::function<void(std::size_t index, const JobResult& partial)> on_point;
   /// Cooperative cancellation: when non-null and set, every point not yet
   /// started is skipped and reported as Failed with error_kind
   /// "cancelled" (the run still returns a complete, well-formed report).
-  /// Checked between points — a cancel lands within one point's solve
-  /// time. Cancelled points are never cached.
+  /// Checked before every chain point and every simulation replication —
+  /// a cancel lands within one point's solve time or one replication's
+  /// run time; a simulated point any of whose replications saw it is
+  /// cancelled. Cancelled points are never cached.
   const std::atomic<bool>* cancel = nullptr;
 };
 
 /// Executes a SweepSpec: estimate chains per entry, simulations per
-/// point, merged into the same RunReport shape Runner produces (results
+/// replication, merged into the same RunReport shape Runner produces (results
 /// parallel to jobs in spec order, deterministic across thread counts).
 class SweepRunner {
  public:

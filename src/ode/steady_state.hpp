@@ -39,7 +39,7 @@ struct SteadyStateResult {
   double deriv_norm = 0.0;  ///< final ||f(s)||_inf
   std::size_t rhs_evals = 0;  ///< derivative evaluations consumed
   SolveStatus status = SolveStatus::Converged;
-  std::string failure;  ///< human-readable reason when status != Converged
+  std::string failure{};  ///< human-readable reason when status != Converged
 };
 
 /// Relaxes `s0` to a fixed point of `sys`. Non-convergence (horizon or

@@ -11,10 +11,12 @@
 // round-robin across the workers' deques; submit() from inside a worker
 // places the task on that worker's own deque. Job futures make
 // completion observable; the pool itself guarantees only that every
-// submitted task runs exactly once — scheduling order is unspecified,
-// which is why every simulation result must be (and is) independent of
-// which worker runs which job (per-replication RNG jump streams; see
-// exp::Runner).
+// submitted task runs exactly once — scheduling order is unspecified.
+// Callers that want their work started in order claim it through
+// par::parallel_map's shared cursor instead of submitting a task per
+// item. Every simulation result must be (and is) independent of which
+// worker runs which replication (per-replication RNG jump streams; see
+// exp::Runner, whose unit of work is one replication).
 #pragma once
 
 #include <condition_variable>

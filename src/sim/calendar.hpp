@@ -125,7 +125,7 @@ class ShardedCalendar {
   }
 
  private:
-  using Node = unsigned __int128;
+  __extension__ using Node = unsigned __int128;
 
   /// (+inf, ~0): loses every match, decodes as idle.
   static constexpr Node kIdleNode =

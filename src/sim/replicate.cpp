@@ -6,9 +6,12 @@
 
 namespace lsm::sim {
 
-namespace {
+SimResult run_replication(const SimConfig& config, std::size_t k) {
+  return simulate(config,
+                  par::RngStreams(config.seed).stream(static_cast<unsigned>(k)));
+}
 
-ReplicationResult aggregate(std::vector<SimResult> runs) {
+ReplicationResult aggregate(std::span<const SimResult> runs) {
   ReplicationResult out;
   std::vector<double> sojourns, tasks;
   sojourns.reserve(runs.size());
@@ -28,32 +31,24 @@ ReplicationResult aggregate(std::vector<SimResult> runs) {
     }
     for (auto& v : out.tail_fraction) v /= static_cast<double>(runs.size());
   }
-  out.replications = std::move(runs);
   return out;
 }
-
-}  // namespace
 
 ReplicationResult replicate(const SimConfig& config,
                             const ReplicateOptions& opts) {
   LSM_EXPECT(opts.replications >= 1, "need at least one replication");
-  SimConfig cfg = config;
-  if (opts.collect_sojourns.has_value()) {
-    cfg.collect_sojourns = *opts.collect_sojourns;
-  }
-  cfg.validate();
-  const par::RngStreams streams(cfg.seed);
-  const auto one = [&](std::size_t i) {
-    return simulate(cfg, streams.stream(static_cast<unsigned>(i)));
-  };
+  config.validate();
+  const auto one = [&](std::size_t k) { return run_replication(config, k); };
   std::vector<SimResult> runs;
   if (opts.pool != nullptr) {
     runs = par::parallel_map(*opts.pool, opts.replications, one);
   } else {
     runs.reserve(opts.replications);
-    for (std::size_t i = 0; i < opts.replications; ++i) runs.push_back(one(i));
+    for (std::size_t k = 0; k < opts.replications; ++k) runs.push_back(one(k));
   }
-  return aggregate(std::move(runs));
+  ReplicationResult out = aggregate(runs);
+  out.replications = std::move(runs);
+  return out;
 }
 
 }  // namespace lsm::sim

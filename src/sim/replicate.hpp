@@ -2,10 +2,11 @@
 // its own xoshiro jump stream) and aggregates the per-replication results,
 // matching the paper's "average of 10 simulations" methodology. Stream k
 // always drives replication k, so the aggregate is bit-for-bit identical
-// whether the replications run serially or on a thread pool.
+// whether the replications run serially, on a thread pool, or as separate
+// units of exp::Runner's pool.
 #pragma once
 
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -27,9 +28,16 @@ struct ReplicateOptions {
   /// Workers to fan the replications across; nullptr runs them serially on
   /// the calling thread (same results either way).
   par::ThreadPool* pool = nullptr;
-  /// When set, overrides SimConfig::collect_sojourns for every replication.
-  std::optional<bool> collect_sojourns;
 };
+
+/// Replication k of `config`: one simulation driven by jump stream k of
+/// config.seed. A pure function of (config, k).
+[[nodiscard]] SimResult run_replication(const SimConfig& config,
+                                        std::size_t k);
+
+/// The summaries of `runs`, given in replication order. `replications` is
+/// left empty; replicate() moves the runs in after summarizing them.
+[[nodiscard]] ReplicationResult aggregate(std::span<const SimResult> runs);
 
 /// Runs `opts.replications` copies of `config` (seeded from config.seed via
 /// deterministic jump streams). Results are independent of the thread

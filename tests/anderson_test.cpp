@@ -125,8 +125,8 @@ INSTANTIATE_TEST_SUITE_P(NearCritical, EngineVsLegacyNearCritical,
                                            "repeated", "composed",
                                            "preemptive", "rebalance",
                                            "sharing"),
-                         [](const auto& info) {
-                           std::string n = info.param;
+                         [](const auto& param_info) {
+                           std::string n = param_info.param;
                            for (auto& ch : n) {
                              if (ch == '-') ch = '_';
                            }
@@ -218,7 +218,7 @@ TEST(EngineDispatch, MethodNamesRoundTrip) {
   for (const auto& name : ode::fixed_point_method_names()) {
     EXPECT_EQ(ode::to_string(ode::parse_fixed_point_method(name)), name);
   }
-  EXPECT_THROW(ode::parse_fixed_point_method("newton"), util::Error);
+  EXPECT_THROW((void)ode::parse_fixed_point_method("newton"), util::Error);
 }
 
 TEST(EngineDispatch, BistableFallbackReproducesRelaxation) {

@@ -8,11 +8,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 
 #include "exp/cache.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
 #include "exp/sweep.hpp"
+#include "sim/replicate.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
 #include "util/fault_injection.hpp"
@@ -123,6 +125,135 @@ TEST(Runner, ManifestIsIdenticalAcrossPoolWidths) {
     }
   }
   EXPECT_NE(reference.find("\"cache_hit\": false"), std::string::npos);
+}
+
+/// Three simulated entries, five replications each (more than a 1- or
+/// 2-wide pool holds at once): stealing with an estimate side, sharing
+/// (forwards) and preemptive stealing, with tails.
+exp::ExperimentSpec replication_spec() {
+  exp::ExperimentSpec spec;
+  spec.name = "";
+  spec.lambdas = {0.6, 0.85};
+  spec.fidelity = {5, 300.0, 30.0, "test"};
+  spec.outputs.tail_limit = 5;
+  {
+    exp::GridEntry e;
+    e.label = "steal";
+    e.model = "simple";
+    e.config.processors = 16;
+    e.config.policy = sim::StealPolicy::on_empty(2);
+    spec.add(std::move(e));
+  }
+  {
+    exp::GridEntry e;
+    e.label = "share";
+    e.config.processors = 16;
+    e.config.policy = sim::StealPolicy::sharing(2);
+    e.estimate = false;
+    spec.add(std::move(e));
+  }
+  {
+    exp::GridEntry e;
+    e.label = "preempt";
+    e.config.processors = 32;
+    e.config.policy = sim::StealPolicy::preemptive(1, 2);
+    e.estimate = false;
+    spec.add(std::move(e));
+  }
+  return spec;
+}
+
+/// Every simulation output of `r` equals a serial sim::replicate of the
+/// job's configuration, bit for bit.
+void expect_matches_serial_replicate(const exp::Job& job,
+                                     const exp::JobResult& r) {
+  SCOPED_TRACE(job.fault_context());
+  ASSERT_TRUE(job.simulate);
+  ASSERT_EQ(r.status, exp::JobStatus::Ok) << r.error;
+  ASSERT_TRUE(r.has_sim);
+  const auto rep =
+      sim::replicate(job.config, {.replications = job.replications});
+  EXPECT_EQ(r.sim_sojourn.mean, rep.sojourn.mean);
+  EXPECT_EQ(r.sim_sojourn.half_width, rep.sojourn.half_width);
+  EXPECT_EQ(r.sim_sojourn.stddev, rep.sojourn.stddev);
+  EXPECT_EQ(r.sim_sojourn.n, rep.sojourn.n);
+  EXPECT_EQ(r.sim_mean_tasks.mean, rep.mean_tasks.mean);
+  EXPECT_EQ(r.sim_mean_tasks.half_width, rep.mean_tasks.half_width);
+  EXPECT_EQ(r.sim_mean_tasks.stddev, rep.mean_tasks.stddev);
+  EXPECT_EQ(r.sim_mean_tasks.n, rep.mean_tasks.n);
+  const std::size_t tail =
+      std::min(job.outputs.tail_limit + 1, rep.tail_fraction.size());
+  EXPECT_EQ(r.sim_tail, std::vector<double>(rep.tail_fraction.begin(),
+                                            rep.tail_fraction.begin() +
+                                                static_cast<long>(tail)));
+  std::uint64_t attempts = 0, successes = 0, moved = 0, forwards = 0,
+                events = 0;
+  double rate = 0.0;
+  for (const auto& run : rep.replications) {
+    attempts += run.steal_attempts;
+    successes += run.steal_successes;
+    moved += run.tasks_moved;
+    forwards += run.forwards;
+    events += run.arrivals + run.completions + run.steal_attempts +
+              run.forwards;
+    rate += run.message_rate(job.config.processors);
+  }
+  EXPECT_EQ(r.steal_attempts, attempts);
+  EXPECT_EQ(r.steal_successes, successes);
+  EXPECT_EQ(r.tasks_moved, moved);
+  EXPECT_EQ(r.forwards, forwards);
+  EXPECT_EQ(r.events, events);
+  EXPECT_EQ(r.message_rate,
+            rate / static_cast<double>(rep.replications.size()));
+}
+
+TEST(Runner, ReplicationUnitsMatchSerialReplicate) {
+  const auto spec = replication_spec();
+  const auto jobs = spec.expand();
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    exp::RunnerOptions opts;
+    opts.threads = threads;
+    opts.cache_dir = "";
+    opts.artifact_dir = "";
+    const auto report = exp::Runner(opts).run(spec);
+    ASSERT_EQ(report.results.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      expect_matches_serial_replicate(jobs[i], report.results[i]);
+      EXPECT_EQ(report.results[i].has_estimate, jobs[i].estimate);
+    }
+    // The counters compared above must not all be zero.
+    EXPECT_GT(report.at("share", 0.85).forwards, 0u);
+    EXPECT_GT(report.at("preempt", 0.85).steal_successes, 0u);
+  }
+}
+
+TEST(Runner, JobWallNeverExceedsRunWall) {
+  // One job of four replications: at width >= 2 they overlap, so the sum
+  // of their times exceeds the run's wall time, while the job's own wall
+  // time (first replication's start to its result) cannot.
+  exp::ExperimentSpec spec;
+  spec.name = "";
+  spec.lambdas = {0.9};
+  spec.fidelity = {4, 2000.0, 50.0, "test"};
+  exp::GridEntry e;
+  e.label = "steal";
+  e.model = "simple";
+  e.config.processors = 64;
+  e.config.policy = sim::StealPolicy::on_empty(2);
+  spec.add(std::move(e));
+  for (const unsigned threads : {2u, 4u}) {
+    exp::RunnerOptions opts;
+    opts.threads = threads;
+    opts.cache_dir = "";
+    opts.artifact_dir = "";
+    const auto report = exp::Runner(opts).run(spec);
+    for (const auto& r : report.results) {
+      EXPECT_GT(r.wall_seconds, 0.0);
+      EXPECT_LE(r.wall_seconds, report.wall_seconds)
+          << "threads=" << threads;
+    }
+  }
 }
 
 TEST(Runner, SecondRunIsAllCacheHitsAndSimulatesNothing) {
@@ -486,6 +617,31 @@ TEST(SweepRunner, ManifestIsIdenticalAcrossPoolWidths) {
   // The chained points are marked as warm solves in the manifest config.
   EXPECT_NE(reference.find("\"mode\": \"warm\""), std::string::npos);
   EXPECT_NE(reference.find("\"mode\": \"cold\""), std::string::npos);
+}
+
+TEST(SweepRunner, ReplicationUnitsMatchSerialReplicate) {
+  const auto spec = replication_spec();
+  const auto jobs = spec.expand();
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::mutex mutex;
+    std::vector<int> sim_points(jobs.size(), 0);
+    exp::SweepOptions opts;
+    opts.threads = threads;
+    opts.cache_dir = "";
+    opts.artifact_dir = "";
+    opts.on_point = [&](std::size_t index, const exp::JobResult& partial) {
+      if (!partial.has_sim) return;
+      const std::scoped_lock lock(mutex);
+      ++sim_points[index];
+    };
+    const auto report = exp::SweepRunner(opts).run(spec);
+    ASSERT_EQ(report.results.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      expect_matches_serial_replicate(jobs[i], report.results[i]);
+      EXPECT_EQ(sim_points[i], 1) << "on_point for sim point " << i;
+    }
+  }
 }
 
 TEST(SweepRunner, WarmAgreesWithColdRunnerToTolerance) {

@@ -298,7 +298,7 @@ TEST(BandedFd, PerColumnAndGroupedAgreeOnBandedSystem) {
   const auto b = ode::banded_fd_jacobian(sys, 0.0, s, 1, 1,
                                          ode::FdMode::Grouped);
   for (std::size_t i = 0; i < 30; ++i) {
-    for (std::size_t j = (i >= 1 ? i - 1 : 0); j <= std::min(i + 1, 29uz); ++j) {
+    for (std::size_t j = (i >= 1 ? i - 1 : 0); j <= std::min(i + 1, std::size_t{29}); ++j) {
       EXPECT_NEAR(a.get(i, j), b.get(i, j), 1e-5) << i << "," << j;
     }
   }

@@ -1,10 +1,12 @@
-// Unit tests for src/parallel: thread pool semantics, parallel_for/map,
+// Unit tests for src/parallel: thread pool semantics, parallel_map,
 // deterministic RNG streams.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
@@ -113,34 +115,42 @@ TEST(ThreadPool, ConcurrentExternalSubmitters) {
   EXPECT_EQ(counter.load(), 400);
 }
 
-TEST(ParallelFor, CoversEveryIndexOnce) {
+TEST(ParallelMap, CoversEveryIndexOnce) {
   par::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  par::parallel_for(pool, 0, hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  const auto out = par::parallel_map(pool, hits.size(), [&](std::size_t i) {
+    return ++hits[i];
+  });
+  ASSERT_EQ(out.size(), hits.size());
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1);
+    EXPECT_EQ(out[i], 1);
+  }
 }
 
-TEST(ParallelFor, EmptyRangeIsNoop) {
+TEST(ParallelMap, FewerIndicesThanWorkersRunEachOnce) {
+  par::ThreadPool pool(8);
+  std::vector<std::atomic<int>> hits(3);
+  const auto out = par::parallel_map(pool, hits.size(), [&](std::size_t i) {
+    ++hits[i];
+    return 10 * i;
+  });
+  ASSERT_EQ(out.size(), 3u);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1);
+    EXPECT_EQ(out[i], 10 * i);
+  }
+}
+
+TEST(ParallelMap, EmptyRangeIsNoop) {
   par::ThreadPool pool(2);
   bool touched = false;
-  par::parallel_for(pool, 5, 5, [&](std::size_t) { touched = true; });
+  const auto out = par::parallel_map(pool, 0, [&](std::size_t) {
+    touched = true;
+    return 1;
+  });
+  EXPECT_TRUE(out.empty());
   EXPECT_FALSE(touched);
-}
-
-TEST(ParallelFor, NonZeroBegin) {
-  par::ThreadPool pool(2);
-  std::atomic<std::size_t> sum{0};
-  par::parallel_for(pool, 10, 20, [&](std::size_t i) { sum += i; });
-  EXPECT_EQ(sum.load(), 145u);  // 10 + ... + 19
-}
-
-TEST(ParallelFor, PropagatesBodyException) {
-  par::ThreadPool pool(2);
-  EXPECT_THROW(par::parallel_for(pool, 0, 10,
-                                 [](std::size_t i) {
-                                   if (i == 7) throw std::runtime_error("x");
-                                 }),
-               std::runtime_error);
 }
 
 TEST(ParallelMap, PreservesIndexOrder) {
@@ -150,43 +160,67 @@ TEST(ParallelMap, PreservesIndexOrder) {
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], 2 * i);
 }
 
+TEST(ParallelMap, ClaimsIndicesInOrder) {
+  // One worker, one task: it claims every index from the cursor in turn,
+  // so the indices execute exactly in order (a LIFO deque of per-index
+  // tasks would run them roughly in reverse).
+  par::ThreadPool pool(1);
+  std::vector<std::size_t> order;
+  (void)par::parallel_map(pool, 50, [&](std::size_t i) {
+    order.push_back(i);
+    return i;
+  });
+  std::vector<std::size_t> expected(50);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
+}
 
-TEST(ParallelFor, DrainsAllTasksBeforeRethrowing) {
-  // The body reference lives in the caller's frame; rethrowing before
-  // every task finished would leave workers calling through a dangling
-  // reference while the frame unwinds. Throw early (index 0 is picked up
-  // first) while later tasks are still running, then verify every index
-  // was either fully executed or never started — none torn.
+TEST(ParallelMap, DrainsAllClaimedIndicesBeforeRethrowing) {
+  // fn and the result slots live in the caller's frame; rethrowing before
+  // every claimed index finished would leave workers writing through
+  // dangling references while the frame unwinds. Index 0 throws at once
+  // while later indices are still running; when the exception arrives no
+  // index may still be in flight, and none ran twice.
   par::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(64);
+  std::atomic<int> in_flight{0};
   try {
-    par::parallel_for(pool, 0, hits.size(), [&](std::size_t i) {
-      if (i == 0) throw std::runtime_error("early");
+    (void)par::parallel_map(pool, hits.size(), [&](std::size_t i) -> int {
+      ++in_flight;
+      if (i == 0) {
+        --in_flight;
+        throw std::runtime_error("early");
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
       ++hits[i];
+      --in_flight;
+      return 0;
     });
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "early");
   }
+  EXPECT_EQ(in_flight.load(), 0);
   for (const auto& h : hits) {
     EXPECT_TRUE(h.load() == 0 || h.load() == 1);
   }
   // The pool is reusable afterwards: no task of the failed call lingers.
-  std::atomic<std::size_t> sum{0};
-  par::parallel_for(pool, 0, 100, [&](std::size_t i) { sum += i; });
-  EXPECT_EQ(sum.load(), 4950u);
+  const auto out =
+      par::parallel_map(pool, 100, [](std::size_t i) { return i; });
+  EXPECT_EQ(std::accumulate(out.begin(), out.end(), std::size_t{0}), 4950u);
 }
 
-TEST(ParallelFor, LowestIndexExceptionWinsUnderConcurrentThrows) {
-  // Multiple chunks throw; the caller must deterministically observe the
-  // first (lowest-index) failure regardless of completion order.
+TEST(ParallelMap, LowestIndexExceptionWinsUnderConcurrentThrows) {
+  // Several indices throw; the caller must deterministically observe the
+  // lowest-index failure regardless of completion order.
   par::ThreadPool pool(4);
   for (int round = 0; round < 8; ++round) {
     try {
-      par::parallel_for(pool, 0, 64, [&](std::size_t i) {
+      (void)par::parallel_map(pool, 64, [&](std::size_t i) -> int {
         if (i % 16 == 0) {
           throw std::runtime_error("i=" + std::to_string(i));
         }
+        return 0;
       });
       FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error& e) {

@@ -90,7 +90,7 @@ TEST(ServeConcurrency, ConcurrentClientsMatchSerialBaseline) {
     clients.reserve(kClients);
     for (int c = 0; c < kClients; ++c) {
       clients.emplace_back([&fx, &grid, &streams, c] {
-        const std::string id = "c" + std::to_string(c);
+        const std::string id = std::string("c").append(std::to_string(c));
         auto client = fx.connect();
         auto req = test::sweep_request(id, grid);
         req["warm"] = false;  // see serial_baseline
@@ -102,7 +102,7 @@ TEST(ServeConcurrency, ConcurrentClientsMatchSerialBaseline) {
   }
 
   for (int c = 0; c < kClients; ++c) {
-    const std::string id = "c" + std::to_string(c);
+    const std::string id = std::string("c").append(std::to_string(c));
     const auto& lines = streams[static_cast<std::size_t>(c)];
     test::expect_ordered_stream(lines, id, grid);
     EXPECT_EQ(lines.back().at("failed").as_int(), 0);

@@ -76,7 +76,7 @@ class ReferenceBinaryHeap {
   std::uint64_t next_seq_ = 0;
 };
 
-TEST(EventQueue, PopsInTimeOrder) {
+TEST(EventQueue, PopsInTimeOrderAndCountsSize) {
   sim::EventQueue<int> q;
   q.push(3.0, 3);
   q.push(1.0, 1);
