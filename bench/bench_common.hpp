@@ -3,7 +3,7 @@
 // Fidelity presets live in exp::Fidelity: CI-speed by default, the
 // paper's 10 x 100,000 s methodology under LSM_PAPER=1. Table/figure
 // benches that sweep a model x lambda grid should build an
-// exp::ExperimentSpec and run it through exp::SweepRunner (sharded,
+// exp::ExperimentSpec and run it through exp::Runner (sharded,
 // cached, with manifest/CSV artifacts; the mean-field column warm-starts
 // each λ from the previous point's converged state); the helpers here
 // remain for one-off simulations that do not fit a grid.
@@ -14,7 +14,6 @@
 
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
-#include "exp/sweep.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/replicate.hpp"
 #include "sim/simulator.hpp"

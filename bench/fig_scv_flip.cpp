@@ -86,7 +86,7 @@ int main() {
     }
   }
 
-  const auto report = exp::SweepRunner().run(spec);
+  const auto report = exp::Runner().run(spec);
 
   util::Table table({"lambda", "scv", "steal E[T]", "share E[T]", "winner",
                      "sim steal E[T]", "sim share E[T]", "sim agrees"});

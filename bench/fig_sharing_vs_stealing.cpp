@@ -6,7 +6,7 @@
 // rate (lambda s_S) grows, and the response-time advantage flips to
 // stealing exactly where messages get expensive.
 //
-// Runs through exp::SweepRunner: both policies. fixed points, simulations and
+// Runs through exp::Runner: both policies. fixed points, simulations and
 // message counters come out of one cached grid, with the estimate-side
 // rates read off the stored fixed-point tail profiles.
 #include <iostream>
@@ -43,7 +43,7 @@ int main() {
     spec.add(std::move(share));
   }
 
-  const auto report = exp::SweepRunner().run(spec);
+  const auto report = exp::Runner().run(spec);
 
   util::Table table({"lambda", "steal E[T]", "share E[T]", "steal msg/s",
                      "share msg/s", "sim steal msg/s", "sim share msg/s"});

@@ -4,7 +4,7 @@
 // thresholds always help; the threshold only pays off once transfers cost
 // time (see table3/fig for that crossover).
 //
-// Runs through exp::SweepRunner (sharded, cached, manifest/CSV
+// Runs through exp::Runner (sharded, cached, manifest/CSV
 // artifacts; estimates chain warm along the λ grid).
 #include <iostream>
 
@@ -27,7 +27,7 @@ int main() {
     e.simulate = false;
     sweep.add(std::move(e));
   }
-  const auto estimates = exp::SweepRunner().run(sweep);
+  const auto estimates = exp::Runner().run(sweep);
 
   std::vector<std::string> header = {"lambda"};
   for (std::size_t T = 2; T <= 8; ++T) {
@@ -57,7 +57,7 @@ int main() {
     e.config.policy = sim::StealPolicy::on_empty(T);
     check.add(std::move(e));
   }
-  const auto spot_report = exp::SweepRunner().run(check);
+  const auto spot_report = exp::Runner().run(check);
 
   std::cout << "\nsimulated spot check, lambda = 0.9, n = 128:\n";
   util::Table spot({"T", "Sim(128)", "Estimate"});

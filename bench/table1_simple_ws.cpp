@@ -6,7 +6,7 @@
 //   0.50    1.631   1.626   1.622   1.620   1.618    0.15
 //   0.99    17.863  14.368  12.183  11.306  10.462   7.46
 //
-// Runs through exp::SweepRunner: the model x lambda grid is sharded across
+// Runs through exp::Runner: the model x lambda grid is sharded across
 // pool, completed cells are cached on disk, and the run manifest/CSV land
 // in the artifact directory.
 #include <iostream>
@@ -39,7 +39,7 @@ int main() {
     spec.add(std::move(e));
   }
 
-  const auto report = exp::SweepRunner().run(spec);
+  const auto report = exp::Runner().run(spec);
 
   util::Table table({"lambda", "Sim(16)", "Sim(32)", "Sim(64)", "Sim(128)",
                      "Estimate", "RelErr(%)"});

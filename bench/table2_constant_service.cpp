@@ -6,7 +6,7 @@
 //   0.50    1.378   1.405  1.391
 //   0.99    7.542   7.581  7.399
 //
-// Runs through exp::SweepRunner (sharded, cached, manifest/CSV
+// Runs through exp::Runner (sharded, cached, manifest/CSV
 // artifacts; estimates chain warm along the λ grid).
 #include <iostream>
 
@@ -40,7 +40,7 @@ int main() {
     spec.add(std::move(e));
   }
 
-  const auto report = exp::SweepRunner().run(spec);
+  const auto report = exp::Runner().run(spec);
 
   util::Table table({"lambda", "Sim(16)", "Sim(32)", "Sim(64)", "Sim(128)",
                      "c=10", "c=20"});

@@ -4,7 +4,7 @@
 // T = 4 ~ 1/r at small arrival rates and grows with lambda. Paper row
 // lambda = 0.95: Sim/Est = 13.162/13.106 (T=3) ... 13.067/12.925 (T=6).
 //
-// Runs through exp::SweepRunner (sharded, cached, manifest/CSV
+// Runs through exp::Runner (sharded, cached, manifest/CSV
 // artifacts; estimates chain warm along the λ grid).
 #include <iostream>
 
@@ -32,7 +32,7 @@ int main() {
     spec.add(std::move(e));
   }
 
-  const auto report = exp::SweepRunner().run(spec);
+  const auto report = exp::Runner().run(spec);
 
   std::vector<std::string> header = {"lambda"};
   for (const std::size_t T : thresholds) {

@@ -5,7 +5,7 @@
 //   0.50    1.620         1.436         1.433
 //   0.99    11.306        4.597         4.011
 //
-// Runs through exp::SweepRunner (sharded, cached, manifest/CSV
+// Runs through exp::Runner (sharded, cached, manifest/CSV
 // artifacts; estimates chain warm along the λ grid).
 #include <iostream>
 
@@ -39,7 +39,7 @@ int main() {
     spec.add(std::move(two));
   }
 
-  const auto report = exp::SweepRunner().run(spec);
+  const auto report = exp::Runner().run(spec);
 
   util::Table table({"lambda", "Sim(128) 1 choice", "Sim(128) 2 choices",
                      "Est 1 choice", "Est 2 choices"});

@@ -130,7 +130,6 @@ int main(int argc, char** argv) {
       doc["params"] = std::move(params_json);
       doc["residual"] = fp.residual;
       doc["polished"] = fp.polished;
-      doc["polish_skipped"] = fp.polish_skipped;
       doc["solver"] = std::string(lsm::ode::to_string(fp.method));
       doc["fellback"] = fp.fellback;
       doc["iterations"] = static_cast<double>(fp.iterations);
@@ -157,8 +156,7 @@ int main(int argc, char** argv) {
     std::cout << "model            : " << model->name() << "\n"
               << "lambda           : " << lambda << "\n"
               << "fixed point      : residual " << fp.residual
-              << (fp.polished ? " (Newton-polished)"
-                              : fp.polish_skipped ? " (polish skipped)" : "")
+              << (fp.polished ? " (Newton-polished)" : "")
               << "\n"
               << "solver           : " << lsm::ode::to_string(fp.method)
               << (fp.fellback ? " (fell back to relaxation)" : "") << ", "

@@ -190,8 +190,9 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
   # across the pool.
   ./build-tsan/tests/test_phase_type \
     --gtest_filter='PhaseTypeSimulation.*:ServiceDistribution.*'
-  # Replication units: every job's replications run as separate pool
-  # units, and the last one to finish assembles the job's result.
+  # The one experiment engine: every job's replications run as separate
+  # pool units (the last one to finish assembles the job's result), next
+  # to one estimate chain per entry, and the halves merge per job.
   ./build-tsan/tests/test_exp_runner \
     --gtest_filter='Runner.ManifestIsIdenticalAcrossPoolWidths:Runner.ExternalPoolIsUsable:Runner.ReplicationUnitsMatchSerialReplicate:Runner.JobWallNeverExceedsRunWall:SweepRunner.ManifestIsIdenticalAcrossPoolWidths:SweepRunner.MixedSimAndEstimateEntriesMergeIntoOneReport:SweepRunner.ReplicationUnitsMatchSerialReplicate'
   # Faulted runs add retry/backoff + failure merging on the pool paths.

@@ -20,25 +20,29 @@ double since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Restores the model's truncation on scope exit unless release()d; keeps
-/// the Auto mode exception-safe (set_truncation is const but sticky).
+/// Restores the model's truncation on scope exit; keeps the Auto mode
+/// exception-safe (set_truncation is const but sticky).
 class TruncationGuard {
  public:
   explicit TruncationGuard(const MeanFieldModel& model)
       : model_(model), original_(model.truncation()) {}
   TruncationGuard(const TruncationGuard&) = delete;
   TruncationGuard& operator=(const TruncationGuard&) = delete;
-  ~TruncationGuard() {
-    if (armed_) model_.set_truncation(original_);
-  }
-  void release() noexcept { armed_ = false; }
+  ~TruncationGuard() { model_.set_truncation(original_); }
   [[nodiscard]] std::size_t original() const noexcept { return original_; }
 
  private:
   const MeanFieldModel& model_;
   std::size_t original_;
-  bool armed_ = true;
 };
+
+/// Auto mode only re-discretizes non-stiff, auto-sized models: the stiff
+/// path's cost is dominated by banded Jacobian refreshes, so re-solving
+/// every rung roughly doubles the evaluation count instead of saving it.
+bool ladders(const MeanFieldModel& model, const FixedPointOptions& opts) {
+  return opts.truncation == TruncationMode::Auto &&
+         !model.truncation_explicit() && model.stiff_bandwidth() == 0;
+}
 
 std::string solve_label(const MeanFieldModel& model) {
   return "model=" + model.name() + " lambda=" + std::to_string(model.lambda()) +
@@ -123,13 +127,6 @@ void polish(const MeanFieldModel& model, FixedPointResult& result,
   const RootSystem root(model);
   const ode::CountingSystem counted(root);
   if (model.dimension() > opts.newton_max_dim) {
-    if (!opts.krylov_polish) {
-      // Too large for the dense Jacobian and the matrix-free path is off:
-      // record the skip instead of silently reporting the iterative
-      // residual as if it had been polished.
-      result.polish_skipped = true;
-      return;
-    }
     ode::NewtonKrylovOptions kopts = opts.krylov;
     kopts.tol = opts.polish_tol;
     auto nk = ode::newton_krylov_fixed_point(counted, result.state, kopts,
@@ -188,15 +185,12 @@ FixedPointResult solve_warm(const MeanFieldModel& model,
   const auto t0 = std::chrono::steady_clock::now();
   TruncationGuard guard(model);
   const std::size_t cap = std::max(guard.original(), model.min_truncation());
-  const bool adaptive =
-      opts.truncation == TruncationMode::Adaptive ||
-      (opts.truncation == TruncationMode::Auto &&
-       !model.truncation_explicit() && model.stiff_bandwidth() == 0);
+  const bool ladder = ladders(model, opts);
 
   FixedPointResult result;
   std::size_t rung;
   ode::State start;
-  if (!adaptive) {
+  if (!ladder) {
     // Stiff / explicit-truncation / Fixed-mode models solve at the
     // constructed truncation; the warm state is just re-discretized to it.
     rung = guard.original();
@@ -238,7 +232,7 @@ FixedPointResult solve_warm(const MeanFieldModel& model,
 
   // The tight solve can reveal tail mass the inherited profile had not
   // built up: grow and re-solve (still warm, still safeguarded).
-  while (adaptive && rung < cap &&
+  while (ladder && rung < cap &&
          model.tail_mass(result.state) > opts.tail_tol) {
     const std::size_t next = std::min(cap, 2 * rung);
     model.set_truncation(next);
@@ -258,12 +252,6 @@ FixedPointResult solve_warm(const MeanFieldModel& model,
   polish(model, result, opts, result.warm ? opts.newton_reuse : nullptr);
   result.final_truncation = rung;
   result.compact_state = result.state;
-
-  if (opts.truncation == TruncationMode::Adaptive) {
-    guard.release();  // caller asked for the compact discretization
-    result.state_truncation = rung;
-    return result;
-  }
   if (rung != guard.original()) {
     restore_truncation(model, result, opts, rung, guard.original());
   }
@@ -303,16 +291,8 @@ FixedPointResult solve_fixed_point(const MeanFieldModel& model,
     return solve_warm(model, opts);
   }
 
-  // Auto mode only re-discretizes non-stiff, auto-sized models: the stiff
-  // path's cost is dominated by banded Jacobian refreshes, so re-solving
-  // every rung roughly doubles the evaluation count instead of saving it.
-  const bool adaptive =
-      opts.truncation == TruncationMode::Adaptive ||
-      (opts.truncation == TruncationMode::Auto &&
-       !model.truncation_explicit() && model.stiff_bandwidth() == 0);
-
   FixedPointResult result;
-  if (!adaptive) {
+  if (!ladders(model, opts)) {
     accumulate(result, iterate(model, model.empty_state(), opts, 0, since(t0)));
     if (result.status != ode::SolveStatus::Converged) {
       return finish_failed(std::move(result), model.truncation());
@@ -376,12 +356,7 @@ FixedPointResult solve_fixed_point(const MeanFieldModel& model,
   result.final_truncation = rung;
   result.compact_state = result.state;
 
-  if (opts.truncation == TruncationMode::Adaptive) {
-    guard.release();  // caller asked for the compact discretization
-    result.state_truncation = rung;
-    return result;
-  }
-  // Auto: make the re-discretization invisible. The guard restores the
+  // Make the re-discretization invisible. The guard restores the
   // constructed truncation; extend the state back to match.
   if (rung != guard.original()) {
     restore_truncation(model, result, opts, rung, guard.original());

@@ -26,11 +26,6 @@ enum class TruncationMode {
   /// dimension: externally indistinguishable from Fixed, just faster.
   /// Models built with an explicit truncation are left untouched.
   Auto,
-  /// Force the adaptive ladder regardless of how the truncation was
-  /// chosen, and LEAVE the model at the final ladder truncation (the
-  /// returned state matches it). For callers that want the compact
-  /// discretization itself.
-  Adaptive,
   /// Always solve at the model's current truncation (legacy behaviour).
   Fixed,
 };
@@ -46,13 +41,8 @@ struct FixedPointOptions {
   bool polish = true;
   /// Largest dimension polished with the dense-Jacobian Newton (an O(n)
   /// evaluation Jacobian plus O(n^3) factorization per rebuild). Above it
-  /// the polish switches to matrix-free Newton-Krylov (krylov_polish),
-  /// or — with krylov_polish = false — is skipped and recorded in
-  /// FixedPointResult::polish_skipped.
+  /// the polish is matrix-free Newton-Krylov.
   std::size_t newton_max_dim = 1400;
-  /// Polish dimensions above newton_max_dim with the matrix-free
-  /// Newton-GMRES solver instead of silently skipping the polish.
-  bool krylov_polish = true;
   /// Newton-Krylov tuning for the large-dimension polish and for solves
   /// routed to ode's Krylov path (tol is overwritten with polish_tol
   /// respectively the rung tolerance).
@@ -105,11 +95,6 @@ struct FixedPointResult {
   ode::State state;
   double residual = 0.0;   ///< final ||f(s)||_inf
   bool polished = false;   ///< Newton phase ran and converged
-  /// A polish was requested but skipped: the dimension exceeds
-  /// newton_max_dim and krylov_polish is off. Surfaced (rather than
-  /// silently dropped) so callers reporting polish_tol-level accuracy can
-  /// tell when they only got the iterative-phase residual.
-  bool polish_skipped = false;
   double relax_time = 0.0; ///< virtual time used by explicit relaxation
   /// Iterative path that produced the pre-polish state (Anderson, Stiff,
   /// or Relax after a fallback) at the final ladder rung.

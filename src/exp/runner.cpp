@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -12,6 +13,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "core/fixed_point.hpp"
 #include "parallel/parallel_for.hpp"
@@ -25,9 +27,14 @@ namespace lsm::exp {
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+using Clock = std::chrono::steady_clock;
+
+double seconds_between(Clock::time_point t0, Clock::time_point t1) {
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+double seconds_since(Clock::time_point t0) {
+  return seconds_between(t0, Clock::now());
 }
 
 /// λ equality within a few ulps, so grid arithmetic (0.1 * 9) still finds
@@ -61,215 +68,104 @@ util::Json tail_json(const std::vector<double>& tail) {
   return j;
 }
 
-}  // namespace
-
-std::string RunnerOptions::default_artifact_dir() {
-  if (const char* v = std::getenv("LSM_ARTIFACTS")) return v;
-  return ".lsm-artifacts";
-}
-
-OnFailure RunnerOptions::default_on_failure() {
-  if (const char* v = std::getenv("LSM_ON_FAILURE")) {
-    if (std::string(v) == "report") return OnFailure::Report;
-  }
-  return OnFailure::Abort;
-}
-
-JobResult execute_job(const Job& job, const Replications& reps,
-                      core::FixedPointContinuation* chain,
-                      std::uint64_t attempt) {
-  {
-    const auto& injector = util::FaultInjector::instance();
-    if (injector.armed()) {
-      const std::string ctx = job.fault_context();
-      if (const double d = injector.injected_delay(ctx, attempt); d > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(d));
-      }
-      if (injector.should_fail(util::FaultSite::JobFault, ctx, attempt)) {
-        util::Failure f;
-        f.kind = util::FailureKind::JobFault;
-        f.message = "injected job fault";
-        f.context = ctx;
-        f.retryable = true;
-        throw util::FailureError(std::move(f));
-      }
-    }
-  }
+/// A result carrying `job`'s identity and nothing else.
+JobResult identified(const Job& job) {
   JobResult r;
   r.label = job.label;
   r.lambda = job.lambda;
   r.key = job.key();
+  return r;
+}
 
-  if (job.estimate) {
-    const auto model = core::make_model(job.model, job.lambda, job.params);
-    // Per-job budgets (0 = unlimited: identical to the default options).
-    core::FixedPointOptions fp_opts;
-    fp_opts.max_rhs_evals = job.max_rhs_evals;
-    fp_opts.max_wall_seconds = job.max_wall_seconds;
-    const auto fp = chain != nullptr
-                        ? chain->solve(*model, fp_opts)
-                        : core::solve_fixed_point(*model, fp_opts);
-    r.has_estimate = true;
-    r.est_sojourn = model->mean_sojourn(fp.state);
-    r.est_mean_tasks = model->mean_tasks(fp.state);
-    r.est_residual = fp.residual;
-    r.est_rhs_evals = fp.rhs_evals;
-    if (job.outputs.tail_limit > 0) {
-      const std::size_t n =
-          std::min(job.outputs.tail_limit + 1, model->dimension());
-      r.est_tail.assign(fp.state.begin(), fp.state.begin() + n);
-    }
-    if (job.outputs.store_state) {
-      r.est_state = fp.compact_state;
-      r.est_state_truncation = fp.final_truncation;
-    }
+/// The fault-injection prologue of one attempt at `job`: an injected
+/// delay, then an injected job fault. `attempt` (1-based) makes a retry
+/// draw a fresh deterministic decision. Both halves of a job that
+/// estimates and simulates call it with the whole job, so they draw one
+/// decision per attempt and a half never fails alone.
+void inject_job_faults(const Job& job, std::uint64_t attempt) {
+  const auto& injector = util::FaultInjector::instance();
+  if (!injector.armed()) return;
+  const std::string ctx = job.fault_context();
+  if (const double d = injector.injected_delay(ctx, attempt); d > 0.0) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(d));
   }
+  if (injector.should_fail(util::FaultSite::JobFault, ctx, attempt)) {
+    util::Failure f;
+    f.kind = util::FailureKind::JobFault;
+    f.message = "injected job fault";
+    f.context = ctx;
+    f.retryable = true;
+    throw util::FailureError(std::move(f));
+  }
+}
 
-  if (job.simulate) {
-    LSM_EXPECT(!reps.runs.empty(), "need at least one replication");
-    // A replication is a pure function of (config, k), so a retried
-    // attempt replays its stored outcome instead of simulating it again.
-    for (const auto& e : reps.errors) {
-      if (e) std::rethrow_exception(e);
-    }
-    const auto rep = sim::aggregate(reps.runs);
-    r.has_sim = true;
-    r.sim_sojourn = rep.sojourn;
-    r.sim_mean_tasks = rep.mean_tasks;
-    if (job.outputs.tail_limit > 0) {
-      const std::size_t n =
-          std::min(job.outputs.tail_limit + 1, rep.tail_fraction.size());
-      r.sim_tail.assign(rep.tail_fraction.begin(),
-                        rep.tail_fraction.begin() + n);
-    }
-    double rate = 0.0;
-    for (const auto& run : reps.runs) {
-      r.steal_attempts += run.steal_attempts;
-      r.steal_successes += run.steal_successes;
-      r.tasks_moved += run.tasks_moved;
-      r.forwards += run.forwards;
-      r.events += run.arrivals + run.completions + run.steal_attempts +
-                  run.forwards;
-      rate += run.message_rate(job.config.processors);
-    }
-    r.message_rate = rate / static_cast<double>(reps.runs.size());
+/// The estimate half of a job: its fixed point, solved through `chain`
+/// (warm-started from the chain's carried state, which the call then
+/// updates) or, with nullptr, cold.
+JobResult estimated(const Job& job, core::FixedPointContinuation* chain) {
+  JobResult r = identified(job);
+  const auto model = core::make_model(job.model, job.lambda, job.params);
+  // Per-job budgets (0 = unlimited: identical to the default options).
+  core::FixedPointOptions fp_opts;
+  fp_opts.max_rhs_evals = job.max_rhs_evals;
+  fp_opts.max_wall_seconds = job.max_wall_seconds;
+  const auto fp = chain != nullptr ? chain->solve(*model, fp_opts)
+                                   : core::solve_fixed_point(*model, fp_opts);
+  r.has_estimate = true;
+  r.est_sojourn = model->mean_sojourn(fp.state);
+  r.est_mean_tasks = model->mean_tasks(fp.state);
+  r.est_residual = fp.residual;
+  r.est_rhs_evals = fp.rhs_evals;
+  if (job.outputs.tail_limit > 0) {
+    const std::size_t n =
+        std::min(job.outputs.tail_limit + 1, model->dimension());
+    r.est_tail.assign(fp.state.begin(), fp.state.begin() + n);
+  }
+  if (job.outputs.store_state) {
+    r.est_state = fp.compact_state;
+    r.est_state_truncation = fp.final_truncation;
   }
   return r;
 }
 
-Runner::Runner(RunnerOptions opts) : opts_(std::move(opts)) {}
-
-RunReport Runner::run(const ExperimentSpec& spec) {
-  const auto t0 = std::chrono::steady_clock::now();
-  RunReport report;
-  report.spec_name = spec.name;
-  report.jobs = spec.expand();
-
-  std::unique_ptr<par::ThreadPool> owned;
-  par::ThreadPool* pool = opts_.pool;
-  if (pool == nullptr) {
-    owned = std::make_unique<par::ThreadPool>(
-        opts_.threads > 0 ? opts_.threads : util::worker_threads());
-    pool = owned.get();
+/// The simulation half of a job, aggregated from its replications in
+/// replication order.
+JobResult simulated(const Job& job, const std::vector<sim::SimResult>& runs) {
+  LSM_EXPECT(!runs.empty(), "need at least one replication");
+  JobResult r = identified(job);
+  const auto rep = sim::aggregate(runs);
+  r.has_sim = true;
+  r.sim_sojourn = rep.sojourn;
+  r.sim_mean_tasks = rep.mean_tasks;
+  if (job.outputs.tail_limit > 0) {
+    const std::size_t n =
+        std::min(job.outputs.tail_limit + 1, rep.tail_fraction.size());
+    r.sim_tail.assign(rep.tail_fraction.begin(),
+                      rep.tail_fraction.begin() + n);
   }
-  report.threads = pool->size();
-
-  const ResultCache local_cache(opts_.cache != nullptr ? ""
-                                                       : opts_.cache_dir);
-  const ResultCache& cache =
-      opts_.cache != nullptr ? *opts_.cache : local_cache;
-
-  // A cache hit completes here. Each miss becomes its JobShards units,
-  // listed in job order, so the pool's in-order cursor finishes the
-  // earliest jobs first.
-  report.results.resize(report.jobs.size());
-  std::vector<std::unique_ptr<detail::JobShards>> misses;
-  std::vector<std::pair<detail::JobShards*, std::size_t>> units;
-  for (std::size_t i = 0; i < report.jobs.size(); ++i) {
-    if (auto hit = detail::load_cached(cache, report.jobs[i])) {
-      report.results[i] = std::move(*hit);
-      continue;
-    }
-    misses.push_back(std::make_unique<detail::JobShards>(i, report.jobs[i]));
-    for (std::size_t k = 0; k < misses.back()->units(); ++k) {
-      units.emplace_back(misses.back().get(), k);
-    }
+  double rate = 0.0;
+  for (const auto& run : runs) {
+    r.steal_attempts += run.steal_attempts;
+    r.steal_successes += run.steal_successes;
+    r.tasks_moved += run.tasks_moved;
+    r.forwards += run.forwards;
+    r.events +=
+        run.arrivals + run.completions + run.steal_attempts + run.forwards;
+    rate += run.message_rate(job.config.processors);
   }
-  auto finished = par::parallel_map(
-      *pool, units.size(), [&](std::size_t u) -> std::optional<JobResult> {
-        const auto [shards, k] = units[u];
-        if (!shards->run_unit(k)) return std::nullopt;
-        return shards->finish(cache, opts_.on_failure, opts_.retry);
-      });
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    if (finished[u]) {
-      report.results[units[u].first->index()] = std::move(*finished[u]);
-    }
-  }
-
-  report.wall_seconds = seconds_since(t0);
-  detail::finalize_report(report, opts_.artifact_dir);
-  return report;
-}
-
-std::optional<JobResult> detail::load_cached(const ResultCache& cache,
-                                             const Job& job) {
-  const auto t0 = std::chrono::steady_clock::now();
-  JobResult r;
-  r.label = job.label;
-  r.lambda = job.lambda;
-  r.key = job.key();
-  if (!cache.load(r.key, r)) return std::nullopt;
-  r.cache_hit = true;
-  r.wall_seconds = seconds_since(t0);
+  r.message_rate = rate / static_cast<double>(runs.size());
   return r;
 }
 
-detail::JobShards::JobShards(std::size_t index, Job job)
-    : index_(index), job_(std::move(job)) {
-  const std::size_t replications = job_.simulate ? job_.replications : 0;
-  reps_.runs.resize(replications);
-  reps_.errors.resize(replications);
-  // A job with nothing to replicate still needs one unit to finish it.
-  units_ = std::max<std::size_t>(replications, 1);
-  remaining_.store(units_, std::memory_order_relaxed);
-}
-
-bool detail::JobShards::run_unit(std::size_t k,
-                                 const std::atomic<bool>* cancel) {
-  if (!started_.exchange(true, std::memory_order_relaxed)) {
-    t0_ = std::chrono::steady_clock::now();
-  }
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-    cancelled_.store(true, std::memory_order_relaxed);
-  } else if (k < reps_.runs.size()) {
-    try {
-      reps_.runs[k] = sim::run_replication(job_.config, k);
-    } catch (...) {
-      reps_.errors[k] = std::current_exception();
-    }
-  }
-  // acq_rel: the last unit sees every other unit's slot and t0_.
-  return remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1;
-}
-
-JobResult detail::JobShards::finish(const ResultCache& cache,
-                                    OnFailure on_failure,
-                                    const RetryPolicy& retry) {
-  JobResult r =
-      run_isolated(job_, on_failure, retry, [&](std::uint64_t attempt) {
-        JobResult out = execute_job(job_, reps_, nullptr, attempt);
-        store_quietly(cache, out.key, out);
-        return out;
-      });
-  reps_ = {};
-  r.wall_seconds = seconds_since(t0_);
-  return r;
-}
-
-JobResult detail::run_isolated(
-    const Job& job, OnFailure on_failure, const RetryPolicy& retry,
-    const std::function<JobResult(std::uint64_t)>& fn) {
+/// Runs `fn(attempt)` under the failure policy: a retryable failure (per
+/// util::classify_exception) is retried with bounded exponential backoff
+/// up to retry.max_attempts total executions. A final failure either
+/// rethrows as util::FailureError with the job identity attached (Abort)
+/// or returns a JobResult whose status/error/error_kind/attempts describe
+/// it (Report). Successful results get attempts stamped.
+JobResult run_isolated(const Job& job, OnFailure on_failure,
+                       const RetryPolicy& retry,
+                       const std::function<JobResult(std::uint64_t)>& fn) {
   const std::size_t max_attempts = std::max<std::size_t>(retry.max_attempts, 1);
   double backoff = retry.initial_backoff_seconds;
   for (std::size_t attempt = 1;; ++attempt) {
@@ -292,10 +188,7 @@ JobResult detail::run_isolated(
                      ", attempt " + std::to_string(attempt) + ")";
         throw util::FailureError(std::move(f));
       }
-      JobResult r;
-      r.label = job.label;
-      r.lambda = job.lambda;
-      r.key = job.key();
+      JobResult r = identified(job);
       r.status = JobStatus::Failed;
       r.error = f.describe();
       r.error_kind = util::to_string(f.kind);
@@ -305,8 +198,10 @@ JobResult detail::run_isolated(
   }
 }
 
-void detail::store_quietly(const ResultCache& cache, const std::string& key,
-                           const JobResult& result) {
+/// cache.store, with I/O failures downgraded to a stderr warning: a lost
+/// cache entry only costs a recompute, never the computed job.
+void store_quietly(const ResultCache& cache, const std::string& key,
+                   const JobResult& result) {
   try {
     cache.store(key, result);
   } catch (const std::exception& e) {
@@ -315,8 +210,392 @@ void detail::store_quietly(const ResultCache& cache, const std::string& key,
   }
 }
 
-void detail::write_atomic(const std::string& path,
-                          const std::string& contents) {
+/// The estimate-only cache identity of `job` (solver/warm_chain/
+/// store_state annotations are set per chain point by run_chain).
+Job estimate_part(const Job& job) {
+  Job e = job;
+  e.simulate = false;
+  return e;
+}
+
+/// The simulation-only cache identity of `job`. The sim side never
+/// depends on the solver, so the warm annotations are stripped: the same
+/// replications hash identically whether the run chains warm or cold.
+/// Solver budgets are estimate-side knobs and are stripped for the same
+/// reason.
+Job simulate_part(const Job& job) {
+  Job s = job;
+  s.estimate = false;
+  s.solver = "cold";
+  s.warm_chain.clear();
+  s.outputs.store_state = false;
+  s.max_rhs_evals = 0;
+  s.max_wall_seconds = 0.0;
+  return s;
+}
+
+/// One half of a job's outputs (estimate or simulation), tagged with the
+/// job's index in the report and the span it ran over. Chains and
+/// simulated points' replication units compute partials concurrently; the
+/// merge back into spec order is single-threaded.
+///
+/// Solver annotations ride along instead of being written into
+/// report.jobs up front: a chain break (failed point) cold-restarts the
+/// remainder of the chain, so which points actually ran warm — and under
+/// which keys — is only known after the chain executed. The merge applies
+/// them single-threaded, before any report key is derived.
+struct Partial {
+  std::size_t index = 0;
+  JobResult r;
+  Clock::time_point start{};
+  Clock::time_point end{};
+  bool annotate = false;  ///< apply solver/warm_chain to report.jobs
+  std::string solver;
+  std::vector<double> warm_chain;
+};
+
+/// True when the run's cancel flag is set.
+bool cancelled(const RunnerOptions& opts) {
+  return opts.cancel != nullptr &&
+         opts.cancel->load(std::memory_order_relaxed);
+}
+
+/// A Failed partial for a point skipped by cancellation. Never cached;
+/// the merged report stays well-formed (hits + misses + failed == jobs).
+Partial cancelled_partial(std::size_t index, const Job& job) {
+  Partial p;
+  p.index = index;
+  p.start = p.end = Clock::now();
+  p.r.label = job.label;
+  p.r.lambda = job.lambda;
+  p.r.status = JobStatus::Failed;
+  p.r.error_kind = util::to_string(util::FailureKind::Cancelled);
+  p.r.error = "cancelled: request cancelled before this point ran";
+  return p;
+}
+
+/// The simulation half of a job whose cache lookup missed, computed as
+/// pool units: unit k runs simulation replication k (sim::run_replication,
+/// exactly what sim::replicate runs). Units may run on any worker in any
+/// order; run_unit() tells the call that completed the job's last unit,
+/// which alone may then call finish(). So no job's result waits for
+/// another job's units. Neither copyable nor movable: units hold its
+/// address.
+class JobShards {
+ public:
+  /// `index` is the job's position in spec order; `job` is the whole job
+  /// (its identity for faults and failures), which must outlive the
+  /// shards, and `sim` its simulate_part.
+  JobShards(std::size_t index, const Job& job, Job sim)
+      : index_(index),
+        job_(job),
+        sim_(std::move(sim)),
+        runs_(sim_.replications),
+        errors_(sim_.replications),
+        // No replications still needs one unit, to fail the job.
+        units_(std::max<std::size_t>(sim_.replications, 1)),
+        remaining_(units_) {}
+  JobShards(const JobShards&) = delete;
+  JobShards& operator=(const JobShards&) = delete;
+
+  [[nodiscard]] std::size_t index() const noexcept { return index_; }
+  [[nodiscard]] const Job& job() const noexcept { return job_; }
+  [[nodiscard]] std::size_t units() const noexcept { return units_; }
+  /// When the first unit started (valid after the last unit).
+  [[nodiscard]] Clock::time_point started() const noexcept { return t0_; }
+
+  /// Runs unit k, catching a replication's exception into its slot. A
+  /// unit that finds `cancel` set runs nothing and marks the job
+  /// cancelled. Returns true for the call that completed the last unit.
+  [[nodiscard]] bool run_unit(std::size_t k, const std::atomic<bool>* cancel) {
+    if (!started_.exchange(true, std::memory_order_relaxed)) {
+      t0_ = Clock::now();
+    }
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+      cancelled_.store(true, std::memory_order_relaxed);
+    } else if (k < runs_.size()) {
+      try {
+        runs_[k] = sim::run_replication(sim_.config, k);
+      } catch (...) {
+        errors_[k] = std::current_exception();
+      }
+    }
+    // acq_rel: the last unit sees every other unit's slot and t0_.
+    return remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+  }
+
+  /// Whether any unit saw the cancel flag (valid after the last unit).
+  [[nodiscard]] bool cancelled() const noexcept {
+    return cancelled_.load(std::memory_order_relaxed);
+  }
+
+  /// The simulation half's result, after the last unit, under
+  /// run_isolated (the job's failure boundary; the lowest-index
+  /// replication error is rethrown), cached on success; the replications
+  /// are released. wall_seconds runs from the first unit's start to the
+  /// end of this call.
+  [[nodiscard]] JobResult finish(const ResultCache& cache,
+                                 OnFailure on_failure,
+                                 const RetryPolicy& retry) {
+    JobResult r =
+        run_isolated(job_, on_failure, retry, [&](std::uint64_t attempt) {
+          inject_job_faults(job_, attempt);
+          // A replication is a pure function of (config, k), so a retried
+          // attempt replays its stored outcome instead of simulating it
+          // again.
+          for (const auto& e : errors_) {
+            if (e) std::rethrow_exception(e);
+          }
+          JobResult out = simulated(sim_, runs_);
+          store_quietly(cache, out.key, out);
+          return out;
+        });
+    runs_ = {};
+    errors_ = {};
+    r.wall_seconds = seconds_since(t0_);
+    return r;
+  }
+
+ private:
+  std::size_t index_;
+  const Job& job_;
+  Job sim_;
+  std::vector<sim::SimResult> runs_;
+  std::vector<std::exception_ptr> errors_;
+  std::size_t units_;
+  std::atomic<std::size_t> remaining_;
+  std::atomic<bool> started_{false};
+  std::atomic<bool> cancelled_{false};
+  Clock::time_point t0_{};
+};
+
+/// Solves one entry's estimate jobs in λ order, through a shared
+/// continuation when the run is warm. A cache hit re-seeds the chain from
+/// the stored compact state (bit-exact: the cache round-trips doubles
+/// losslessly), so a resumed sweep's first miss solves warm from the same
+/// seed the uninterrupted run would have used. The Newton chord (the dense
+/// LU, or the banded factorization the Newton–Krylov polish preconditions
+/// with at large dimensions) is not persisted — it is rebuilt on the first
+/// polish — so a resumed point can differ from the uninterrupted one below
+/// the polish tolerance, never above it.
+std::vector<Partial> run_chain(const std::vector<std::size_t>& indices,
+                               const std::vector<Job>& jobs,
+                               const ResultCache& cache,
+                               const RunnerOptions& opts) {
+  std::vector<Partial> out;
+  out.reserve(indices.size());
+  core::FixedPointContinuation chain;
+  // λs of the live chain behind the next point. Cleared on a failed
+  // point, so the remainder of the chain is keyed (and solved) cold —
+  // a warm key must never claim a path through a point that never
+  // produced state.
+  std::vector<double> prefix;
+  for (const std::size_t index : indices) {
+    const Job& job = jobs[index];
+    if (cancelled(opts)) {
+      Partial p = cancelled_partial(index, job);
+      if (opts.on_point) opts.on_point(index, p.r);
+      out.push_back(std::move(p));
+      continue;
+    }
+    Job ejob = estimate_part(job);
+    if (opts.warm) {
+      ejob.outputs.store_state = true;
+      if (prefix.empty()) {
+        ejob.solver = "cold";
+        ejob.warm_chain.clear();
+      } else {
+        ejob.solver = "warm";
+        ejob.warm_chain = prefix;
+      }
+    }
+    Partial p;
+    p.index = index;
+    p.start = Clock::now();
+    p.annotate = opts.warm;
+    p.solver = ejob.solver;
+    p.warm_chain = ejob.warm_chain;
+    p.r = run_isolated(
+        job, opts.on_failure, opts.retry, [&](std::uint64_t attempt) {
+          JobResult r = identified(ejob);
+          // A warm-keyed entry without its stored state cannot seed the
+          // chain; treat it as a miss and repair it in place.
+          if (cache.load(r.key, r) &&
+              (!opts.warm || !r.est_state.empty())) {
+            r.cache_hit = true;
+            if (opts.warm) chain.seed(r.est_state, r.est_state_truncation);
+          } else {
+            inject_job_faults(job, attempt);
+            r = estimated(ejob, opts.warm ? &chain : nullptr);
+            store_quietly(cache, r.key, r);
+          }
+          return r;
+        });
+    p.end = Clock::now();
+    p.r.wall_seconds = seconds_between(p.start, p.end);
+    if (p.r.status == JobStatus::Failed) {
+      // The continuation already reset itself on the failed solve (and an
+      // injected job fault fires before it ever runs); clearing the
+      // prefix cold-restarts the rest of the chain.
+      chain.reset();
+      prefix.clear();
+    } else if (opts.warm) {
+      prefix.push_back(ejob.lambda);
+    }
+    if (opts.on_point) opts.on_point(index, p.r);
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+/// A simulated point that completes without running anything: cancelled
+/// before it started, or answered by the cache (ResultCache::load reports
+/// every read failure as a miss, so a lookup never fails a job). nullopt
+/// means it must be simulated.
+std::optional<Partial> settle_sim(std::size_t index, const Job& sjob,
+                                  const ResultCache& cache,
+                                  const RunnerOptions& opts) {
+  std::optional<Partial> p;
+  if (cancelled(opts)) {
+    p = cancelled_partial(index, sjob);
+  } else {
+    const auto t0 = Clock::now();
+    JobResult r = identified(sjob);
+    if (!cache.load(r.key, r)) return p;
+    r.cache_hit = true;
+    p.emplace();
+    p->index = index;
+    p->start = t0;
+    p->end = Clock::now();
+    p->r = std::move(r);
+    p->r.wall_seconds = seconds_between(p->start, p->end);
+  }
+  if (opts.on_point) opts.on_point(index, p->r);
+  return p;
+}
+
+/// Unit k of a simulated point; the unit that completes the point returns
+/// its partial.
+std::vector<Partial> run_sim_unit(JobShards& shards, std::size_t k,
+                                  const ResultCache& cache,
+                                  const RunnerOptions& opts) {
+  std::vector<Partial> out;
+  if (!shards.run_unit(k, opts.cancel)) return out;
+  Partial p;
+  if (shards.cancelled()) {
+    p = cancelled_partial(shards.index(), shards.job());
+  } else {
+    p.index = shards.index();
+    p.r = shards.finish(cache, opts.on_failure, opts.retry);
+    p.end = Clock::now();
+  }
+  p.start = shards.started();
+  if (opts.on_point) opts.on_point(p.index, p.r);
+  out.push_back(std::move(p));
+  return out;
+}
+
+/// Warm chaining solves each entry's points in λ order, so a spec with an
+/// estimating entry needs a strictly monotone λ axis (ascending, or
+/// descending — a hysteresis study sweeps back down). Throws util::Error
+/// otherwise.
+void check_chainable(const ExperimentSpec& spec, const std::vector<Job>& jobs) {
+  if (std::none_of(jobs.begin(), jobs.end(),
+                   [](const Job& job) { return job.estimate; })) {
+    return;
+  }
+  const auto& ls = spec.lambdas;
+  const bool ascending = ls.size() > 1 && ls[1] > ls[0];
+  for (std::size_t i = 1; i < ls.size(); ++i) {
+    if (ascending ? ls[i] <= ls[i - 1] : ls[i] >= ls[i - 1]) {
+      throw util::Error("spec '" + spec.name +
+                        "': λ grid must be strictly monotone to warm-chain "
+                        "its estimates");
+    }
+  }
+}
+
+/// Merges the partials back into one result per job, in spec order, after
+/// applying the solver annotations each chain actually used — every report
+/// key must reflect how the point was really solved (a chain break demotes
+/// the remainder to cold). A job counts as a cache hit only when every
+/// half of it hit; its wall time spans the start of its first half to the
+/// end of its last, which may overlap.
+void merge(RunReport& report,
+           const std::vector<std::vector<Partial>>& partials) {
+  for (const auto& bundle : partials) {
+    for (const auto& p : bundle) {
+      if (!p.annotate) continue;
+      Job& job = report.jobs[p.index];
+      job.outputs.store_state = true;
+      job.solver = p.solver;
+      job.warm_chain = p.warm_chain;
+    }
+  }
+
+  const std::size_t n = report.jobs.size();
+  report.results.resize(n);
+  std::vector<std::size_t> parts(n, 0);
+  std::vector<std::size_t> hits(n, 0);
+  std::vector<Clock::time_point> start(n, Clock::time_point::max());
+  std::vector<Clock::time_point> end(n, Clock::time_point::min());
+  for (std::size_t i = 0; i < n; ++i) {
+    report.results[i] = identified(report.jobs[i]);
+  }
+  for (const auto& bundle : partials) {
+    for (const auto& p : bundle) {
+      JobResult& dst = report.results[p.index];
+      const JobResult& src = p.r;
+      if (src.status == JobStatus::Failed) {
+        // Either half failing fails the merged job; distinct errors
+        // concatenate, the first kind wins (it is the CSV slug).
+        dst.status = JobStatus::Failed;
+        if (dst.error != src.error) {
+          if (!dst.error.empty()) dst.error += "; ";
+          dst.error += src.error;
+        }
+        if (dst.error_kind.empty()) dst.error_kind = src.error_kind;
+      }
+      dst.attempts = std::max(dst.attempts, src.attempts);
+      if (src.has_estimate) {
+        dst.has_estimate = true;
+        dst.est_sojourn = src.est_sojourn;
+        dst.est_mean_tasks = src.est_mean_tasks;
+        dst.est_residual = src.est_residual;
+        dst.est_tail = src.est_tail;
+        dst.est_rhs_evals = src.est_rhs_evals;
+        dst.est_state = src.est_state;
+        dst.est_state_truncation = src.est_state_truncation;
+      }
+      if (src.has_sim) {
+        dst.has_sim = true;
+        dst.sim_sojourn = src.sim_sojourn;
+        dst.sim_mean_tasks = src.sim_mean_tasks;
+        dst.sim_tail = src.sim_tail;
+        dst.steal_attempts = src.steal_attempts;
+        dst.steal_successes = src.steal_successes;
+        dst.tasks_moved = src.tasks_moved;
+        dst.forwards = src.forwards;
+        dst.message_rate = src.message_rate;
+        dst.events = src.events;
+      }
+      start[p.index] = std::min(start[p.index], p.start);
+      end[p.index] = std::max(end[p.index], p.end);
+      ++parts[p.index];
+      if (src.cache_hit) ++hits[p.index];
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    JobResult& r = report.results[i];
+    r.cache_hit = parts[i] > 0 && hits[i] == parts[i];
+    if (parts[i] > 0) r.wall_seconds = seconds_between(start[i], end[i]);
+  }
+}
+
+/// Writes `contents` to `path` atomically (tmp + rename), so a crash
+/// mid-write never leaves a partial file behind. Throws
+/// util::FailureError (Io) on failure, removing the tmp file.
+void write_atomic(const std::string& path, const std::string& contents) {
   const auto& injector = util::FaultInjector::instance();
   if (injector.armed() &&
       injector.should_fail(util::FaultSite::ArtifactWrite, path)) {
@@ -356,8 +635,12 @@ void detail::write_atomic(const std::string& path,
   }
 }
 
-void detail::finalize_report(RunReport& report,
-                             const std::string& artifact_dir) {
+/// Report finalization: fills the aggregate cache/event/failure counters
+/// from `report.results` and, when `artifact_dir` and the spec name are
+/// non-empty, writes the manifest + CSV artifacts atomically (recording
+/// their paths in the report). Artifact I/O failures degrade to
+/// report.artifact_error.
+void finalize_report(RunReport& report, const std::string& artifact_dir) {
   for (const auto& r : report.results) {
     if (r.status == JobStatus::Failed) {
       ++report.failed_jobs;
@@ -401,6 +684,92 @@ void detail::finalize_report(RunReport& report,
                 << "': artifact emission failed: " << e.what() << "\n";
     }
   }
+}
+
+}  // namespace
+
+std::string RunnerOptions::default_artifact_dir() {
+  if (const char* v = std::getenv("LSM_ARTIFACTS")) return v;
+  return ".lsm-artifacts";
+}
+
+OnFailure RunnerOptions::default_on_failure() {
+  if (const char* v = std::getenv("LSM_ON_FAILURE")) {
+    if (std::string(v) == "report") return OnFailure::Report;
+  }
+  return OnFailure::Abort;
+}
+
+Runner::Runner(RunnerOptions opts) : opts_(std::move(opts)) {}
+
+RunReport Runner::run(const ExperimentSpec& spec) {
+  const auto t0 = Clock::now();
+  RunReport report;
+  report.spec_name = spec.name;
+  report.jobs = spec.expand();
+  if (opts_.warm) check_chainable(spec, report.jobs);
+
+  std::unique_ptr<par::ThreadPool> owned;
+  par::ThreadPool* pool = opts_.pool;
+  if (pool == nullptr) {
+    owned = std::make_unique<par::ThreadPool>(
+        opts_.threads > 0 ? opts_.threads : util::worker_threads());
+    pool = owned.get();
+  }
+  report.threads = pool->size();
+
+  const ResultCache local_cache(opts_.cache != nullptr ? ""
+                                                       : opts_.cache_dir);
+  const ResultCache& cache =
+      opts_.cache != nullptr ? *opts_.cache : local_cache;
+
+  // Work units, entry by entry and in λ order, so the pool's in-order
+  // cursor starts the earliest jobs first: each simulated point's
+  // replication units (a point the cache answers, or one cancelled before
+  // it started, completes here and schedules none), then the entry's
+  // estimate chain (serial within, λ order). The units read report.jobs
+  // without writing it and return partials, so any pool schedule produces
+  // the same merge.
+  const std::size_t n_lambdas = spec.lambdas.size();
+  std::vector<Partial> settled;
+  std::vector<std::unique_ptr<JobShards>> sims;
+  std::vector<std::function<std::vector<Partial>()>> units;
+  for (std::size_t e = 0; e < spec.entries.size(); ++e) {
+    std::vector<std::size_t> chain_indices;
+    for (std::size_t j = 0; j < n_lambdas; ++j) {
+      const std::size_t index = e * n_lambdas + j;
+      const Job& job = report.jobs[index];
+      if (job.estimate) chain_indices.push_back(index);
+      if (!job.simulate) continue;
+      Job sjob = simulate_part(job);
+      if (auto p = settle_sim(index, sjob, cache, opts_)) {
+        settled.push_back(std::move(*p));
+        continue;
+      }
+      sims.push_back(std::make_unique<JobShards>(index, job, std::move(sjob)));
+      for (std::size_t k = 0; k < sims.back()->units(); ++k) {
+        units.emplace_back([&, shards = sims.back().get(), k] {
+          return run_sim_unit(*shards, k, cache, opts_);
+        });
+      }
+    }
+    if (!chain_indices.empty()) {
+      units.emplace_back([&, indices = std::move(chain_indices)] {
+        return run_chain(indices, report.jobs, cache, opts_);
+      });
+    }
+  }
+
+  auto partials = par::parallel_map(*pool, units.size(),
+                                    [&](std::size_t i) { return units[i](); });
+  // Settled sim halves merge first: per job, a sim half still merges
+  // ahead of its estimate half, as the units are listed.
+  partials.insert(partials.begin(), std::move(settled));
+  merge(report, partials);
+
+  report.wall_seconds = seconds_since(t0);
+  finalize_report(report, opts_.artifact_dir);
+  return report;
 }
 
 const JobResult& RunReport::at(const std::string& label,

@@ -1,31 +1,34 @@
-// Parallel sharded experiment runner with result caching and run
-// observability — the engine behind the table/figure benches.
+// The experiment engine behind the table/figure benches, the serve
+// daemon and the benchmark harness.
 //
-// Runner::run expands an ExperimentSpec into Jobs, consults the on-disk
-// ResultCache before computing anything, and shards every miss across a
-// thread pool as one unit per simulation replication (each replication
-// runs on its own deterministic jump stream, so results are
-// byte-identical regardless of the thread count). It emits structured
-// artifacts: a CSV of all job outputs plus a JSON run manifest with
-// per-job wall time, event counts, cache provenance and aggregate steal
-// statistics.
+// Runner::run expands an ExperimentSpec into Jobs and consults the
+// on-disk ResultCache before computing anything. Every miss is split into
+// pool units by what it computes:
+//   * simulation: one unit per replication, each on its own deterministic
+//     jump stream; the unit that finishes last aggregates the job in
+//     replication order;
+//   * estimate: one unit per grid entry, solving the entry's points in λ
+//     order through one core::FixedPointContinuation (warm), or each point
+//     cold (RunnerOptions::warm = false).
+// A job that both simulates and estimates is computed (and cached) as two
+// halves, merged back into one JobResult per job in spec order. The run
+// emits a CSV of all job outputs plus a JSON manifest with per-job wall
+// time, event counts, cache provenance and aggregate steal statistics.
 //
 // Scheduling independence: par::ThreadPool is a work-stealing pool, so
-// which worker executes a replication — and in what order units complete
-// — is nondeterministic. That is fine by contract: a Job's results are a
-// pure function of (spec.seed, entry, lambda, replication count); no
-// state flows between jobs, a job's replications are aggregated in
-// replication order, and the report assembles results by spec order, not
-// completion order. tests/exp_runner_test.cpp pins this down by comparing
-// timing-free manifests across pool widths 1, 2 and 8.
+// which worker executes a unit — and in what order units complete — is
+// nondeterministic. That is fine by contract: a job's results are a pure
+// function of (spec.seed, entry, lambda, replication count, and for a
+// warm estimate its chain prefix); a job's replications are aggregated in
+// replication order, a chain runs serially, and the report assembles
+// results by spec order, not completion order. tests/exp_runner_test.cpp
+// pins this down by comparing timing-free manifests across pool widths 1,
+// 2 and 8.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,13 +36,8 @@
 #include "exp/result.hpp"
 #include "exp/spec.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sim/simulator.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
-
-namespace lsm::core {
-class FixedPointContinuation;
-}  // namespace lsm::core
 
 namespace lsm::exp {
 
@@ -67,8 +65,8 @@ struct RetryPolicy {
 };
 
 struct RunnerOptions {
-  /// External pool to shard replications on; nullptr spawns a private
-  /// pool of `threads` workers (0 = util::worker_threads()).
+  /// External pool to run the units on; nullptr spawns a private pool of
+  /// `threads` workers (0 = util::worker_threads()).
   par::ThreadPool* pool = nullptr;
   unsigned threads = 0;
   /// "" disables caching. Defaults to LSM_CACHE_DIR / ".lsm-cache".
@@ -82,9 +80,39 @@ struct RunnerOptions {
   /// Directory for the manifest + CSV; "" disables artifact emission.
   /// Defaults to LSM_ARTIFACTS / ".lsm-artifacts".
   std::string artifact_dir = default_artifact_dir();
+  /// Warm continuation along each entry's λ chain, under warm-aware cache
+  /// keys (Job::solver, Job::warm_chain) with the converged state stored
+  /// alongside, so an interrupted sweep resumes warm. A spec with an
+  /// estimating entry must then have a strictly monotone λ grid. false
+  /// solves every point cold under plain cold keys and accepts any λ
+  /// order — the reference mode the warm path is validated against.
+  bool warm = true;
   /// Abort (default) vs Report; LSM_ON_FAILURE=report flips the default.
+  /// In Report mode a failed chain point is isolated and the REST OF THE
+  /// CHAIN COLD-RESTARTS: the failed point left no trustworthy state to
+  /// continue from, so the next point solves cold (keyed as such) and
+  /// warm chaining resumes behind it.
   OnFailure on_failure = default_on_failure();
   RetryPolicy retry{};
+  /// Streaming progress: called once per completed job half (an estimate
+  /// point, or a simulated point) with the job's index in spec order and
+  /// the partial result — including Failed partials, whose
+  /// error/error_kind fields describe the failure. Invoked from pool
+  /// threads (for a simulated point, by the replication unit that
+  /// finished it), possibly concurrently for independent units, or from
+  /// the calling thread for a simulated point answered by the cache or
+  /// cancelled before it started; an entry's estimate points always
+  /// arrive in λ order. The callback must not throw; keep it cheap (the
+  /// chain blocks on it between solves).
+  std::function<void(std::size_t index, const JobResult& partial)> on_point;
+  /// Cooperative cancellation: when non-null and set, every point not yet
+  /// started is skipped and reported as Failed with error_kind
+  /// "cancelled" (the run still returns a complete, well-formed report).
+  /// Checked before every estimate point and every simulation
+  /// replication — a cancel lands within one point's solve time or one
+  /// replication's run time; a simulated point any of whose replications
+  /// saw it is cancelled. Cancelled points are never cached.
+  const std::atomic<bool>* cancel = nullptr;
 
   [[nodiscard]] static std::string default_artifact_dir();
   [[nodiscard]] static OnFailure default_on_failure();
@@ -143,116 +171,13 @@ class Runner {
   explicit Runner(RunnerOptions opts = {});
 
   /// Runs every job of `spec` (cache-first), writes artifacts, returns
-  /// the report. Exceptions from any job propagate to the caller.
+  /// the report. Throws util::Error when the spec is malformed — including
+  /// a non-monotone λ grid under warm chaining — and, in Abort mode, the
+  /// first job failure.
   [[nodiscard]] RunReport run(const ExperimentSpec& spec);
 
  private:
   RunnerOptions opts_;
 };
-
-/// The simulation replications of one job, run before execute_job (as
-/// pool units, see detail::JobShards): runs[k] is replication k, unless
-/// errors[k] holds the exception it threw. Empty for estimate-only jobs.
-struct Replications {
-  std::vector<sim::SimResult> runs;
-  std::vector<std::exception_ptr> errors;
-};
-
-/// Computes one job's result without cache or pool: the fault-injection
-/// prologue, the estimate, then the simulation outputs aggregated from
-/// `reps` in replication order (the lowest-index replication error is
-/// rethrown instead). With a non-null `chain` the estimate side solves
-/// through the continuation (warm-started from the chain's carried state,
-/// which the call then updates); nullptr solves cold. `attempt` (1-based)
-/// only feeds the fault-injection hooks, so a retry draws a fresh
-/// deterministic fault decision.
-[[nodiscard]] JobResult execute_job(const Job& job, const Replications& reps,
-                                    core::FixedPointContinuation* chain,
-                                    std::uint64_t attempt);
-
-namespace detail {
-
-/// Report finalization shared by Runner and SweepRunner: fills the
-/// aggregate cache/event/failure counters from `report.results` and,
-/// when `artifact_dir` and the spec name are non-empty, writes the
-/// manifest + CSV artifacts atomically (recording their paths in the
-/// report). Artifact I/O failures degrade to report.artifact_error.
-void finalize_report(RunReport& report, const std::string& artifact_dir);
-
-/// The cached result of `job` (cache_hit set, wall_seconds the lookup
-/// time), or nullopt on a miss. ResultCache::load reports every read
-/// failure as a miss, so a lookup never fails a job.
-[[nodiscard]] std::optional<JobResult> load_cached(const ResultCache& cache,
-                                                   const Job& job);
-
-/// A job whose cache lookup missed, computed as pool units: unit k runs
-/// simulation replication k (sim::run_replication, exactly what
-/// sim::replicate runs), and a job with nothing to replicate is one unit
-/// that runs none. Units may run on any worker in any order; run_unit()
-/// tells the call that completed the job's last unit, which alone may
-/// then call finish(). So no job's result waits for another job's units.
-/// Neither copyable nor movable: units hold its address.
-class JobShards {
- public:
-  /// `index` is the job's position in spec order.
-  JobShards(std::size_t index, Job job);
-  JobShards(const JobShards&) = delete;
-  JobShards& operator=(const JobShards&) = delete;
-
-  [[nodiscard]] std::size_t index() const noexcept { return index_; }
-  [[nodiscard]] const Job& job() const noexcept { return job_; }
-  [[nodiscard]] std::size_t units() const noexcept { return units_; }
-
-  /// Runs unit k, catching a replication's exception into its slot. A
-  /// unit that finds `cancel` set runs nothing and marks the job
-  /// cancelled. Returns true for the call that completed the last unit.
-  [[nodiscard]] bool run_unit(std::size_t k,
-                              const std::atomic<bool>* cancel = nullptr);
-
-  /// Whether any unit saw the cancel flag (valid after the last unit).
-  [[nodiscard]] bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
-  /// The job's result, after the last unit: execute_job over the
-  /// replications under run_isolated (the job's failure boundary), cached
-  /// on success; the replications are released. wall_seconds runs from
-  /// the first unit's start to the end of this call.
-  [[nodiscard]] JobResult finish(const ResultCache& cache,
-                                 OnFailure on_failure,
-                                 const RetryPolicy& retry);
-
- private:
-  std::size_t index_;
-  Job job_;
-  Replications reps_;
-  std::size_t units_ = 1;
-  std::atomic<std::size_t> remaining_{0};
-  std::atomic<bool> started_{false};
-  std::atomic<bool> cancelled_{false};
-  std::chrono::steady_clock::time_point t0_{};
-};
-
-/// Runs `fn(attempt)` under the failure policy: a retryable failure
-/// (per util::classify_exception) is retried with bounded exponential
-/// backoff up to retry.max_attempts total executions. A final failure
-/// either rethrows as util::FailureError with the job identity attached
-/// (Abort) or returns a JobResult whose status/error/error_kind/attempts
-/// describe it (Report). Successful results get attempts stamped.
-JobResult run_isolated(const Job& job, OnFailure on_failure,
-                       const RetryPolicy& retry,
-                       const std::function<JobResult(std::uint64_t)>& fn);
-
-/// cache.store, with I/O failures downgraded to a stderr warning: a
-/// lost cache entry only costs a recompute, never the computed job.
-void store_quietly(const ResultCache& cache, const std::string& key,
-                   const JobResult& result);
-
-/// Writes `contents` to `path` atomically (tmp + rename), so a crash
-/// mid-write never leaves a partial file behind. Throws
-/// util::FailureError (Io) on failure, removing the tmp file.
-void write_atomic(const std::string& path, const std::string& contents);
-
-}  // namespace detail
 
 }  // namespace lsm::exp

@@ -3,7 +3,6 @@
 // discrete-event simulator used to validate them.
 #pragma once
 
-#include "analysis/compare.hpp"      // IWYU pragma: export
 #include "analysis/convergence.hpp"  // IWYU pragma: export
 #include "analysis/finite_size.hpp"  // IWYU pragma: export
 #include "analysis/spectral.hpp"     // IWYU pragma: export

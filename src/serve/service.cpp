@@ -3,8 +3,8 @@
 #include <chrono>
 #include <utility>
 
+#include "exp/runner.hpp"
 #include "exp/spec.hpp"
-#include "exp/sweep.hpp"
 #include "util/env.hpp"
 #include "util/failure.hpp"
 
@@ -212,7 +212,7 @@ void SweepService::run_request(Active& active) {
       spec.add(std::move(entry));
     }
 
-    exp::SweepOptions opts;
+    exp::RunnerOptions opts;
     opts.pool = &pool_;
     opts.cache = &cache_;
     opts.cache_dir = "";
@@ -243,7 +243,7 @@ void SweepService::run_request(Active& active) {
       if (opts_.on_point_hook) opts_.on_point_hook(req, index);
     };
 
-    exp::SweepRunner runner(opts);
+    exp::Runner runner(opts);
     (void)runner.run(spec);
 
     const bool was_cancelled =

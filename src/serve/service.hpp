@@ -1,7 +1,7 @@
 // SweepService: the daemon's execution core, independent of any socket.
 //
 // Requests admitted by submit() execute on a bounded set of dispatcher
-// threads (one per in-flight slot), each driving an exp::SweepRunner
+// threads (one per in-flight slot), each driving an exp::Runner
 // over ONE process-wide solver pool and ONE process-wide content-hash
 // result cache — so a second client asking for an overlapping λ-grid
 // gets cache hits and warm-chained solves instead of cold ones, and the
@@ -47,7 +47,7 @@ struct ServiceOptions {
   /// request then solves cold and nothing is shared).
   std::string cache_dir = exp::ResultCache::default_dir();
   /// Retry policy for retryable point failures (transient I/O, injected
-  /// faults), applied per point via exp::detail::run_isolated.
+  /// faults), applied per point by exp::Runner (RunnerOptions::retry).
   exp::RetryPolicy retry{};
 
   // Test hooks (keep null in production). on_start runs on the

@@ -1,8 +1,7 @@
 // Tests for src/analysis: stability traces (Section 4), multi-start
-// convergence, tail-ratio estimation, and the comparison harness.
+// convergence, tail-ratio estimation, transients and finite-size fits.
 #include <gtest/gtest.h>
 
-#include "analysis/compare.hpp"
 #include "analysis/convergence.hpp"
 #include "analysis/finite_size.hpp"
 #include "analysis/stability.hpp"
@@ -143,32 +142,6 @@ TEST(Transient, SpectralEstimateFormula) {
   EXPECT_EQ(analysis::spectral_settle_estimate(1e-4, 1e-3, 0.5), 0.0);
   EXPECT_THROW((void)analysis::spectral_settle_estimate(1.0, 1e-3, 0.0),
                util::LogicError);
-}
-
-TEST(Compare, RowCarriesSimAndEstimate) {
-  par::ThreadPool pool(2);
-  analysis::ComparisonSpec spec;
-  spec.processor_counts = {8, 16};
-  spec.replications = 2;
-  spec.horizon = 2000.0;
-  spec.warmup = 200.0;
-
-  sim::SimConfig base;
-  base.arrival_rate = 0.7;
-  base.policy = sim::StealPolicy::on_empty(2);
-
-  const double estimate = core::SimpleWS(0.7).analytic_sojourn();
-  const auto row = analysis::compare_row(base, spec, estimate, pool);
-  ASSERT_EQ(row.sim_sojourn.size(), 2u);
-  EXPECT_NEAR(row.sim_sojourn[1], estimate, 0.35);
-  EXPECT_LT(row.rel_error_pct, 18.0);
-}
-
-TEST(Compare, QuickSpecShrinksWork) {
-  analysis::ComparisonSpec spec;
-  const auto quick = analysis::quick_spec(spec);
-  EXPECT_LT(quick.replications, spec.replications);
-  EXPECT_LT(quick.horizon, spec.horizon);
 }
 
 // --- finite-size scaling -----------------------------------------------------

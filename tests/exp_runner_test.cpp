@@ -1,7 +1,7 @@
 // Tests for the experiment-runner subsystem: grid expansion, content
-// hashing, determinism across pool widths, the disk result cache, and the
-// warm-started λ-sweep runner (solver-aware keys, state round-trips, warm
-// resume, warm-vs-cold agreement).
+// hashing, determinism across pool widths, the disk result cache, and
+// warm-chained λ sweeps (solver-aware keys, state round-trips, warm
+// resume, warm-vs-cold agreement, the cold reference mode).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,10 +10,10 @@
 #include <fstream>
 #include <mutex>
 
+#include "core/fixed_point.hpp"
 #include "exp/cache.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
-#include "exp/sweep.hpp"
 #include "sim/replicate.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
@@ -63,11 +63,13 @@ exp::ExperimentSpec small_spec() {
   return spec;
 }
 
-exp::RunnerOptions options(const TempDir& cache, unsigned threads) {
+exp::RunnerOptions options(const TempDir& cache, unsigned threads,
+                           bool warm = true) {
   exp::RunnerOptions opts;
   opts.threads = threads;
   opts.cache_dir = cache.path.string();
   opts.artifact_dir = "";  // no artifacts unless a test asks for them
+  opts.warm = warm;
   return opts;
 }
 
@@ -503,10 +505,10 @@ TEST(RunReport, LookupToleratesGridArithmeticLambdas) {
   EXPECT_THROW((void)report.at("y", 0.9), util::Error);
 }
 
-// --- warm-started λ-sweep runner ---------------------------------------
+// --- warm-chained λ sweeps ----------------------------------------------
 
 /// Estimate-only spec over an ascending λ grid: the pure continuation
-/// case the sweep runner chains.
+/// case the runner chains.
 exp::ExperimentSpec est_sweep_spec() {
   exp::ExperimentSpec spec;
   spec.name = "exp_sweep_test";
@@ -529,16 +531,6 @@ exp::ExperimentSpec est_sweep_spec() {
     spec.add(std::move(e));
   }
   return spec;
-}
-
-exp::SweepOptions sweep_options(const TempDir& cache, unsigned threads,
-                                bool warm = true) {
-  exp::SweepOptions opts;
-  opts.threads = threads;
-  opts.cache_dir = cache.path.string();
-  opts.artifact_dir = "";
-  opts.warm = warm;
-  return opts;
 }
 
 TEST(ExperimentSpec, SolverIdentityIsPartOfTheKey) {
@@ -589,21 +581,44 @@ TEST(ResultCache, StateRoundTripsBitExact) {
   EXPECT_EQ(loaded.est_rhs_evals, 123u);
 }
 
-TEST(SweepSpec, RejectsNonMonotoneGrids) {
+TEST(Runner, ChecksMonotoneGridsOnlyWhereChainingApplies) {
+  const TempDir cache("monotone");
+  exp::Runner warm(options(cache, 2));
   auto spec = est_sweep_spec();
   spec.lambdas = {0.5, 0.8, 0.8};
-  EXPECT_THROW((void)exp::SweepSpec::from(spec), util::Error);
+  EXPECT_THROW((void)warm.run(spec), util::Error);
   spec.lambdas = {0.5, 0.8, 0.7};
-  EXPECT_THROW((void)exp::SweepSpec::from(spec), util::Error);
+  EXPECT_THROW((void)warm.run(spec), util::Error);
   spec.lambdas = {0.9, 0.7, 0.5};  // descending is a valid sweep
-  EXPECT_NO_THROW((void)exp::SweepSpec::from(spec));
+  EXPECT_NO_THROW((void)warm.run(spec));
+
+  // Nothing chains without warm estimates: any λ order runs.
+  const std::vector<double> unordered = {0.5, 0.8, 0.7};
+  auto cold_spec = est_sweep_spec();
+  cold_spec.lambdas = unordered;
+  const auto cold = exp::Runner(options(cache, 2, false)).run(cold_spec);
+  EXPECT_EQ(cold.failed_jobs, 0u);
+  EXPECT_EQ(cold.results.size(), 6u);
+
+  exp::ExperimentSpec sim_only;
+  sim_only.name = "";
+  sim_only.lambdas = unordered;
+  sim_only.fidelity = {1, 200.0, 20.0, "test"};
+  exp::GridEntry e;
+  e.label = "steal";
+  e.config.processors = 8;
+  e.estimate = false;
+  sim_only.add(std::move(e));
+  const auto simulated = warm.run(sim_only);
+  EXPECT_EQ(simulated.failed_jobs, 0u);
+  EXPECT_EQ(simulated.results.size(), 3u);
 }
 
 TEST(SweepRunner, ManifestIsIdenticalAcrossPoolWidths) {
   std::string reference;
   for (const unsigned threads : {1u, 2u, 8u}) {
     const TempDir cache("sweep-det" + std::to_string(threads));
-    exp::SweepRunner runner(sweep_options(cache, threads));
+    exp::Runner runner(options(cache, threads));
     const auto report = runner.run(est_sweep_spec());
     EXPECT_EQ(report.cache_misses, 8u);
     const std::string manifest =
@@ -626,7 +641,7 @@ TEST(SweepRunner, ReplicationUnitsMatchSerialReplicate) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     std::mutex mutex;
     std::vector<int> sim_points(jobs.size(), 0);
-    exp::SweepOptions opts;
+    exp::RunnerOptions opts;
     opts.threads = threads;
     opts.cache_dir = "";
     opts.artifact_dir = "";
@@ -635,7 +650,7 @@ TEST(SweepRunner, ReplicationUnitsMatchSerialReplicate) {
       const std::scoped_lock lock(mutex);
       ++sim_points[index];
     };
-    const auto report = exp::SweepRunner(opts).run(spec);
+    const auto report = exp::Runner(opts).run(spec);
     ASSERT_EQ(report.results.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       expect_matches_serial_replicate(jobs[i], report.results[i]);
@@ -648,17 +663,11 @@ TEST(SweepRunner, WarmAgreesWithColdRunnerToTolerance) {
   const auto spec = est_sweep_spec();
 
   const TempDir warm_cache("sweep-warm");
-  exp::SweepRunner warm_runner(sweep_options(warm_cache, 2, true));
+  exp::Runner warm_runner(options(warm_cache, 2, true));
   const auto warm = warm_runner.run(spec);
 
   const TempDir cold_cache("sweep-cold");
-  exp::Runner cold_runner([&] {
-    exp::RunnerOptions opts;
-    opts.threads = 2;
-    opts.cache_dir = cold_cache.path.string();
-    opts.artifact_dir = "";
-    return opts;
-  }());
+  exp::Runner cold_runner(options(cold_cache, 2, false));
   const auto cold = cold_runner.run(spec);
 
   ASSERT_EQ(warm.results.size(), cold.results.size());
@@ -669,38 +678,30 @@ TEST(SweepRunner, WarmAgreesWithColdRunnerToTolerance) {
     EXPECT_NEAR(w.est_sojourn, c.est_sojourn,
                 1e-9 * std::max(1.0, std::abs(c.est_sojourn)))
         << w.label << " λ=" << w.lambda;
-    // Chain heads run the standalone cold solve: bit-identical to Runner.
+    // Chain heads run the standalone cold solve: bit-identical to the
+    // cold run.
     if (w.lambda == spec.lambdas.front()) {
       EXPECT_EQ(w.est_sojourn, c.est_sojourn) << w.label;
     }
   }
 }
 
-TEST(SweepRunner, ColdModeMatchesRunnerBitForBit) {
+TEST(Runner, ColdModeMatchesStandaloneSolveBitForBit) {
   const auto spec = est_sweep_spec();
+  const auto jobs = spec.expand();
+  const TempDir cache("cold-mode");
+  const auto report = exp::Runner(options(cache, 2, false)).run(spec);
 
-  const TempDir sweep_cache("sweepmode-cold");
-  exp::SweepRunner sweep_runner(sweep_options(sweep_cache, 2, false));
-  const auto via_sweep = sweep_runner.run(spec);
-
-  const TempDir runner_cache("plain-cold");
-  exp::Runner runner([&] {
-    exp::RunnerOptions opts;
-    opts.threads = 2;
-    opts.cache_dir = runner_cache.path.string();
-    opts.artifact_dir = "";
-    return opts;
-  }());
-  const auto via_runner = runner.run(spec);
-
-  ASSERT_EQ(via_sweep.results.size(), via_runner.results.size());
-  for (std::size_t i = 0; i < via_sweep.results.size(); ++i) {
-    EXPECT_EQ(via_sweep.results[i].est_sojourn,
-              via_runner.results[i].est_sojourn)
-        << i;
-    // Estimate-only cold sweep jobs are keyed exactly like Runner's, so
-    // the two schedulers share cache entries.
-    EXPECT_EQ(via_sweep.results[i].key, via_runner.results[i].key) << i;
+  ASSERT_EQ(report.results.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto model =
+        core::make_model(jobs[i].model, jobs[i].lambda, jobs[i].params);
+    const auto fp = core::solve_fixed_point(*model);
+    const auto& r = report.results[i];
+    EXPECT_EQ(r.est_sojourn, model->mean_sojourn(fp.state)) << i;
+    EXPECT_EQ(r.est_rhs_evals, fp.rhs_evals) << i;
+    // Cold points keep plain cold keys: no solver annotation, no state.
+    EXPECT_EQ(r.key, jobs[i].key()) << i;
   }
 }
 
@@ -709,19 +710,19 @@ TEST(SweepRunner, InterruptedSweepResumesWarmFromCache) {
 
   // Uninterrupted reference, fresh cache each time.
   const TempDir ref_cache("sweep-ref");
-  exp::SweepRunner ref_runner(sweep_options(ref_cache, 2));
+  exp::Runner ref_runner(options(ref_cache, 2));
   const auto reference = ref_runner.run(est_sweep_spec());
 
   // "Interrupted" sweep: the first two λ of the same chains.
   auto prefix = est_sweep_spec();
   prefix.lambdas = {0.5, 0.65};
-  exp::SweepRunner first(sweep_options(cache, 2));
+  exp::Runner first(options(cache, 2));
   const auto partial = first.run(prefix);
   EXPECT_EQ(partial.cache_misses, 4u);
 
   // Re-running the full grid hits the prefix (same warm keys) and solves
   // only the remaining points, warm-seeded from the cached states.
-  exp::SweepRunner second(sweep_options(cache, 2));
+  exp::Runner second(options(cache, 2));
   const auto resumed = second.run(est_sweep_spec());
   EXPECT_EQ(resumed.cache_hits, 4u);
   EXPECT_EQ(resumed.cache_misses, 4u);
@@ -734,7 +735,7 @@ TEST(SweepRunner, InterruptedSweepResumesWarmFromCache) {
   }
 
   // A third run is pure cache.
-  exp::SweepRunner third(sweep_options(cache, 2));
+  exp::Runner third(options(cache, 2));
   const auto replay = third.run(est_sweep_spec());
   EXPECT_EQ(replay.cache_hits, 8u);
   EXPECT_EQ(replay.cache_misses, 0u);
@@ -746,7 +747,7 @@ TEST(SweepRunner, InterruptedSweepResumesWarmFromCache) {
 TEST(SweepRunner, MixedSimAndEstimateEntriesMergeIntoOneReport) {
   const TempDir cache("sweep-mixed");
   auto spec = small_spec();  // one sim+est entry, one est-only entry
-  exp::SweepRunner runner(sweep_options(cache, 2));
+  exp::Runner runner(options(cache, 2));
   const auto report = runner.run(spec);
 
   ASSERT_EQ(report.results.size(), 4u);
@@ -757,7 +758,7 @@ TEST(SweepRunner, MixedSimAndEstimateEntriesMergeIntoOneReport) {
   EXPECT_NEAR(report.sim("steal", 0.5), report.estimate("steal", 0.5), 0.25);
 
   // Second run: every half cached, nothing simulated.
-  exp::SweepRunner again(sweep_options(cache, 2));
+  exp::Runner again(options(cache, 2));
   const auto warm = again.run(spec);
   EXPECT_EQ(warm.cache_hits, 4u);
   EXPECT_EQ(warm.events_simulated, 0u);

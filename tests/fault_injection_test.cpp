@@ -18,7 +18,6 @@
 #include "core/registry.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
-#include "exp/sweep.hpp"
 #include "util/failure.hpp"
 #include "util/fault_injection.hpp"
 #include "util/json.hpp"
@@ -264,6 +263,9 @@ exp::RunnerOptions fault_options(const TempDir& cache) {
   opts.threads = 4;
   opts.cache_dir = cache.path.string();
   opts.artifact_dir = "";
+  // Cold solves: a failed point would cold-restart the rest of a warm
+  // chain, while these tests pin every unfaulted job to the clean run.
+  opts.warm = false;
   // Short backoffs keep the retried jobs from dominating test wall time.
   opts.retry = {3, 0.001, 2.0, 0.01};
   return opts;
@@ -492,11 +494,11 @@ TEST(FaultSweep, ChainBreakColdRestartsTheRemainder) {
 
   // Clean warm reference.
   const TempDir ref_cache("chain-ref");
-  exp::SweepOptions ref_opts;
+  exp::RunnerOptions ref_opts;
   ref_opts.threads = 2;
   ref_opts.cache_dir = ref_cache.path.string();
   ref_opts.artifact_dir = "";
-  exp::SweepRunner ref_runner(ref_opts);
+  exp::Runner ref_runner(ref_opts);
   const auto reference = ref_runner.run(spec);
   ASSERT_EQ(reference.failed_jobs, 0u);
 
@@ -509,11 +511,11 @@ TEST(FaultSweep, ChainBreakColdRestartsTheRemainder) {
   inj.configure(7, profile_with(util::FaultSite::SolverDiverge, 1.0, ctx));
 
   const TempDir cache("chain-faulted");
-  exp::SweepOptions opts = ref_opts;
+  exp::RunnerOptions opts = ref_opts;
   opts.cache_dir = cache.path.string();
   opts.on_failure = exp::OnFailure::Report;
   opts.retry = {3, 0.001, 2.0, 0.01};
-  exp::SweepRunner runner(opts);
+  exp::Runner runner(opts);
   const auto report = runner.run(spec);
 
   // Only the faulted point failed — and divergence is not retryable.
@@ -543,10 +545,10 @@ TEST(FaultSweep, ChainBreakColdRestartsTheRemainder) {
 
   // Abort mode propagates the divergence instead.
   const TempDir abort_cache("chain-abort");
-  exp::SweepOptions abort_opts = opts;
+  exp::RunnerOptions abort_opts = opts;
   abort_opts.cache_dir = abort_cache.path.string();
   abort_opts.on_failure = exp::OnFailure::Abort;
-  exp::SweepRunner abort_runner(abort_opts);
+  exp::Runner abort_runner(abort_opts);
   EXPECT_THROW((void)abort_runner.run(spec), util::FailureError);
 }
 

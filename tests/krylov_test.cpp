@@ -283,20 +283,16 @@ TEST(KrylovDispatch, AutoRoutesLargeNearCriticalSystemsToKrylov) {
   EXPECT_NEAR(model->mean_sojourn(fp.state), 100.0, 1e-3);
 }
 
-TEST(KrylovDispatch, PolishSkipIsRecordedNotSilent) {
+TEST(KrylovDispatch, PolishAboveNewtonMaxDimIsMatrixFree) {
+  // Too large for the dense-Jacobian Newton: the polish goes matrix-free
+  // and still reaches polish accuracy.
   const auto model = core::make_model("no-stealing", 0.9, {{"L", 1999}});
   core::FixedPointOptions opts;
   opts.truncation = core::TruncationMode::Fixed;
   ASSERT_GT(model->dimension(), opts.newton_max_dim);
 
-  opts.krylov_polish = false;
-  const auto skipped = core::solve_fixed_point(*model, opts);
-  EXPECT_TRUE(skipped.polish_skipped);
-  EXPECT_FALSE(skipped.polished);
-
-  opts.krylov_polish = true;
   const auto polished = core::solve_fixed_point(*model, opts);
-  EXPECT_FALSE(polished.polish_skipped);
+  EXPECT_TRUE(polished.polished);
   EXPECT_LE(polished.residual, 1e-10);
 }
 

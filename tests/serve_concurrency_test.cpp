@@ -2,7 +2,7 @@
 // the PR's two acceptance scenarios: (1) two sequential clients on a
 // 16-point sweep, where the second reports every point as a cache hit
 // with byte-identical results; (2) four concurrent clients whose streams
-// all match the serial SweepRunner baseline bit-for-bit. Runs in-process
+// all match the serial exp::Runner baseline bit-for-bit. Runs in-process
 // so the TSan leg of scripts/check.sh covers the daemon's locking.
 #include <gtest/gtest.h>
 
@@ -10,8 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "exp/runner.hpp"
 #include "exp/spec.hpp"
-#include "exp/sweep.hpp"
 #include "serve/harness.hpp"
 #include "serve/protocol.hpp"
 
@@ -21,7 +21,7 @@ using namespace lsm;
 using test::ServerFixture;
 
 /// The serial reference: the same estimate-only spec the service builds
-/// for a request, run directly through SweepRunner with caching off.
+/// for a request, run directly through exp::Runner with caching off.
 /// Cold per-point solves: with warm chaining, which client solves a
 /// point's predecessor (vs loading it) decides whether the Newton chord
 /// is rebuilt — convergent either way, but not bit-identical, so the
@@ -39,11 +39,11 @@ std::vector<exp::JobResult> serial_baseline(
     entry.simulate = false;
     spec.add(std::move(entry));
   }
-  exp::SweepOptions opts;
+  exp::RunnerOptions opts;
   opts.cache_dir = "";
   opts.artifact_dir = "";
   opts.warm = false;
-  const auto report = exp::SweepRunner(opts).run(spec);
+  const auto report = exp::Runner(opts).run(spec);
   return report.results;
 }
 
