@@ -7,8 +7,8 @@
 #include "bench_common.hpp"
 #include "core/fixed_point.hpp"
 #include "core/general_arrival_ws.hpp"
-#include "core/heterogeneous_ws.hpp"
 #include "core/metrics.hpp"
+#include "core/multi_class_ws.hpp"
 
 int main() {
   using namespace lsm;
@@ -20,20 +20,18 @@ int main() {
   util::Table het({"lambda", "Est E[T]", "Sim(128)", "E[load|fast]",
                    "E[load|slow]"});
   for (double lambda : {0.70, 0.90, 0.99}) {
-    core::HeterogeneousWS model(lambda, 0.25, 2.0, 0.8, 2);
+    core::MultiClassWS model(lambda, {{0.25, 2.0}, {0.75, 0.8}}, 2);
     const auto fp = core::solve_fixed_point(model);
     sim::SimConfig cfg;
     cfg.processors = 128;
     cfg.arrival_rate = lambda;
-    cfg.fast_count = 32;
-    cfg.fast_speed = 2.0;
-    cfg.slow_speed = 0.8;
+    cfg.speed_groups = {{32, 2.0}, {96, 0.8}};
     cfg.policy = sim::StealPolicy::on_empty(2);
     het.add_row({util::Table::fmt(lambda, 2),
                  util::Table::fmt(model.mean_sojourn(fp.state)),
                  util::Table::fmt(bench::sim_mean_sojourn(cfg, f, pool)),
-                 util::Table::fmt(model.mean_tasks_fast(fp.state)),
-                 util::Table::fmt(model.mean_tasks_slow(fp.state))});
+                 util::Table::fmt(model.mean_tasks_in_class(fp.state, 0)),
+                 util::Table::fmt(model.mean_tasks_in_class(fp.state, 1))});
   }
   het.print(std::cout);
 

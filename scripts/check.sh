@@ -194,7 +194,7 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
   # pool units (the last one to finish assembles the job's result), next
   # to one estimate chain per entry, and the halves merge per job.
   ./build-tsan/tests/test_exp_runner \
-    --gtest_filter='Runner.ManifestIsIdenticalAcrossPoolWidths:Runner.ExternalPoolIsUsable:Runner.ReplicationUnitsMatchSerialReplicate:Runner.JobWallNeverExceedsRunWall:SweepRunner.ManifestIsIdenticalAcrossPoolWidths:SweepRunner.MixedSimAndEstimateEntriesMergeIntoOneReport:SweepRunner.ReplicationUnitsMatchSerialReplicate'
+    --gtest_filter='Runner.ManifestIsIdenticalAcrossPoolWidths:Runner.ExternalPoolIsUsable:Runner.ReplicationUnitsMatchSerialReplicate:Runner.JobWallNeverExceedsRunWall:SweepRunner.ManifestIsIdenticalAcrossPoolWidths:SweepRunner.MixedSimAndEstimateEntriesMergeIntoOneReport'
   # Faulted runs add retry/backoff + failure merging on the pool paths.
   ./build-tsan/tests/test_fault_injection --gtest_filter='FaultRunner.*:FaultSweep.*'
   # The sweep daemon: session threads, dispatcher threads, the solver
@@ -237,19 +237,21 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   # (x + (i +- 1) * nb) with no container check, so the model suites run
   # here too, as do the banded LU (pointer walks down and across the
   # column-major band) and Anderson's fused, blocked history passes (raw
-  # column pointers) with their bit-for-bit oracle tests.
+  # column pointers) with their bit-for-bit oracle tests. The K-class
+  # model walks per-class row pointers into the packed state, so
+  # test_multi_class (with its two-class oracle) runs here as well.
   # parallel_map's cursor writes result slots from pool threads, and the
   # runner's replication units write per-job slots the last unit then
   # reads, so test_parallel and test_exp_runner run here too.
   # test_hot_loop_alloc replaces operator new and stays on the UBSan leg.
-  echo "== asan: LUs, ODE solvers, Anderson, lane kernels, the property suite, parallel_map and the runner under -fsanitize=address,undefined"
+  echo "== asan: LUs, ODE solvers, Anderson, lane kernels, the K-class model, the property suite, parallel_map and the runner under -fsanitize=address,undefined"
   cmake -B build-asan -G Ninja -DLSM_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS >/dev/null
   cmake --build build-asan -j "$jobs" \
     --target test_linalg test_ode test_krylov test_fixed_point_properties \
-    test_model_basic test_model_registry_sweep test_implicit test_anderson \
-    test_parallel test_exp_runner
+    test_model_basic test_multi_class test_model_registry_sweep \
+    test_implicit test_anderson test_parallel test_exp_runner
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   ./build-asan/tests/test_linalg
   ./build-asan/tests/test_ode
@@ -258,6 +260,7 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   ./build-asan/tests/test_anderson
   ./build-asan/tests/test_fixed_point_properties
   ./build-asan/tests/test_model_basic
+  ./build-asan/tests/test_multi_class
   ./build-asan/tests/test_model_registry_sweep
   ./build-asan/tests/test_parallel
   ./build-asan/tests/test_exp_runner

@@ -17,6 +17,7 @@ MultiClassWS::MultiClassWS(double lambda,
   trunc_explicit_ = truncation != 0;
   LSM_EXPECT(!classes_.empty(), "need at least one processor class");
   LSM_EXPECT(threshold >= 2, "steal threshold must be at least 2");
+  LSM_EXPECT(trunc_ > threshold + 2, "truncation too small for threshold");
   double total_fraction = 0.0;
   double capacity = 0.0;
   for (const auto& c : classes_) {
@@ -48,32 +49,37 @@ void MultiClassWS::deriv(double /*t*/, const ode::State& x,
   const std::size_t L = trunc_;
   const std::size_t T = threshold_;
   const std::size_t K = classes_.size();
-  LSM_ASSERT(x.size() == K * (L + 1) && dx.size() == K * (L + 1));
-  auto u = [&](std::size_t c, std::size_t i) {
-    return i <= L ? x[index(c, i)] : 0.0;
-  };
+  const std::size_t W = L + 1;
+  const double lambda = lambda_;  // a local: stores through du can't alias it
+  LSM_ASSERT(x.size() == K * W && dx.size() == K * W);
 
+  // fail = 1 - H_T, taken as 1 minus each class's u^c_T in class order
+  // (not 1 minus their sum): the rounding is part of the answer.
   double steal_rate = 0.0;  // completions of last tasks across all classes
-  double heavy = 0.0;       // fraction of processors with >= T tasks
+  double fail = 1.0;        // fraction of processors with < T tasks
   for (std::size_t c = 0; c < K; ++c) {
-    steal_rate += classes_[c].rate * (u(c, 1) - u(c, 2));
-    heavy += u(c, T);
+    const double* u = x.data() + c * W;
+    steal_rate += classes_[c].rate * (u[1] - u[2]);
+    fail -= u[T];
   }
-  const double fail = 1.0 - heavy;
 
   for (std::size_t c = 0; c < K; ++c) {
     const double mu = classes_[c].rate;
-    dx[index(c, 0)] = 0.0;
-    for (std::size_t i = 1; i <= L; ++i) {
-      double d = lambda_ * (u(c, i - 1) - u(c, i));
-      if (i == 1) {
-        d -= mu * (u(c, 1) - u(c, 2)) * fail;
-      } else {
-        d -= mu * (u(c, i) - u(c, i + 1));
-      }
-      if (i >= T) d -= steal_rate * (u(c, i) - u(c, i + 1));
-      dx[index(c, i)] = d;
+    const double* u = x.data() + c * W;
+    double* du = dx.data() + c * W;
+    du[0] = 0.0;
+    du[1] = lambda * (u[0] - u[1]) - mu * (u[1] - u[2]) * fail;
+    // Levels >= T also lose tasks to thieves (T + 3 <= L); row L's
+    // successor u^c_{L+1} is the truncation's zero.
+    for (std::size_t i = 2; i < T; ++i) {
+      du[i] = lambda * (u[i - 1] - u[i]) - mu * (u[i] - u[i + 1]);
     }
+    for (std::size_t i = T; i < L; ++i) {
+      du[i] = lambda * (u[i - 1] - u[i]) - mu * (u[i] - u[i + 1]) -
+              steal_rate * (u[i] - u[i + 1]);
+    }
+    du[L] = lambda * (u[L - 1] - u[L]) - mu * (u[L] - 0.0) -
+            steal_rate * (u[L] - 0.0);
   }
 }
 
@@ -92,9 +98,13 @@ void MultiClassWS::root_residual(const ode::State& x, ode::State& f) const {
 }
 
 double MultiClassWS::mean_tasks(const ode::State& x) const {
+  // Level by level from the tail up, the classes summed within a level:
+  // like fail in deriv, the summation order is part of the answer.
   double acc = 0.0;
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    for (std::size_t i = trunc_; i >= 1; --i) acc += x[index(c, i)];
+  for (std::size_t i = trunc_; i >= 1; --i) {
+    double level = 0.0;
+    for (std::size_t c = 0; c < classes_.size(); ++c) level += x[index(c, i)];
+    acc += level;
   }
   return acc;
 }

@@ -1,9 +1,9 @@
 // K processor classes (paper, Section 3.5: "we can model different
 // processor types by keeping a separate state vector for each type").
-// Generalizes HeterogeneousWS from two classes to any number: class c has
-// population fraction f_c and service rate mu_c; every class receives
-// Poisson(lambda) arrivals and participates in threshold stealing with a
-// victim pool spanning the whole machine.
+// Class c has population fraction f_c and service rate mu_c; every class
+// receives Poisson(lambda) arrivals and participates in threshold stealing
+// with a victim pool spanning the whole machine. The registry's
+// "heterogeneous" model is the K = 2 case {{f, mu_f}, {1 - f, mu_s}}.
 //
 //   du^c_1/dt = l(u^c_0 - u^c_1) - mu_c (u^c_1 - u^c_2)(1 - H_T)
 //   du^c_i/dt = l(u^c_{i-1} - u^c_i) - mu_c (u^c_i - u^c_{i+1})   2 <= i < T

@@ -3,8 +3,8 @@
 #include "core/composed_ws.hpp"
 #include "core/erlang_ws.hpp"
 #include "core/general_arrival_ws.hpp"
-#include "core/heterogeneous_ws.hpp"
 #include "core/multi_choice_ws.hpp"
+#include "core/multi_class_ws.hpp"
 #include "core/multi_steal_ws.hpp"
 #include "core/no_stealing.hpp"
 #include "core/phase_type_ws.hpp"
@@ -275,9 +275,12 @@ std::unique_ptr<MeanFieldModel> make_model(const std::string& name,
     return std::make_unique<RebalanceWS>(lambda, get(params, "r", 1.0), L);
   }
   if (name == "heterogeneous") {
-    return std::make_unique<HeterogeneousWS>(
-        lambda, get(params, "f", 0.25), get(params, "mu_f", 2.0),
-        get(params, "mu_s", 0.8), T, L);
+    const double f = get(params, "f", 0.25);
+    return std::make_unique<MultiClassWS>(
+        lambda,
+        std::vector<ProcessorClass>{{f, get(params, "mu_f", 2.0)},
+                                    {1.0 - f, get(params, "mu_s", 0.8)}},
+        T, L);
   }
   if (name == "sharing") {
     const std::size_t S = get_n(params, "S", 2);

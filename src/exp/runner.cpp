@@ -496,22 +496,15 @@ std::vector<Partial> run_sim_unit(JobShards& shards, std::size_t k,
 }
 
 /// Warm chaining solves each entry's points in λ order, so a spec with an
-/// estimating entry needs a strictly monotone λ axis (ascending, or
-/// descending — a hysteresis study sweeps back down). Throws util::Error
+/// estimating entry needs a strictly monotone λ axis. Throws util::Error
 /// otherwise.
 void check_chainable(const ExperimentSpec& spec, const std::vector<Job>& jobs) {
-  if (std::none_of(jobs.begin(), jobs.end(),
-                   [](const Job& job) { return job.estimate; })) {
-    return;
-  }
-  const auto& ls = spec.lambdas;
-  const bool ascending = ls.size() > 1 && ls[1] > ls[0];
-  for (std::size_t i = 1; i < ls.size(); ++i) {
-    if (ascending ? ls[i] <= ls[i - 1] : ls[i] >= ls[i - 1]) {
-      throw util::Error("spec '" + spec.name +
-                        "': λ grid must be strictly monotone to warm-chain "
-                        "its estimates");
-    }
+  if (std::any_of(jobs.begin(), jobs.end(),
+                  [](const Job& job) { return job.estimate; }) &&
+      !strictly_monotone(spec.lambdas)) {
+    throw util::Error("spec '" + spec.name +
+                      "': λ grid must be strictly monotone to warm-chain "
+                      "its estimates");
   }
 }
 

@@ -17,7 +17,9 @@ namespace {
 /// the sim service serializes its full phase-type representation (every
 /// fitted alpha/S entry), so two fits with equal summary stats but
 /// different parameters can never share a cache entry.
-constexpr int kFormatVersion = 3;
+/// v4: the sim config's fast/slow speed fields left the key (speed_groups
+/// is the only description of heterogeneous speeds).
+constexpr int kFormatVersion = 4;
 
 util::Json policy_json(const sim::StealPolicy& p) {
   auto j = util::Json::object();
@@ -53,9 +55,6 @@ util::Json config_json(const sim::SimConfig& c) {
   j["horizon"] = c.horizon;
   j["warmup"] = c.warmup;
   j["seed"] = c.seed;
-  j["fast_count"] = c.fast_count;
-  j["fast_speed"] = c.fast_speed;
-  j["slow_speed"] = c.slow_speed;
   auto groups = util::Json::array();
   for (const auto& g : c.speed_groups) {
     auto gj = util::Json::object();
@@ -205,6 +204,17 @@ std::vector<Job> ExperimentSpec::expand() const {
     }
   }
   return jobs;
+}
+
+bool strictly_monotone(const std::vector<double>& lambdas) {
+  const bool ascending = lambdas.size() > 1 && lambdas[1] > lambdas[0];
+  for (std::size_t i = 1; i < lambdas.size(); ++i) {
+    if (ascending ? lambdas[i] <= lambdas[i - 1]
+                  : lambdas[i] >= lambdas[i - 1]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string content_hash(const std::string& bytes) {

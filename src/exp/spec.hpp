@@ -128,4 +128,10 @@ struct ExperimentSpec {
 /// FNV-1a 64-bit over `bytes`, hex-encoded; stable across platforms.
 [[nodiscard]] std::string content_hash(const std::string& bytes);
 
+/// True when the grid is strictly ascending or strictly descending (a
+/// hysteresis study sweeps back down); a single point qualifies. Warm
+/// continuation chains a grid in its given order, so warm estimating
+/// sweeps — in the runner and in the serve daemon — require it.
+[[nodiscard]] bool strictly_monotone(const std::vector<double>& lambdas);
+
 }  // namespace lsm::exp

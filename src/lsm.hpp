@@ -12,7 +12,6 @@
 #include "core/erlang_ws.hpp"        // IWYU pragma: export
 #include "core/fixed_point.hpp"      // IWYU pragma: export
 #include "core/general_arrival_ws.hpp"  // IWYU pragma: export
-#include "core/heterogeneous_ws.hpp"    // IWYU pragma: export
 #include "core/metrics.hpp"          // IWYU pragma: export
 #include "core/model.hpp"            // IWYU pragma: export
 #include "core/multi_choice_ws.hpp"  // IWYU pragma: export

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "exp/spec.hpp"
 #include "util/error.hpp"
 
 namespace lsm::serve {
@@ -49,17 +50,6 @@ void parse_lambdas(const util::Json& doc, Request& req) {
   if (req.verb == Verb::Estimate && req.lambdas.size() != 1) {
     invalid("estimate takes exactly one lambda (use sweep for grids)",
             req.id);
-  }
-  if (req.lambdas.size() > 1) {
-    const bool ascending = req.lambdas[1] > req.lambdas[0];
-    for (std::size_t i = 1; i < req.lambdas.size(); ++i) {
-      if (ascending ? req.lambdas[i] <= req.lambdas[i - 1]
-                    : req.lambdas[i] >= req.lambdas[i - 1]) {
-        invalid("'lambdas' must be strictly monotone (warm continuation "
-                "chains the grid in order)",
-                req.id);
-      }
-    }
   }
 }
 
@@ -165,6 +155,13 @@ Request parse_request(const std::string& line) {
         parse_lambdas(doc, req);
         parse_budget(doc, req);
         if (doc.contains("warm")) req.warm = doc.at("warm").as_bool();
+        // The runner's rule for warm estimating sweeps, checked here so a
+        // bad grid is a structured request error before any work queues.
+        if (req.warm && !exp::strictly_monotone(req.lambdas)) {
+          invalid("'lambdas' must be strictly monotone for a warm sweep "
+                  "(warm continuation chains the grid in order)",
+                  req.id);
+        }
         if (doc.contains("tail_limit")) {
           const std::int64_t v = doc.at("tail_limit").as_int();
           if (v < 0) invalid("'tail_limit' must be >= 0", req.id);

@@ -3,10 +3,10 @@
 // The daemon speaks newline-delimited JSON over a Unix-domain stream
 // socket: every request is one JSON object on one line, every response
 // line is one JSON object tagged with a "type". A sweep/estimate request
-// streams one "point" line per completed λ-point (in λ order) followed
+// streams one "point" line per completed λ-point (in grid order) followed
 // by a terminal "done" summary line; every other verb answers with a
 // single line. Malformed input of any shape — bad JSON, unknown verbs,
-// unknown models, non-monotone grids — is answered with a structured
+// unknown models, non-monotone warm grids — is answered with a structured
 // "error" line carrying the util::Failure taxonomy, never with a dropped
 // connection or a crash. docs/SERVING.md holds the full grammar with
 // example sessions.
@@ -46,7 +46,8 @@ struct Request {
   // sweep / estimate:
   std::string model;
   core::ModelParams params;
-  std::vector<double> lambdas;  ///< strictly monotone; size 1 for estimate
+  /// Strictly monotone when warm; exactly one point for estimate.
+  std::vector<double> lambdas;
   std::size_t tail_limit = 0;
   bool warm = true;  ///< chain the grid through warm-started continuation
   /// Per-request solver budgets (0 = unlimited), threaded into every
@@ -62,9 +63,10 @@ struct Request {
 /// Parses and validates one request line. Throws util::FailureError with
 /// FailureKind::InvalidArgument describing the first problem: JSON syntax
 /// errors, missing/mistyped fields, unknown verbs, unknown models,
-/// parameters the model rejects, or a non-monotone λ grid. The failure
-/// context carries the request id when one could be extracted, so the
-/// error response still routes to the right client request.
+/// parameters the model rejects, or a warm sweep's non-monotone λ grid
+/// (exp::strictly_monotone). The failure context carries the request id
+/// when one could be extracted, so the error response still routes to
+/// the right client request.
 [[nodiscard]] Request parse_request(const std::string& line);
 
 // Response writers. Every line is a compact single-line JSON object with

@@ -24,8 +24,6 @@ void SimConfig::validate() const {
   LSM_EXPECT(horizon > 0.0, "horizon must be positive");
   LSM_EXPECT(warmup >= 0.0 && warmup < horizon,
              "warmup must lie inside the horizon");
-  LSM_EXPECT(fast_count <= processors, "fast_count exceeds processor count");
-  LSM_EXPECT(fast_speed > 0.0 && slow_speed > 0.0, "speeds must be positive");
   if (!speed_groups.empty()) {
     std::size_t covered = 0;
     for (const auto& g : speed_groups) {
@@ -150,11 +148,6 @@ class Engine {
         for (std::size_t k = 0; k < group.count; ++k) {
           speed_[p++] = group.speed;
         }
-      }
-    } else if (cfg_.fast_count > 0 || cfg_.slow_speed != 1.0) {
-      speed_.assign(n_, cfg_.slow_speed);
-      for (std::size_t p = 0; p < cfg_.fast_count; ++p) {
-        speed_[p] = cfg_.fast_speed;
       }
     }
     const StealPolicy& pol = cfg_.policy;

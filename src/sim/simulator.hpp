@@ -25,15 +25,9 @@ struct SimConfig {
   double warmup = 10000.0;    ///< discarded prefix (paper: 10,000)
   std::uint64_t seed = 1;
 
-  // Heterogeneous speeds (Section 3.5): the first fast_count processors
-  // serve at fast_speed, the rest at slow_speed (1.0 = homogeneous).
-  std::size_t fast_count = 0;
-  double fast_speed = 1.0;
-  double slow_speed = 1.0;
-
-  // General K-class alternative: consecutive groups of `count` processors
-  // at `speed`. When non-empty the counts must sum to `processors` and
-  // this overrides the fast/slow fields above.
+  // Heterogeneous speeds (Section 3.5): consecutive groups of `count`
+  // processors serving at `speed`. Empty means every processor runs at
+  // speed 1; otherwise the counts must sum to `processors`.
   struct SpeedGroup {
     std::size_t count = 0;
     double speed = 1.0;

@@ -214,15 +214,23 @@ TEST(Runner, ReplicationUnitsMatchSerialReplicate) {
   const auto jobs = spec.expand();
   for (const unsigned threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::mutex mutex;
+    std::vector<int> sim_points(jobs.size(), 0);
     exp::RunnerOptions opts;
     opts.threads = threads;
     opts.cache_dir = "";
     opts.artifact_dir = "";
+    opts.on_point = [&](std::size_t index, const exp::JobResult& partial) {
+      if (!partial.has_sim) return;
+      const std::scoped_lock lock(mutex);
+      ++sim_points[index];
+    };
     const auto report = exp::Runner(opts).run(spec);
     ASSERT_EQ(report.results.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       expect_matches_serial_replicate(jobs[i], report.results[i]);
       EXPECT_EQ(report.results[i].has_estimate, jobs[i].estimate);
+      EXPECT_EQ(sim_points[i], 1) << "on_point for sim point " << i;
     }
     // The counters compared above must not all be zero.
     EXPECT_GT(report.at("share", 0.85).forwards, 0u);
@@ -632,31 +640,6 @@ TEST(SweepRunner, ManifestIsIdenticalAcrossPoolWidths) {
   // The chained points are marked as warm solves in the manifest config.
   EXPECT_NE(reference.find("\"mode\": \"warm\""), std::string::npos);
   EXPECT_NE(reference.find("\"mode\": \"cold\""), std::string::npos);
-}
-
-TEST(SweepRunner, ReplicationUnitsMatchSerialReplicate) {
-  const auto spec = replication_spec();
-  const auto jobs = spec.expand();
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    std::mutex mutex;
-    std::vector<int> sim_points(jobs.size(), 0);
-    exp::RunnerOptions opts;
-    opts.threads = threads;
-    opts.cache_dir = "";
-    opts.artifact_dir = "";
-    opts.on_point = [&](std::size_t index, const exp::JobResult& partial) {
-      if (!partial.has_sim) return;
-      const std::scoped_lock lock(mutex);
-      ++sim_points[index];
-    };
-    const auto report = exp::Runner(opts).run(spec);
-    ASSERT_EQ(report.results.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      expect_matches_serial_replicate(jobs[i], report.results[i]);
-      EXPECT_EQ(sim_points[i], 1) << "on_point for sim point " << i;
-    }
-  }
 }
 
 TEST(SweepRunner, WarmAgreesWithColdRunnerToTolerance) {

@@ -8,8 +8,8 @@
 
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
-#include "core/heterogeneous_ws.hpp"
 #include "core/multi_choice_ws.hpp"
+#include "core/multi_class_ws.hpp"
 #include "core/multi_steal_ws.hpp"
 #include "core/preemptive_ws.hpp"
 #include "core/rebalance_ws.hpp"
@@ -145,14 +145,14 @@ TEST(FixedPointSolver, TransferModelConservesClassMass) {
 }
 
 TEST(FixedPointSolver, HeterogeneousThroughputBalance) {
-  core::HeterogeneousWS model(0.9, 0.25, 2.0, 0.8, 2);
+  core::MultiClassWS model(0.9, {{0.25, 2.0}, {0.75, 0.8}}, 2);
   const auto fp = core::solve_fixed_point(model);
   EXPECT_LT(fp.residual, 1e-9);
   const auto& x = fp.state;
-  EXPECT_NEAR(2.0 * x[1] + 0.8 * x[model.v_index(1)], 0.9, 1e-8);
+  EXPECT_NEAR(2.0 * x[1] + 0.8 * x[model.index(1, 1)], 0.9, 1e-8);
   // Class masses pinned.
   EXPECT_NEAR(x[0], 0.25, 1e-12);
-  EXPECT_NEAR(x[model.v_index(0)], 0.75, 1e-12);
+  EXPECT_NEAR(x[model.index(1, 0)], 0.75, 1e-12);
 }
 
 TEST(FixedPointSolver, ErlangStagesThroughputBalance) {

@@ -8,8 +8,8 @@
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "core/general_arrival_ws.hpp"
-#include "core/heterogeneous_ws.hpp"
 #include "core/multi_choice_ws.hpp"
+#include "core/multi_class_ws.hpp"
 #include "core/multi_steal_ws.hpp"
 #include "core/no_stealing.hpp"
 #include "core/preemptive_ws.hpp"
@@ -100,12 +100,12 @@ TEST(Reduction, SpawningWithZeroInternalIsThreshold) {
 TEST(Reduction, HeterogeneousEqualSpeedsMatchesThresholdFixedPoint) {
   // With mu_f = mu_s = 1 the class split is irrelevant: the combined tails
   // u_i + v_i must equal the homogeneous ThresholdWS fixed point.
-  core::HeterogeneousWS het(0.9, 0.5, 1.0, 1.0, 2);
+  core::MultiClassWS het(0.9, {{0.5, 1.0}, {0.5, 1.0}}, 2);
   core::ThresholdWS th(0.9, 2);
   const auto fph = core::solve_fixed_point(het);
   const auto pi = th.analytic_fixed_point();
   for (std::size_t i = 1; i <= 20; ++i) {
-    EXPECT_NEAR(fph.state[i] + fph.state[het.v_index(i)], pi[i], 1e-7)
+    EXPECT_NEAR(fph.state[i] + fph.state[het.index(1, i)], pi[i], 1e-7)
         << "i=" << i;
   }
 }

@@ -8,12 +8,13 @@
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "core/general_arrival_ws.hpp"
-#include "core/heterogeneous_ws.hpp"
 #include "core/metrics.hpp"
 #include "core/multi_choice_ws.hpp"
+#include "core/multi_class_ws.hpp"
 #include "core/multi_steal_ws.hpp"
 #include "core/preemptive_ws.hpp"
 #include "core/rebalance_ws.hpp"
+#include "core/registry.hpp"
 #include "core/repeated_steal_ws.hpp"
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
@@ -263,13 +264,21 @@ TEST(Rebalance, LoadDependentRateFunction) {
 // --- Heterogeneous + spawning + static (Section 3.5) ------------------------------------------
 
 TEST(Heterogeneous, FastClassRunsShorterQueues) {
-  core::HeterogeneousWS model(0.9, 0.3, 2.0, 0.571429, 2);  // capacity ~1
+  // Capacity 0.3 * 2 + 0.7 * 0.571429 ~ 1.
+  core::MultiClassWS model(0.9, {{0.3, 2.0}, {0.7, 0.571429}}, 2);
   const auto fp = core::solve_fixed_point(model);
-  EXPECT_LT(model.mean_tasks_fast(fp.state), model.mean_tasks_slow(fp.state));
+  EXPECT_LT(model.mean_tasks_in_class(fp.state, 0),
+            model.mean_tasks_in_class(fp.state, 1));
 }
 
 TEST(Heterogeneous, RejectsOverload) {
-  EXPECT_THROW(core::HeterogeneousWS(1.2, 0.5, 1.0, 1.0, 2),
+  const core::ModelParams equal{{"f", 0.5}, {"mu_f", 1.0}, {"mu_s", 1.0}};
+  EXPECT_THROW((void)core::make_model("heterogeneous", 1.2, equal),
+               util::LogicError);
+  // The fast fraction must leave both classes populated.
+  EXPECT_THROW((void)core::make_model("heterogeneous", 0.5, {{"f", 1.0}}),
+               util::LogicError);
+  EXPECT_THROW((void)core::make_model("heterogeneous", 0.5, {{"f", 0.0}}),
                util::LogicError);
 }
 

@@ -1,12 +1,17 @@
 // Tests for the K-class generalization of Section 3.5.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/fixed_point.hpp"
-#include "core/heterogeneous_ws.hpp"
 #include "core/multi_class_ws.hpp"
+#include "core/registry.hpp"
 #include "core/threshold_ws.hpp"
+#include "reference_rhs.hpp"
 #include "sim/replicate.hpp"
 #include "util/error.hpp"
+#include "util/xoshiro.hpp"
 
 namespace {
 
@@ -18,25 +23,91 @@ TEST(MultiClass, ValidatesInput) {
                util::LogicError);  // fractions don't sum to 1
   EXPECT_THROW(core::MultiClassWS(2.0, {{1.0, 1.0}}, 2),
                util::LogicError);  // overload
+  EXPECT_THROW(core::MultiClassWS(0.9, {{1.0, 1.0}}, 5, 7),
+               util::LogicError);  // truncation below T + 3
   EXPECT_NO_THROW(core::MultiClassWS(0.9, {{0.3, 2.0}, {0.7, 0.8}}, 2));
 }
 
-TEST(MultiClass, TwoClassesMatchHeterogeneousWS) {
-  core::MultiClassWS general(0.9, {{0.25, 2.0}, {0.75, 0.8}}, 2, 64);
-  core::HeterogeneousWS special(0.9, 0.25, 2.0, 0.8, 2, 64);
-  ASSERT_EQ(general.dimension(), special.dimension());
-  // Same packing (class 0 then class 1), so the fields must agree.
-  ode::State x = general.empty_state();
-  // Populate a feasible two-class profile.
-  for (std::size_t i = 1; i <= 10; ++i) {
-    x[general.index(0, i)] = 0.25 * std::pow(0.6, static_cast<double>(i));
-    x[general.index(1, i)] = 0.75 * std::pow(0.8, static_cast<double>(i));
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// A random two-class state at truncation L: class tails decaying from
+/// their fractions, with u_1 == u_2 forced in one class on some draws and
+/// both tails zero from level T on, on others (so u_T == v_T == 0).
+ode::State random_two_class_state(util::Xoshiro256& rng, double f,
+                                  std::size_t T, std::size_t L,
+                                  std::size_t variant) {
+  ode::State x(2 * (L + 1), 0.0);
+  const double head[2] = {f, 1.0 - f};
+  for (std::size_t c = 0; c < 2; ++c) {
+    const std::size_t base = c * (L + 1);
+    x[base] = head[c];
+    const std::size_t top = variant == 2 ? T - 1 : L;
+    for (std::size_t i = 1; i <= top; ++i) {
+      x[base + i] = x[base + i - 1] * rng.uniform();
+    }
+    if (variant == 1 && c == 0) x[base + 2] = x[base + 1];  // u_1 == u_2
   }
-  ode::State da(x.size()), db(x.size());
-  general.deriv(0.0, x, da);
-  special.deriv(0.0, x, db);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    ASSERT_NEAR(da[i], db[i], 1e-13) << "i=" << i;
+  return x;
+}
+
+TEST(MultiClass, TwoClassesMatchHeterogeneousRecurrenceBitForBit) {
+  // The K-class model at K = 2 against the two-class recurrence written
+  // out by hand: every derivative entry and the mean load agree to the
+  // bit over many random states, shapes and rates.
+  util::Xoshiro256 rng(20);
+  std::size_t checked = 0;
+  for (const double f : {0.25, 0.3, 0.5}) {
+    for (const std::size_t T : {2u, 3u, 5u}) {
+      for (std::size_t draw = 0; draw < 30; ++draw) {
+        const std::size_t L = T + 3 + (draw % 7) * 5;
+        const double mu_f = 1.0 + rng.uniform();
+        const double mu_s = 0.2 + 0.6 * rng.uniform();
+        const double lambda = 0.9 * (f * mu_f + (1.0 - f) * mu_s);
+        const core::MultiClassWS model(lambda, {{f, mu_f}, {1.0 - f, mu_s}},
+                                       T, L);
+        const ode::State x = random_two_class_state(rng, f, T, L, draw % 3);
+        ode::State got(x.size()), want(x.size());
+        model.deriv(0.0, x, got);
+        reference::two_class(lambda, mu_f, mu_s, T, L, x, want);
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          ASSERT_EQ(bits(got[i]), bits(want[i]))
+              << "f=" << f << " T=" << T << " L=" << L << " draw=" << draw
+              << " i=" << i;
+        }
+        ASSERT_EQ(bits(model.mean_tasks(x)),
+                  bits(reference::two_class_mean_tasks(L, x)))
+            << "f=" << f << " T=" << T << " L=" << L << " draw=" << draw;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 270u);
+}
+
+TEST(MultiClass, HeterogeneousPresetPinsColdAnswers) {
+  // The registry's "heterogeneous" preset (f = 0.25 at mu_f = 2, the rest
+  // at mu_s = 0.8, T = 2) solved cold over the daemon benchmark's grid:
+  // evaluation counts, truncations and sojourn bits recorded from the
+  // dedicated two-class model this preset replaced.
+  struct Pin {
+    std::size_t rhs_evals;
+    std::size_t truncation;
+    std::uint64_t sojourn;
+  };
+  const Pin pins[8] = {
+      {171, 48, 0x3ffcd9b2dfc2673eULL}, {196, 48, 0x3ffeb518a2c7e776ULL},
+      {207, 48, 0x40006f625cef13beULL}, {250, 51, 0x4001ba5d2d1dd2ccULL},
+      {271, 56, 0x4003532f9387fdb2ULL}, {323, 62, 0x400561d54a3d7e18ULL},
+      {365, 70, 0x40082fe1227f4371ULL}, {542, 81, 0x400c560e97ace4caULL},
+  };
+  for (int k = 0; k < 8; ++k) {
+    const double lambda = 0.50 + (0.85 - 0.50) * k / 7;
+    const auto model = core::make_model("heterogeneous", lambda);
+    const auto fp = core::solve_fixed_point(*model);
+    EXPECT_EQ(fp.rhs_evals, pins[k].rhs_evals) << "lambda=" << lambda;
+    EXPECT_EQ(fp.final_truncation, pins[k].truncation) << "lambda=" << lambda;
+    EXPECT_EQ(bits(model->mean_sojourn(fp.state)), pins[k].sojourn)
+        << "lambda=" << lambda;
   }
 }
 

@@ -3,6 +3,8 @@
 // equations (§2.2–§3.4 and the work-sharing foil). The library writes each
 // of these recurrences once, as a range-split lane kernel; these loops are
 // the independent reference the kernels are compared against bit for bit.
+// The two-class recurrence of §3.5 sits here too, as the reference for the
+// K-class model at K = 2.
 // Each keeps the operation order of the equations as printed, which is
 // also the kernels' per-lane order (the build contracts no FMAs).
 #pragma once
@@ -140,6 +142,52 @@ inline void transfer(double lambda, double rate, std::size_t T, std::size_t L,
     if (i >= T) d -= (w(i) - w(i + 1)) * thief_rate;
     dx[W + i] = d;
   }
+}
+
+/// Section 3.5: two processor classes, fraction f fast at rate mu_f and the
+/// rest slow at mu_s, packed [u_0..u_L, v_0..v_L]. Written out for exactly
+/// two classes, as the equations print it: the steal-failure factor is
+/// 1 - u_T - v_T and the load sums u_i + v_i level by level. MultiClassWS
+/// with K = 2 must reproduce it bit for bit.
+inline void two_class(double lambda, double mu_f, double mu_s, std::size_t T,
+                      std::size_t L, const ode::State& x, ode::State& dx) {
+  const std::size_t V = L + 1;  // offset of the v block
+  LSM_ASSERT(x.size() == 2 * V && dx.size() == 2 * V);
+  auto u = [&](std::size_t i) { return i <= L ? x[i] : 0.0; };
+  auto v = [&](std::size_t i) { return i <= L ? x[V + i] : 0.0; };
+
+  const double steal_rate = mu_f * (u(1) - u(2)) + mu_s * (v(1) - v(2));
+  const double fail = 1.0 - u(T) - v(T);
+
+  dx[0] = 0.0;
+  dx[V] = 0.0;
+  for (std::size_t i = 1; i <= L; ++i) {
+    double du = lambda * (u(i - 1) - u(i));
+    double dv = lambda * (v(i - 1) - v(i));
+    if (i == 1) {
+      du -= mu_f * (u(1) - u(2)) * fail;
+      dv -= mu_s * (v(1) - v(2)) * fail;
+    } else {
+      du -= mu_f * (u(i) - u(i + 1));
+      dv -= mu_s * (v(i) - v(i + 1));
+    }
+    if (i >= T) {
+      du -= steal_rate * (u(i) - u(i + 1));
+      dv -= steal_rate * (v(i) - v(i + 1));
+    }
+    dx[i] = du;
+    dx[V + i] = dv;
+  }
+}
+
+/// Mean tasks per processor of the two-class state: u_i + v_i summed from
+/// level L down to 1.
+inline double two_class_mean_tasks(std::size_t L, const ode::State& x) {
+  const std::size_t V = L + 1;
+  LSM_ASSERT(x.size() == 2 * V);
+  double acc = 0.0;
+  for (std::size_t i = L; i >= 1; --i) acc += x[i] + x[V + i];
+  return acc;
 }
 
 /// Dispatches to the recurrence of `model`'s type at arrival rate

@@ -175,6 +175,23 @@ TEST(ServeProtocol, MalformedRequestsGetStructuredErrors) {
                           "missing required field 'target'");
 }
 
+TEST(ServeProtocol, OnlyWarmSweepsNeedMonotoneGrids) {
+  // Cold points never chain, so a "warm": false sweep takes any grid order
+  // and streams its points in that order; the same grid warm is refused.
+  ServerFixture fx;
+  auto client = fx.connect();
+  const std::vector<double> grid = {0.5, 0.9, 0.7};
+  auto req = test::sweep_request("cold", grid);
+  req["warm"] = false;
+  client.send(req);
+  test::expect_ordered_stream(client.collect("cold"), "cold", grid);
+  expect_structured_error(
+      client,
+      R"({"verb": "sweep", "id": "x", "model": "simple", "warm": true,)"
+      R"( "lambdas": [0.5, 0.9, 0.7]})",
+      "strictly monotone");
+}
+
 TEST(ServeProtocol, ErrorRoutesToRequestIdWhenExtractable) {
   ServerFixture fx;
   auto client = fx.connect();

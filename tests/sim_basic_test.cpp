@@ -129,9 +129,6 @@ TEST(Config, RejectsBadShapes) {
   cfg = {};
   cfg.warmup = cfg.horizon + 1;
   EXPECT_THROW(cfg.validate(), util::LogicError);
-  cfg = {};
-  cfg.fast_count = cfg.processors + 1;
-  EXPECT_THROW(cfg.validate(), util::LogicError);
 }
 
 // --- queueing theory anchors --------------------------------------------------------------

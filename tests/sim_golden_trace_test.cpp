@@ -150,9 +150,7 @@ std::vector<GoldenCase> golden_cases() {
   {
     auto cfg = base_config();
     cfg.policy = sim::StealPolicy::on_empty(2);
-    cfg.fast_count = 8;
-    cfg.fast_speed = 2.0;
-    cfg.slow_speed = 0.5;
+    cfg.speed_groups = {{8, 2.0}, {24, 0.5}};
     add("heterogeneous", cfg, 0x46804cc8e4904498ULL);
   }
   {

@@ -8,8 +8,8 @@
 #include "core/composed_ws.hpp"
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
-#include "core/heterogeneous_ws.hpp"
 #include "core/multi_choice_ws.hpp"
+#include "core/multi_class_ws.hpp"
 #include "core/multi_steal_ws.hpp"
 #include "core/general_arrival_ws.hpp"
 #include "core/no_stealing.hpp"
@@ -157,12 +157,10 @@ TEST(SimVsModel, Heterogeneous) {
   const double lambda = 0.9;
   sim::SimConfig cfg;
   cfg.policy = sim::StealPolicy::on_empty(2);
-  cfg.fast_count = 24;  // of 96 -> fraction 0.25
-  cfg.fast_speed = 2.0;
-  cfg.slow_speed = 0.8;
+  cfg.speed_groups = {{24, 2.0}, {72, 0.8}};  // of 96 -> fraction 0.25
   const double sim_w = sim_sojourn(cfg, lambda);
   const double model_w = core::fixed_point_sojourn(
-      core::HeterogeneousWS(lambda, 0.25, 2.0, 0.8, 2));
+      core::MultiClassWS(lambda, {{0.25, 2.0}, {0.75, 0.8}}, 2));
   EXPECT_NEAR(sim_w / model_w, 1.0, 0.06);
 }
 

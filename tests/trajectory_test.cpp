@@ -6,7 +6,7 @@
 
 #include "core/composed_ws.hpp"
 #include "core/erlang_ws.hpp"
-#include "core/heterogeneous_ws.hpp"
+#include "core/multi_class_ws.hpp"
 #include "core/registry.hpp"
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
@@ -72,10 +72,10 @@ TEST(Trajectory, StagedTransferClassMassConserved) {
 }
 
 TEST(Trajectory, HeterogeneousClassMassesPinned) {
-  core::HeterogeneousWS model(0.9, 0.25, 2.0, 0.8, 2);
+  core::MultiClassWS model(0.9, {{0.25, 2.0}, {0.75, 0.8}}, 2);
   along_trajectory(model, 20.0, [&](double t, const State& x) {
     ASSERT_NEAR(x[0], 0.25, 1e-9) << "t=" << t;
-    ASSERT_NEAR(x[model.v_index(0)], 0.75, 1e-9) << "t=" << t;
+    ASSERT_NEAR(x[model.index(1, 0)], 0.75, 1e-9) << "t=" << t;
   });
 }
 
