@@ -5,8 +5,8 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/composed_ws.hpp"
 #include "core/fixed_point.hpp"
-#include "core/multi_steal_ws.hpp"
 #include "core/rebalance_ws.hpp"
 #include "core/threshold_ws.hpp"
 
@@ -20,7 +20,7 @@ int main() {
   std::cout << "(a) steal k tasks per success, T = 6, lambda = 0.9\n";
   util::Table multi({"k", "Est E[T]", "Sim(128)"});
   for (std::size_t k : {1u, 2u, 3u}) {
-    core::MultiStealWS model(lambda, k, 6);
+    core::ComposedWS model(lambda, {.threshold = 6, .steal_count = k});
     sim::SimConfig cfg;
     cfg.processors = 128;
     cfg.arrival_rate = lambda;

@@ -5,9 +5,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/composed_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "core/metrics.hpp"
-#include "core/preemptive_ws.hpp"
 
 int main() {
   using namespace lsm;
@@ -21,7 +21,7 @@ int main() {
                        "predicted ratio"});
     for (std::size_t T : {2u, 4u}) {
       for (std::size_t B : {0u, 1u, 2u, 4u}) {
-        core::PreemptiveWS model(lambda, B, T);
+        core::ComposedWS model(lambda, {.threshold = T, .begin_steal = B});
         const auto fp = core::solve_fixed_point(model);
         std::string sim_cell = "-";
         if (lambda == 0.90 && (B == 0 || B == 2)) {

@@ -4,9 +4,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/composed_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "core/metrics.hpp"
-#include "core/repeated_steal_ws.hpp"
 
 int main() {
   using namespace lsm;
@@ -20,7 +20,7 @@ int main() {
     util::Table table({"r", "Est E[T]", "Sim(128)", "pi_T", "tail ratio",
                        "predicted ratio"});
     for (double r : {0.0, 0.5, 1.0, 2.0, 5.0, 10.0}) {
-      core::RepeatedStealWS model(lambda, r, kT);
+      core::ComposedWS model(lambda, {.threshold = kT, .retry_rate = r});
       const auto fp = core::solve_fixed_point(model);
       const double est = model.mean_sojourn(fp.state);
 

@@ -6,9 +6,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/composed_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "core/metrics.hpp"
-#include "core/multi_choice_ws.hpp"
 #include "core/no_stealing.hpp"
 #include "core/threshold_ws.hpp"
 
@@ -21,7 +21,7 @@ int main() {
   core::NoStealing none(lambda);
   core::SimpleWS simple(lambda);
   core::ThresholdWS t4(lambda, 4);
-  core::MultiChoiceWS two(lambda, 2, 2);
+  core::ComposedWS two(lambda, {.choices = 2});
 
   const auto pi_none = none.analytic_fixed_point();
   const auto pi_simple = simple.analytic_fixed_point();
@@ -60,6 +60,6 @@ int main() {
             << "  T=4       : " << core::tail_decay_ratio(pi_t4, 5) << " | "
             << t4.analytic_tail_ratio() << "\n"
             << "  2 choices : " << core::tail_decay_ratio(pi_two, 3)
-            << " | >= " << two.tail_ratio_bound(pi_two) << " (bound)\n";
+            << " | >= " << two.predicted_tail_ratio(pi_two) << " (bound)\n";
   return 0;
 }

@@ -8,6 +8,8 @@
 
 #include <chrono>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
@@ -70,6 +72,61 @@ void BM_RebalanceDeriv(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RebalanceDeriv)->Arg(64)->Arg(128);
+
+/// The stealing kernels at L = 200 and lambda = 0.85: threshold T = 4, the
+/// four single-extension presets of ComposedWS at their serve_solve
+/// parameters, and the composed policy serve_solve runs (d = 2, r = 0.5).
+struct StealingCase {
+  const char* model;
+  core::ModelParams params;
+};
+const StealingCase kStealingCases[] = {
+    {"threshold", {{"T", 4}}},
+    {"preemptive", {{"B", 1}, {"T", 2}}},
+    {"repeated", {{"r", 1}}},
+    {"multi-choice", {{"d", 2}}},
+    {"multi-steal", {{"k", 2}}},
+    {"composed", {{"d", 2}, {"r", 0.5}}},
+};
+
+/// Args (case, lanes): lanes = 1 times deriv(), lanes = 8 one rhs_batch
+/// pass over the Newton Jacobian's batch width. The s_per_eval counter is
+/// the time per lane evaluation.
+void BM_StealingPresetDeriv(benchmark::State& state) {
+  const StealingCase& c = kStealingCases[state.range(0)];
+  const auto lanes = static_cast<std::size_t>(state.range(1));
+  core::ModelParams params = c.params;
+  params["L"] = 200;
+  const auto model = core::make_model(c.model, 0.85, params);
+  const ode::State s = model->mm1_state();
+  const std::size_t n = s.size();
+  ode::State ds(n);
+  std::vector<double> x(n * lanes), dx(n * lanes);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t l = 0; l < lanes; ++l) x[i * lanes + l] = s[i];
+  }
+  state.SetLabel(model->name() + " lanes=" + std::to_string(lanes));
+  if (lanes > 1 && !model->rhs_batch(lanes, x.data(), dx.data())) {
+    state.SkipWithError("model has no lane kernel");
+    return;
+  }
+  for (auto _ : state) {
+    if (lanes == 1) {
+      model->deriv(0.0, s, ds);
+      benchmark::DoNotOptimize(ds.data());
+    } else {
+      benchmark::DoNotOptimize(model->rhs_batch(lanes, x.data(), dx.data()));
+      benchmark::DoNotOptimize(dx.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["s_per_eval"] = benchmark::Counter(
+      static_cast<double>(lanes),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StealingPresetDeriv)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, 5, 1), {1, 8}});
 
 void BM_Rk4Step(benchmark::State& state) {
   core::SimpleWS model(0.9, 256);

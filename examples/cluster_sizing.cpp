@@ -55,14 +55,16 @@ int main(int argc, char** argv) {
     return lsm::core::SimpleWS(l).analytic_sojourn();
   });
   add("preemptive (B=2, T=2)", [](double l) {
-    return lsm::core::fixed_point_sojourn(lsm::core::PreemptiveWS(l, 2, 2));
+    return lsm::core::fixed_point_sojourn(
+        lsm::core::ComposedWS(l, {.begin_steal = 2}));
   });
   add("retries r=2 (T=2)", [](double l) {
     return lsm::core::fixed_point_sojourn(
-        lsm::core::RepeatedStealWS(l, 2.0, 2));
+        lsm::core::ComposedWS(l, {.retry_rate = 2.0}));
   });
   add("two choices (T=2)", [](double l) {
-    return lsm::core::fixed_point_sojourn(lsm::core::MultiChoiceWS(l, 2, 2));
+    return lsm::core::fixed_point_sojourn(
+        lsm::core::ComposedWS(l, {.choices = 2}));
   });
   add("transfer r=0.5 (T=3)", [](double l) {
     return lsm::core::fixed_point_sojourn(

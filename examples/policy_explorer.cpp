@@ -18,11 +18,11 @@ int main(int argc, char** argv) {
   models.push_back(std::make_unique<lsm::core::NoStealing>(lambda));
   models.push_back(std::make_unique<lsm::core::SimpleWS>(lambda));
   models.push_back(std::make_unique<lsm::core::ThresholdWS>(lambda, 4));
-  models.push_back(std::make_unique<lsm::core::PreemptiveWS>(lambda, 2, 2));
-  models.push_back(
-      std::make_unique<lsm::core::RepeatedStealWS>(lambda, 2.0, 2));
-  models.push_back(std::make_unique<lsm::core::MultiChoiceWS>(lambda, 2, 2));
-  models.push_back(std::make_unique<lsm::core::MultiStealWS>(lambda, 2, 4));
+  // The single-extension families are registry presets of ComposedWS.
+  models.push_back(lsm::core::make_model("preemptive", lambda, {{"B", 2}}));
+  models.push_back(lsm::core::make_model("repeated", lambda, {{"r", 2}}));
+  models.push_back(lsm::core::make_model("multi-choice", lambda, {{"d", 2}}));
+  models.push_back(lsm::core::make_model("multi-steal", lambda, {{"k", 2}}));
   models.push_back(std::make_unique<lsm::core::RebalanceWS>(lambda, 1.0));
   models.push_back(
       std::make_unique<lsm::core::TransferTimeWS>(lambda, 1.0, 3));

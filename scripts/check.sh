@@ -233,10 +233,12 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   # out-of-bounds write there corrupts a neighbouring row silently, so the
   # LU and its users run under AddressSanitizer (with UBSan and the
   # libstdc++ container assertions). The lane kernels, which are every
-  # solver's right-hand side for six of the models, index raw pointers
-  # (x + (i +- 1) * nb) with no container check, so the model suites run
-  # here too, as do the banded LU (pointer walks down and across the
-  # column-major band) and Anderson's fused, blocked history passes (raw
+  # solver's right-hand side for the models that have one, index raw
+  # pointers (x + (i +- 1) * nb) with no container check, so the model
+  # suites run here too (the composed stealing kernel's rows reach
+  # i + k and j + T by offset, exercised by test_model_reduction and
+  # test_model_variants), as do the banded LU (pointer walks down and
+  # across the column-major band) and Anderson's fused, blocked history passes (raw
   # column pointers) with their bit-for-bit oracle tests. The K-class
   # model walks per-class row pointers into the packed state, so
   # test_multi_class (with its two-class oracle) runs here as well.
@@ -251,7 +253,8 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   cmake --build build-asan -j "$jobs" \
     --target test_linalg test_ode test_krylov test_fixed_point_properties \
     test_model_basic test_multi_class test_model_registry_sweep \
-    test_implicit test_anderson test_parallel test_exp_runner
+    test_implicit test_anderson test_parallel test_exp_runner \
+    test_model_reduction test_model_variants
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   ./build-asan/tests/test_linalg
   ./build-asan/tests/test_ode
@@ -262,6 +265,8 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   ./build-asan/tests/test_model_basic
   ./build-asan/tests/test_multi_class
   ./build-asan/tests/test_model_registry_sweep
+  ./build-asan/tests/test_model_reduction
+  ./build-asan/tests/test_model_variants
   ./build-asan/tests/test_parallel
   ./build-asan/tests/test_exp_runner
 fi

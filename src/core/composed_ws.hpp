@@ -21,9 +21,18 @@
 //     - sum_j R_j [(1 - s_{i+k})^d - (1 - s_{max(i, j+T)})^d]  victims
 //       (terms with i + k <= j + T vanish)
 //
-// Setting (d,k,B,r) = (1,1,0,0) recovers ThresholdWS; each single
-// parameter recovers the corresponding specialized model (tested in
-// tests/model_reduction_test.cpp).
+// Setting (d,k,B,r) = (1,1,0,0) recovers ThresholdWS. Varying one
+// dimension gives the paper's single-extension families, which the
+// registry serves as presets of this class:
+//
+//   preemptive    B  (Section 2.4): attempts start at load <= B
+//   repeated      r  (Section 2.5): idle processors retry at rate r
+//   multi-choice  d  (Section 3.3): steal from the most loaded of d probes
+//   multi-steal   k  (Section 3.4): take k tasks per successful steal
+//
+// The lane kernel evaluates each single-dimension preset in the operation
+// order of the family's own recurrence (tests/reference_rhs.hpp), so a
+// preset's solver trajectory does not depend on its being composed.
 #pragma once
 
 #include "core/model.hpp"
@@ -40,9 +49,12 @@ struct ComposedPolicy {
 
 class ComposedWS final : public MeanFieldModel {
  public:
+  /// truncation = 0 picks default_truncation(lambda) + T + B.
   ComposedWS(double lambda, ComposedPolicy policy, std::size_t truncation = 0);
 
-  void deriv(double t, const ode::State& s, ode::State& ds) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
+  /// Lists T and every dimension that differs from the threshold model.
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const ComposedPolicy& policy() const noexcept {
@@ -50,8 +62,16 @@ class ComposedWS final : public MeanFieldModel {
   }
 
   [[nodiscard]] std::size_t min_truncation() const override {
-    return policy_.threshold + policy_.begin_steal + policy_.steal_count + 3;
+    return policy_.threshold + policy_.begin_steal + policy_.steal_count + 2;
   }
+
+  /// Geometric tail ratio past the threshold, evaluated on a fixed point,
+  /// for a policy that varies at most one of B, r and d (k = 1):
+  ///   B: l / (1 + l - pi_{B+2})          (Section 2.4)
+  ///   r: l / (1 + r(1 - l) + l - pi_2)   (Section 2.5)
+  ///   d: l / (1 + d(l - pi_2)), the optimistic bound of Section 3.3.
+  /// The threshold model (all neutral) gives l / (1 + l - pi_2).
+  [[nodiscard]] double predicted_tail_ratio(const ode::State& pi) const;
 
  private:
   ComposedPolicy policy_;

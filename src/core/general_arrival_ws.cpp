@@ -14,6 +14,7 @@ GeneralArrivalWS::GeneralArrivalWS(ArrivalFn arrival, double mean_rate,
       threshold_(threshold) {
   LSM_EXPECT(static_cast<bool>(arrival_), "arrival function must be callable");
   LSM_EXPECT(threshold >= 2, "steal threshold must be at least 2");
+  LSM_EXPECT(trunc_ >= min_truncation(), "truncation too small for threshold");
 }
 
 GeneralArrivalWS GeneralArrivalWS::spawning(double ext, double internal,

@@ -1,16 +1,14 @@
 #include "core/registry.hpp"
 
+#include <stdexcept>
+
 #include "core/composed_ws.hpp"
 #include "core/erlang_ws.hpp"
 #include "core/general_arrival_ws.hpp"
-#include "core/multi_choice_ws.hpp"
 #include "core/multi_class_ws.hpp"
-#include "core/multi_steal_ws.hpp"
 #include "core/no_stealing.hpp"
 #include "core/phase_type_ws.hpp"
-#include "core/preemptive_ws.hpp"
 #include "core/rebalance_ws.hpp"
-#include "core/repeated_steal_ws.hpp"
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
 #include "core/transfer_ws.hpp"
@@ -182,10 +180,12 @@ const ModelSpec& model_spec(const std::string& name) {
                     " (see lsm::core::model_names())");
 }
 
-std::unique_ptr<MeanFieldModel> make_model(const std::string& name,
-                                           double lambda,
-                                           const ModelParams& params) {
-  const ModelSpec& spec = model_spec(name);
+namespace {
+
+std::unique_ptr<MeanFieldModel> build_model(const ModelSpec& spec,
+                                            double lambda,
+                                            const ModelParams& params) {
+  const std::string& name = spec.name;
   for (const auto& [key, value] : params) {
     if (!spec.accepts(key)) {
       std::string accepted;
@@ -219,30 +219,31 @@ std::unique_ptr<MeanFieldModel> make_model(const std::string& name,
     }
     return std::make_unique<ThresholdWS>(lambda, T, L);
   }
+  // The single-extension stealing families are presets of the composed
+  // model: each varies one dimension and leaves the others neutral.
+  const auto composed = [&](ComposedPolicy policy) {
+    return std::make_unique<ComposedWS>(lambda, policy, L);
+  };
   if (name == "preemptive") {
-    return std::make_unique<PreemptiveWS>(lambda, get_n(params, "B", 1), T, L);
+    return composed({.threshold = T, .begin_steal = get_n(params, "B", 1)});
   }
   if (name == "repeated") {
-    return std::make_unique<RepeatedStealWS>(lambda, get(params, "r", 1.0), T,
-                                             L);
+    return composed({.threshold = T, .retry_rate = get(params, "r", 1.0)});
   }
   if (name == "multi-choice") {
-    return std::make_unique<MultiChoiceWS>(lambda, get_n(params, "d", 2), T,
-                                           L);
+    return composed({.threshold = T, .choices = get_n(params, "d", 2)});
   }
   if (name == "multi-steal") {
     const std::size_t k = get_n(params, "k", 2);
-    return std::make_unique<MultiStealWS>(lambda, k,
-                                          get_n(params, "T", 2 * k), L);
+    return composed(
+        {.threshold = get_n(params, "T", 2 * k), .steal_count = k});
   }
   if (name == "composed") {
-    ComposedPolicy policy;
-    policy.threshold = T;
-    policy.choices = get_n(params, "d", 1);
-    policy.steal_count = get_n(params, "k", 1);
-    policy.begin_steal = get_n(params, "B", 0);
-    policy.retry_rate = get(params, "r", 0.0);
-    return std::make_unique<ComposedWS>(lambda, policy, L);
+    return composed({.threshold = T,
+                     .choices = get_n(params, "d", 1),
+                     .steal_count = get_n(params, "k", 1),
+                     .begin_steal = get_n(params, "B", 0),
+                     .retry_rate = get(params, "r", 0.0)});
   }
   if (name == "erlang") {
     // The unified service spec wins when given; an Erlang-shaped spec
@@ -294,6 +295,26 @@ std::unique_ptr<MeanFieldModel> make_model(const std::string& name,
         lambda, get(params, "int", 0.0), T, L));
   }
   throw util::Error("model " + name + " is listed but has no constructor");
+}
+
+}  // namespace
+
+std::unique_ptr<MeanFieldModel> make_model(const std::string& name,
+                                           double lambda,
+                                           const ModelParams& params) {
+  const ModelSpec& spec = model_spec(name);
+  try {
+    return build_model(spec, lambda, params);
+  } catch (const util::LogicError& e) {
+    // The constructors' preconditions all test values that arrive here
+    // from outside (lambda and the parameters): a bad request, not a bug.
+    // Keep the precondition's own explanation, not its source location.
+    const std::string what = e.what();
+    const std::size_t reason = what.find("failed: ");
+    throw std::invalid_argument(
+        "invalid parameters for model " + name + ": " +
+        (reason == std::string::npos ? what : what.substr(reason + 8)));
+  }
 }
 
 const std::vector<std::string>& model_names() {

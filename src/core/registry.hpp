@@ -95,9 +95,12 @@ struct ModelSpec {
 /// (`exp | erlang:k | hyperexp:scv | coxian:k,scv | heavytail:scv[,k]`);
 /// exponential service dispatches to the classic (scalar-state) classes,
 /// anything else to the phase-type generalizations.
+/// The stealing families preemptive, repeated, multi-choice and multi-steal
+/// are presets of ComposedWS that vary one of its dimensions.
 /// Throws util::Error for an unknown name or a parameter key the model
-/// does not accept, util::LogicError for invalid parameter combinations
-/// (propagated from the model's constructor).
+/// does not accept, std::invalid_argument for an out-of-range value or an
+/// invalid combination (a constructor precondition, rethrown with the
+/// model name so callers can tell bad input from a library bug).
 [[nodiscard]] std::unique_ptr<MeanFieldModel> make_model(
     const std::string& name, double lambda, const ModelParams& params = {});
 

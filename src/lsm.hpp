@@ -14,13 +14,10 @@
 #include "core/general_arrival_ws.hpp"  // IWYU pragma: export
 #include "core/metrics.hpp"          // IWYU pragma: export
 #include "core/model.hpp"            // IWYU pragma: export
-#include "core/multi_choice_ws.hpp"  // IWYU pragma: export
 #include "core/multi_class_ws.hpp"   // IWYU pragma: export
-#include "core/multi_steal_ws.hpp"   // IWYU pragma: export
 #include "core/no_stealing.hpp"      // IWYU pragma: export
-#include "core/preemptive_ws.hpp"    // IWYU pragma: export
 #include "core/rebalance_ws.hpp"     // IWYU pragma: export
-#include "core/repeated_steal_ws.hpp"  // IWYU pragma: export
+#include "core/registry.hpp"         // IWYU pragma: export
 #include "core/staged_transfer_ws.hpp"  // IWYU pragma: export
 #include "core/threshold_ws.hpp"     // IWYU pragma: export
 #include "core/transfer_ws.hpp"      // IWYU pragma: export

@@ -6,9 +6,9 @@
 #include "analysis/finite_size.hpp"
 #include "analysis/stability.hpp"
 #include "analysis/transient.hpp"
+#include "core/composed_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "core/metrics.hpp"
-#include "core/multi_choice_ws.hpp"
 #include "core/no_stealing.hpp"
 #include "core/threshold_ws.hpp"
 #include "util/error.hpp"
@@ -127,7 +127,7 @@ TEST(Transient, TightEpsilonTakesLonger) {
 TEST(Transient, BetterPoliciesSettleFaster) {
   const double lambda = 0.9;
   core::NoStealing slow(lambda);
-  core::MultiChoiceWS fast(lambda, 2, 2);
+  core::ComposedWS fast(lambda, {.choices = 2});
   const auto t_slow = analysis::time_to_steady_state(
       slow, slow.empty_state(), slow.analytic_fixed_point(), 1e-3);
   const auto t_fast = analysis::time_to_steady_state(

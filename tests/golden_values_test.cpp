@@ -5,9 +5,9 @@
 // for refactoring.
 #include <gtest/gtest.h>
 
+#include "core/composed_ws.hpp"
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
-#include "core/multi_choice_ws.hpp"
 #include "core/threshold_ws.hpp"
 #include "core/transfer_ws.hpp"
 
@@ -75,7 +75,7 @@ TEST(Golden, Table4TwoChoiceEstimates) {
   } rows[] = {{0.50, 1.433}, {0.70, 1.673}, {0.80, 1.864},
               {0.90, 2.220}, {0.95, 2.640}, {0.99, 4.011}};
   for (const auto& r : rows) {
-    core::MultiChoiceWS model(r.lambda, 2, 2);
+    core::ComposedWS model(r.lambda, {.choices = 2});
     EXPECT_NEAR(core::fixed_point_sojourn(model), r.expected, 2e-3)
         << "lambda=" << r.lambda;
   }

@@ -6,14 +6,11 @@
 
 #include <memory>
 
+#include "core/composed_ws.hpp"
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
-#include "core/multi_choice_ws.hpp"
 #include "core/multi_class_ws.hpp"
-#include "core/multi_steal_ws.hpp"
-#include "core/preemptive_ws.hpp"
 #include "core/rebalance_ws.hpp"
-#include "core/repeated_steal_ws.hpp"
 #include "core/threshold_ws.hpp"
 #include "core/transfer_ws.hpp"
 
@@ -35,16 +32,20 @@ std::unique_ptr<core::MeanFieldModel> make_threshold(double l) {
   return std::make_unique<core::ThresholdWS>(l, 4);
 }
 std::unique_ptr<core::MeanFieldModel> make_preemptive(double l) {
-  return std::make_unique<core::PreemptiveWS>(l, 2, 4);
+  return std::make_unique<core::ComposedWS>(
+      l, core::ComposedPolicy{.threshold = 4, .begin_steal = 2});
 }
 std::unique_ptr<core::MeanFieldModel> make_repeated(double l) {
-  return std::make_unique<core::RepeatedStealWS>(l, 1.0, 3);
+  return std::make_unique<core::ComposedWS>(
+      l, core::ComposedPolicy{.threshold = 3, .retry_rate = 1.0});
 }
 std::unique_ptr<core::MeanFieldModel> make_multi_choice(double l) {
-  return std::make_unique<core::MultiChoiceWS>(l, 2, 2);
+  return std::make_unique<core::ComposedWS>(
+      l, core::ComposedPolicy{.choices = 2});
 }
 std::unique_ptr<core::MeanFieldModel> make_multi_steal(double l) {
-  return std::make_unique<core::MultiStealWS>(l, 2, 4);
+  return std::make_unique<core::ComposedWS>(
+      l, core::ComposedPolicy{.threshold = 4, .steal_count = 2});
 }
 std::unique_ptr<core::MeanFieldModel> make_rebalance(double l) {
   return std::make_unique<core::RebalanceWS>(l, 0.5);

@@ -4,49 +4,91 @@
 // the ODE families far more effectively than spot values.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/composed_ws.hpp"
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "core/general_arrival_ws.hpp"
-#include "core/multi_choice_ws.hpp"
 #include "core/multi_class_ws.hpp"
-#include "core/multi_steal_ws.hpp"
 #include "core/no_stealing.hpp"
-#include "core/preemptive_ws.hpp"
-#include "core/repeated_steal_ws.hpp"
+#include "core/registry.hpp"
 #include "core/threshold_ws.hpp"
 #include "core/transfer_ws.hpp"
+#include "reference_rhs.hpp"
 
 namespace {
 
 using namespace lsm;
 using ode::State;
 
-/// Asserts two models have identical derivative fields over a batch of
-/// feasible random-ish states.
-void expect_same_field(const core::MeanFieldModel& a,
-                       const core::MeanFieldModel& b, double tol = 1e-13) {
-  ASSERT_EQ(a.dimension(), b.dimension());
-  // Probe at several deterministic feasible states.
+/// Deterministic feasible probe states (s_0 = 1, geometric tails).
+std::vector<State> probe_states(std::size_t dim) {
+  std::vector<State> states;
   for (double head : {0.2, 0.5, 0.9}) {
     for (double ratio : {0.3, 0.7, 0.95}) {
-      State s(a.dimension(), 0.0);
+      State s(dim, 0.0);
       s[0] = 1.0;
       double v = head;
       for (std::size_t i = 1; i < s.size(); ++i) {
         s[i] = v;
         v *= ratio;
       }
-      State da(s.size()), db(s.size());
-      a.deriv(0.0, s, da);
-      b.deriv(0.0, s, db);
-      for (std::size_t i = 0; i < s.size(); ++i) {
-        ASSERT_NEAR(da[i], db[i], tol)
-            << a.name() << " vs " << b.name() << " at i=" << i
-            << " head=" << head << " ratio=" << ratio;
-      }
+      states.push_back(std::move(s));
     }
   }
+  return states;
+}
+
+/// Asserts two models have identical derivative fields over a batch of
+/// feasible random-ish states.
+void expect_same_field(const core::MeanFieldModel& a,
+                       const core::MeanFieldModel& b, double tol = 1e-13) {
+  ASSERT_EQ(a.dimension(), b.dimension());
+  for (const State& s : probe_states(a.dimension())) {
+    State da(s.size()), db(s.size());
+    a.deriv(0.0, s, da);
+    b.deriv(0.0, s, db);
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      ASSERT_NEAR(da[i], db[i], tol)
+          << a.name() << " vs " << b.name() << " at i=" << i
+          << " head=" << s[1];
+    }
+  }
+}
+
+/// A tail recurrence of reference_rhs.hpp bound to its parameters.
+using Recurrence = std::function<void(const State&, State&)>;
+
+template <class F, class... Args>
+Recurrence bound(F f, Args... args) {
+  return [=](const State& s, State& ds) { f(args..., s, ds); };
+}
+
+/// Asserts two reference recurrences agree at truncation L on the probe
+/// states.
+void expect_same_recurrence(const Recurrence& a, const Recurrence& b,
+                            std::size_t L, const std::string& what,
+                            double tol = 1e-13) {
+  for (const State& s : probe_states(L + 1)) {
+    State da(s.size()), db(s.size());
+    a(s, da);
+    b(s, db);
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      ASSERT_NEAR(da[i], db[i], tol) << what << " at i=" << i
+                                     << " head=" << s[1];
+    }
+  }
+}
+
+/// The stealing preset `name` at one explicit parameter set and L = 64.
+std::unique_ptr<core::MeanFieldModel> preset(const std::string& name,
+                                             core::ModelParams params) {
+  params["L"] = 64;
+  return core::make_model(name, 0.85, params);
 }
 
 TEST(Reduction, ThresholdT2IsSimpleWS) {
@@ -55,33 +97,44 @@ TEST(Reduction, ThresholdT2IsSimpleWS) {
   expect_same_field(simple, threshold);
 }
 
+// --- Each preset at its neutral value is the threshold model: its own
+// recurrence, and the registry preset that evaluates it ---
+
 TEST(Reduction, MultiChoiceD1IsThreshold) {
   for (std::size_t T : {2u, 4u}) {
-    core::MultiChoiceWS mc(0.85, 1, T, 64);
     core::ThresholdWS th(0.85, T, 64);
-    expect_same_field(mc, th);
+    expect_same_field(*preset("multi-choice", {{"d", 1}, {"T", T}}), th);
+    expect_same_recurrence(bound(reference::multi_choice, 0.85, 1, T, 64),
+                           bound(reference::threshold, 0.85, T, 64), 64,
+                           "multi-choice d=1");
   }
 }
 
 TEST(Reduction, MultiStealK1IsThreshold) {
   for (std::size_t T : {2u, 5u}) {
-    core::MultiStealWS ms(0.85, 1, T, 64);
     core::ThresholdWS th(0.85, T, 64);
-    expect_same_field(ms, th);
+    expect_same_field(*preset("multi-steal", {{"k", 1}, {"T", T}}), th);
+    expect_same_recurrence(bound(reference::multi_steal, 0.85, 1, T, 64),
+                           bound(reference::threshold, 0.85, T, 64), 64,
+                           "multi-steal k=1");
   }
 }
 
 TEST(Reduction, RepeatedStealR0IsThreshold) {
-  core::RepeatedStealWS rep(0.85, 0.0, 3, 64);
   core::ThresholdWS th(0.85, 3, 64);
-  expect_same_field(rep, th);
+  expect_same_field(*preset("repeated", {{"r", 0}, {"T", 3}}), th);
+  expect_same_recurrence(bound(reference::repeated, 0.85, 0.0, 3, 64),
+                         bound(reference::threshold, 0.85, 3, 64), 64,
+                         "repeated r=0");
 }
 
 TEST(Reduction, PreemptiveB0IsThreshold) {
   for (std::size_t T : {2u, 4u}) {
-    core::PreemptiveWS pre(0.85, 0, T, 64);
     core::ThresholdWS th(0.85, T, 64);
-    expect_same_field(pre, th);
+    expect_same_field(*preset("preemptive", {{"B", 0}, {"T", T}}), th);
+    expect_same_recurrence(bound(reference::preemptive, 0.85, 0, T, 64),
+                           bound(reference::threshold, 0.85, T, 64), 64,
+                           "preemptive B=0");
   }
 }
 
@@ -126,45 +179,52 @@ TEST(Reduction, FastTransferApproachesInstantStealing) {
   EXPECT_LT(prev_gap, 0.05);
 }
 
-// --- ComposedWS: each single parameter recovers its specialized model ---
+// --- The composed model's general recurrence reduces to each family's own
+// when it varies one dimension ---
+
+/// Asserts reference::composed at `policy` matches `family` at L = 64.
+void expect_composed_is(const core::ComposedPolicy& policy,
+                        const Recurrence& family, const std::string& what) {
+  expect_same_recurrence(bound(reference::composed, 0.85, policy, 64), family,
+                         64, "composed vs " + what);
+}
 
 TEST(Reduction, ComposedBaseIsThreshold) {
   for (std::size_t T : {2u, 4u}) {
-    core::ComposedWS comp(0.85, {.threshold = T}, 64);
-    core::ThresholdWS th(0.85, T, 64);
-    expect_same_field(comp, th);
+    expect_composed_is({.threshold = T},
+                       bound(reference::threshold, 0.85, T, 64), "threshold");
   }
 }
 
 TEST(Reduction, ComposedChoicesIsMultiChoice) {
   for (std::size_t d : {2u, 3u}) {
-    core::ComposedWS comp(0.85, {.threshold = 3, .choices = d}, 64);
-    core::MultiChoiceWS mc(0.85, d, 3, 64);
-    expect_same_field(comp, mc);
+    expect_composed_is({.threshold = 3, .choices = d},
+                       bound(reference::multi_choice, 0.85, d, 3, 64),
+                       "multi-choice");
   }
 }
 
 TEST(Reduction, ComposedStealCountIsMultiSteal) {
   for (std::size_t k : {2u, 3u}) {
-    core::ComposedWS comp(0.85, {.threshold = 2 * k, .steal_count = k}, 64);
-    core::MultiStealWS ms(0.85, k, 2 * k, 64);
-    expect_same_field(comp, ms);
+    expect_composed_is({.threshold = 2 * k, .steal_count = k},
+                       bound(reference::multi_steal, 0.85, k, 2 * k, 64),
+                       "multi-steal");
   }
 }
 
 TEST(Reduction, ComposedBeginStealIsPreemptive) {
   for (std::size_t B : {1u, 3u}) {
-    core::ComposedWS comp(0.85, {.threshold = 4, .begin_steal = B}, 64);
-    core::PreemptiveWS pre(0.85, B, 4, 64);
-    expect_same_field(comp, pre);
+    expect_composed_is({.threshold = 4, .begin_steal = B},
+                       bound(reference::preemptive, 0.85, B, 4, 64),
+                       "preemptive");
   }
 }
 
 TEST(Reduction, ComposedRetryIsRepeatedSteal) {
   for (double r : {0.5, 2.0}) {
-    core::ComposedWS comp(0.85, {.threshold = 3, .retry_rate = r}, 64);
-    core::RepeatedStealWS rep(0.85, r, 3, 64);
-    expect_same_field(comp, rep);
+    expect_composed_is({.threshold = 3, .retry_rate = r},
+                       bound(reference::repeated, 0.85, r, 3, 64),
+                       "repeated");
   }
 }
 
@@ -178,23 +238,22 @@ TEST(Reduction, ComposedCombinationBeatsEveryIngredient) {
                                 .begin_steal = 2,
                                 .retry_rate = 1.0});
   const double w_all = core::fixed_point_sojourn(all);
+  const auto alone = [&](core::ComposedPolicy policy) {
+    return core::fixed_point_sojourn(core::ComposedWS(lambda, policy));
+  };
   EXPECT_LT(w_all,
             core::fixed_point_sojourn(core::ThresholdWS(lambda, 4)));
-  EXPECT_LT(w_all,
-            core::fixed_point_sojourn(core::MultiChoiceWS(lambda, 2, 4)));
-  EXPECT_LT(w_all,
-            core::fixed_point_sojourn(core::MultiStealWS(lambda, 2, 4)));
-  EXPECT_LT(w_all,
-            core::fixed_point_sojourn(core::PreemptiveWS(lambda, 2, 4)));
-  EXPECT_LT(w_all, core::fixed_point_sojourn(
-                       core::RepeatedStealWS(lambda, 1.0, 4)));
+  EXPECT_LT(w_all, alone({.threshold = 4, .choices = 2}));
+  EXPECT_LT(w_all, alone({.threshold = 4, .steal_count = 2}));
+  EXPECT_LT(w_all, alone({.threshold = 4, .begin_steal = 2}));
+  EXPECT_LT(w_all, alone({.threshold = 4, .retry_rate = 1.0}));
 }
 
 TEST(Reduction, RepeatedStealLargeRDrivesPiTDown) {
   // Section 2.5: as r grows, pi_T -> 0 (heavy victims get drained fast).
   double prev = 1.0;
   for (double r : {0.0, 2.0, 8.0, 32.0}) {
-    core::RepeatedStealWS model(0.9, r, 3);
+    core::ComposedWS model(0.9, {.threshold = 3, .retry_rate = r});
     const auto fp = core::solve_fixed_point(model);
     const double pi_T = fp.state[3];
     EXPECT_LT(pi_T, prev) << "r=" << r;

@@ -4,18 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
+#include "core/composed_ws.hpp"
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "core/general_arrival_ws.hpp"
 #include "core/metrics.hpp"
-#include "core/multi_choice_ws.hpp"
 #include "core/multi_class_ws.hpp"
-#include "core/multi_steal_ws.hpp"
-#include "core/preemptive_ws.hpp"
 #include "core/rebalance_ws.hpp"
 #include "core/registry.hpp"
-#include "core/repeated_steal_ws.hpp"
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
 #include "core/transfer_ws.hpp"
@@ -28,7 +26,7 @@ using namespace lsm;
 // --- Preemptive (Section 2.4) --------------------------------------------------
 
 TEST(Preemptive, TailRatioMatchesPrediction) {
-  core::PreemptiveWS model(0.9, 2, 4);
+  core::ComposedWS model(0.9, {.threshold = 4, .begin_steal = 2});
   const auto fp = core::solve_fixed_point(model);
   const double predicted = model.predicted_tail_ratio(fp.state);
   // Measure the empirical ratio well past B + T.
@@ -39,21 +37,22 @@ TEST(Preemptive, TailRatioMatchesPrediction) {
 TEST(Preemptive, EarlierStealingHelpsUnderHighLoad) {
   // Starting steal attempts before emptying (B > 0) smooths load at
   // high lambda.
-  core::PreemptiveWS eager(0.95, 3, 4);
-  core::PreemptiveWS lazy(0.95, 0, 4);
+  core::ComposedWS eager(0.95, {.threshold = 4, .begin_steal = 3});
+  core::ComposedWS lazy(0.95, {.threshold = 4, .begin_steal = 0});
   const double w_eager = core::fixed_point_sojourn(eager);
   const double w_lazy = core::fixed_point_sojourn(lazy);
   EXPECT_LT(w_eager, w_lazy);
 }
 
 TEST(Preemptive, RejectsBadThreshold) {
-  EXPECT_THROW(core::PreemptiveWS(0.9, 2, 1), util::LogicError);
+  EXPECT_THROW(core::ComposedWS(0.9, {.threshold = 1, .begin_steal = 2}),
+               util::LogicError);
 }
 
 // --- Repeated steals (Section 2.5) ------------------------------------------------
 
 TEST(RepeatedSteal, TailRatioMatchesFormula) {
-  core::RepeatedStealWS model(0.9, 2.0, 3);
+  core::ComposedWS model(0.9, {.threshold = 3, .retry_rate = 2.0});
   const auto fp = core::solve_fixed_point(model);
   const double predicted = model.predicted_tail_ratio(fp.state);
   const double measured = core::tail_decay_ratio(fp.state, 6);
@@ -61,8 +60,8 @@ TEST(RepeatedSteal, TailRatioMatchesFormula) {
 }
 
 TEST(RepeatedSteal, RetriesImprovePerformance) {
-  core::RepeatedStealWS slow(0.95, 0.0, 3);
-  core::RepeatedStealWS fast(0.95, 4.0, 3);
+  core::ComposedWS slow(0.95, {.threshold = 3, .retry_rate = 0.0});
+  core::ComposedWS fast(0.95, {.threshold = 3, .retry_rate = 4.0});
   EXPECT_LT(core::fixed_point_sojourn(fast), core::fixed_point_sojourn(slow));
 }
 
@@ -70,8 +69,8 @@ TEST(RepeatedSteal, RetriesImprovePerformance) {
 
 TEST(MultiChoice, TwoChoicesBeatOne) {
   for (double lambda : {0.7, 0.9, 0.95}) {
-    core::MultiChoiceWS d1(lambda, 1, 2);
-    core::MultiChoiceWS d2(lambda, 2, 2);
+    core::ComposedWS d1(lambda, {.choices = 1});
+    core::ComposedWS d2(lambda, {.choices = 2});
     EXPECT_LT(core::fixed_point_sojourn(d2), core::fixed_point_sojourn(d1))
         << "lambda=" << lambda;
   }
@@ -79,9 +78,12 @@ TEST(MultiChoice, TwoChoicesBeatOne) {
 
 TEST(MultiChoice, DiminishingReturnsInD) {
   // "just choosing a single victim generally yields most of the gain"
-  const double w1 = core::fixed_point_sojourn(core::MultiChoiceWS(0.9, 1, 2));
-  const double w2 = core::fixed_point_sojourn(core::MultiChoiceWS(0.9, 2, 2));
-  const double w4 = core::fixed_point_sojourn(core::MultiChoiceWS(0.9, 4, 2));
+  const auto sojourn = [](std::size_t d) {
+    return core::fixed_point_sojourn(core::ComposedWS(0.9, {.choices = d}));
+  };
+  const double w1 = sojourn(1);
+  const double w2 = sojourn(2);
+  const double w4 = sojourn(4);
   EXPECT_LT(w2, w1);
   EXPECT_LT(w4, w2);
   EXPECT_LT(w1 - w2, 2.0 * (w2 - w4) + 0.5);  // second probe's gain dominates
@@ -90,9 +92,9 @@ TEST(MultiChoice, DiminishingReturnsInD) {
 TEST(MultiChoice, TailBeatsBoundRatio) {
   // The best possible is tails falling at lambda/(1 + d(lambda - pi_2));
   // the measured ratio must be at least that (i.e. decay no faster).
-  core::MultiChoiceWS model(0.9, 2, 2);
+  core::ComposedWS model(0.9, {.choices = 2});
   const auto fp = core::solve_fixed_point(model);
-  const double bound = model.tail_ratio_bound(fp.state);
+  const double bound = model.predicted_tail_ratio(fp.state);
   const double measured = core::tail_decay_ratio(fp.state, 6);
   EXPECT_GT(measured, bound - 1e-6);
   EXPECT_LT(measured, 0.9);  // still beats no-stealing decay (= lambda)
@@ -102,14 +104,15 @@ TEST(MultiChoice, TailBeatsBoundRatio) {
 
 TEST(MultiSteal, StealingMoreHelpsAtHighThreshold) {
   // With T high and free transfers, taking k > 1 tasks balances better.
-  core::MultiStealWS k1(0.9, 1, 6);
-  core::MultiStealWS k3(0.9, 3, 6);
+  core::ComposedWS k1(0.9, {.threshold = 6, .steal_count = 1});
+  core::ComposedWS k3(0.9, {.threshold = 6, .steal_count = 3});
   EXPECT_LT(core::fixed_point_sojourn(k3), core::fixed_point_sojourn(k1));
 }
 
 TEST(MultiSteal, EnforcesPaperConstraint) {
-  EXPECT_THROW(core::MultiStealWS(0.9, 3, 4), util::LogicError);  // k > T/2
-  EXPECT_NO_THROW(core::MultiStealWS(0.9, 2, 4));
+  EXPECT_THROW(core::ComposedWS(0.9, {.threshold = 4, .steal_count = 3}),
+               util::LogicError);  // k > T/2
+  EXPECT_NO_THROW(core::ComposedWS(0.9, {.threshold = 4, .steal_count = 2}));
 }
 
 // --- Transfer time (Section 3.2) ------------------------------------------------------
@@ -274,12 +277,12 @@ TEST(Heterogeneous, FastClassRunsShorterQueues) {
 TEST(Heterogeneous, RejectsOverload) {
   const core::ModelParams equal{{"f", 0.5}, {"mu_f", 1.0}, {"mu_s", 1.0}};
   EXPECT_THROW((void)core::make_model("heterogeneous", 1.2, equal),
-               util::LogicError);
+               std::invalid_argument);
   // The fast fraction must leave both classes populated.
   EXPECT_THROW((void)core::make_model("heterogeneous", 0.5, {{"f", 1.0}}),
-               util::LogicError);
+               std::invalid_argument);
   EXPECT_THROW((void)core::make_model("heterogeneous", 0.5, {{"f", 0.0}}),
-               util::LogicError);
+               std::invalid_argument);
 }
 
 TEST(Spawning, InternalLoadRaisesSojourn) {
@@ -288,6 +291,16 @@ TEST(Spawning, InternalLoadRaisesSojourn) {
   const auto fpl = core::solve_fixed_point(light);
   const auto fph = core::solve_fixed_point(heavy);
   EXPECT_GT(heavy.mean_tasks(fph.state), light.mean_tasks(fpl.state));
+}
+
+TEST(Spawning, RejectsTruncationBelowItsMinimum) {
+  // L must exceed T + 2, as for the threshold model it generalizes.
+  EXPECT_THROW((void)core::GeneralArrivalWS::spawning(0.5, 0.0, 3, 5),
+               util::LogicError);
+  EXPECT_NO_THROW((void)core::GeneralArrivalWS::spawning(0.5, 0.0, 3, 6));
+  EXPECT_THROW(
+      (void)core::make_model("spawning", 0.5, {{"L", 4}, {"T", 3}}),
+      std::invalid_argument);
 }
 
 TEST(StaticDrain, StealingDrainsImbalancedLoadFaster) {

@@ -1,8 +1,11 @@
-// Test-only oracle: the paper's tail recurrences for the six models with a
+// Test-only oracle: the paper's tail recurrences for the models with a
 // lane kernel, written as scalar loops in the per-index branch form of the
 // equations (§2.2–§3.4 and the work-sharing foil). The library writes each
 // of these recurrences once, as a range-split lane kernel; these loops are
 // the independent reference the kernels are compared against bit for bit.
+// The stealing families of §2.4–§3.4 are presets of the composed model;
+// each keeps its own recurrence here, next to the composed model's general
+// recurrence, the oracle for policies that vary several dimensions.
 // The two-class recurrence of §3.5 sits here too, as the reference for the
 // K-class model at K = 2.
 // Each keeps the operation order of the equations as printed, which is
@@ -12,9 +15,8 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "core/composed_ws.hpp"
 #include "core/model.hpp"
-#include "core/multi_choice_ws.hpp"
-#include "core/multi_steal_ws.hpp"
 #include "core/no_stealing.hpp"
 #include "core/threshold_ws.hpp"
 #include "core/transfer_ws.hpp"
@@ -115,6 +117,145 @@ inline void multi_steal(double lambda, std::size_t k, std::size_t T,
   }
 }
 
+/// Section 2.4: attempts start on completions landing at load j <= B,
+/// against victims holding >= j + T tasks.
+inline void preemptive(double lambda, std::size_t B, std::size_t T,
+                       std::size_t L, const ode::State& s, ode::State& ds) {
+  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
+  auto at = [&](std::size_t i) { return i <= L ? s[i] : 0.0; };
+  ds[0] = 0.0;
+  for (std::size_t i = 1; i <= L; ++i) {
+    const double departures = s[i] - at(i + 1);
+    double d = lambda * (s[i - 1] - s[i]);
+    // Completions: a processor leaving load i for i-1 retains a task iff
+    // it is steal-eligible (i-1 <= B) and finds a victim with >= i-1+T.
+    double retain = 0.0;
+    if (i - 1 <= B) retain = at(i + T - 1);
+    d -= departures * (1.0 - retain);
+    // Victim losses: thieves land at loads j <= min(B, i-T); their event
+    // rate is s_1 - s_{min(B,i-T)+2}.
+    if (i >= T) {
+      const std::size_t jmax = std::min(B, i - T);
+      d -= departures * (s[1] - at(jmax + 2));
+    }
+    ds[i] = d;
+  }
+}
+
+/// Section 2.5: empty processors retry failed steals at rate r.
+inline void repeated(double lambda, double r, std::size_t T, std::size_t L,
+                     const ode::State& s, ode::State& ds) {
+  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
+  const double s_T = s[T];
+  const double empty = s[0] - s[1];
+  // Combined rate of steal events hitting heavy victims: on-empty attempts
+  // from completing processors plus retries from already-empty ones.
+  const double attempt_rate = (s[1] - s[2]) + r * empty;
+  ds[0] = 0.0;
+  ds[1] = lambda * (s[0] - s[1]) + r * empty * s_T -
+          (s[1] - s[2]) * (1.0 - s_T);
+  for (std::size_t i = 2; i <= L; ++i) {
+    const double s_next = (i < L) ? s[i + 1] : 0.0;
+    double d = lambda * (s[i - 1] - s[i]) - (s[i] - s_next);
+    if (i >= T) d -= (s[i] - s_next) * attempt_rate;
+    ds[i] = d;
+  }
+}
+
+/// The composed model's general recurrence (every dimension at once), as
+/// a per-level sum over thief loads j; see core/composed_ws.hpp.
+inline void composed(double lambda, const core::ComposedPolicy& policy,
+                     std::size_t L, const ode::State& s, ode::State& ds) {
+  const std::size_t T = policy.threshold;
+  const std::size_t d = policy.choices;
+  const std::size_t k = policy.steal_count;
+  const std::size_t B = policy.begin_steal;
+  const double r = policy.retry_rate;
+  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
+  auto at = [&](std::size_t i) { return i <= L ? s[i] : 0.0; };
+
+  // succ_j = P(a probe set finds a victim >= j + T).
+  auto succ = [&](std::size_t j) { return 1.0 - int_pow(1.0 - at(j + T), d); };
+  // Thief-attempt rate at load j (completions landing at j, plus retries
+  // for idle processors).
+  const double idle = s[0] - s[1];
+  auto attempt_rate = [&](std::size_t j) {
+    double rate = 0.0;
+    if (j <= B) rate += at(j + 1) - at(j + 2);
+    if (j == 0) rate += r * idle;
+    return rate;
+  };
+
+  ds[0] = 0.0;
+  for (std::size_t i = 1; i <= L; ++i) {
+    double dv = lambda * (s[i - 1] - s[i]);
+
+    // Completions: a processor at load i drops below i unless it is a
+    // steal-eligible thief (i-1 <= B) whose attempt succeeds (it then
+    // jumps to i-1+k >= i).
+    double retain = 0.0;
+    if (i - 1 <= B) retain = succ(i - 1);
+    dv -= (s[i] - at(i + 1)) * (1.0 - retain);
+
+    // Thief gains: a thief at load j jumping to j + k newly crosses
+    // levels j+2 .. j+k (level j+1 is the retention above).
+    if (k >= 2 && i >= 2) {
+      const std::size_t j_lo = i >= k ? i - k : 0;
+      const std::size_t j_hi = std::min(B, i - 2);
+      for (std::size_t j = j_lo; j <= j_hi; ++j) {
+        dv += (at(j + 1) - at(j + 2)) * succ(j);
+      }
+    }
+    // Retry thieves jump 0 -> k, crossing levels 1..k.
+    if (r > 0.0 && i <= k) dv += r * idle * succ(0);
+
+    // Victim losses: a victim at load v in [max(i, j+T), i+k) drops below
+    // level i when it loses k tasks. Victim-load distribution is the max
+    // of d probes restricted to >= j + T.
+    const double one_minus_sik = 1.0 - at(i + k);
+    for (std::size_t j = 0; j <= B; ++j) {  // j = 0 covers retry thieves
+      const double rate = attempt_rate(j);
+      if (rate > 0.0 && i + k > j + T) {
+        const std::size_t lo = std::max(i, j + T);
+        dv -= rate *
+              (int_pow(one_minus_sik, d) - int_pow(1.0 - at(lo), d));
+      }
+    }
+
+    ds[i] = dv;
+  }
+}
+
+/// True when `policy` varies at most one dimension of the threshold
+/// model: the presets, whose kernels match their own recurrence bit for
+/// bit. Other policies match the general recurrence to rounding.
+inline bool single_dimension(const core::ComposedPolicy& policy) {
+  return (policy.choices > 1) + (policy.steal_count > 1) +
+             (policy.begin_steal > 0) + (policy.retry_rate > 0.0) <=
+         1;
+}
+
+/// The recurrence a composed policy is checked against: its family's own
+/// when it varies one dimension (threshold when it varies none), else the
+/// general one.
+inline void composed_family(double lambda, const core::ComposedPolicy& p,
+                            std::size_t L, const ode::State& s,
+                            ode::State& ds) {
+  if (!single_dimension(p)) {
+    composed(lambda, p, L, s, ds);
+  } else if (p.choices > 1) {
+    multi_choice(lambda, p.choices, p.threshold, L, s, ds);
+  } else if (p.steal_count > 1) {
+    multi_steal(lambda, p.steal_count, p.threshold, L, s, ds);
+  } else if (p.begin_steal > 0) {
+    preemptive(lambda, p.begin_steal, p.threshold, L, s, ds);
+  } else if (p.retry_rate > 0.0) {
+    repeated(lambda, p.retry_rate, p.threshold, L, s, ds);
+  } else {
+    threshold(lambda, p.threshold, L, s, ds);
+  }
+}
+
 /// Section 3.2: Exp(1/r) transfer time, packed state [s_0..s_L, w_0..w_L].
 inline void transfer(double lambda, double rate, std::size_t T, std::size_t L,
                      const ode::State& x, ode::State& dx) {
@@ -202,12 +343,8 @@ inline void deriv(const core::MeanFieldModel& model, double lambda,
   } else if (const auto* sh =
                  dynamic_cast<const core::WorkSharingWS*>(&model)) {
     work_sharing(lambda, sh->share_threshold(), L, s, ds);
-  } else if (const auto* mc =
-                 dynamic_cast<const core::MultiChoiceWS*>(&model)) {
-    multi_choice(lambda, mc->choices(), mc->threshold(), L, s, ds);
-  } else if (const auto* ms =
-                 dynamic_cast<const core::MultiStealWS*>(&model)) {
-    multi_steal(lambda, ms->steal_count(), ms->threshold(), L, s, ds);
+  } else if (const auto* cw = dynamic_cast<const core::ComposedWS*>(&model)) {
+    composed_family(lambda, cw->policy(), L, s, ds);
   } else if (const auto* tr =
                  dynamic_cast<const core::TransferTimeWS*>(&model)) {
     transfer(lambda, tr->transfer_rate(), tr->threshold(), L, s, ds);

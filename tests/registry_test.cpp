@@ -1,6 +1,10 @@
 // Tests for the name-based model factory.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <string>
+
 #include "core/fixed_point.hpp"
 #include "core/registry.hpp"
 #include "core/threshold_ws.hpp"
@@ -29,7 +33,7 @@ TEST(Registry, ParametersReachTheModel) {
   const auto model = core::make_model("threshold", 0.9, {{"T", 5}});
   EXPECT_NE(model->name().find("T=5"), std::string::npos);
   const auto bad = [&] { (void)core::make_model("threshold", 0.9, {{"T", 1}}); };
-  EXPECT_THROW(bad(), util::LogicError);
+  EXPECT_THROW(bad(), std::invalid_argument);
 }
 
 TEST(Registry, TruncationOverride) {
@@ -48,8 +52,16 @@ TEST(Registry, FactoryProducesSameFixedPointAsDirectConstruction) {
 TEST(Registry, ComposedTakesAllKnobs) {
   const auto model = core::make_model(
       "composed", 0.9, {{"T", 4}, {"d", 2}, {"k", 2}, {"B", 1}, {"r", 0.5}});
-  EXPECT_NE(model->name().find("d=2"), std::string::npos);
-  EXPECT_NE(model->name().find("k=2"), std::string::npos);
+  EXPECT_EQ(model->name(), "composed-ws(T=4,d=2,k=2,B=1,r=0.5)");
+  // The stealing presets name only the dimensions they vary.
+  const auto name_of = [](const std::string& preset) {
+    return core::make_model(preset, 0.9)->name();
+  };
+  EXPECT_EQ(name_of("preemptive"), "composed-ws(T=2,B=1)");
+  EXPECT_EQ(name_of("repeated"), "composed-ws(T=2,r=1)");
+  EXPECT_EQ(name_of("multi-choice"), "composed-ws(T=2,d=2)");
+  EXPECT_EQ(name_of("multi-steal"), "composed-ws(T=4,k=2)");
+  EXPECT_EQ(name_of("composed"), "composed-ws(T=2)");
 }
 
 TEST(Registry, MultiStealDefaultsThresholdToTwiceK) {
@@ -60,7 +72,42 @@ TEST(Registry, MultiStealDefaultsThresholdToTwiceK) {
 
 TEST(Registry, RejectsNegativeCount) {
   EXPECT_THROW((void)core::make_model("threshold", 0.9, {{"T", -3}}),
-               util::LogicError);
+               std::invalid_argument);
+}
+
+TEST(Registry, OutOfRangeParameterIsInvalidArgument) {
+  // One out-of-range value per model. A constructor precondition on
+  // caller-supplied values is bad input, not a library bug: make_model
+  // reports it as std::invalid_argument naming the model.
+  const std::map<std::string, core::ModelParams> bad = {
+      {"no-stealing", {{"L", 2}}},
+      {"simple", {{"L", 4}}},
+      {"threshold", {{"T", 1}}},
+      {"preemptive", {{"T", 1}}},
+      {"repeated", {{"r", -1}}},
+      {"multi-choice", {{"d", 0}}},
+      {"multi-steal", {{"k", 3}, {"T", 4}}},
+      {"composed", {{"k", 3}, {"T", 4}}},
+      {"erlang", {{"c", 0}}},
+      {"transfer", {{"r", 0}}},
+      {"staged-transfer", {{"c", 0}}},
+      {"rebalance", {{"r", -1}}},
+      {"heterogeneous", {{"f", 1}}},
+      {"spawning", {{"int", -0.1}}},
+      {"sharing", {{"S", 0}}},
+  };
+  for (const auto& name : core::model_names()) {
+    const auto it = bad.find(name);
+    ASSERT_NE(it, bad.end()) << "no out-of-range case for " << name;
+    try {
+      (void)core::make_model(name, 0.5, it->second);
+      ADD_FAILURE() << name << " accepted an out-of-range parameter";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("model " + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Registry, SpecsCoverEveryNameInOrder) {

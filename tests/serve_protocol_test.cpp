@@ -175,6 +175,29 @@ TEST(ServeProtocol, MalformedRequestsGetStructuredErrors) {
                           "missing required field 'target'");
 }
 
+TEST(ServeProtocol, OutOfRangeModelParameterIsInvalidArgument) {
+  // A parameter the model's constructor rejects (preemptive stealing needs
+  // T >= 2) reaches the daemon through the runner's make_model: the point
+  // fails as the client's error, not as an internal one.
+  ServerFixture fx;
+  auto client = fx.connect();
+  auto req = test::sweep_request("bad-T", {0.5});
+  req["model"] = "preemptive";
+  auto params = util::Json::object();
+  params["T"] = 1;
+  req["params"] = std::move(params);
+  client.send(req);
+  const auto lines = client.collect("bad-T");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].at("status").as_string(), "failed");
+  EXPECT_EQ(lines[0].at("error").at("kind").as_string(), "invalid-argument");
+  EXPECT_NE(lines[0].at("error").at("message").as_string().find(
+                "model preemptive: threshold must be at least 2"),
+            std::string::npos)
+      << lines[0].dump();
+  EXPECT_EQ(lines[1].at("failed").as_int(), 1);
+}
+
 TEST(ServeProtocol, OnlyWarmSweepsNeedMonotoneGrids) {
   // Cold points never chain, so a "warm": false sweep takes any grid order
   // and streams its points in that order; the same grid warm is refused.

@@ -8,14 +8,10 @@
 #include "core/composed_ws.hpp"
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
-#include "core/multi_choice_ws.hpp"
 #include "core/multi_class_ws.hpp"
-#include "core/multi_steal_ws.hpp"
 #include "core/general_arrival_ws.hpp"
 #include "core/no_stealing.hpp"
-#include "core/preemptive_ws.hpp"
 #include "core/rebalance_ws.hpp"
-#include "core/repeated_steal_ws.hpp"
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
 #include "core/transfer_ws.hpp"
@@ -61,7 +57,8 @@ TEST(SimVsModel, Preemptive) {
   cfg.policy = sim::StealPolicy::preemptive(2, 4);
   const double sim_w = sim_sojourn(cfg, lambda);
   const double model_w =
-      core::fixed_point_sojourn(core::PreemptiveWS(lambda, 2, 4));
+      core::fixed_point_sojourn(
+          core::ComposedWS(lambda, {.threshold = 4, .begin_steal = 2}));
   EXPECT_NEAR(sim_w / model_w, 1.0, 0.05);
 }
 
@@ -71,7 +68,8 @@ TEST(SimVsModel, RepeatedSteals) {
   cfg.policy = sim::StealPolicy::with_retries(1.0, 3);
   const double sim_w = sim_sojourn(cfg, lambda);
   const double model_w =
-      core::fixed_point_sojourn(core::RepeatedStealWS(lambda, 1.0, 3));
+      core::fixed_point_sojourn(
+          core::ComposedWS(lambda, {.threshold = 3, .retry_rate = 1.0}));
   EXPECT_NEAR(sim_w / model_w, 1.0, 0.05);
 }
 
@@ -81,7 +79,7 @@ TEST(SimVsModel, TwoChoices) {
   cfg.policy = sim::StealPolicy::on_empty(2, 2);
   const double sim_w = sim_sojourn(cfg, lambda);
   const double model_w =
-      core::fixed_point_sojourn(core::MultiChoiceWS(lambda, 2, 2));
+      core::fixed_point_sojourn(core::ComposedWS(lambda, {.choices = 2}));
   EXPECT_NEAR(sim_w / model_w, 1.0, 0.06);
 }
 
@@ -91,7 +89,8 @@ TEST(SimVsModel, MultiSteal) {
   cfg.policy = sim::StealPolicy::on_empty(6, 1, 3);
   const double sim_w = sim_sojourn(cfg, lambda);
   const double model_w =
-      core::fixed_point_sojourn(core::MultiStealWS(lambda, 3, 6));
+      core::fixed_point_sojourn(
+          core::ComposedWS(lambda, {.threshold = 6, .steal_count = 3}));
   EXPECT_NEAR(sim_w / model_w, 1.0, 0.05);
 }
 

@@ -6,8 +6,8 @@
 
 #include "analysis/spectral.hpp"
 #include "analysis/stability.hpp"
+#include "core/composed_ws.hpp"
 #include "core/fixed_point.hpp"
-#include "core/multi_choice_ws.hpp"
 #include "core/no_stealing.hpp"
 #include "core/threshold_ws.hpp"
 #include "sim/simulator.hpp"
@@ -74,7 +74,7 @@ TEST(Spectral, GapPredictsObservedDecayRate) {
 TEST(Spectral, FasterPoliciesRelaxFaster) {
   // Two-choice stealing drains imbalance faster than plain stealing.
   core::SimpleWS one(0.9);
-  core::MultiChoiceWS two(0.9, 2, 2);
+  core::ComposedWS two(0.9, {.choices = 2});
   const auto g1 =
       analysis::dominant_relaxation_mode(one, one.analytic_fixed_point());
   const auto g2 = analysis::dominant_relaxation_mode(
