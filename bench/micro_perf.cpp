@@ -19,7 +19,6 @@
 #include "core/transfer_ws.hpp"
 #include "ode/anderson.hpp"
 #include "ode/banded.hpp"
-#include "ode/implicit.hpp"
 #include "ode/integrator.hpp"
 #include "ode/linalg.hpp"
 #include "ode/newton.hpp"
@@ -312,10 +311,9 @@ BENCHMARK(BM_AndersonIteration)
     ->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);
 
-/// The stiff stepper's iteration matrix I - h J at the erlang c = 10
-/// rung (n = 621, kl = ku = 10): the FD Jacobian band at the rung's fixed
-/// point, h = 100 as pseudo-transient continuation reaches within a few
-/// doublings.
+/// I - h J at the erlang c = 10 rung (n = 621, kl = ku = 10): the FD
+/// Jacobian band at the rung's fixed point, shifted with h = 100, a band
+/// with the stage models' coupling pattern.
 ode::BandedMatrix erlang_iteration_matrix() {
   const auto model = rung_model(kRungs[2]);
   const ode::State s = rung_state(*model);
@@ -360,16 +358,16 @@ void BM_BandedLuSolveInto(benchmark::State& state) {
 }
 BENCHMARK(BM_BandedLuSolveInto)->Unit(benchmark::kMicrosecond);
 
-void BM_StiffErlangFixedPoint(benchmark::State& state) {
-  // Full pseudo-transient solve of the c = 10 stage model at lambda = 0.9
-  // (the explicit relaxation takes ~40x longer).
+void BM_ErlangFixedPoint(benchmark::State& state) {
+  // Full Auto solve of the c = 10 stage model at lambda = 0.9: truncation
+  // ladder, Anderson warmup and Newton-Krylov with the banded chord.
   for (auto _ : state) {
     core::ErlangServiceWS model(0.9, 10);
     auto fp = core::solve_fixed_point(model);
     benchmark::DoNotOptimize(fp.residual);
   }
 }
-BENCHMARK(BM_StiffErlangFixedPoint)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ErlangFixedPoint)->Unit(benchmark::kMillisecond);
 
 void BM_BandedFdJacobian(benchmark::State& state) {
   core::ErlangServiceWS model(0.9, 10);

@@ -1,26 +1,27 @@
 // Fixed-point engine performance harness: the repo's tracked ODE baseline.
 //
-// Solves a pinned model x lambda grid spanning the explicit, stiff and
-// multi-class paths and reports, per case, the derivative-evaluation count
-// (the primary metric: it is deterministic and machine-independent) and
-// best-of-5 wall time. Writes the measurements as JSON and, when given a
-// committed baseline file, prints and embeds per-case and aggregate
-// evaluation reductions and wall-time speedups so solver regressions show
-// up as a diff.
+// Solves a pinned model x lambda grid spanning the Anderson, banded
+// Newton-Krylov and multi-class paths and reports, per case, the
+// derivative-evaluation count (the primary metric: it is deterministic
+// and machine-independent) and best-of-5 wall time. Writes the
+// measurements as JSON and, when given a committed baseline file, prints
+// and embeds per-case and aggregate evaluation reductions and wall-time
+// speedups so solver regressions show up as a diff.
 //
 //   perf_ode [out.json] [baseline.json]
 //            [--mode=current|legacy|sweep-warm|sweep-cold]
 //
 // Defaults: out = BENCH_ode.json, no baseline, mode = current. Mode
-// `legacy` pins the pre-engine behaviour (explicit relaxation or banded
-// pseudo-transient continuation at the constructed truncation, no Anderson
-// acceleration, no adaptive truncation); it exists to record
-// BENCH_ode.baseline.json from the same binary. E[T] per case is included
-// in the JSON so an accidental semantic change is visible in the diff
-// (tests/golden_values_test.cpp pins the same values independently). The
-// two 10^4-dimension near-critical cases exercise the matrix-free
-// Newton-Krylov path and are skipped in legacy mode (explicit relaxation
-// at that dimension and load would run for hours).
+// `legacy` pins the pre-engine behaviour (explicit relaxation at the
+// constructed truncation, no Anderson acceleration, no adaptive
+// truncation); it exists to record BENCH_ode.baseline.json from the same
+// binary. E[T] per case is included in the JSON so an accidental semantic
+// change is visible in the diff (tests/golden_values_test.cpp pins the
+// same values independently). Legacy mode skips the cases that need the
+// Newton-Krylov path: the two 10^4-dimension near-critical cases
+// (explicit relaxation at that dimension and load would run for hours)
+// and the stiff Erlang stage models (their committed baseline rows were
+// recorded by a banded pseudo-transient solver that no longer exists).
 //
 // The sweep modes measure λ-sweep continuation instead of standalone
 // solves: a 6-model x 16-λ grid chained through
@@ -60,8 +61,8 @@ double seconds_since(Clock::time_point t0) {
 struct PerfCase {
   std::string name;
   std::function<std::unique_ptr<core::MeanFieldModel>()> make;
-  /// Requires the current engine (Krylov path); skipped in legacy mode,
-  /// where explicit relaxation at the case's dimension would run for hours.
+  /// Requires the current engine (Krylov path); skipped in legacy mode
+  /// (see the file comment).
   bool modern_only = false;
 };
 
@@ -84,9 +85,9 @@ std::unique_ptr<core::MeanFieldModel> reg(const std::string& name,
 }
 
 /// Pinned grid: explicit single-tail models across the load range, the
-/// stiff Erlang path at two stage counts, the segmented transfer models,
-/// and the multi-class models. Names encode model and lambda so baseline
-/// lookup survives reordering.
+/// stiff Erlang stage models at two stage counts, the segmented transfer
+/// models, and the multi-class models. Names encode model and lambda so
+/// baseline lookup survives reordering.
 std::vector<PerfCase> perf_cases() {
   std::vector<PerfCase> cases;
   auto add = [&](std::string name,
@@ -111,8 +112,10 @@ std::vector<PerfCase> perf_cases() {
       [] { return reg("preemptive", 0.90, {{"B", 1}, {"T", 2}}); });
   add("rebalance_r1_l0.90", [] { return reg("rebalance", 0.90, {{"r", 1}}); });
   add("sharing_S1_l0.90", [] { return reg("sharing", 0.90, {{"S", 1}}); });
-  add("erlang_c10_l0.90", [] { return reg("erlang", 0.90, {{"c", 10}}); });
-  add("erlang_c20_l0.70", [] { return reg("erlang", 0.70, {{"c", 20}}); });
+  add("erlang_c10_l0.90", [] { return reg("erlang", 0.90, {{"c", 10}}); },
+      /*modern_only=*/true);
+  add("erlang_c20_l0.70", [] { return reg("erlang", 0.70, {{"c", 20}}); },
+      /*modern_only=*/true);
   add("transfer_r4_l0.90",
       [] { return reg("transfer", 0.90, {{"r", 4}, {"T", 2}}); });
   add("staged_transfer_c3_l0.90", [] {
@@ -144,13 +147,11 @@ std::vector<PerfCase> perf_cases() {
 }
 
 /// Pre-engine behaviour, used to record the committed baseline: explicit
-/// relaxation (or the banded stiff path, which models opted into before)
-/// at the constructed truncation, Newton polish unchanged.
-core::FixedPointOptions legacy_options(const core::MeanFieldModel& model) {
+/// relaxation at the constructed truncation, Newton polish unchanged.
+core::FixedPointOptions legacy_options() {
   core::FixedPointOptions opts;
   opts.truncation = core::TruncationMode::Fixed;
-  opts.method = model.stiff_bandwidth() > 0 ? ode::FixedPointMethod::Stiff
-                                            : ode::FixedPointMethod::Relax;
+  opts.method = ode::FixedPointMethod::Relax;
   return opts;
 }
 
@@ -161,7 +162,7 @@ constexpr int kRepetitions = 5;
 CaseResult time_case(const PerfCase& pc, bool legacy) {
   const auto model = pc.make();
   const core::FixedPointOptions opts =
-      legacy ? legacy_options(*model) : core::FixedPointOptions{};
+      legacy ? legacy_options() : core::FixedPointOptions{};
   CaseResult out;
   out.name = pc.name;
   (void)core::solve_fixed_point(*model, opts);  // untimed warmup

@@ -5,7 +5,7 @@
 // newly registered model (and its parameters) shows up here untouched.
 //
 //   ./model_cli <model> [--lambda=0.9] [--<param>=..] [--tails=16]
-//               [--solver=auto|relax|stiff|anderson|krylov] [--max-evals=N]
+//               [--solver=auto|relax|anderson|krylov] [--max-evals=N]
 //               [--max-seconds=S] [--csv] [--json]
 //   ./model_cli --list
 //

@@ -210,14 +210,14 @@ if [ "${SKIP_UBSAN:-0}" != "1" ]; then
   cmake -B build-ubsan -G Ninja -DLSM_SANITIZE=undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build build-ubsan -j "$jobs" \
-    --target test_ode test_linalg test_implicit test_anderson test_krylov \
+    --target test_ode test_linalg test_banded test_anderson test_krylov \
     test_hot_loop_alloc test_model_fixed_point test_phase_type \
     test_serve_protocol
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   ./build-ubsan/tests/test_ode
   # Band + border LU: index arithmetic over row windows.
   ./build-ubsan/tests/test_linalg
-  ./build-ubsan/tests/test_implicit
+  ./build-ubsan/tests/test_banded
   ./build-ubsan/tests/test_anderson
   ./build-ubsan/tests/test_krylov
   ./build-ubsan/tests/test_hot_loop_alloc
@@ -237,29 +237,33 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   # pointers (x + (i +- 1) * nb) with no container check, so the model
   # suites run here too (the composed stealing kernel's rows reach
   # i + k and j + T by offset, exercised by test_model_reduction and
-  # test_model_variants), as do the banded LU (pointer walks down and
-  # across the column-major band) and Anderson's fused, blocked history passes (raw
-  # column pointers) with their bit-for-bit oracle tests. The K-class
-  # model walks per-class row pointers into the packed state, so
-  # test_multi_class (with its two-class oracle) runs here as well.
-  # parallel_map's cursor writes result slots from pool threads, and the
-  # runner's replication units write per-job slots the last unit then
-  # reads, so test_parallel and test_exp_runner run here too.
+  # test_model_variants), as do the banded LU and its FD band assembly
+  # (pointer walks down and across the column-major band; the Krylov
+  # path's banded chord is their only user, test_banded their suite) and
+  # Anderson's fused, blocked history passes (raw column pointers) with
+  # their bit-for-bit oracle tests. The K-class model walks per-class row
+  # pointers into the packed state, so test_multi_class (with its
+  # two-class oracle) runs here as well. parallel_map's cursor writes
+  # result slots from pool threads, and the runner's replication units
+  # write per-job slots the last unit then reads, so test_parallel and
+  # test_exp_runner run here too. The daemon's protocol suite parses
+  # hostile input into JSON trees and answers over sockets, so
+  # test_serve_protocol joins it from the UBSan leg.
   # test_hot_loop_alloc replaces operator new and stays on the UBSan leg.
-  echo "== asan: LUs, ODE solvers, Anderson, lane kernels, the K-class model, the property suite, parallel_map and the runner under -fsanitize=address,undefined"
+  echo "== asan: LUs, ODE solvers, Anderson, lane kernels, the K-class model, the property suite, parallel_map, the runner and the daemon protocol under -fsanitize=address,undefined"
   cmake -B build-asan -G Ninja -DLSM_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS >/dev/null
   cmake --build build-asan -j "$jobs" \
     --target test_linalg test_ode test_krylov test_fixed_point_properties \
     test_model_basic test_multi_class test_model_registry_sweep \
-    test_implicit test_anderson test_parallel test_exp_runner \
-    test_model_reduction test_model_variants
+    test_banded test_anderson test_parallel test_exp_runner \
+    test_model_reduction test_model_variants test_serve_protocol
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   ./build-asan/tests/test_linalg
   ./build-asan/tests/test_ode
   ./build-asan/tests/test_krylov
-  ./build-asan/tests/test_implicit
+  ./build-asan/tests/test_banded
   ./build-asan/tests/test_anderson
   ./build-asan/tests/test_fixed_point_properties
   ./build-asan/tests/test_model_basic
@@ -269,6 +273,7 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   ./build-asan/tests/test_model_variants
   ./build-asan/tests/test_parallel
   ./build-asan/tests/test_exp_runner
+  ./build-asan/tests/test_serve_protocol
 fi
 
 if [ "${SKIP_PERF:-0}" != "1" ]; then

@@ -43,7 +43,7 @@ ConvergenceReport check_convergence(const core::MeanFieldModel& model,
   if (mopts.drive == MultiStartOptions::Drive::Solver) {
     ode::FixedPointSolveOptions sopts;
     sopts.method = mopts.method;
-    sopts.stiff_bandwidth = model.stiff_bandwidth();
+    sopts.jacobian_bandwidth = model.jacobian_bandwidth();
     sopts.label = "convergence model=" + model.name();
     for (const auto& start : starts) {
       const auto solved = ode::solve_fixed_point(counted, start, sopts);

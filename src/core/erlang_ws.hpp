@@ -40,7 +40,7 @@ class ErlangServiceWS final : public MeanFieldModel {
   [[nodiscard]] double mean_tasks(const ode::State& s) const override;
 
   /// Stage dynamics couple indices i-c..i+c at rate c: stiff for large c.
-  [[nodiscard]] std::size_t stiff_bandwidth() const override {
+  [[nodiscard]] std::size_t jacobian_bandwidth() const override {
     return stages_ > 1 ? stages_ : 0;
   }
 

@@ -36,12 +36,11 @@ class TruncationGuard {
   std::size_t original_;
 };
 
-/// Auto mode only re-discretizes non-stiff, auto-sized models: the stiff
-/// path's cost is dominated by banded Jacobian refreshes, so re-solving
-/// every rung roughly doubles the evaluation count instead of saving it.
+/// Auto mode re-discretizes every auto-sized model; an explicit truncation
+/// is a caller contract.
 bool ladders(const MeanFieldModel& model, const FixedPointOptions& opts) {
   return opts.truncation == TruncationMode::Auto &&
-         !model.truncation_explicit() && model.stiff_bandwidth() == 0;
+         !model.truncation_explicit();
 }
 
 std::string solve_label(const MeanFieldModel& model) {
@@ -71,7 +70,7 @@ ode::FixedPointSolveResult iterate(const MeanFieldModel& model, ode::State s0,
   if (opts.max_wall_seconds > 0.0) {
     sopts.max_wall_seconds = std::max(opts.max_wall_seconds - elapsed, 1e-9);
   }
-  sopts.stiff_bandwidth = model.stiff_bandwidth();
+  sopts.jacobian_bandwidth = model.jacobian_bandwidth();
   sopts.tol = loose ? opts.relax_tol : std::min(opts.relax_tol, 1e-10);
   // Warm continuation solves with a Newton polish downstream stop the
   // accelerator at relax_tol: near-critical AA spends hundreds of weakly
@@ -191,8 +190,8 @@ FixedPointResult solve_warm(const MeanFieldModel& model,
   std::size_t rung;
   ode::State start;
   if (!ladder) {
-    // Stiff / explicit-truncation / Fixed-mode models solve at the
-    // constructed truncation; the warm state is just re-discretized to it.
+    // Explicit-truncation / Fixed-mode models solve at the constructed
+    // truncation; the warm state is just re-discretized to it.
     rung = guard.original();
     model.set_truncation(rung);
     start = model.resized_tail_state(opts.warm_state, opts.warm_truncation);

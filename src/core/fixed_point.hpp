@@ -1,7 +1,8 @@
 // Fixed-point computation for any MeanFieldModel, built on the fast engine
-// in ode/solve.hpp: Anderson acceleration (or pseudo-transient continuation
-// for stiff models) over an adaptively grown truncation ladder, finished by
-// a Newton polish on the algebraic system f(s) = 0 for high-accuracy tails.
+// in ode/solve.hpp: Anderson acceleration (or Newton-Krylov for banded and
+// very large models) over an adaptively grown truncation ladder, finished
+// by a Newton polish on the algebraic system f(s) = 0 for high-accuracy
+// tails.
 //
 // Adaptive truncation: the tail indices are a discretization knob, not part
 // of the model, and most of the relaxation budget at a generous L is spent
@@ -34,7 +35,7 @@ struct FixedPointOptions {
   /// ||f||_inf target for the explicit relaxation path. Kept well above
   /// the integrator's error floor (rtol ~ 1e-9) so relaxation always
   /// terminates; the Newton polish supplies the final accuracy. The
-  /// Anderson and stiff paths iterate to min(relax_tol, 1e-10) since
+  /// Anderson and Krylov paths iterate to min(relax_tol, 1e-10) since
   /// their iterations are cheap.
   double relax_tol = 1e-8;
   double polish_tol = 1e-13;  ///< ||f||_inf target for the Newton phase
@@ -50,7 +51,8 @@ struct FixedPointOptions {
   double t_max = 1e6;                 ///< relaxation horizon before giving up
   double check_interval = 25.0;       ///< relaxation convergence test period
   /// Iterative engine selection, forwarded to ode::solve_fixed_point
-  /// (Auto = stiff models take the implicit path, the rest Anderson).
+  /// (Auto = banded or very large models take the Krylov path, the rest
+  /// Anderson).
   ode::FixedPointMethod method = ode::FixedPointMethod::Auto;
   /// Anderson tuning. The mean-field systems reward a deeper residual
   /// history than the library default (the near-critical and multi-class
@@ -96,11 +98,11 @@ struct FixedPointResult {
   double residual = 0.0;   ///< final ||f(s)||_inf
   bool polished = false;   ///< Newton phase ran and converged
   double relax_time = 0.0; ///< virtual time used by explicit relaxation
-  /// Iterative path that produced the pre-polish state (Anderson, Stiff,
+  /// Iterative path that produced the pre-polish state (Anderson, Krylov,
   /// or Relax after a fallback) at the final ladder rung.
   ode::FixedPointMethod method = ode::FixedPointMethod::Relax;
   std::size_t rhs_evals = 0;   ///< derivative evaluations, all phases
-  std::size_t iterations = 0;  ///< AA iterations / PTC steps, all rungs
+  std::size_t iterations = 0;  ///< AA + Newton iterations, all rungs
   /// Truncation at which the solve/polish actually happened. Under
   /// TruncationMode::Auto the model (and state) are restored to the
   /// constructed truncation afterwards, so this may be smaller than

@@ -96,11 +96,10 @@ class MeanFieldModel : public ode::OdeSystem {
   /// Overridden by models whose state is not a single monotone tail vector.
   void project(ode::State& s) const override;
 
-  /// Jacobian half-bandwidth hint for the stiff (implicit) fixed-point
-  /// path: 0 means "not stiff, use the explicit relaxation". Models whose
-  /// service happens in c fast stages return c so solve_fixed_point can
-  /// use pseudo-transient continuation with a banded chord Jacobian.
-  [[nodiscard]] virtual std::size_t stiff_bandwidth() const { return 0; }
+  /// Jacobian half-bandwidth hint: 0 means none declared. Models whose
+  /// service happens in c fast stages return c, which routes Auto solves to
+  /// the Newton-Krylov path and sizes its banded chord Jacobian.
+  [[nodiscard]] virtual std::size_t jacobian_bandwidth() const { return 0; }
 
   /// The model's right-hand side at its own lambda: lane 0 of a one-lane
   /// rhs_batch call. Models with a lane kernel write their recurrence only

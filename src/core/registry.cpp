@@ -1,5 +1,6 @@
 #include "core/registry.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "core/composed_ws.hpp"
@@ -37,7 +38,10 @@ std::size_t get_n(const ModelParams& p, const std::string& key,
   const auto it = p.find(key);
   if (it == p.end()) return fallback;
   const double v = number_of(key, it->second);
-  LSM_EXPECT(v >= 0.0, "parameter " + key + " must be >= 0");
+  // Every double up to 2^53 that equals its floor is an exact count; a
+  // fraction would be truncated silently, a larger value cannot be cast.
+  LSM_EXPECT(v >= 0.0 && v <= 0x1p53 && v == std::floor(v),
+             "parameter " + key + " must be a non-negative integer");
   return static_cast<std::size_t>(v);
 }
 
@@ -247,8 +251,8 @@ std::unique_ptr<MeanFieldModel> build_model(const ModelSpec& spec,
   }
   if (name == "erlang") {
     // The unified service spec wins when given; an Erlang-shaped spec
-    // keeps the classic stage-state class (identical dynamics, stiff
-    // banded solver), anything else generalizes to phase-type state. The
+    // keeps the classic stage-state class (identical dynamics, banded
+    // Krylov chord), anything else generalizes to phase-type state. The
     // historical integer key `c` remains.
     if (svc.given) {
       if (svc.dist.is_erlang()) {

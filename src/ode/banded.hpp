@@ -1,13 +1,20 @@
-// Banded dense linear algebra (LAPACK-style band storage) for the stiff
-// implicit steppers: the mean-field Jacobians are dominated by a narrow
-// band (nearest-neighbor and +/- c stage coupling), so an O(n b^2) banded
-// factorization replaces the O(n^3) dense one.
+// Banded dense linear algebra (LAPACK-style band storage) for the
+// Newton-Krylov path's banded chord: the mean-field Jacobians are dominated
+// by a narrow band (nearest-neighbor and +/- c stage coupling), so an
+// O(n b^2) banded factorization replaces the O(n^3) dense one.
+//
+// banded_fd_jacobian differences the band of f = sys.deriv in two modes:
+// per-column (exact band entries of any Jacobian, n evaluations) and
+// grouped Curtis-Powell-Reid (kl + ku + 1 evaluations, exact ONLY when the
+// true Jacobian is banded -- the mean-field models are band + low-rank, so
+// they use per-column).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "ode/system.hpp"
 #include "util/error.hpp"
 
 namespace lsm::ode {
@@ -100,5 +107,20 @@ class BandedLuSolver {
   BandedMatrix lu_;
   std::vector<std::size_t> pivot_;  // pivot row chosen at each step
 };
+
+enum class FdMode {
+  PerColumn,  ///< exact band of any Jacobian; n derivative evaluations
+  Grouped,    ///< Curtis-Powell-Reid; only for truly banded Jacobians
+};
+
+/// Default relative step of the banded FD Jacobians.
+inline constexpr double kBandedFdEps = 1e-7;
+
+/// Approximates the (kl, ku) band of the Jacobian of sys.deriv(t, .) at s.
+BandedMatrix banded_fd_jacobian(const OdeSystem& sys, double t,
+                                const State& s, std::size_t kl,
+                                std::size_t ku,
+                                FdMode mode = FdMode::PerColumn,
+                                double eps = kBandedFdEps);
 
 }  // namespace lsm::ode

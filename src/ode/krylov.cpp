@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "ode/banded.hpp"
-#include "ode/implicit.hpp"
 #include "ode/linalg.hpp"
 #include "util/error.hpp"
 

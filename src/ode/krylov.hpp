@@ -24,7 +24,7 @@
 #include <cstddef>
 #include <memory>
 
-#include "ode/implicit.hpp"
+#include "ode/banded.hpp"
 #include "ode/newton.hpp"
 #include "ode/state.hpp"
 #include "ode/system.hpp"

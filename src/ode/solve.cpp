@@ -108,32 +108,6 @@ FixedPointSolveResult run_relax(const OdeSystem& sys, State s0,
   return out;
 }
 
-FixedPointSolveResult run_stiff(const OdeSystem& sys, State s0,
-                                const FixedPointSolveOptions& opts) {
-  StiffRelaxOptions sopts = opts.stiff;
-  sopts.deriv_tol = opts.tol;
-  if (sopts.label.empty()) sopts.label = opts.label;
-  if (opts.stiff_bandwidth > 0) {
-    sopts.implicit.kl = opts.stiff_bandwidth;
-    sopts.implicit.ku = opts.stiff_bandwidth;
-  }
-  if (opts.max_rhs_evals != 0) sopts.max_rhs_evals = opts.max_rhs_evals;
-  if (opts.max_wall_seconds > 0.0) {
-    sopts.max_wall_seconds = opts.max_wall_seconds;
-  }
-  sopts.throw_on_failure = opts.throw_on_failure;
-  StiffRelaxResult stiff = stiff_relax_to_fixed_point(sys, std::move(s0), sopts);
-  FixedPointSolveResult out;
-  out.state = std::move(stiff.state);
-  out.residual = stiff.deriv_norm;
-  out.method = FixedPointMethod::Stiff;
-  out.rhs_evals = stiff.rhs_evals;
-  out.iterations = stiff.steps;
-  out.status = stiff.status;
-  out.failure = std::move(stiff.failure);
-  return out;
-}
-
 FixedPointSolveResult run_anderson(const OdeSystem& sys, State s0,
                                    const FixedPointSolveOptions& opts);
 FixedPointSolveResult run_krylov(const OdeSystem& sys, State s0,
@@ -299,6 +273,9 @@ FixedPointSolveResult run_krylov(const OdeSystem& sys, State s0,
 
   NewtonKrylovOptions kopts = opts.krylov;
   kopts.tol = opts.tol;
+  if (opts.jacobian_bandwidth > 0) {
+    kopts.banded_precond_bandwidth = opts.jacobian_bandwidth;
+  }
   if (budget.max_evals != 0) {
     kopts.max_rhs_evals =
         budget.max_evals > aa.rhs_evals ? budget.max_evals - aa.rhs_evals : 1;
@@ -382,8 +359,8 @@ const char* to_string(SolveStatus status) noexcept {
 const std::vector<std::string>& fixed_point_method_names() {
   // Declaration order of FixedPointMethod; parse/to_string/CLI listings all
   // index this one list.
-  static const std::vector<std::string> names = {"auto", "relax", "stiff",
-                                                 "anderson", "krylov"};
+  static const std::vector<std::string> names = {"auto", "relax", "anderson",
+                                                 "krylov"};
   return names;
 }
 
@@ -391,7 +368,6 @@ const char* to_string(FixedPointMethod method) noexcept {
   switch (method) {
     case FixedPointMethod::Auto: return "auto";
     case FixedPointMethod::Relax: return "relax";
-    case FixedPointMethod::Stiff: return "stiff";
     case FixedPointMethod::Anderson: return "anderson";
     case FixedPointMethod::Krylov: return "krylov";
   }
@@ -419,8 +395,6 @@ FixedPointSolveResult solve_fixed_point(const OdeSystem& sys, State s0,
   switch (opts.method) {
     case FixedPointMethod::Relax:
       return run_relax(sys, std::move(s0), opts);
-    case FixedPointMethod::Stiff:
-      return run_stiff(sys, std::move(s0), opts);
     case FixedPointMethod::Anderson:
       return run_anderson(sys, std::move(s0), opts);
     case FixedPointMethod::Krylov:
@@ -428,8 +402,8 @@ FixedPointSolveResult solve_fixed_point(const OdeSystem& sys, State s0,
     case FixedPointMethod::Auto:
       break;
   }
-  if (opts.stiff_bandwidth > 0) return run_stiff(sys, std::move(s0), opts);
-  if (opts.krylov_auto_dim != 0 && sys.dimension() >= opts.krylov_auto_dim) {
+  if (opts.jacobian_bandwidth > 0 ||
+      (opts.krylov_auto_dim != 0 && sys.dimension() >= opts.krylov_auto_dim)) {
     return run_krylov(sys, std::move(s0), opts);
   }
   return run_anderson(sys, std::move(s0), opts);

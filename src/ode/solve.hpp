@@ -1,15 +1,15 @@
 // Single entry point for locating fixed points of ds/dt = f(s): dispatches
 // between Anderson acceleration (anderson.hpp, the fast default), explicit
-// time relaxation (steady_state.hpp, the robust safety net) and implicit
-// pseudo-transient continuation (implicit.hpp, for stiff systems), and
-// reports the method used plus the RHS-evaluation budget it consumed.
+// time relaxation (steady_state.hpp, the robust safety net) and an
+// Anderson warmup finished by Newton-GMRES (krylov.hpp), and reports the
+// method used plus the RHS-evaluation budget it consumed.
 //
 // Dispatch rules (FixedPointMethod::Auto):
-//   * stiff_bandwidth > 0  -> Stiff (banded pseudo-transient continuation;
-//     explicit methods would need O(1/bandwidth) steps);
-//   * dimension >= krylov_auto_dim -> Krylov (Anderson warmup + matrix-free
-//     Newton-GMRES; at 10^4 unknowns Anderson's deep near-critical stall
-//     and any dense-Jacobian polish are both unaffordable);
+//   * jacobian_bandwidth > 0 or dimension >= krylov_auto_dim -> Krylov
+//     (Anderson warmup + Newton-GMRES; a declared band, such as the +/- c
+//     stage coupling of the Erlang models, sizes the banded chord; at 10^4
+//     unknowns Anderson's deep near-critical stall and any dense-Jacobian
+//     polish are both unaffordable);
 //   * otherwise            -> Anderson, falling back to Relax from the
 //     caller's original start when acceleration fails to converge (NOT from
 //     Anderson's best iterate: truncated systems can be bistable, and the
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "ode/anderson.hpp"
-#include "ode/implicit.hpp"
 #include "ode/krylov.hpp"
 #include "ode/status.hpp"
 #include "ode/steady_state.hpp"
@@ -29,9 +28,8 @@
 namespace lsm::ode {
 
 enum class FixedPointMethod {
-  Auto,      ///< stiff with a bandwidth hint, krylov when huge, else Anderson
+  Auto,      ///< krylov when banded or huge, else Anderson
   Relax,     ///< explicit time relaxation only (the pre-engine behaviour)
-  Stiff,     ///< banded pseudo-transient continuation
   Anderson,  ///< Anderson acceleration with relaxation fallback
   Krylov,    ///< Anderson warmup + matrix-free Newton-GMRES finish
 };
@@ -41,7 +39,7 @@ enum class FixedPointMethod {
 /// listings, so a new method cannot silently miss one of them.
 [[nodiscard]] const std::vector<std::string>& fixed_point_method_names();
 
-/// Short lowercase name ("auto" | "relax" | "stiff" | "anderson" | "krylov").
+/// Short lowercase name ("auto" | "relax" | "anderson" | "krylov").
 [[nodiscard]] const char* to_string(FixedPointMethod method) noexcept;
 
 /// Inverse of to_string; throws util::Error on an unknown name (the message
@@ -51,10 +49,11 @@ enum class FixedPointMethod {
 
 struct FixedPointSolveOptions {
   FixedPointMethod method = FixedPointMethod::Auto;
-  /// Jacobian half-bandwidth hint; > 0 routes Auto to the stiff path and
-  /// sizes its banded chord Jacobian.
-  std::size_t stiff_bandwidth = 0;
-  /// ||f||_inf target for the Anderson and stiff paths. The relaxation
+  /// Jacobian half-bandwidth the model declares; > 0 routes Auto to the
+  /// Krylov path and sizes its banded chord Jacobian
+  /// (krylov.banded_precond_bandwidth).
+  std::size_t jacobian_bandwidth = 0;
+  /// ||f||_inf target for the Anderson and Krylov paths. The relaxation
   /// path (requested or fallback) runs to max(tol, relax.deriv_tol) so a
   /// caller who polishes afterwards can keep the slow safety net cheap.
   double tol = 1e-10;
@@ -75,9 +74,9 @@ struct FixedPointSolveOptions {
   /// start: check result.residual against tol before trusting the state.
   bool relax_fallback = true;
   SteadyStateOptions relax{};
-  StiffRelaxOptions stiff{};
-  /// Newton-Krylov finisher settings for the Krylov path (tol and budgets
-  /// are overwritten from the fields above).
+  /// Newton-Krylov finisher settings for the Krylov path (tol, budgets
+  /// and a declared jacobian_bandwidth are overwritten from the fields
+  /// above).
   NewtonKrylovOptions krylov{};
   /// Auto routes systems of at least this dimension to the Krylov path
   /// (0 disables the size-based routing). The default sits above every
@@ -129,7 +128,7 @@ struct FixedPointSolveResult {
   double residual = 0.0;  ///< final ||f||_inf
   FixedPointMethod method = FixedPointMethod::Relax;  ///< path that produced state
   std::size_t rhs_evals = 0;   ///< derivative evaluations, all phases
-  std::size_t iterations = 0;  ///< AA iterations / PTC steps (0 for relax)
+  std::size_t iterations = 0;  ///< AA + Newton iterations (0 for relax)
   double relax_time = 0.0;     ///< virtual time, when relaxation ran
   bool fellback = false;  ///< Anderson failed; relaxation re-ran from s0
   /// The warm start was rejected (divergence or basin escape) and the
@@ -144,8 +143,8 @@ struct FixedPointSolveResult {
 };
 
 /// Finds s with ||f(s)||_inf < opts.tol starting from s0. When every
-/// applicable path fails (relaxation exhausts its horizon or a budget,
-/// the stiff stepper underflows), throws util::FailureError — or, with
+/// applicable path fails (relaxation exhausts its horizon or a budget),
+/// throws util::FailureError — or, with
 /// opts.throw_on_failure=false, returns the best iterate with
 /// status/failure describing the problem.
 [[nodiscard]] FixedPointSolveResult solve_fixed_point(

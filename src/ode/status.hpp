@@ -1,5 +1,5 @@
 // Solver outcome status shared by every fixed-point path (relaxation,
-// stiff pseudo-transient, Anderson dispatch, core engine). Kept in its
+// Anderson, Newton-Krylov, dispatch, core engine). Kept in its
 // own header so the low-level solvers can report it without pulling in
 // the dispatcher.
 #pragma once
@@ -8,7 +8,7 @@ namespace lsm::ode {
 
 enum class SolveStatus {
   Converged,        ///< residual/derivative norm reached tolerance
-  Diverged,         ///< non-finite state or step-size underflow
+  Diverged,         ///< non-finite derivative norm
   BudgetExhausted,  ///< eval / wall / horizon budget ran out first
 };
 

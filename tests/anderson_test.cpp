@@ -1,5 +1,5 @@
 // Fast fixed-point engine acceptance tests: the Anderson-accelerated
-// default must reproduce the legacy relaxation/stiff fixed points across
+// default must reproduce the legacy relaxation fixed points across
 // the whole registry, the adaptive truncation ladder must not change
 // observables, and the dispatcher must route and report methods honestly.
 // The sliding-window QR behind the least-squares step is checked directly
@@ -29,13 +29,11 @@ namespace {
 using namespace lsm;
 
 /// Pre-engine behaviour: the constructed truncation, driven by explicit
-/// time relaxation (or pseudo-transient continuation when the model asks
-/// for it). This is the ground truth the engine must reproduce.
-core::FixedPointOptions legacy_options(const core::MeanFieldModel& model) {
+/// time relaxation. This is the ground truth the engine must reproduce.
+core::FixedPointOptions legacy_options() {
   core::FixedPointOptions opts;
   opts.truncation = core::TruncationMode::Fixed;
-  opts.method = model.stiff_bandwidth() > 0 ? ode::FixedPointMethod::Stiff
-                                            : ode::FixedPointMethod::Relax;
+  opts.method = ode::FixedPointMethod::Relax;
   return opts;
 }
 
@@ -51,7 +49,7 @@ double engine_sojourn(const std::string& name, double lambda,
 double legacy_sojourn(const std::string& name, double lambda,
                       core::FixedPointResult* out = nullptr) {
   const auto model = core::make_model(name, lambda);
-  auto fp = core::solve_fixed_point(*model, legacy_options(*model));
+  auto fp = core::solve_fixed_point(*model, legacy_options());
   const double w = model->mean_sojourn(fp.state);
   if (out != nullptr) *out = std::move(fp);
   return w;
@@ -104,7 +102,7 @@ TEST_P(EngineVsLegacyNearCritical, SojournsAgree) {
   // truncation (2048 at lambda = 0.99) sits above the default polish cap,
   // so raise it for this comparison.
   const auto model = core::make_model(name, 0.99);
-  auto lopts = legacy_options(*model);
+  auto lopts = legacy_options();
   lopts.newton_max_dim = 3000;
   const auto legacy = core::solve_fixed_point(*model, lopts);
   ASSERT_TRUE(legacy.polished) << name;
@@ -164,7 +162,7 @@ TEST(AdaptiveTruncation, AutoModeRestoresTheConstructedTruncation) {
   // Fixed reference.
   core::ThresholdWS reference(0.8, 2, 512);
   const auto ref =
-      core::solve_fixed_point(reference, legacy_options(reference));
+      core::solve_fixed_point(reference, legacy_options());
   EXPECT_NEAR(model.mean_sojourn(fp.state), reference.mean_sojourn(ref.state),
               1e-9);
 
@@ -177,10 +175,22 @@ TEST(AdaptiveTruncation, AutoModeRestoresTheConstructedTruncation) {
 // --- Dispatch and fallback reporting --------------------------------------
 
 TEST(EngineDispatch, StiffModelsTakeTheStiffPath) {
-  const auto model = core::make_model("erlang", 0.9);
-  ASSERT_GT(model->stiff_bandwidth(), 0u);
+  // A stiff model declares its Jacobian band, and Auto routes it to
+  // Newton-Krylov with a banded chord, on the same truncation ladder as
+  // every auto-sized model: at lambda = 0.7 the c = 20 stage model stops
+  // below its constructed truncation, and at lambda = 0.9 it delivers the
+  // paper's Table 2 estimate.
+  const auto light = core::make_model("erlang", 0.7, {{"c", 20}});
+  ASSERT_EQ(light->jacobian_bandwidth(), 20u);
+  const auto light_fp = core::solve_fixed_point(*light);
+  EXPECT_EQ(light_fp.method, ode::FixedPointMethod::Krylov);
+  EXPECT_LT(light_fp.final_truncation, light->truncation());
+
+  const auto model = core::make_model("erlang", 0.9, {{"c", 20}});
   const auto fp = core::solve_fixed_point(*model);
-  EXPECT_EQ(fp.method, ode::FixedPointMethod::Stiff);
+  EXPECT_EQ(fp.method, ode::FixedPointMethod::Krylov);
+  EXPECT_FALSE(fp.fellback);
+  EXPECT_NEAR(model->mean_sojourn(fp.state), 2.709, 2e-3);
 }
 
 TEST(EngineDispatch, ExplicitRelaxRequestIsHonoured) {
@@ -195,8 +205,7 @@ TEST(EngineDispatch, ExplicitRelaxRequestIsHonoured) {
 TEST(EngineDispatch, MethodNamesRoundTrip) {
   for (const auto method :
        {ode::FixedPointMethod::Auto, ode::FixedPointMethod::Relax,
-        ode::FixedPointMethod::Stiff, ode::FixedPointMethod::Anderson,
-        ode::FixedPointMethod::Krylov}) {
+        ode::FixedPointMethod::Anderson, ode::FixedPointMethod::Krylov}) {
     EXPECT_EQ(ode::parse_fixed_point_method(ode::to_string(method)), method);
   }
   // The published name list is the same source of truth parse/to_string
@@ -213,7 +222,7 @@ TEST(EngineDispatch, BistableFallbackReproducesRelaxation) {
   // fallback must relax from the ORIGINAL start, not Anderson's best
   // iterate, so the engine still lands on the physical equilibrium.
   core::StagedTransferWS model(0.9, 0.25, 8, 4);
-  const auto legacy = core::solve_fixed_point(model, legacy_options(model));
+  const auto legacy = core::solve_fixed_point(model, legacy_options());
   const auto engine = core::solve_fixed_point(model);
   // Both solves stop at relax-level residuals (the model's dimension is
   // past the Newton cap), so compare at that accuracy; the spurious

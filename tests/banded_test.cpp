@@ -1,6 +1,6 @@
-// Tests for the stiff substrate: banded storage/LU, banded FD Jacobians
-// (per-column vs grouped), implicit Euler on stiff problems, and
-// pseudo-transient continuation.
+// Tests for the banded substrate behind the Newton-Krylov path's banded
+// chord: banded storage/LU, banded FD Jacobians (per-column vs grouped),
+// and the Table 2 value the public solver reaches through that chord.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -10,9 +10,7 @@
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "ode/banded.hpp"
-#include "ode/implicit.hpp"
 #include "ode/linalg.hpp"
-#include "ode/steady_state.hpp"
 #include "reference_solvers.hpp"
 #include "util/error.hpp"
 #include "util/xoshiro.hpp"
@@ -151,8 +149,8 @@ BandPair random_band(std::size_t n, std::size_t kl, std::size_t ku,
   return m;
 }
 
-/// I - h J for the erlang c = 10 model at n = 621 (kl = ku = 10), the
-/// stiff stepper's iteration matrix.
+/// I - h J for the erlang c = 10 model at n = 621 (kl = ku = 10): a band
+/// with the stage models' coupling pattern and magnitudes.
 BandPair erlang_iteration(double h) {
   const core::ErlangServiceWS model(0.85, 10, 620);
   const State s = model.empty_state();
@@ -314,96 +312,16 @@ TEST(BandedFd, RecoversAnalyticDerivatives) {
   EXPECT_NEAR(jac.get(4, 3), 2.0, 1e-5);
 }
 
-// --- implicit Euler ----------------------------------------------------------------
-
-/// Very stiff scalar decay: dy/dt = -K (y - 1).
-class StiffDecay final : public ode::OdeSystem {
- public:
-  void deriv(double, const State& s, State& ds) const override {
-    ds[0] = -1000.0 * (s[0] - 1.0);
-  }
-  [[nodiscard]] std::size_t dimension() const override { return 1; }
-};
-
-TEST(ImplicitEuler, TakesStepsFarBeyondExplicitStability) {
-  // Explicit Euler needs h < 2e-3 here; implicit handles h = 1 easily.
-  StiffDecay sys;
-  ode::ImplicitOptions opts;
-  opts.kl = opts.ku = 0;
-  ode::ImplicitEulerBanded stepper(opts);
-  State s = {0.0};
-  double t = 0.0;
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(stepper.step(sys, t, s, 1.0));
-    t += 1.0;
-  }
-  EXPECT_NEAR(s[0], 1.0, 1e-6);
-}
-
-TEST(ImplicitEuler, MatchesExplicitOnMildProblem) {
-  Diffusion sys(20, 1.0);
-  State s_imp(20, 1.0), s_exp(20, 1.0);
-  ode::ImplicitOptions opts;
-  opts.kl = opts.ku = 1;
-  ode::ImplicitEulerBanded stepper(opts);
-  double t = 0.0;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(stepper.step(sys, t, s_imp, 0.01));
-    t += 0.01;
-  }
-  ode::integrate_adaptive(sys, s_exp, 0.0, 1.0, {});
-  for (std::size_t i = 0; i < 20; ++i) {
-    EXPECT_NEAR(s_imp[i], s_exp[i], 5e-3);
-  }
-}
-
-// --- pseudo-transient continuation ----------------------------------------------------
-
-TEST(StiffRelax, FindsDiffusionSteadyState) {
-  // Steady state of the stiff chain is s = 0 (cubic sink).
-  Diffusion sys(40, 200.0);
-  State s0(40, 1.0);
-  ode::StiffRelaxOptions opts;
-  opts.implicit.kl = opts.implicit.ku = 1;
-  const auto res = ode::stiff_relax_to_fixed_point(sys, s0, opts);
-  EXPECT_LT(res.deriv_norm, 1e-10);
-  for (double v : res.state) EXPECT_NEAR(v, 0.0, 1e-6);
-  EXPECT_LT(res.steps, 200u);
-}
-
-TEST(StiffRelax, MatchesExplicitRelaxOnErlangModel) {
-  core::ErlangServiceWS model(0.8, 10);
-  ode::StiffRelaxOptions sopts;
-  sopts.implicit.kl = sopts.implicit.ku = 10;
-  const auto stiff =
-      ode::stiff_relax_to_fixed_point(model, model.empty_state(), sopts);
-
-  ode::SteadyStateOptions eopts;
-  eopts.deriv_tol = 1e-8;       // stay above the explicit integrator's
-  eopts.adaptive.rtol = 1e-9;   // own error floor
-  const auto explicit_res =
-      ode::relax_to_fixed_point(model, model.empty_state(), eopts);
-
-  for (std::size_t i = 0; i < model.dimension(); ++i) {
-    EXPECT_NEAR(stiff.state[i], explicit_res.state[i], 1e-6) << "i=" << i;
-  }
-}
+// --- Stiff fixed points through the public solver ---------------------------
 
 TEST(StiffRelax, ErlangFixedPointPathUsesStiffSolver) {
-  // The public solver routes c > 1 stage models through the stiff path
-  // and must deliver the Table 2 value quickly.
+  // The public solver routes c > 1 stage models, which are stiff, to the
+  // Newton-Krylov path with a banded chord and must deliver the Table 2
+  // value.
   core::ErlangServiceWS model(0.9, 20);
   const auto fp = core::solve_fixed_point(model);
+  EXPECT_EQ(fp.method, ode::FixedPointMethod::Krylov);
   EXPECT_NEAR(model.mean_sojourn(fp.state), 2.709, 2e-3);
-}
-
-TEST(StiffRelax, ThrowsOnExhaustedBudget) {
-  Diffusion sys(10, 100.0);
-  State s0(10, 1.0);
-  ode::StiffRelaxOptions opts;
-  opts.implicit.kl = opts.implicit.ku = 1;
-  opts.max_steps = 1;
-  EXPECT_THROW(ode::stiff_relax_to_fixed_point(sys, s0, opts), util::Error);
 }
 
 }  // namespace

@@ -3,8 +3,7 @@
 // performs zero heap allocations, an Anderson run's allocation count is a
 // function of the problem size only, never of the iteration count, a
 // factored LuSolver or BandedLuSolver solves without touching the heap,
-// the stiff stepper's steps after its first do not allocate, and neither
-// does a lane-kernel RHS evaluation (one lane or a batch).
+// and neither does a lane-kernel RHS evaluation (one lane or a batch).
 //
 // The counter hooks the global operator new/delete for this test binary.
 // Only allocation DELTAS measured around the hot region are asserted, so
@@ -17,12 +16,10 @@
 #include <new>
 #include <vector>
 
-#include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/anderson.hpp"
 #include "ode/banded.hpp"
-#include "ode/implicit.hpp"
 #include "ode/integrator.hpp"
 #include "ode/krylov.hpp"
 #include "ode/linalg.hpp"
@@ -175,32 +172,6 @@ TEST(HotLoopAlloc, LuSolveIntoAllocationFree) {
   for (int rep = 0; rep < 4; ++rep) lu.solve_into(b.data(), x.data());
   EXPECT_EQ(allocations(), before)
       << "LuSolver::solve_into must not touch the heap";
-}
-
-TEST(HotLoopAlloc, StiffStepperAllocationFreeAfterFirstStep) {
-  // The first step sizes the Jacobian band, the I - h J factors and the
-  // Newton vectors; later steps, Jacobian refreshes included, reuse them.
-  const core::ErlangServiceWS model(0.85, 10, 620);
-  ode::ImplicitOptions opts;
-  opts.kl = opts.ku = model.stiff_bandwidth();
-  opts.refresh_every = 3;
-  ode::ImplicitEulerBanded stepper(opts);
-  ode::State s = model.empty_state();
-  double t = 0.0;
-  double h = 0.1;
-  ASSERT_TRUE(stepper.step(model, t, s, h));
-  t += h;
-
-  const std::size_t warm = allocations();
-  for (int i = 0; i < 10; ++i) {
-    h *= 2.0;  // pseudo-transient growth: a new I - h J every step
-    ASSERT_TRUE(stepper.step(model, t, s, h));
-    t += h;
-  }
-  stepper.invalidate();  // a forced rebuild reuses the band too
-  ASSERT_TRUE(stepper.step(model, t, s, h));
-  EXPECT_EQ(allocations(), warm)
-      << "ImplicitEulerBanded::step must reuse its workspaces once warm";
 }
 
 TEST(HotLoopAlloc, BandedLuSolveIntoAllocationFree) {

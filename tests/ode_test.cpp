@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "ode/anderson.hpp"
-#include "ode/implicit.hpp"
 #include "ode/integrator.hpp"
 #include "ode/linalg.hpp"
 #include "ode/newton.hpp"
@@ -321,21 +320,6 @@ TEST(NonFiniteResidual, AndersonDoesNotConverge) {
     EXPECT_FALSE(res.converged);
     EXPECT_FALSE(std::isfinite(res.residual_norm));
   }
-}
-
-TEST(NonFiniteResidual, StiffRelaxationReportsDivergence) {
-  const OneNanComponent sys;
-  ode::StiffRelaxOptions opts;
-  opts.implicit.kl = opts.implicit.ku = 1;
-  opts.throw_on_failure = false;
-  for (const State& s0 : kNanStarts) {
-    const auto res = ode::stiff_relax_to_fixed_point(sys, s0, opts);
-    EXPECT_EQ(res.status, ode::SolveStatus::Diverged) << res.failure;
-    EXPECT_FALSE(std::isfinite(res.deriv_norm));
-  }
-  opts.throw_on_failure = true;
-  EXPECT_THROW(ode::stiff_relax_to_fixed_point(sys, kNanStarts[0], opts),
-               util::Error);
 }
 
 TEST(NonFiniteResidual, RelaxationReportsDivergence) {

@@ -4,6 +4,8 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/fixed_point.hpp"
 #include "core/registry.hpp"
@@ -104,6 +106,23 @@ TEST(Registry, OutOfRangeParameterIsInvalidArgument) {
       ADD_FAILURE() << name << " accepted an out-of-range parameter";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("model " + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A fractional count is rejected, not truncated to a valid one: one
+  // case per integer parameter, each valid once rounded down.
+  const std::vector<std::tuple<std::string, std::string, double>> counts = {
+      {"threshold", "T", 3.9}, {"multi-choice", "d", 2.5},
+      {"multi-steal", "k", 2.5}, {"preemptive", "B", 1.5},
+      {"erlang", "c", 10.5},     {"sharing", "S", 2.5},
+      {"simple", "L", 200.5}};
+  for (const auto& [name, key, value] : counts) {
+    try {
+      (void)core::make_model(name, 0.5, {{key, value}});
+      ADD_FAILURE() << name << " accepted " << key << " = " << value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("must be a non-negative integer"),
                 std::string::npos)
           << e.what();
     }

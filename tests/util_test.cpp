@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -96,6 +97,17 @@ TEST(NormalQuantile, KnownValues) {
 TEST(NormalQuantile, RejectsOutOfRange) {
   EXPECT_THROW((void)normal_quantile(0.0), LogicError);
   EXPECT_THROW((void)normal_quantile(1.0), LogicError);
+}
+
+TEST(LogicErrorMessage, NamesTheSourceRelativeToTheRepository) {
+  // Precondition messages reach users (daemon error lines, model_cli
+  // --json), so their location reads src/..., never a build path.
+  try {
+    (void)normal_quantile(0.0);
+    FAIL() << "normal_quantile(0) did not throw";
+  } catch (const LogicError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("src/util/", 0), 0u) << e.what();
+  }
 }
 
 TEST(TCritical, MatchesTables) {
