@@ -88,33 +88,26 @@ const StealingCase kStealingCases[] = {
     {"composed", {{"d", 2}, {"r", 0.5}}},
 };
 
-/// Args (case, lanes): lanes = 1 times deriv(), lanes = 8 one rhs_batch
-/// pass over the Newton Jacobian's batch width. The s_per_eval counter is
-/// the time per lane evaluation.
-void BM_StealingPresetDeriv(benchmark::State& state) {
-  const StealingCase& c = kStealingCases[state.range(0)];
-  const auto lanes = static_cast<std::size_t>(state.range(1));
-  core::ModelParams params = c.params;
-  params["L"] = 200;
-  const auto model = core::make_model(c.model, 0.85, params);
-  const ode::State s = model->mm1_state();
+/// Times `model` at its M/M/1 state: lanes = 1 times deriv(), lanes = 8
+/// one rhs_batch pass over the Newton Jacobian's batch width. The
+/// s_per_eval counter is the time per lane evaluation.
+void time_lane_kernel(benchmark::State& state,
+                      const core::MeanFieldModel& model, std::size_t lanes) {
+  const ode::State s = model.mm1_state();
   const std::size_t n = s.size();
   ode::State ds(n);
   std::vector<double> x(n * lanes), dx(n * lanes);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t l = 0; l < lanes; ++l) x[i * lanes + l] = s[i];
   }
-  state.SetLabel(model->name() + " lanes=" + std::to_string(lanes));
-  if (lanes > 1 && !model->rhs_batch(lanes, x.data(), dx.data())) {
-    state.SkipWithError("model has no lane kernel");
-    return;
-  }
+  state.SetLabel(model.name() + " dim=" + std::to_string(n) +
+                 " lanes=" + std::to_string(lanes));
   for (auto _ : state) {
     if (lanes == 1) {
-      model->deriv(0.0, s, ds);
+      model.deriv(0.0, s, ds);
       benchmark::DoNotOptimize(ds.data());
     } else {
-      benchmark::DoNotOptimize(model->rhs_batch(lanes, x.data(), dx.data()));
+      benchmark::DoNotOptimize(model.rhs_batch(lanes, x.data(), dx.data()));
       benchmark::DoNotOptimize(dx.data());
     }
     benchmark::ClobberMemory();
@@ -124,8 +117,41 @@ void BM_StealingPresetDeriv(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
 }
+
+/// Args (case, lanes).
+void BM_StealingPresetDeriv(benchmark::State& state) {
+  const StealingCase& c = kStealingCases[state.range(0)];
+  core::ModelParams params = c.params;
+  params["L"] = 200;
+  const auto model = core::make_model(c.model, 0.85, params);
+  time_lane_kernel(state, *model, static_cast<std::size_t>(state.range(1)));
+}
 BENCHMARK(BM_StealingPresetDeriv)
     ->ArgsProduct({benchmark::CreateDenseRange(0, 5, 1), {1, 8}});
+
+/// The kernels of the section 3 variants and the phase-type service axis,
+/// auto-sized at lambda = 0.85: phase-type stealing, sharing and transfer
+/// (H2 service, SCV 4), staged transfer, Erlang stages, two processor
+/// classes, spawning and re-balancing.
+const StealingCase kVariantCases[] = {
+    {"simple", {{"service", "hyperexp:4"}}},
+    {"sharing", {{"service", "hyperexp:4"}}},
+    {"transfer", {{"service", "hyperexp:4"}}},
+    {"staged-transfer", {{"c", 3}}},
+    {"erlang", {{"c", 10}}},
+    {"heterogeneous", {}},
+    {"spawning", {{"int", 0.1}}},
+    {"rebalance", {}},
+};
+
+/// Args (case, lanes), as BM_StealingPresetDeriv.
+void BM_VariantKernelDeriv(benchmark::State& state) {
+  const StealingCase& c = kVariantCases[state.range(0)];
+  const auto model = core::make_model(c.model, 0.85, c.params);
+  time_lane_kernel(state, *model, static_cast<std::size_t>(state.range(1)));
+}
+BENCHMARK(BM_VariantKernelDeriv)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, 7, 1), {1, 8}});
 
 void BM_Rk4Step(benchmark::State& state) {
   core::SimpleWS model(0.9, 256);

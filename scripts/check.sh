@@ -233,24 +233,27 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   # out-of-bounds write there corrupts a neighbouring row silently, so the
   # LU and its users run under AddressSanitizer (with UBSan and the
   # libstdc++ container assertions). The lane kernels, which are every
-  # solver's right-hand side for the models that have one, index raw
-  # pointers (x + (i +- 1) * nb) with no container check, so the model
-  # suites run here too (the composed stealing kernel's rows reach
-  # i + k and j + T by offset, exercised by test_model_reduction and
-  # test_model_variants), as do the banded LU and its FD band assembly
-  # (pointer walks down and across the column-major band; the Krylov
-  # path's banded chord is their only user, test_banded their suite) and
-  # Anderson's fused, blocked history passes (raw column pointers) with
-  # their bit-for-bit oracle tests. The K-class model walks per-class row
-  # pointers into the packed state, so test_multi_class (with its
-  # two-class oracle) runs here as well. parallel_map's cursor writes
-  # result slots from pool threads, and the runner's replication units
-  # write per-job slots the last unit then reads, so test_parallel and
-  # test_exp_runner run here too. The daemon's protocol suite parses
+  # model's right-hand side, index raw pointers (x + (i +- 1) * nb) with
+  # no container check, so the model suites run here too: the composed
+  # stealing kernel's rows reach i + k and j + T by offset
+  # (test_model_reduction, test_model_variants); the Erlang kernel reads
+  # i +- c, re-balancing reads the correlation rows 2i - j and 2i - j - 1,
+  # and the staged-transfer, K-class and spawning kernels walk per-segment
+  # rows of the packed state (test_krylov's oracle test covers all of
+  # them at 1 and 8 lanes, test_multi_class the K-class model); the
+  # phase-type kernels stage exit sums one row ahead in each class and
+  # read p segments per row (test_phase_type). The banded LU and its FD
+  # band assembly (pointer walks down and across the column-major band;
+  # the Krylov path's banded chord is their only user, test_banded their
+  # suite) run here too, as do Anderson's fused, blocked history passes
+  # (raw column pointers) with their bit-for-bit oracle tests.
+  # parallel_map's cursor writes result slots from pool threads, and the
+  # runner's replication units write per-job slots the last unit then
+  # reads, so test_parallel and test_exp_runner run here too. The daemon's protocol suite parses
   # hostile input into JSON trees and answers over sockets, so
   # test_serve_protocol joins it from the UBSan leg.
   # test_hot_loop_alloc replaces operator new and stays on the UBSan leg.
-  echo "== asan: LUs, ODE solvers, Anderson, lane kernels, the K-class model, the property suite, parallel_map, the runner and the daemon protocol under -fsanitize=address,undefined"
+  echo "== asan: LUs, ODE solvers, Anderson, lane kernels (phase-type included), the K-class model, the property suite, parallel_map, the runner and the daemon protocol under -fsanitize=address,undefined"
   cmake -B build-asan -G Ninja -DLSM_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS >/dev/null
@@ -258,7 +261,8 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
     --target test_linalg test_ode test_krylov test_fixed_point_properties \
     test_model_basic test_multi_class test_model_registry_sweep \
     test_banded test_anderson test_parallel test_exp_runner \
-    test_model_reduction test_model_variants test_serve_protocol
+    test_model_reduction test_model_variants test_serve_protocol \
+    test_phase_type
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   ./build-asan/tests/test_linalg
   ./build-asan/tests/test_ode
@@ -274,6 +278,7 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   ./build-asan/tests/test_parallel
   ./build-asan/tests/test_exp_runner
   ./build-asan/tests/test_serve_protocol
+  ./build-asan/tests/test_phase_type
 fi
 
 if [ "${SKIP_PERF:-0}" != "1" ]; then

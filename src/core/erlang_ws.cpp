@@ -36,26 +36,63 @@ std::string ErlangServiceWS::name() const {
   return "erlang-ws(c=" + std::to_string(stages_) + ")";
 }
 
-void ErlangServiceWS::deriv(double /*t*/, const ode::State& s,
-                            ode::State& ds) const {
-  const std::size_t L = trunc_;
-  const std::size_t c = stages_;
-  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
-  auto at = [&](std::size_t i) { return i <= L ? s[i] : 0.0; };
-  const auto mu = static_cast<double>(c);  // per-stage completion rate
-  const double finishers = s[1] - s[2];    // procs on their final stage
-  ds[0] = 0.0;
-  ds[1] = lambda_ * (s[0] - s[1]) - mu * finishers * (1.0 - at(c + 1));
-  for (std::size_t i = 2; i <= std::min(c, L); ++i) {
-    const double s_next = (i < L) ? s[i + 1] : 0.0;
-    ds[i] = lambda_ * (s[0] - s[i]) + mu * finishers * at(i + c) -
-            mu * (s[i] - s_next);
-  }
-  for (std::size_t i = c + 1; i <= L; ++i) {
-    const double s_next = (i < L) ? s[i + 1] : 0.0;
-    ds[i] = lambda_ * (s[i - c] - s[i]) - mu * (s[i] - s_next) -
-            mu * (s[i] - at(i + c)) * finishers;
-  }
+bool ErlangServiceWS::rhs_batch(std::size_t lanes, const double* x,
+                                double* dx) const {
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const std::size_t c = stages_;
+    const double lam = lambda_;  // a local cannot alias dx
+    const auto mu = static_cast<double>(c);  // per-stage completion rate
+    // Rows split where s_{i+c} leaves the tracked range (L >= 3c keeps
+    // rows 1..c inside it); finishers s_1 - s_2 are the processors on
+    // their final stage.
+    const double* s0 = x;
+    const double* s1 = x + nb;
+    const double* s2 = x + 2 * nb;
+    const double* sc1 = x + (c + 1) * nb;
+    for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
+    for (std::size_t l = 0; l < nb; ++l) {
+      dx[nb + l] = lam * (s0[l] - s1[l]) - mu * (s1[l] - s2[l]) * (1.0 - sc1[l]);
+    }
+    for (std::size_t i = 2; i <= c; ++i) {
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      const double* sic = x + (i + c) * nb;
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        out[l] = lam * (s0[l] - si[l]) + mu * (s1[l] - s2[l]) * sic[l] -
+                 mu * (si[l] - sn[l]);
+      }
+    }
+    for (std::size_t i = c + 1; i <= L - c; ++i) {
+      const double* sb = x + (i - c) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      const double* sic = x + (i + c) * nb;
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        out[l] = lam * (sb[l] - si[l]) - mu * (si[l] - sn[l]) -
+                 mu * (si[l] - sic[l]) * (s1[l] - s2[l]);
+      }
+    }
+    for (std::size_t i = L - c + 1; i <= L; ++i) {
+      const double* sb = x + (i - c) * nb;
+      const double* si = x + i * nb;
+      double* out = dx + i * nb;
+      if (i < L) {
+        const double* sn = x + (i + 1) * nb;
+        for (std::size_t l = 0; l < nb; ++l) {
+          out[l] = lam * (sb[l] - si[l]) - mu * (si[l] - sn[l]) -
+                   mu * (si[l] - 0.0) * (s1[l] - s2[l]);
+        }
+      } else {
+        for (std::size_t l = 0; l < nb; ++l) {
+          out[l] = lam * (sb[l] - si[l]) - mu * (si[l] - 0.0) -
+                   mu * (si[l] - 0.0) * (s1[l] - s2[l]);
+        }
+      }
+    }
+  });
 }
 
 double ErlangServiceWS::mean_tasks(const ode::State& s) const {

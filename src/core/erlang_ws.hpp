@@ -26,7 +26,8 @@ class ErlangServiceWS final : public MeanFieldModel {
   ErlangServiceWS(double lambda, std::size_t stages,
                   std::size_t truncation = 0);
 
-  void deriv(double t, const ode::State& s, ode::State& ds) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] std::size_t stages() const noexcept { return stages_; }

@@ -15,6 +15,8 @@ GeneralArrivalWS::GeneralArrivalWS(ArrivalFn arrival, double mean_rate,
   LSM_EXPECT(static_cast<bool>(arrival_), "arrival function must be callable");
   LSM_EXPECT(threshold >= 2, "steal threshold must be at least 2");
   LSM_EXPECT(trunc_ >= min_truncation(), "truncation too small for threshold");
+  rates_.reserve(trunc_);
+  for (std::size_t j = 0; j < trunc_; ++j) rates_.push_back(arrival_(j));
 }
 
 GeneralArrivalWS GeneralArrivalWS::spawning(double ext, double internal,
@@ -42,21 +44,56 @@ GeneralArrivalWS GeneralArrivalWS::static_system(std::size_t threshold,
 
 std::string GeneralArrivalWS::name() const { return "general-arrival-ws"; }
 
-void GeneralArrivalWS::deriv(double /*t*/, const ode::State& s,
-                             ode::State& ds) const {
-  const std::size_t L = trunc_;
-  const std::size_t T = threshold_;
-  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
-  const double s_T = s[T];
-  const double steal_rate = s[1] - s[2];
-  ds[0] = 0.0;
-  ds[1] = arrival_(0) * (s[0] - s[1]) - (s[1] - s[2]) * (1.0 - s_T);
-  for (std::size_t i = 2; i <= L; ++i) {
-    const double s_next = (i < L) ? s[i + 1] : 0.0;
-    double d = arrival_(i - 1) * (s[i - 1] - s[i]) - (s[i] - s_next);
-    if (i >= T) d -= (s[i] - s_next) * steal_rate;
-    ds[i] = d;
-  }
+bool GeneralArrivalWS::rhs_batch(std::size_t lanes, const double* x,
+                                 double* dx) const {
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const std::size_t T = threshold_;
+    // Threshold stealing (equations (4)-(6)) with the arrival rate of the
+    // row's lower level; the i >= T steal term is a range split at T.
+    const double* s0 = x;
+    const double* s1 = x + nb;
+    const double* s2 = x + 2 * nb;
+    const double* sT = x + T * nb;
+    for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
+    {
+      const double a = arrival_rate(0);
+      for (std::size_t l = 0; l < nb; ++l) {
+        dx[nb + l] = a * (s0[l] - s1[l]) - (s1[l] - s2[l]) * (1.0 - sT[l]);
+      }
+    }
+    for (std::size_t i = 2; i < T; ++i) {
+      const double a = arrival_rate(i - 1);
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;  // i < T < L, tracked
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        out[l] = a * (sp[l] - si[l]) - (si[l] - sn[l]);
+      }
+    }
+    for (std::size_t i = T; i < L; ++i) {
+      const double a = arrival_rate(i - 1);
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = x + (i + 1) * nb;
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        out[l] = a * (sp[l] - si[l]) - (si[l] - sn[l]) -
+                 (si[l] - sn[l]) * (s1[l] - s2[l]);
+      }
+    }
+    {
+      const double a = arrival_rate(L - 1);
+      const double* sp = x + (L - 1) * nb;
+      const double* si = x + L * nb;
+      double* out = dx + L * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        out[l] = a * (sp[l] - si[l]) - (si[l] - 0.0) -
+                 (si[l] - 0.0) * (s1[l] - s2[l]);
+      }
+    }
+  });
 }
 
 ode::State GeneralArrivalWS::loaded_state(double fraction_loaded,

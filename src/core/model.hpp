@@ -102,15 +102,15 @@ class MeanFieldModel : public ode::OdeSystem {
   [[nodiscard]] virtual std::size_t jacobian_bandwidth() const { return 0; }
 
   /// The model's right-hand side at its own lambda: lane 0 of a one-lane
-  /// rhs_batch call. Models with a lane kernel write their recurrence only
-  /// there; models without one override this with a scalar recurrence.
-  void deriv(double t, const ode::State& s, ode::State& ds) const override;
+  /// rhs_batch call. Every model writes its recurrence only there.
+  void deriv(double t, const ode::State& s, ode::State& ds) const final;
 
   /// Residual map used by the Newton fixed-point polisher: identical to
   /// deriv(0, s) except that identically-conserved rows are replaced by
   /// constraint residuals (default: row 0 becomes 1 - s_0), keeping the
-  /// Jacobian nonsingular at the fixed point.
-  virtual void root_residual(const ode::State& s, ode::State& f) const;
+  /// Jacobian nonsingular at the fixed point. Lane 0 of a one-lane
+  /// root_residual_batch call.
+  void root_residual(const ode::State& s, ode::State& f) const;
 
   /// Batched right-hand side over `nb` states in component-major
   /// (structure-of-arrays) layout: x[i * nb + l] holds component i of lane
@@ -119,21 +119,14 @@ class MeanFieldModel : public ode::OdeSystem {
   /// depends only on that lane's state, so a lane of an nb-lane pass
   /// equals the one-lane pass that is deriv() — finite-difference
   /// Jacobians and golden artifacts do not depend on which path ran.
-  /// Returns false (x/dx untouched) when the model has no batched kernel;
-  /// such models override deriv() and callers fall back to it per lane.
+  /// Always returns true; the flag bridges OdeSystem::deriv_batch.
   [[nodiscard]] virtual bool rhs_batch(std::size_t nb, const double* x,
-                                       double* dx) const {
-    (void)nb;
-    (void)x;
-    (void)dx;
-    return false;
-  }
+                                       double* dx) const = 0;
 
   /// Batched root_residual with the same layout/contract as rhs_batch.
   /// The default composes rhs_batch with the default row-0 constraint
-  /// (f_0 = 1 - s_0); models that override root_residual with a different
-  /// constraint row MUST also override this (or inherit the base's false
-  /// when they have no batched kernel, which is always safe).
+  /// (f_0 = 1 - s_0); models whose conserved rows lie elsewhere override
+  /// this with their own constraint rows.
   [[nodiscard]] virtual bool root_residual_batch(std::size_t nb,
                                                  const double* x,
                                                  double* f) const;

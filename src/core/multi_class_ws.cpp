@@ -44,43 +44,73 @@ ode::State MultiClassWS::empty_state() const {
   return s;
 }
 
-void MultiClassWS::deriv(double /*t*/, const ode::State& x,
-                         ode::State& dx) const {
-  const std::size_t L = trunc_;
-  const std::size_t T = threshold_;
-  const std::size_t K = classes_.size();
-  const std::size_t W = L + 1;
-  const double lambda = lambda_;  // a local: stores through du can't alias it
-  LSM_ASSERT(x.size() == K * W && dx.size() == K * W);
-
-  // fail = 1 - H_T, taken as 1 minus each class's u^c_T in class order
-  // (not 1 minus their sum): the rounding is part of the answer.
-  double steal_rate = 0.0;  // completions of last tasks across all classes
-  double fail = 1.0;        // fraction of processors with < T tasks
-  for (std::size_t c = 0; c < K; ++c) {
-    const double* u = x.data() + c * W;
-    steal_rate += classes_[c].rate * (u[1] - u[2]);
-    fail -= u[T];
-  }
-
-  for (std::size_t c = 0; c < K; ++c) {
-    const double mu = classes_[c].rate;
-    const double* u = x.data() + c * W;
-    double* du = dx.data() + c * W;
-    du[0] = 0.0;
-    du[1] = lambda * (u[0] - u[1]) - mu * (u[1] - u[2]) * fail;
+bool MultiClassWS::rhs_batch(std::size_t lanes, const double* x,
+                             double* dx) const {
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const std::size_t T = threshold_;
+    const std::size_t K = classes_.size();
+    const std::size_t W = L + 1;
+    const double lam = lambda_;  // a local cannot alias dx
+    // Class 0's row 0 holds the steal-attempt rate R (completions of last
+    // tasks across all classes) until the conserved rows are zeroed last.
+    double* R = dx;
+    for (std::size_t l = 0; l < nb; ++l) R[l] = 0.0;
+    for (std::size_t c = 0; c < K; ++c) {
+      const double mu = classes_[c].rate;
+      const double* u1 = x + (c * W + 1) * nb;
+      const double* u2 = x + (c * W + 2) * nb;
+      for (std::size_t l = 0; l < nb; ++l) R[l] += mu * (u1[l] - u2[l]);
+    }
+    // Row 1, lane by lane: fail = 1 - H_T, taken as 1 minus each class's
+    // u^c_T in class order (not 1 minus their sum): the rounding is part
+    // of the answer.
+    for (std::size_t l = 0; l < nb; ++l) {
+      double fail = 1.0;  // fraction of processors with < T tasks
+      for (std::size_t c = 0; c < K; ++c) fail -= x[(c * W + T) * nb + l];
+      for (std::size_t c = 0; c < K; ++c) {
+        const double mu = classes_[c].rate;
+        const auto u = [&](std::size_t i) { return x[(c * W + i) * nb + l]; };
+        dx[(c * W + 1) * nb + l] =
+            lam * (u(0) - u(1)) - mu * (u(1) - u(2)) * fail;
+      }
+    }
     // Levels >= T also lose tasks to thieves (T + 3 <= L); row L's
     // successor u^c_{L+1} is the truncation's zero.
-    for (std::size_t i = 2; i < T; ++i) {
-      du[i] = lambda * (u[i - 1] - u[i]) - mu * (u[i] - u[i + 1]);
+    for (std::size_t c = 0; c < K; ++c) {
+      const double mu = classes_[c].rate;
+      for (std::size_t i = 2; i < T; ++i) {
+        const double* up = x + (c * W + i - 1) * nb;
+        const double* ui = x + (c * W + i) * nb;
+        const double* un = ui + nb;
+        double* out = dx + (c * W + i) * nb;
+        for (std::size_t l = 0; l < nb; ++l) {
+          out[l] = lam * (up[l] - ui[l]) - mu * (ui[l] - un[l]);
+        }
+      }
+      for (std::size_t i = T; i < L; ++i) {
+        const double* up = x + (c * W + i - 1) * nb;
+        const double* ui = x + (c * W + i) * nb;
+        const double* un = ui + nb;
+        double* out = dx + (c * W + i) * nb;
+        for (std::size_t l = 0; l < nb; ++l) {
+          out[l] = lam * (up[l] - ui[l]) - mu * (ui[l] - un[l]) -
+                   R[l] * (ui[l] - un[l]);
+        }
+      }
+      const double* up = x + (c * W + L - 1) * nb;
+      const double* ui = x + (c * W + L) * nb;
+      double* out = dx + (c * W + L) * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        out[l] = lam * (up[l] - ui[l]) - mu * (ui[l] - 0.0) -
+                 R[l] * (ui[l] - 0.0);
+      }
     }
-    for (std::size_t i = T; i < L; ++i) {
-      du[i] = lambda * (u[i - 1] - u[i]) - mu * (u[i] - u[i + 1]) -
-              steal_rate * (u[i] - u[i + 1]);
+    for (std::size_t c = 0; c < K; ++c) {
+      double* out = dx + c * W * nb;
+      for (std::size_t l = 0; l < nb; ++l) out[l] = 0.0;
     }
-    du[L] = lambda * (u[L - 1] - u[L]) - mu * (u[L] - 0.0) -
-            steal_rate * (u[L] - 0.0);
-  }
+  });
 }
 
 void MultiClassWS::project(ode::State& x) const {
@@ -90,16 +120,21 @@ void MultiClassWS::project(ode::State& x) const {
   }
 }
 
-void MultiClassWS::root_residual(const ode::State& x, ode::State& f) const {
-  deriv(0.0, x, f);
+bool MultiClassWS::root_residual_batch(std::size_t nb, const double* x,
+                                       double* f) const {
+  (void)rhs_batch(nb, x, f);
   for (std::size_t c = 0; c < classes_.size(); ++c) {
-    f[index(c, 0)] = classes_[c].fraction - x[index(c, 0)];
+    const double frac = classes_[c].fraction;
+    const double* u0 = x + index(c, 0) * nb;
+    double* out = f + index(c, 0) * nb;
+    for (std::size_t l = 0; l < nb; ++l) out[l] = frac - u0[l];
   }
+  return true;
 }
 
 double MultiClassWS::mean_tasks(const ode::State& x) const {
   // Level by level from the tail up, the classes summed within a level:
-  // like fail in deriv, the summation order is part of the answer.
+  // like fail in the kernel, the summation order is part of the answer.
   double acc = 0.0;
   for (std::size_t i = trunc_; i >= 1; --i) {
     double level = 0.0;

@@ -35,10 +35,14 @@ class MultiClassWS final : public MeanFieldModel {
     return classes_.size() * (trunc_ + 1);
   }
 
-  void deriv(double t, const ode::State& s, ode::State& ds) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
+  /// The kernel with each class's conserved row 0 replaced by its
+  /// population constraint f_c - u^c_0.
+  [[nodiscard]] bool root_residual_batch(std::size_t nb, const double* x,
+                                         double* f) const override;
   [[nodiscard]] std::string name() const override;
   void project(ode::State& s) const override;
-  void root_residual(const ode::State& s, ode::State& f) const override;
   [[nodiscard]] ode::State empty_state() const override;
 
   [[nodiscard]] const std::vector<ProcessorClass>& classes() const noexcept {

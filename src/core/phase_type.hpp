@@ -95,6 +95,10 @@ class PhaseType {
   [[nodiscard]] double subgen(std::size_t j, std::size_t k) const {
     return S_[j * phases() + k];
   }
+  /// The whole row-major sub-generator, for the models' inner loops.
+  [[nodiscard]] const std::vector<double>& subgenerator() const noexcept {
+    return S_;
+  }
   /// Exit (absorption) rates t_j = -sum_k S_jk.
   [[nodiscard]] const std::vector<double>& exit_rates() const noexcept {
     return exit_;

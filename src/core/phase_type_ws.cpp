@@ -19,6 +19,106 @@ std::size_t phase_type_truncation(double lambda, double scv) {
   return static_cast<std::size_t>(std::clamp(needed + 8.0, 48.0, 3072.0));
 }
 
+namespace {
+
+/// Raw views of a service distribution for the lane kernels' inner loops:
+/// locals, so stores through dx cannot force their reload. Sums run over
+/// k in order from 0.0, as the recurrence writes them. `u` points at lane
+/// row i of a class's first phase segment; the class's segments lie
+/// `seg` = W nb components apart.
+struct PhaseView {
+  explicit PhaseView(const PhaseType& svc)
+      : p(svc.phases()),
+        alpha(svc.alpha().data()),
+        S(svc.subgenerator().data()),
+        t(svc.exit_rates().data()) {}
+
+  /// Lane l's phase mix M_{i,j} = sum_k S_kj u_{i,k}.
+  [[nodiscard]] double mix(const double* u, std::size_t seg, std::size_t l,
+                           std::size_t j) const {
+    double m = 0.0;
+    for (std::size_t k = 0; k < p; ++k) m += S[k * p + j] * u[k * seg + l];
+    return m;
+  }
+  /// Lane l's exit-weighted tail A_i = sum_k t_k u_{i,k}.
+  [[nodiscard]] double exits(const double* u, std::size_t seg,
+                             std::size_t l) const {
+    double e = 0.0;
+    for (std::size_t k = 0; k < p; ++k) e += t[k] * u[k * seg + l];
+    return e;
+  }
+  /// Lane l's sum_k u_{i,k} (the busy fraction B at row 1).
+  [[nodiscard]] double total(const double* u, std::size_t seg,
+                             std::size_t l) const {
+    double b = 0.0;
+    for (std::size_t k = 0; k < p; ++k) b += u[k * seg + l];
+    return b;
+  }
+
+  std::size_t p;
+  const double* alpha;
+  const double* S;
+  const double* t;
+};
+
+/// Stages lane by lane the exit sums A_{i+1} a class's rows i use, in row
+/// i + 1 of its first segment (written after row i), and returns them.
+template <class NB>
+const double* stage_exits(NB nb, const PhaseView& ph, const double* x,
+                          double* dx, std::size_t c, std::size_t seg) {
+  double* ex = dx + c;
+  for (std::size_t l = 0; l < nb; ++l) ex[l] = ph.exits(x + c, seg, l);
+  return ex;
+}
+
+/// Fills the p head rows from the finished tail rows, lane by lane:
+/// dh_j = du_{1,j} - alpha_j sum_k du_{1,k}.
+template <class NB>
+void slave_heads(NB nb, const PhaseView& ph, double* dx, std::size_t seg) {
+  for (std::size_t l = 0; l < nb; ++l) {
+    const double db = ph.total(dx + nb, seg, l);
+    for (std::size_t j = 0; j < ph.p; ++j) {
+      dx[j * seg + l] = dx[j * seg + nb + l] - ph.alpha[j] * db;
+    }
+  }
+}
+
+/// Rows i0 .. i1 - 1 (i >= 2) of a single-class model: the service terms,
+/// arrivals at rate arrival(l) from the row below and, with `steal`,
+/// victims leaving at rate R[l]. `last` marks row L, whose successor and
+/// exit sum are the truncation's zeros.
+template <class NB, class Arrival, class Steal, class Last>
+void tail_rows(NB nb, const PhaseView& ph, const double* x, double* dx,
+               std::size_t seg, std::size_t i0, std::size_t i1,
+               const Arrival& arrival, const double* R, Steal steal,
+               Last last) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    const double* ui = x + i * nb;
+    const double* ex = nullptr;
+    if constexpr (!last) ex = stage_exits(nb, ph, x, dx, (i + 1) * nb, seg);
+    for (std::size_t j = 0; j < ph.p; ++j) {
+      const double a = ph.alpha[j];
+      const double* uj = ui + j * seg;
+      const double* up = uj - nb;
+      double* out = dx + j * seg + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        double d;
+        if constexpr (last) {
+          d = ph.mix(ui, seg, l, j) + a * 0.0;
+        } else {
+          d = ph.mix(ui, seg, l, j) + a * ex[l];
+        }
+        d += arrival(l) * (up[l] - uj[l]);
+        if constexpr (steal && last) d -= R[l] * (uj[l] - 0.0);
+        if constexpr (steal && !last) d -= R[l] * (uj[l] - uj[l + nb]);
+        out[l] = d;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 PhaseTypeModelBase::PhaseTypeModelBase(double lambda, PhaseType service,
                                        std::size_t threshold,
                                        std::size_t truncation)
@@ -71,16 +171,24 @@ void PhaseTypeModelBase::project(ode::State& s) const {
   }
 }
 
-void PhaseTypeModelBase::root_residual(const ode::State& s,
-                                       ode::State& f) const {
-  deriv(0.0, s, f);
+bool PhaseTypeModelBase::root_residual_batch(std::size_t nb, const double* x,
+                                             double* f) const {
+  (void)rhs_batch(nb, x, f);
   // The head rows are slaved to the tails; replace them with the slaving
   // constraints themselves (identity Jacobian block in the heads).
   const std::size_t W = trunc_ + 1;
-  const double idle = 1.0 - busy(s);
-  for (std::size_t j = 0; j < service_.phases(); ++j) {
-    f[j * W] = s[j * W] - s[j * W + 1] - service_.alpha()[j] * idle;
+  const std::size_t p = service_.phases();
+  const double* alpha = service_.alpha().data();
+  for (std::size_t l = 0; l < nb; ++l) {
+    double busy = 0.0;
+    for (std::size_t k = 0; k < p; ++k) busy += x[(k * W + 1) * nb + l];
+    const double idle = 1.0 - busy;
+    for (std::size_t j = 0; j < p; ++j) {
+      f[j * W * nb + l] =
+          x[j * W * nb + l] - x[(j * W + 1) * nb + l] - alpha[j] * idle;
+    }
   }
+  return true;
 }
 
 double PhaseTypeModelBase::mean_tasks(const ode::State& s) const {
@@ -99,29 +207,6 @@ double PhaseTypeModelBase::busy(const ode::State& s) const {
   return b;
 }
 
-double PhaseTypeModelBase::service_flux(const ode::State& x, std::size_t i,
-                                        std::size_t j) const {
-  const std::size_t p = service_.phases();
-  const auto& t = service_.exit_rates();
-  double mix = 0.0;
-  double exits = 0.0;
-  for (std::size_t k = 0; k < p; ++k) {
-    mix += service_.subgen(k, j) * u(x, i, k);
-    exits += t[k] * u(x, i + 1, k);
-  }
-  return mix + service_.alpha()[j] * exits;
-}
-
-void PhaseTypeModelBase::head_derivs(ode::State& dx) const {
-  const std::size_t W = trunc_ + 1;
-  const std::size_t p = service_.phases();
-  double db = 0.0;
-  for (std::size_t k = 0; k < p; ++k) db += dx[k * W + 1];
-  for (std::size_t j = 0; j < p; ++j) {
-    dx[j * W] = dx[j * W + 1] - service_.alpha()[j] * db;
-  }
-}
-
 PhaseTypeWS::PhaseTypeWS(double lambda, PhaseType service,
                          std::size_t threshold, std::size_t truncation)
     : PhaseTypeModelBase(lambda, std::move(service), threshold, truncation) {
@@ -135,39 +220,55 @@ std::string PhaseTypeWS::name() const {
                    ",svc=" + service_.label() + ")";
 }
 
-void PhaseTypeWS::deriv(double /*t*/, const ode::State& x,
-                        ode::State& dx) const {
-  const std::size_t L = trunc_;
-  const std::size_t W = L + 1;
-  const std::size_t p = service_.phases();
-  const std::size_t T = threshold_;
-  LSM_ASSERT(x.size() == p * W && dx.size() == p * W);
-  const auto& alpha = service_.alpha();
-  const auto& t = service_.exit_rates();
-
-  const double idle = 1.0 - busy(x);
-  double steal_rate = 0.0;  // R: processors completing their final task
-  double success = 0.0;     // s_T: victims holding >= T tasks
-  if (T > 0) {
-    for (std::size_t k = 0; k < p; ++k) {
-      steal_rate += t[k] * (x[k * W + 1] - u(x, 2, k));
-      success += u(x, T, k);
-    }
-  }
-
-  for (std::size_t i = 1; i <= L; ++i) {
-    for (std::size_t j = 0; j < p; ++j) {
-      double d = service_flux(x, i, j);
-      d += i == 1 ? lambda_ * alpha[j] * idle
-                  : lambda_ * (x[j * W + i - 1] - x[j * W + i]);
-      if (T > 0) {
-        if (i == 1) d += steal_rate * success * alpha[j];
-        if (i >= T) d -= steal_rate * (x[j * W + i] - u(x, i + 1, j));
+bool PhaseTypeWS::rhs_batch(std::size_t lanes, const double* x,
+                            double* dx) const {
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const std::size_t T = threshold_;
+    const std::size_t seg = (L + 1) * nb;  // between phase segments
+    const double lam = lambda_;  // a local cannot alias dx
+    const PhaseView ph(service_);
+    // Phase 0's head row holds R, the rate of processors completing their
+    // final task, until the heads are written last.
+    double* R = dx;
+    if (T > 0) {
+      for (std::size_t l = 0; l < nb; ++l) {
+        double r = 0.0;
+        for (std::size_t k = 0; k < ph.p; ++k) {
+          r += ph.t[k] * (x[k * seg + nb + l] - x[k * seg + 2 * nb + l]);
+        }
+        R[l] = r;
       }
-      dx[j * W + i] = d;
     }
-  }
-  head_derivs(dx);
+    // Rows 2..L: service, arrivals, and for i >= T steal victims.
+    const auto arrival = [lam](std::size_t) { return lam; };
+    const std::true_type yes;
+    const std::false_type no;
+    if (T == 0) {
+      tail_rows(nb, ph, x, dx, seg, 2, L, arrival, R, no, no);
+      tail_rows(nb, ph, x, dx, seg, L, L + 1, arrival, R, no, yes);
+    } else {
+      tail_rows(nb, ph, x, dx, seg, 2, T, arrival, R, no, no);
+      tail_rows(nb, ph, x, dx, seg, T, L, arrival, R, yes, no);
+      tail_rows(nb, ph, x, dx, seg, L, L + 1, arrival, R, yes, yes);
+    }
+    // Row 1: arrivals to idle processors and successful thieves start a
+    // task in phase alpha_j (T >= 2, so no victims leave row 1).
+    for (std::size_t l = 0; l < nb; ++l) {
+      const double idle = 1.0 - ph.total(x + nb, seg, l);
+      double success = 0.0;  // s_T: victims holding >= T tasks
+      if (T > 0) success = ph.total(x + T * nb, seg, l);
+      const double exits = ph.exits(x + 2 * nb, seg, l);
+      for (std::size_t j = 0; j < ph.p; ++j) {
+        const double a = ph.alpha[j];
+        double d = ph.mix(x + nb, seg, l, j) + a * exits;
+        d += lam * a * idle;
+        if (T > 0) d += R[l] * success * a;
+        dx[j * seg + nb + l] = d;
+      }
+    }
+    slave_heads(nb, ph, dx, seg);
+  });
 }
 
 double PhaseTypeWS::message_rate(const ode::State& x) const {
@@ -200,31 +301,42 @@ std::string PhaseTypeSharing::name() const {
          ",svc=" + service_.label() + ")";
 }
 
-void PhaseTypeSharing::deriv(double /*t*/, const ode::State& x,
-                             ode::State& dx) const {
-  const std::size_t L = trunc_;
-  const std::size_t W = L + 1;
-  const std::size_t p = service_.phases();
-  const std::size_t S = threshold_;
-  LSM_ASSERT(x.size() == p * W && dx.size() == p * W);
-  const auto& alpha = service_.alpha();
-
-  const double idle = 1.0 - busy(x);
-  double share_tail = 0.0;  // sum_k u_{S,k}: processors that forward
-  for (std::size_t k = 0; k < p; ++k) share_tail += u(x, S, k);
-  const double forwarded = lambda_ * share_tail;
-
-  for (std::size_t i = 1; i <= L; ++i) {
-    const double direct = (i - 1 < S) ? lambda_ : 0.0;
-    const double arrivals = direct + forwarded;
-    for (std::size_t j = 0; j < p; ++j) {
-      double d = service_flux(x, i, j);
-      d += i == 1 ? arrivals * alpha[j] * idle
-                  : arrivals * (x[j * W + i - 1] - x[j * W + i]);
-      dx[j * W + i] = d;
+bool PhaseTypeSharing::rhs_batch(std::size_t lanes, const double* x,
+                                 double* dx) const {
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const std::size_t S = threshold_;
+    const std::size_t seg = (L + 1) * nb;  // between phase segments
+    const double lam = lambda_;  // a local cannot alias dx
+    const PhaseView ph(service_);
+    // Phase 0's head row holds the forwarded stream lambda sum_k u_{S,k}
+    // until the heads are written last.
+    double* fw = dx;
+    for (std::size_t l = 0; l < nb; ++l) {
+      fw[l] = lam * ph.total(x + S * nb, seg, l);
     }
-  }
-  head_derivs(dx);
+    // Rows 2..L: service and arrivals, direct ones only below S (rows
+    // i <= S).
+    const auto both = [&](std::size_t l) { return lam + fw[l]; };
+    const auto forwarded = [&](std::size_t l) { return 0.0 + fw[l]; };
+    const std::false_type no;
+    tail_rows(nb, ph, x, dx, seg, 2, S + 1, both, nullptr, no, no);
+    tail_rows(nb, ph, x, dx, seg, S + 1, L, forwarded, nullptr, no, no);
+    tail_rows(nb, ph, x, dx, seg, L, L + 1, forwarded, nullptr, no,
+              std::true_type{});
+    // Row 1: direct and forwarded arrivals to idle processors (S >= 1).
+    for (std::size_t l = 0; l < nb; ++l) {
+      const double idle = 1.0 - ph.total(x + nb, seg, l);
+      const double exits = ph.exits(x + 2 * nb, seg, l);
+      for (std::size_t j = 0; j < ph.p; ++j) {
+        const double a = ph.alpha[j];
+        double d = ph.mix(x + nb, seg, l, j) + a * exits;
+        d += (lam + fw[l]) * a * idle;
+        dx[j * seg + nb + l] = d;
+      }
+    }
+    slave_heads(nb, ph, dx, seg);
+  });
 }
 
 double PhaseTypeSharing::message_rate(const ode::State& x) const {
@@ -274,90 +386,124 @@ ode::State PhaseTypeTransferWS::empty_state() const {
   return s;
 }
 
-void PhaseTypeTransferWS::deriv(double /*t*/, const ode::State& x,
-                                ode::State& dx) const {
-  const std::size_t L = trunc_;
-  const std::size_t W = L + 1;
-  const std::size_t p = service_.phases();
-  const std::size_t T = threshold_;
-  LSM_ASSERT(x.size() == 2 * p * W && dx.size() == 2 * p * W);
-  const auto& alpha = service_.alpha();
-  const auto& t = service_.exit_rates();
-  const auto uu = [&](std::size_t i, std::size_t j) {
-    return i <= L ? x[seg(0, j) + i] : 0.0;
-  };
-  const auto vv = [&](std::size_t i, std::size_t j) {
-    return i <= L ? x[seg(1, j) + i] : 0.0;
-  };
-
-  double sum_h = 0.0;  // total not-awaiting fraction (u heads)
-  double sum_g = 0.0;  // total awaiting fraction (v heads) = w_0
-  double busy_u = 0.0;
-  double busy_v = 0.0;
-  double steal_rate = 0.0;  // u-class processors completing the last task
-  double success = 0.0;
-  for (std::size_t k = 0; k < p; ++k) {
-    sum_h += x[seg(0, k)];
-    sum_g += x[seg(1, k)];
-    busy_u += uu(1, k);
-    busy_v += vv(1, k);
-    steal_rate += t[k] * (uu(1, k) - uu(2, k));
-    success += uu(T, k) + vv(T, k);
-  }
-  const double idle_u = sum_h - busy_u;
-  const double idle_w = sum_g - busy_v;
-  const double start_wait = steal_rate * success;
-
-  for (std::size_t i = 1; i <= L; ++i) {
-    double exits_u = 0.0;
-    double exits_v = 0.0;
-    for (std::size_t k = 0; k < p; ++k) {
-      exits_u += t[k] * uu(i + 1, k);
-      exits_v += t[k] * vv(i + 1, k);
-    }
-    for (std::size_t j = 0; j < p; ++j) {
-      double mix_u = 0.0;
-      double mix_v = 0.0;
-      for (std::size_t k = 0; k < p; ++k) {
-        mix_u += service_.subgen(k, j) * uu(i, k);
-        mix_v += service_.subgen(k, j) * vv(i, k);
+bool PhaseTypeTransferWS::rhs_batch(std::size_t lanes, const double* x,
+                                    double* dx) const {
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const std::size_t T = threshold_;
+    const std::size_t seg = (L + 1) * nb;  // between phase segments
+    const std::size_t V = service_.phases() * seg;  // awaiting class
+    const double lam = lambda_;  // locals cannot alias dx
+    const double rate = rate_;
+    const PhaseView ph(service_);
+    // The first u head row holds R, the rate of u-class processors
+    // completing their final task, until the heads are written last.
+    double* R = dx;
+    for (std::size_t l = 0; l < nb; ++l) {
+      double r = 0.0;
+      for (std::size_t k = 0; k < ph.p; ++k) {
+        r += ph.t[k] * (x[k * seg + nb + l] - x[k * seg + 2 * nb + l]);
       }
-      // Not-awaiting class: arrivals, service, transfer completions in
-      // (a transfer landing on an awaiting processor with i-1 tasks makes
-      // a not-awaiting processor with i tasks; for i = 1 that includes
-      // the awaiting-idle mass, whose task starts fresh at alpha -- which
-      // is exactly the v head g_j), steal victims out.
-      double du = mix_u + alpha[j] * exits_u;
-      du += i == 1 ? lambda_ * alpha[j] * idle_u
-                   : lambda_ * (uu(i - 1, j) - uu(i, j));
-      du += i == 1 ? rate_ * x[seg(1, j)] : rate_ * vv(i - 1, j);
-      if (i >= T) du -= steal_rate * (uu(i, j) - uu(i + 1, j));
-      dx[seg(0, j) + i] = du;
-      // Awaiting class: serves and receives arrivals while waiting,
-      // leaves at the transfer rate, and can be victimized too.
-      double dv = mix_v + alpha[j] * exits_v - rate_ * vv(i, j);
-      dv += i == 1 ? lambda_ * alpha[j] * idle_w
-                   : lambda_ * (vv(i - 1, j) - vv(i, j));
-      if (i >= T) dv -= steal_rate * (vv(i, j) - vv(i + 1, j));
-      dx[seg(1, j) + i] = dv;
+      R[l] = r;
     }
-  }
-
-  // Heads: h_j = u_{1,j} + alpha_j idle_u and g_j = v_{1,j} + alpha_j
-  // idle_w, with d(idle_u) driven by class transfer (r w_0 in, steal
-  // starts out) minus the busy-tail flux.
-  double db_u = 0.0;
-  double db_v = 0.0;
-  for (std::size_t k = 0; k < p; ++k) {
-    db_u += dx[seg(0, k) + 1];
-    db_v += dx[seg(1, k) + 1];
-  }
-  const double d_idle_u = rate_ * sum_g - start_wait - db_u;
-  const double d_idle_w = start_wait - rate_ * sum_g - db_v;
-  for (std::size_t j = 0; j < p; ++j) {
-    dx[seg(0, j)] = dx[seg(0, j) + 1] + alpha[j] * d_idle_u;
-    dx[seg(1, j)] = dx[seg(1, j) + 1] + alpha[j] * d_idle_w;
-  }
+    // Rows 2..L. Not-awaiting class: arrivals, service, transfer
+    // completions in (a transfer landing on an awaiting processor with
+    // i-1 tasks makes a not-awaiting processor with i tasks), steal
+    // victims out. Awaiting class: serves and receives arrivals while
+    // waiting, leaves at the transfer rate, and can be victimized too.
+    const auto rows = [&](std::size_t i0, std::size_t i1, auto steal,
+                          auto last) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        const double* ui = x + i * nb;
+        const double* vi = ui + V;
+        const double* ex_u = nullptr;
+        const double* ex_v = nullptr;
+        if constexpr (!last) {
+          ex_u = stage_exits(nb, ph, x, dx, (i + 1) * nb, seg);
+          ex_v = stage_exits(nb, ph, x, dx, V + (i + 1) * nb, seg);
+        }
+        for (std::size_t j = 0; j < ph.p; ++j) {
+          const double a = ph.alpha[j];
+          const double* uj = ui + j * seg;
+          const double* vj = vi + j * seg;
+          const double* up = uj - nb;
+          const double* vp = vj - nb;
+          double* ou = dx + j * seg + i * nb;
+          double* ov = ou + V;
+          for (std::size_t l = 0; l < nb; ++l) {
+            double du;
+            double dv;
+            if constexpr (last) {
+              du = ph.mix(ui, seg, l, j) + a * 0.0;
+              dv = ph.mix(vi, seg, l, j) + a * 0.0 - rate * vj[l];
+            } else {
+              du = ph.mix(ui, seg, l, j) + a * ex_u[l];
+              dv = ph.mix(vi, seg, l, j) + a * ex_v[l] - rate * vj[l];
+            }
+            du += lam * (up[l] - uj[l]);
+            du += rate * vp[l];
+            dv += lam * (vp[l] - vj[l]);
+            if constexpr (steal) {
+              if constexpr (last) {
+                du -= R[l] * (uj[l] - 0.0);
+                dv -= R[l] * (vj[l] - 0.0);
+              } else {
+                du -= R[l] * (uj[l] - uj[l + nb]);
+                dv -= R[l] * (vj[l] - vj[l + nb]);
+              }
+            }
+            ou[l] = du;
+            ov[l] = dv;
+          }
+        }
+      }
+    };
+    rows(2, T, std::false_type{}, std::false_type{});
+    rows(T, L, std::true_type{}, std::false_type{});
+    rows(L, L + 1, std::true_type{}, std::true_type{});
+    // Row 1 and the heads, lane by lane. For i = 1 the transfers landing
+    // include the awaiting-idle mass, whose task starts fresh at alpha --
+    // which is exactly the v head g_j. The heads h_j = u_{1,j} + alpha_j
+    // idle_u and g_j = v_{1,j} + alpha_j idle_w move with d(idle_u),
+    // driven by class transfer (r w_0 in, steal starts out) minus the
+    // busy-tail flux.
+    for (std::size_t l = 0; l < nb; ++l) {
+      const double sum_h = ph.total(x, seg, l);      // u heads
+      const double sum_g = ph.total(x + V, seg, l);  // v heads = w_0
+      const double busy_u = ph.total(x + nb, seg, l);
+      const double busy_v = ph.total(x + V + nb, seg, l);
+      double success = 0.0;
+      for (std::size_t k = 0; k < ph.p; ++k) {
+        success += x[k * seg + T * nb + l] + x[V + k * seg + T * nb + l];
+      }
+      const double idle_u = sum_h - busy_u;
+      const double idle_w = sum_g - busy_v;
+      const double start_wait = R[l] * success;
+      const double exits_u = ph.exits(x + 2 * nb, seg, l);
+      const double exits_v = ph.exits(x + V + 2 * nb, seg, l);
+      double db_u = 0.0;
+      double db_v = 0.0;
+      for (std::size_t j = 0; j < ph.p; ++j) {
+        const double a = ph.alpha[j];
+        double du = ph.mix(x + nb, seg, l, j) + a * exits_u;
+        du += lam * a * idle_u;
+        du += rate * x[V + j * seg + l];
+        double dv =
+            ph.mix(x + V + nb, seg, l, j) + a * exits_v - rate * x[V + j * seg + nb + l];
+        dv += lam * a * idle_w;
+        dx[j * seg + nb + l] = du;
+        dx[V + j * seg + nb + l] = dv;
+        db_u += du;
+        db_v += dv;
+      }
+      const double d_idle_u = rate * sum_g - start_wait - db_u;
+      const double d_idle_w = start_wait - rate * sum_g - db_v;
+      for (std::size_t j = 0; j < ph.p; ++j) {
+        dx[j * seg + l] = dx[j * seg + nb + l] + ph.alpha[j] * d_idle_u;
+        dx[V + j * seg + l] = dx[V + j * seg + nb + l] + ph.alpha[j] * d_idle_w;
+      }
+    }
+  });
 }
 
 void PhaseTypeTransferWS::project(ode::State& s) const {
@@ -367,44 +513,45 @@ void PhaseTypeTransferWS::project(ode::State& s) const {
   }
 }
 
-void PhaseTypeTransferWS::root_residual(const ode::State& x,
-                                        ode::State& f) const {
-  deriv(0.0, x, f);
+bool PhaseTypeTransferWS::root_residual_batch(std::size_t nb,
+                                              const double* x,
+                                              double* f) const {
+  (void)rhs_batch(nb, x, f);
+  const std::size_t W = trunc_ + 1;
   const std::size_t p = service_.phases();
-  const auto& alpha = service_.alpha();
-  const auto& t = service_.exit_rates();
-  double sum_g = 0.0;
-  double busy_u = 0.0;
-  double busy_v = 0.0;
-  double steal_rate = 0.0;
-  double success = 0.0;
-  const auto uu = [&](std::size_t i, std::size_t j) {
-    return i <= trunc_ ? x[seg(0, j) + i] : 0.0;
-  };
-  const auto vv = [&](std::size_t i, std::size_t j) {
-    return i <= trunc_ ? x[seg(1, j) + i] : 0.0;
-  };
-  for (std::size_t k = 0; k < p; ++k) {
-    sum_g += x[seg(1, k)];
-    busy_u += uu(1, k);
-    busy_v += vv(1, k);
-    steal_rate += t[k] * (uu(1, k) - uu(2, k));
-    success += uu(threshold_, k) + vv(threshold_, k);
-  }
+  const std::size_t V = p * W;
+  const double* alpha = service_.alpha().data();
+  const double* t = service_.exit_rates().data();
   // The 2p head rows are definitionally dependent on the tails; replace
   // them with (a) the u-head slaving constraints, with idle_u eliminated
   // through total conservation, (b) the awaiting-mass balance
   // r w_0 = start_wait pinning sum_j g_j, and (c) p-1 v-head
   // proportionality constraints.
-  for (std::size_t j = 0; j < p; ++j) {
-    f[seg(0, j)] = x[seg(0, j)] - uu(1, j) -
-                   alpha[j] * (1.0 - sum_g - busy_u);
+  for (std::size_t l = 0; l < nb; ++l) {
+    const auto at = [&](std::size_t c) { return x[c * nb + l]; };
+    double sum_g = 0.0;
+    double busy_u = 0.0;
+    double busy_v = 0.0;
+    double steal_rate = 0.0;
+    double success = 0.0;
+    for (std::size_t k = 0; k < p; ++k) {
+      sum_g += at(V + k * W);
+      busy_u += at(k * W + 1);
+      busy_v += at(V + k * W + 1);
+      steal_rate += t[k] * (at(k * W + 1) - at(k * W + 2));
+      success += at(k * W + threshold_) + at(V + k * W + threshold_);
+    }
+    for (std::size_t j = 0; j < p; ++j) {
+      f[j * W * nb + l] = at(j * W) - at(j * W + 1) -
+                          alpha[j] * (1.0 - sum_g - busy_u);
+    }
+    f[V * nb + l] = steal_rate * success - rate_ * sum_g;
+    for (std::size_t j = 1; j < p; ++j) {
+      f[(V + j * W) * nb + l] =
+          (at(V + j * W) - at(V + j * W + 1)) - alpha[j] * (sum_g - busy_v);
+    }
   }
-  f[seg(1, 0)] = steal_rate * success - rate_ * sum_g;
-  for (std::size_t j = 1; j < p; ++j) {
-    f[seg(1, j)] =
-        (x[seg(1, j)] - vv(1, j)) - alpha[j] * (sum_g - busy_v);
-  }
+  return true;
 }
 
 double PhaseTypeTransferWS::mean_tasks(const ode::State& x) const {

@@ -54,10 +54,11 @@ class PhaseTypeModelBase : public MeanFieldModel {
   /// h_j = u_{1,j} + alpha_j (1 - B).
   void project(ode::State& s) const override;
 
-  /// deriv with the p (dependent) head rows replaced by the slaving
+  /// The kernel with the p (dependent) head rows replaced by the slaving
   /// constraints h_j - u_{1,j} - alpha_j (1 - B) = 0, which have an
   /// identity Jacobian block in the heads.
-  void root_residual(const ode::State& s, ode::State& f) const override;
+  [[nodiscard]] bool root_residual_batch(std::size_t nb, const double* x,
+                                         double* f) const override;
 
   /// E[N] = sum_{i>=1} sum_j u_{i,j}.
   [[nodiscard]] double mean_tasks(const ode::State& s) const override;
@@ -78,14 +79,6 @@ class PhaseTypeModelBase : public MeanFieldModel {
     return i <= trunc_ ? x[j * (trunc_ + 1) + i] : 0.0;
   }
 
-  /// Service terms M_{i,j} + alpha_j A_{i+1} for one (i, j).
-  [[nodiscard]] double service_flux(const ode::State& x, std::size_t i,
-                                    std::size_t j) const;
-
-  /// Fills the p head rows of dx from the already-filled tail rows:
-  /// dh_j = du_{1,j} - alpha_j sum_k du_{1,k}.
-  void head_derivs(ode::State& dx) const;
-
   PhaseType service_;
   std::size_t threshold_;
 };
@@ -98,7 +91,8 @@ class PhaseTypeWS final : public PhaseTypeModelBase {
   PhaseTypeWS(double lambda, PhaseType service, std::size_t threshold,
               std::size_t truncation = 0);
 
-  void deriv(double t, const ode::State& x, ode::State& dx) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] std::size_t threshold() const noexcept { return threshold_; }
@@ -122,7 +116,8 @@ class PhaseTypeSharing final : public PhaseTypeModelBase {
   PhaseTypeSharing(double lambda, PhaseType service,
                    std::size_t share_threshold, std::size_t truncation = 0);
 
-  void deriv(double t, const ode::State& x, ode::State& dx) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] std::size_t share_threshold() const noexcept {
@@ -154,10 +149,14 @@ class PhaseTypeTransferWS final : public MeanFieldModel {
     return 2 * service_.phases();
   }
 
-  void deriv(double t, const ode::State& x, ode::State& dx) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
+  /// The kernel with the 2p head rows replaced by the conservation,
+  /// awaiting-balance and head-slaving constraints.
+  [[nodiscard]] bool root_residual_batch(std::size_t nb, const double* x,
+                                         double* f) const override;
   [[nodiscard]] std::string name() const override;
   void project(ode::State& s) const override;
-  void root_residual(const ode::State& s, ode::State& f) const override;
 
   [[nodiscard]] const PhaseType& service() const noexcept { return service_; }
   [[nodiscard]] double transfer_rate() const noexcept { return rate_; }

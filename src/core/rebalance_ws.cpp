@@ -1,6 +1,6 @@
 #include "core/rebalance_ws.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -13,6 +13,8 @@ RebalanceWS::RebalanceWS(double lambda, RateFn rate, std::size_t truncation)
   trunc_explicit_ = truncation != 0;
   LSM_EXPECT(static_cast<bool>(rate_), "rate function must be callable");
   LSM_EXPECT(lambda < 1.0, "model is unstable for lambda >= 1");
+  rates_.reserve(trunc_ + 1);
+  for (std::size_t j = 0; j <= trunc_; ++j) rates_.push_back(rate_(j));
 }
 
 RebalanceWS::RebalanceWS(double lambda, double rate, std::size_t truncation)
@@ -25,49 +27,80 @@ RebalanceWS::RebalanceWS(double lambda, double rate, std::size_t truncation)
 
 std::string RebalanceWS::name() const { return "rebalance-ws"; }
 
-void RebalanceWS::deriv(double /*t*/, const ode::State& s,
-                        ode::State& ds) const {
-  const std::size_t L = trunc_;
-  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
-
-  // Point masses p_j = s_j - s_{j+1} and per-load trigger rates.
-  std::vector<double> p(L + 1), rj(L + 1);
-  for (std::size_t j = 0; j <= L; ++j) {
-    p[j] = s[j] - (j < L ? s[j + 1] : 0.0);
-    rj[j] = rate_(j);
-  }
-
-  // diff[i] accumulates range updates of the interaction term; the actual
-  // contribution to ds_i is the prefix sum of diff over 1..i.
-  std::vector<double> diff(L + 3, 0.0);
-  for (std::size_t j = 0; j <= L; ++j) {
-    if (rj[j] == 0.0 || p[j] == 0.0) continue;
-    for (std::size_t k = 0; k <= L; ++k) {
-      if (p[k] == 0.0) continue;
-      const double wgt = rj[j] * p[j] * p[k];
-      const std::size_t lo = (j + k) / 2;        // floor
-      const std::size_t hi = (j + k + 1) / 2;    // ceil
-      const std::size_t mn = std::min(j, k);
-      const std::size_t mx = std::max(j, k);
-      // Delta_i = +1 on (mn, lo], -1 on (hi, mx] (empty when balanced).
-      if (lo > mn) {
-        diff[mn + 1] += wgt;
-        diff[std::min(lo + 1, L + 2)] -= wgt;
+bool RebalanceWS::rhs_batch(std::size_t lanes, const double* x,
+                            double* dx) const {
+  return for_lanes(lanes, [&](auto nb) {
+    const std::size_t L = trunc_;
+    const double lam = lambda_;  // a local cannot alias dx
+    const double* s0 = x;
+    // Summing p_k over k >= q in closed form (s_q; s_0 for q <= 0; zero
+    // past L), a_j meets v_q = s_q + s_{q-1} in C_{>=2i} + C_{>=2i-1} at
+    // q = 2i - j in 1 .. L+1 (v_{L+1} = s_L), and 2 s_0 for j >= 2i. Rows
+    // 1..L accumulate the interaction as j falls from L to 0, in an order
+    // fixed by (i, L); row 0 carries the running A_{>=j} until it is
+    // zeroed last.
+    for (std::size_t i = 0; i <= L; ++i) {
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) out[l] = 0.0;
+    }
+    double* A = dx;
+    const auto step = [&](std::size_t j, auto p) {  // p(l) = p_j of lane l
+      const double r = rate(j);
+      for (std::size_t l = 0; l < nb; ++l) A[l] += r * p(l);
+      const std::size_t i_lo = (j + 2) / 2;  // q = 2i - j >= 1
+      const std::size_t i_hi = (j + L) / 2;  // q <= L
+      for (std::size_t i = i_lo; i <= i_hi; ++i) {
+        const double* sq = x + (2 * i - j) * nb;
+        const double* sq1 = sq - nb;
+        double* out = dx + i * nb;
+        for (std::size_t l = 0; l < nb; ++l) {
+          out[l] += r * p(l) * (sq[l] + sq1[l]);
+        }
       }
-      if (mx > hi) {
-        diff[std::min(hi + 1, L + 2)] -= wgt;
-        diff[std::min(mx + 1, L + 2)] += wgt;
+      if (j < L && (j + L + 1) % 2 == 0) {  // q = L + 1
+        const double* sL = x + L * nb;
+        double* out = dx + (j + L + 1) / 2 * nb;
+        for (std::size_t l = 0; l < nb; ++l) out[l] += r * p(l) * sL[l];
+      }
+      if (j >= 1) {
+        double* out = dx + j * nb;
+        for (std::size_t l = 0; l < nb; ++l) out[l] -= s0[l] * A[l];
+      }
+      if (j >= 2 && j % 2 == 0) {
+        double* out = dx + j / 2 * nb;
+        for (std::size_t l = 0; l < nb; ++l) out[l] += 2.0 * s0[l] * A[l];
+      }
+    };
+    {
+      const double* sL = x + L * nb;
+      step(L, [&](std::size_t l) { return sL[l]; });
+    }
+    for (std::size_t j = L; j-- > 0;) {
+      const double* sj = x + j * nb;
+      const double* sn = sj + nb;
+      step(j, [&](std::size_t l) { return sj[l] - sn[l]; });
+    }
+    for (std::size_t i = 1; i < L; ++i) {
+      const double* sp = x + (i - 1) * nb;
+      const double* si = x + i * nb;
+      const double* sn = si + nb;
+      double* out = dx + i * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) +
+                 (out[l] - si[l] * A[l]);
       }
     }
-  }
-
-  ds[0] = 0.0;
-  double interaction = 0.0;
-  for (std::size_t i = 1; i <= L; ++i) {
-    interaction += diff[i];
-    const double s_next = (i < L) ? s[i + 1] : 0.0;
-    ds[i] = lambda_ * (s[i - 1] - s[i]) - (s[i] - s_next) + interaction;
-  }
+    {
+      const double* sp = x + (L - 1) * nb;
+      const double* si = x + L * nb;
+      double* out = dx + L * nb;
+      for (std::size_t l = 0; l < nb; ++l) {
+        out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) +
+                 (out[l] - si[l] * A[l]);
+      }
+    }
+    for (std::size_t l = 0; l < nb; ++l) A[l] = 0.0;
+  });
 }
 
 }  // namespace lsm::core

@@ -12,11 +12,16 @@
 //   Delta_i(j,k) = [floor((j+k)/2) >= i] + [ceil((j+k)/2) >= i]
 //                  - [j >= i] - [k >= i]
 //
-// evaluated in O(L^2) per derivative call with a difference-array sweep
-// (each pair perturbs s_i by +1 on (min, floor] and -1 on (ceil, max]).
+// With a_j = r(j) p_j, A_{>=m} = sum_{j>=m} a_j and the correlation
+// C_{>=m} = sum_{j+k>=m} a_j p_k, the double sum is
+//
+//   interaction_i = C_{>=2i} + C_{>=2i-1} - A_{>=i} s_0 - A_{>=0} s_i,
+//
+// evaluated in O(L^2) per derivative call without branches or scratch.
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "core/model.hpp"
 
@@ -33,13 +38,20 @@ class RebalanceWS final : public MeanFieldModel {
   /// r(j) = rate for j >= 1 and r(0) = 0.
   RebalanceWS(double lambda, double rate, std::size_t truncation = 0);
 
-  void deriv(double t, const ode::State& s, ode::State& ds) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
   [[nodiscard]] std::string name() const override;
 
-  [[nodiscard]] double rate(std::size_t load) const { return rate_(load); }
+  [[nodiscard]] double rate(std::size_t load) const {
+    return load < rates_.size() ? rates_[load] : rate_(load);
+  }
 
  private:
   RateFn rate_;
+  /// rate_ tabulated at loads 0 .. L of the constructed truncation, which
+  /// bounds every rung of the Auto ladder: the kernel reads rates without
+  /// a call per load.
+  std::vector<double> rates_;
 };
 
 }  // namespace lsm::core

@@ -30,10 +30,14 @@ class StagedTransferWS final : public MeanFieldModel {
     return (stages_ + 1) * (trunc_ + 1);
   }
 
-  void deriv(double t, const ode::State& s, ode::State& ds) const override;
+  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
+                               double* dx) const override;
+  /// The kernel with the redundant w^{(1)}_0 row replaced by the total
+  /// class mass constraint.
+  [[nodiscard]] bool root_residual_batch(std::size_t nb, const double* x,
+                                         double* f) const override;
   [[nodiscard]] std::string name() const override;
   void project(ode::State& s) const override;
-  void root_residual(const ode::State& s, ode::State& f) const override;
 
   [[nodiscard]] double transfer_rate() const noexcept { return rate_; }
   [[nodiscard]] std::size_t stages() const noexcept { return stages_; }

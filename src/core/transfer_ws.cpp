@@ -103,11 +103,6 @@ void TransferTimeWS::project(ode::State& x) const {
   project_segment(x, W, 2 * W, -1.0);
 }
 
-void TransferTimeWS::root_residual(const ode::State& x, ode::State& f) const {
-  LSM_ASSERT(x.size() == dimension() && f.size() == dimension());
-  (void)root_residual_batch(1, x.data(), f.data());
-}
-
 bool TransferTimeWS::root_residual_batch(std::size_t nb, const double* x,
                                          double* f) const {
   (void)rhs_batch(nb, x, f);

@@ -38,7 +38,6 @@ class TransferTimeWS final : public MeanFieldModel {
                                double* dx) const override;
   [[nodiscard]] std::string name() const override;
   void project(ode::State& s) const override;
-  void root_residual(const ode::State& s, ode::State& f) const override;
   [[nodiscard]] bool root_residual_batch(std::size_t nb, const double* x,
                                          double* f) const override;
 

@@ -26,62 +26,6 @@ void eliminate_columns(double* __restrict y, double* __restrict z,
   }
 }
 
-// Both FD routines overwrite every band entry of jac, one column at a time,
-// and leave its fill rows alone.
-void fd_per_column(const OdeSystem& sys, double t, const State& s,
-                   double eps, BandedMatrix& jac) {
-  const std::size_t n = s.size();
-  const std::size_t kl = jac.lower();
-  const std::size_t ku = jac.upper();
-  State f0(n), f1(n);
-  sys.deriv(t, s, f0);
-  State pert = s;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double h = eps * std::max(1.0, std::abs(s[j]));
-    pert[j] = s[j] + h;
-    sys.deriv(t, pert, f1);
-    pert[j] = s[j];
-    const double inv_h = 1.0 / h;
-    const std::size_t i_lo = j >= ku ? j - ku : 0;
-    const std::size_t i_hi = std::min(j + kl, n - 1);
-    double* col = jac.column_from(i_lo, j);
-    for (std::size_t i = i_lo; i <= i_hi; ++i) {
-      *col++ = (f1[i] - f0[i]) * inv_h;
-    }
-  }
-}
-
-void fd_grouped(const OdeSystem& sys, double t, const State& s, double eps,
-                BandedMatrix& jac) {
-  const std::size_t n = s.size();
-  const std::size_t kl = jac.lower();
-  const std::size_t ku = jac.upper();
-  State f0(n), f1(n), h(n);
-  sys.deriv(t, s, f0);
-  // Columns a full bandwidth apart touch disjoint row ranges, so each
-  // group of them shares one perturbed evaluation. Only exact when the
-  // Jacobian really is banded.
-  const std::size_t groups = kl + ku + 1;
-  State pert = s;
-  for (std::size_t g = 0; g < groups; ++g) {
-    for (std::size_t j = g; j < n; j += groups) {
-      h[j] = eps * std::max(1.0, std::abs(s[j]));
-      pert[j] = s[j] + h[j];
-    }
-    sys.deriv(t, pert, f1);
-    for (std::size_t j = g; j < n; j += groups) {
-      const std::size_t i_lo = j >= ku ? j - ku : 0;
-      const std::size_t i_hi = std::min(j + kl, n - 1);
-      const double inv_h = 1.0 / h[j];
-      double* col = jac.column_from(i_lo, j);
-      for (std::size_t i = i_lo; i <= i_hi; ++i) {
-        *col++ = (f1[i] - f0[i]) * inv_h;
-      }
-      pert[j] = s[j];
-    }
-  }
-}
-
 }  // namespace
 
 BandedMatrix::BandedMatrix(std::size_t n, std::size_t kl, std::size_t ku)
@@ -209,17 +153,36 @@ void BandedLuSolver::solve_into(const double* b, double* x) const {
   }
 }
 
+void banded_fd_into(const OdeSystem& sys, double t, const State& s,
+                    double eps, BandedMatrix& jac, BandedFdScratch& scratch) {
+  const std::size_t n = s.size();
+  LSM_EXPECT(jac.size() == n, "Jacobian does not match the state");
+  const std::size_t kl = jac.lower();
+  const std::size_t ku = jac.upper();
+  State& f0 = scratch.f0;
+  f0.resize(n);
+  sys.deriv(t, s, f0);
+  fd_columns(sys, t, s, eps, scratch.columns,
+             [&](std::size_t j, const double* fp, std::size_t stride,
+                 double h) {
+               const double inv_h = 1.0 / h;
+               const std::size_t i_lo = j >= ku ? j - ku : 0;
+               const std::size_t i_hi = std::min(j + kl, n - 1);
+               double* col = jac.column_from(i_lo, j);
+               for (std::size_t i = i_lo; i <= i_hi; ++i) {
+                 *col++ = (fp[i * stride] - f0[i]) * inv_h;
+               }
+             });
+}
+
 BandedMatrix banded_fd_jacobian(const OdeSystem& sys, double t,
                                 const State& s, std::size_t kl,
-                                std::size_t ku, FdMode mode, double eps) {
+                                std::size_t ku, double eps) {
   LSM_EXPECT(kl < s.size() && ku < s.size(),
              "bandwidths must be below the dimension");
   BandedMatrix jac(s.size(), kl, ku);
-  if (mode == FdMode::PerColumn) {
-    fd_per_column(sys, t, s, eps, jac);
-  } else {
-    fd_grouped(sys, t, s, eps, jac);
-  }
+  BandedFdScratch scratch;
+  banded_fd_into(sys, t, s, eps, jac, scratch);
   return jac;
 }
 

@@ -3,17 +3,18 @@
 // by a narrow band (nearest-neighbor and +/- c stage coupling), so an
 // O(n b^2) banded factorization replaces the O(n^3) dense one.
 //
-// banded_fd_jacobian differences the band of f = sys.deriv in two modes:
-// per-column (exact band entries of any Jacobian, n evaluations) and
-// grouped Curtis-Powell-Reid (kl + ku + 1 evaluations, exact ONLY when the
-// true Jacobian is banded -- the mean-field models are band + low-rank, so
-// they use per-column).
+// banded_fd_jacobian differences the band of f = sys.deriv column by
+// column: the exact band entries of any Jacobian, n evaluations, batched
+// eight columns per pass when the system has a lane kernel. (Grouped
+// Curtis-Powell-Reid differencing is exact only for truly banded
+// Jacobians; the mean-field models are band + low-rank.)
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "ode/fd_columns.hpp"
 #include "ode/system.hpp"
 #include "util/error.hpp"
 
@@ -108,19 +109,27 @@ class BandedLuSolver {
   std::vector<std::size_t> pivot_;  // pivot row chosen at each step
 };
 
-enum class FdMode {
-  PerColumn,  ///< exact band of any Jacobian; n derivative evaluations
-  Grouped,    ///< Curtis-Powell-Reid; only for truly banded Jacobians
-};
-
 /// Default relative step of the banded FD Jacobians.
 inline constexpr double kBandedFdEps = 1e-7;
+
+/// Buffers of the banded FD assembly, kept by callers that rebuild a
+/// Jacobian of the same size repeatedly (the Krylov path's banded chord),
+/// so that a rebuild does not touch the heap.
+struct BandedFdScratch {
+  State f0;           ///< the unperturbed residual
+  FdScratch columns;  ///< fd_columns' buffers
+};
+
+/// Overwrites every band entry of `jac` (leaving its fill rows alone)
+/// with the forward-difference Jacobian of sys.deriv(t, .) at s. Each
+/// column costs one evaluation, assembled through deriv_batch in 8-lane
+/// blocks when the system provides it (bit-identical entries either way).
+void banded_fd_into(const OdeSystem& sys, double t, const State& s,
+                    double eps, BandedMatrix& jac, BandedFdScratch& scratch);
 
 /// Approximates the (kl, ku) band of the Jacobian of sys.deriv(t, .) at s.
 BandedMatrix banded_fd_jacobian(const OdeSystem& sys, double t,
                                 const State& s, std::size_t kl,
-                                std::size_t ku,
-                                FdMode mode = FdMode::PerColumn,
-                                double eps = kBandedFdEps);
+                                std::size_t ku, double eps = kBandedFdEps);
 
 }  // namespace lsm::ode

@@ -214,33 +214,6 @@ class BandedLuOperator final : public LinearOperator {
   const BandedLuSolver& lu_;
 };
 
-/// Finite-difference banded chord of sys.deriv at s, with identically-zero
-/// rows given a unit diagonal (see factor_fd_jacobian) so the conserved
-/// rows of a raw mean-field derivative do not sink the factorization.
-std::unique_ptr<BandedLuSolver> build_banded_precond(const OdeSystem& sys,
-                                                     const State& s,
-                                                     std::size_t bw,
-                                                     FdMode mode,
-                                                     double fd_eps) {
-  BandedMatrix jac = banded_fd_jacobian(sys, 0.0, s, bw, bw, mode, fd_eps);
-  const std::size_t n = jac.size();
-  // A row with no entry of positive magnitude in its band gets a unit
-  // diagonal; one pass down the columns finds the rows that have one.
-  std::vector<char> live(n, 0);
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t i_lo = j > bw ? j - bw : 0;
-    const std::size_t i_hi = std::min(j + bw, n - 1);
-    const double* col = jac.column_from(i_lo, j);
-    for (std::size_t i = i_lo; i <= i_hi; ++i) {
-      if (std::abs(*col++) > 0.0) live[i] = 1;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (live[i] == 0) jac.set(i, i, 1.0);
-  }
-  return std::make_unique<BandedLuSolver>(std::move(jac));
-}
-
 }  // namespace
 
 NewtonKrylovResult newton_krylov_fixed_point(const OdeSystem& sys, State s0,
@@ -263,8 +236,10 @@ NewtonKrylovResult newton_krylov_fixed_point(const OdeSystem& sys, State s0,
       opts.dense_precond_max_dim > 0 && n <= opts.dense_precond_max_dim;
   const std::size_t bw = opts.banded_precond_bandwidth;
   const bool banded_pc = !dense_pc && bw > 0 && bw < n;
-  std::unique_ptr<LuSolver> own_dense;
-  std::unique_ptr<BandedLuSolver> banded;
+  // Without a caller's workspace the chords live for this solve only.
+  NewtonWorkspace own_ws;
+  NewtonWorkspace& chord_ws =
+      precond_reuse != nullptr ? *precond_reuse : own_ws;
   // A factorization taken at the CURRENT iterate; a stale chord that stops
   // helping is dropped and rebuilt here before the solve gives up.
   bool precond_fresh = false;
@@ -299,44 +274,29 @@ NewtonKrylovResult newton_krylov_fixed_point(const OdeSystem& sys, State s0,
     const LuSolver* dense_lu = nullptr;
     const BandedLuSolver* banded_lu = nullptr;
     if (dense_pc) {
-      dense_lu = precond_reuse != nullptr
-                     ? detail::cached_lu(*precond_reuse, n)
-                     : own_dense.get();
+      dense_lu = detail::cached_lu(chord_ws, n);
       if (dense_lu == nullptr) {
         try {
-          auto built = detail::factor_fd_jacobian(
-              counted, res.state, f, opts.fd_eps,
-              /*regularize_zero_rows=*/true);
+          detail::cache_lu(chord_ws,
+                           detail::factor_fd_jacobian(
+                               counted, res.state, f, opts.fd_eps,
+                               /*regularize_zero_rows=*/true),
+                           n);
           ++res.jacobian_builds;
           precond_fresh = true;
-          if (precond_reuse != nullptr) {
-            detail::cache_lu(*precond_reuse, std::move(built), n);
-            dense_lu = detail::cached_lu(*precond_reuse, n);
-          } else {
-            own_dense = std::move(built);
-            dense_lu = own_dense.get();
-          }
+          dense_lu = detail::cached_lu(chord_ws, n);
         } catch (const util::Error&) {
           dense_lu = nullptr;
         }
       }
     } else if (banded_pc) {
-      banded_lu = precond_reuse != nullptr
-                      ? detail::cached_banded(*precond_reuse, n)
-                      : banded.get();
+      banded_lu = detail::cached_banded(chord_ws, n);
       if (banded_lu == nullptr) {
         try {
-          auto built = build_banded_precond(counted, res.state, bw,
-                                            opts.banded_fd_mode, opts.fd_eps);
+          banded_lu = detail::build_banded_chord(chord_ws, counted, res.state,
+                                                 bw, opts.fd_eps);
           ++res.jacobian_builds;
           precond_fresh = true;
-          if (precond_reuse != nullptr) {
-            detail::cache_banded(*precond_reuse, std::move(built), n);
-            banded_lu = detail::cached_banded(*precond_reuse, n);
-          } else {
-            banded = std::move(built);
-            banded_lu = banded.get();
-          }
         } catch (const util::Error&) {
           banded_lu = nullptr;
         }
@@ -401,9 +361,7 @@ NewtonKrylovResult newton_krylov_fixed_point(const OdeSystem& sys, State s0,
                            ((dense_pc && dense_lu != nullptr) ||
                             (banded_pc && banded_lu != nullptr));
     if (had_stale) {
-      if (precond_reuse != nullptr) precond_reuse->reset();
-      own_dense.reset();
-      banded.reset();
+      chord_ws.reset();
       continue;
     }
     break;

@@ -132,15 +132,10 @@ struct NewtonKrylovOptions {
   /// Above it, a banded LU with kl = ku = banded_precond_bandwidth;
   /// 0 bandwidth runs unpreconditioned.
   std::size_t dense_precond_max_dim = 600;
+  /// The banded chord is differenced column by column (n evaluations), so
+  /// the off-band low-rank couplings of the mean-field models never alias
+  /// into the band.
   std::size_t banded_precond_bandwidth = 2;
-  /// How the banded chord is differenced. PerColumn (n evaluations) reads
-  /// the exact band of ANY Jacobian, so the off-band low-rank couplings of
-  /// the mean-field models — and the cross-segment blocks of the
-  /// two-segment transfer family — never alias into the band. Grouped
-  /// (kl + ku + 1 evaluations) is far cheaper but correct only for truly
-  /// banded Jacobians; aliased far entries can corrupt the band badly
-  /// enough that GMRES stagnates. Robust default, cheap opt-in.
-  FdMode banded_fd_mode = FdMode::PerColumn;
   /// Optional budgets (0 = unlimited), checked at outer-iteration
   /// granularity like the other solvers in this directory.
   std::size_t max_rhs_evals = 0;
@@ -153,9 +148,8 @@ struct NewtonKrylovResult {
   std::size_t iterations = 0;       ///< outer Newton steps
   std::size_t inner_iterations = 0; ///< total GMRES steps (≈ J·v evals)
   std::size_t rhs_evals = 0;        ///< derivative evaluations, all phases
-  /// Preconditioner (re)builds: dense ones cost `dimension` evaluations,
-  /// banded ones `dimension` under FdMode::PerColumn (the default) or
-  /// kl + ku + 1 under FdMode::Grouped.
+  /// Preconditioner (re)builds: dense and banded ones each cost
+  /// `dimension` evaluations.
   std::size_t jacobian_builds = 0;
   bool converged = false;
   bool budget_exhausted = false;    ///< stopped on max_rhs_evals/wall

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "ode/banded.hpp"
+#include "ode/fd_columns.hpp"
 #include "ode/linalg.hpp"
 #include "util/error.hpp"
 
@@ -19,7 +20,6 @@ NewtonWorkspace& NewtonWorkspace::operator=(NewtonWorkspace&&) noexcept =
 void NewtonWorkspace::reset() {
   lu_.reset();
   dim_ = 0;
-  banded_.reset();
   banded_dim_ = 0;
 }
 
@@ -35,6 +35,10 @@ struct NewtonWorkspaceAccess {
   }
   static std::size_t& banded_dim(NewtonWorkspace& ws) {
     return ws.banded_dim_;
+  }
+  static std::unique_ptr<BandedFdScratch>& banded_scratch(
+      NewtonWorkspace& ws) {
+    return ws.banded_scratch_;
   }
 };
 
@@ -102,53 +106,14 @@ std::unique_ptr<LuSolver> factor_fd_jacobian(const OdeSystem& sys,
     }
     jac.col_start.push_back(jac.row.size());
   };
-  // Batched assembly: kLanes perturbed columns per RHS pass, SoA layout.
-  // Each lane reproduces the scalar arithmetic bit for bit and the counter
-  // charges nb per pass, so the factorization (and everything downstream,
-  // golden artifacts included) is independent of the path taken. A false
-  // return means the system has no batched kernel; the scalar loop below
-  // then assembles every column afresh.
-  constexpr std::size_t kLanes = 8;
-  bool batched = true;
-  {
-    std::vector<double> xb(n * std::min(kLanes, n));
-    std::vector<double> fb(n * std::min(kLanes, n));
-    double h_lane[kLanes];
-    for (std::size_t j0 = 0; j0 < n && batched; j0 += kLanes) {
-      const std::size_t nb = std::min(kLanes, n - j0);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double base = s[i];
-        for (std::size_t l = 0; l < nb; ++l) xb[i * nb + l] = base;
-      }
-      for (std::size_t l = 0; l < nb; ++l) {
-        const std::size_t j = j0 + l;
-        const double h = fd_eps * std::max(1.0, std::abs(s[j]));
-        h_lane[l] = h;
-        xb[j * nb + l] = s[j] + h;
-      }
-      if (!sys.deriv_batch(0.0, nb, xb.data(), fb.data())) {
-        batched = false;
-        break;
-      }
-      for (std::size_t l = 0; l < nb; ++l) {
-        push_column(fb.data() + l, nb, 1.0 / h_lane[l]);
-      }
-    }
-  }
-  if (!batched) {
-    jac.col_start.assign(1, 0);
-    jac.row.clear();
-    jac.value.clear();
-    State pert = s;
-    State f_pert(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const double h = fd_eps * std::max(1.0, std::abs(s[j]));
-      pert[j] = s[j] + h;
-      sys.deriv(0.0, pert, f_pert);
-      pert[j] = s[j];
-      push_column(f_pert.data(), 1, 1.0 / h);
-    }
-  }
+  // The counter charges a batched pass nb evaluations, so the eval count,
+  // the factorization and everything downstream (golden artifacts
+  // included) do not depend on the path fd_columns takes.
+  FdScratch scratch;
+  fd_columns(sys, 0.0, s, fd_eps, scratch,
+             [&](std::size_t, const double* fp, std::size_t stride, double h) {
+               push_column(fp, stride, 1.0 / h);
+             });
   if (regularize_zero_rows) unit_diagonal_on_zero_rows(jac);
   return std::make_unique<LuSolver>(jac);
 }
@@ -169,10 +134,39 @@ BandedLuSolver* cached_banded(NewtonWorkspace& ws, std::size_t dim) {
   return NewtonWorkspaceAccess::banded(ws).get();
 }
 
-void cache_banded(NewtonWorkspace& ws, std::unique_ptr<BandedLuSolver> lu,
-                  std::size_t dim) {
-  NewtonWorkspaceAccess::banded(ws) = std::move(lu);
-  NewtonWorkspaceAccess::banded_dim(ws) = dim;
+BandedLuSolver* build_banded_chord(NewtonWorkspace& ws, const OdeSystem& sys,
+                                   const State& s, std::size_t bw,
+                                   double fd_eps) {
+  const std::size_t n = s.size();
+  auto& lu = NewtonWorkspaceAccess::banded(ws);
+  auto& scratch = NewtonWorkspaceAccess::banded_scratch(ws);
+  std::size_t& dim = NewtonWorkspaceAccess::banded_dim(ws);
+  if (!scratch) scratch = std::make_unique<BandedFdScratch>();
+  dim = 0;
+  // A row with no entry of positive magnitude in its band gets a unit
+  // diagonal.
+  const auto assemble = [&](BandedMatrix& jac) {
+    banded_fd_into(sys, 0.0, s, fd_eps, jac, *scratch);
+    for (std::size_t i = 0; i < n; ++i) {
+      bool live = false;
+      const std::size_t j_hi = std::min(i + bw, n - 1);
+      for (std::size_t j = i > bw ? i - bw : 0; j <= j_hi && !live; ++j) {
+        live = std::abs(jac.get(i, j)) > 0.0;
+      }
+      if (!live) jac.set(i, i, 1.0);
+    }
+  };
+  const BandedMatrix* held = lu ? &lu->factors() : nullptr;
+  if (held != nullptr && held->size() == n && held->lower() == bw &&
+      held->upper() == bw) {
+    lu->refactor(assemble);
+  } else {
+    BandedMatrix jac(n, bw, bw);
+    assemble(jac);
+    lu = std::make_unique<BandedLuSolver>(std::move(jac));
+  }
+  dim = n;
+  return lu.get();
 }
 
 }  // namespace detail

@@ -12,6 +12,7 @@ namespace lsm::ode {
 
 class BandedLuSolver;
 class LuSolver;
+struct BandedFdScratch;
 
 struct NewtonOptions {
   double tol = 1e-13;        ///< stop when ||f(s)||_inf < tol
@@ -51,7 +52,8 @@ class NewtonWorkspace {
   NewtonWorkspace& operator=(NewtonWorkspace&&) noexcept;
 
   /// Drops the cached factorizations (e.g. when the chain jumps to an
-  /// unrelated model or the discretization changes shape).
+  /// unrelated model or the discretization changes shape). The banded
+  /// chord's storage stays, so its rebuild at the same shape reuses it.
   void reset();
   /// An LuSolver factorization of the given dimension is available for
   /// chord steps.
@@ -64,6 +66,7 @@ class NewtonWorkspace {
   /// n-evaluation finite-difference Jacobian behind lu_ is unaffordable);
   /// cached and invalidated alongside lu_.
   std::unique_ptr<BandedLuSolver> banded_;
+  std::unique_ptr<BandedFdScratch> banded_scratch_;
   std::size_t dim_ = 0;
   std::size_t banded_dim_ = 0;
 };
@@ -105,8 +108,17 @@ void cache_lu(NewtonWorkspace& ws, std::unique_ptr<LuSolver> lu,
               std::size_t dim);
 [[nodiscard]] BandedLuSolver* cached_banded(NewtonWorkspace& ws,
                                             std::size_t dim);
-void cache_banded(NewtonWorkspace& ws, std::unique_ptr<BandedLuSolver> lu,
-                  std::size_t dim);
+
+/// Builds, factors and caches in `ws` the banded chord of sys.deriv at `s`
+/// (kl = ku = bw): the finite-difference band (banded_fd_into, dimension
+/// evaluations), with rows that have no nonzero band entry given a unit
+/// diagonal (see factor_fd_jacobian). A chord of the same shape left in
+/// `ws`, valid or reset, is refactored in place with the FD buffers of
+/// the last build, so a rebuild does not touch the heap. Throws
+/// util::Error on numerical singularity, leaving no chord cached.
+BandedLuSolver* build_banded_chord(NewtonWorkspace& ws, const OdeSystem& sys,
+                                   const State& s, std::size_t bw,
+                                   double fd_eps);
 
 }  // namespace detail
 

@@ -1,6 +1,6 @@
 // Tests for the banded substrate behind the Newton-Krylov path's banded
-// chord: banded storage/LU, banded FD Jacobians (per-column vs grouped),
-// and the Table 2 value the public solver reaches through that chord.
+// chord: banded storage/LU, banded FD Jacobians (batched vs scalar
+// columns), and the Table 2 value the public solver reaches through that chord.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -285,19 +285,42 @@ class Diffusion final : public ode::OdeSystem {
   double rate_;
 };
 
-TEST(BandedFd, PerColumnAndGroupedAgreeOnBandedSystem) {
-  Diffusion sys(30, 50.0);
-  State s(30);
-  for (std::size_t i = 0; i < 30; ++i) {
-    s[i] = std::cos(static_cast<double>(i));
+/// A system's deriv without its lane kernel: the scalar FD column path.
+class ScalarOnly final : public ode::OdeSystem {
+ public:
+  explicit ScalarOnly(const ode::OdeSystem& inner) : inner_(inner) {}
+  void deriv(double t, const State& s, State& ds) const override {
+    inner_.deriv(t, s, ds);
   }
-  const auto a = ode::banded_fd_jacobian(sys, 0.0, s, 1, 1,
-                                         ode::FdMode::PerColumn);
-  const auto b = ode::banded_fd_jacobian(sys, 0.0, s, 1, 1,
-                                         ode::FdMode::Grouped);
-  for (std::size_t i = 0; i < 30; ++i) {
-    for (std::size_t j = (i >= 1 ? i - 1 : 0); j <= std::min(i + 1, std::size_t{29}); ++j) {
-      EXPECT_NEAR(a.get(i, j), b.get(i, j), 1e-5) << i << "," << j;
+  [[nodiscard]] std::size_t dimension() const override {
+    return inner_.dimension();
+  }
+
+ private:
+  const ode::OdeSystem& inner_;
+};
+
+TEST(BandedFd, BatchedColumnsEqualScalarColumns) {
+  // The 8-lane assembly (including the short last block: 621 = 77 * 8 + 5)
+  // writes the same band, bit for bit, with the same evaluation count.
+  const core::ErlangServiceWS model(0.85, 10, 620);
+  State s = model.mm1_state();
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    s[i] *= 1.0 + 0.01 * std::sin(static_cast<double>(i));
+  }
+  const ode::CountingSystem batched(model);
+  const ScalarOnly scalar(model);
+  const ode::CountingSystem counted_scalar(scalar);
+  const auto a = ode::banded_fd_jacobian(batched, 0.0, s, 10, 10);
+  const auto b = ode::banded_fd_jacobian(counted_scalar, 0.0, s, 10, 10);
+  EXPECT_EQ(batched.evals(), s.size() + 1);
+  EXPECT_EQ(counted_scalar.evals(), s.size() + 1);
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const std::size_t j_lo = i >= 10 ? i - 10 : 0;
+    for (std::size_t j = j_lo; j <= std::min(i + 10, s.size() - 1); ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.get(i, j)),
+                std::bit_cast<std::uint64_t>(b.get(i, j)))
+          << i << "," << j;
     }
   }
 }

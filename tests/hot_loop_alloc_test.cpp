@@ -3,7 +3,9 @@
 // performs zero heap allocations, an Anderson run's allocation count is a
 // function of the problem size only, never of the iteration count, a
 // factored LuSolver or BandedLuSolver solves without touching the heap,
-// and neither does a lane-kernel RHS evaluation (one lane or a batch).
+// neither does any registry model's lane-kernel RHS evaluation (one lane
+// or a batch), and a rebuild of the Krylov path's banded chord reuses the
+// storage of the first build.
 //
 // The counter hooks the global operator new/delete for this test binary.
 // Only allocation DELTAS measured around the hot region are asserted, so
@@ -14,9 +16,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
+#include "core/registry.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/anderson.hpp"
 #include "ode/banded.hpp"
@@ -29,22 +35,29 @@ namespace {
 std::atomic<std::size_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line, so that GCC does not pair an inlined
+// malloc() or free() with the other operator and warn of a mismatch
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -195,31 +208,62 @@ TEST(HotLoopAlloc, BandedLuSolveIntoAllocationFree) {
 TEST(HotLoopAlloc, LaneKernelsAllocationFree) {
   // deriv() is the one-lane kernel call; deriv_batch and the Newton
   // polish's RootSystem::deriv_batch run the same kernel over 4 lanes.
-  // None of them may touch the heap once the caller's buffers exist.
-  const core::SimpleWS model(0.9, 96);
-  const core::RootSystem root(model);
-  constexpr std::size_t nb = 4;
-  const std::size_t dim = model.dimension();
-  ode::State s(dim), ds(dim);
-  std::vector<double> x(dim * nb), dx(dim * nb);
-  for (std::size_t l = 0; l < nb; ++l) {
-    const double decay = 0.7 + 0.05 * static_cast<double>(l);
-    x[l] = 1.0;
-    for (std::size_t i = 1; i < dim; ++i) {
-      x[i * nb + l] = x[(i - 1) * nb + l] * decay;
+  // None of them may touch the heap once the caller's buffers exist, for
+  // any registry model (phase-type service included).
+  std::vector<std::pair<std::string, core::ModelParams>> cases;
+  for (const auto& name : core::model_names()) cases.push_back({name, {}});
+  cases.push_back({"simple", {{"service", "hyperexp:4"}}});
+  cases.push_back({"transfer", {{"service", "erlang:3"}}});
+  cases.push_back({"sharing", {{"service", "hyperexp:4"}}});
+  for (const auto& [name, params] : cases) {
+    const auto model = core::make_model(name, 0.9, params);
+    const core::RootSystem root(*model);
+    constexpr std::size_t nb = 4;
+    const std::size_t dim = model->dimension();
+    ode::State s(dim), ds(dim);
+    std::vector<double> x(dim * nb), dx(dim * nb);
+    for (std::size_t l = 0; l < nb; ++l) {
+      const double decay = 0.7 + 0.05 * static_cast<double>(l);
+      x[l] = 1.0;
+      for (std::size_t i = 1; i < dim; ++i) {
+        x[i * nb + l] = x[(i - 1) * nb + l] * decay;
+      }
     }
-  }
-  for (std::size_t i = 0; i < dim; ++i) s[i] = x[i * nb];
-  model.deriv(0.0, s, ds);  // warm any lazy paths
+    for (std::size_t i = 0; i < dim; ++i) s[i] = x[i * nb];
+    model->deriv(0.0, s, ds);  // warm any lazy paths
 
-  const std::size_t warm = allocations();
-  for (int rep = 0; rep < 4; ++rep) {
-    model.deriv(0.0, s, ds);
-    ASSERT_TRUE(model.deriv_batch(0.0, nb, x.data(), dx.data()));
-    ASSERT_TRUE(root.deriv_batch(0.0, nb, x.data(), dx.data()));
+    const std::size_t warm = allocations();
+    for (int rep = 0; rep < 4; ++rep) {
+      model->deriv(0.0, s, ds);
+      ASSERT_TRUE(model->deriv_batch(0.0, nb, x.data(), dx.data()));
+      ASSERT_TRUE(root.deriv_batch(0.0, nb, x.data(), dx.data()));
+    }
+    EXPECT_EQ(allocations(), warm)
+        << model->name() << ": lane-kernel RHS evaluation must not touch "
+        << "the heap";
   }
-  EXPECT_EQ(allocations(), warm)
-      << "lane-kernel RHS evaluation must not touch the heap";
+}
+
+TEST(HotLoopAlloc, BandedChordRebuildReusesItsStorage) {
+  // The Krylov path rebuilds its banded chord after a reset (a stale
+  // chord) or on a new continuation point. The first build sizes the
+  // band, the factorization and the FD buffers; a rebuild at the same
+  // shape refactors them in place.
+  const core::ErlangServiceWS model(0.85, 10, 620);
+  const ode::State s = model.mm1_state();
+  ode::NewtonWorkspace ws;
+  const ode::BandedLuSolver* first =
+      ode::detail::build_banded_chord(ws, model, s, 10, 1e-7);
+  ws.reset();
+  EXPECT_EQ(ode::detail::cached_banded(ws, s.size()), nullptr);
+
+  const std::size_t before = allocations();
+  const ode::BandedLuSolver* second =
+      ode::detail::build_banded_chord(ws, model, s, 10, 1e-7);
+  EXPECT_EQ(allocations(), before)
+      << "a same-shape banded chord rebuild must not touch the heap";
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(ode::detail::cached_banded(ws, s.size()), second);
 }
 
 }  // namespace

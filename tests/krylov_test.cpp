@@ -15,6 +15,9 @@
 
 #include "core/composed_ws.hpp"
 #include "core/fixed_point.hpp"
+#include "core/general_arrival_ws.hpp"
+#include "core/multi_class_ws.hpp"
+#include "core/rebalance_ws.hpp"
 #include "core/registry.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/krylov.hpp"
@@ -299,17 +302,83 @@ TEST(KrylovDispatch, PolishAboveNewtonMaxDimIsMatrixFree) {
 
 // --- Batched RHS kernels -------------------------------------------------
 
+/// Checks `model`'s lane kernel and root-residual kernel at `nb` lanes
+/// against the one-lane pass and the reference recurrences of
+/// reference_rhs.hpp (within `tol`, or bit for bit at tol = 0).
+void expect_kernel_matches_reference(const core::MeanFieldModel& model,
+                                     std::size_t nb, double tol) {
+  const double lambda = model.lambda();
+  const std::string tag = model.name() + " lambda=" + std::to_string(lambda) +
+                          " nb=" + std::to_string(nb);
+  const std::size_t dim = model.dimension();
+  const auto expect_reference = [&](double got, double want,
+                                    const std::string& where) {
+    if (tol == 0.0) {
+      EXPECT_EQ(got, want) << tag << " " << where;
+    } else {
+      EXPECT_NEAR(got, want, tol) << tag << " " << where;
+    }
+  };
+
+  // Distinct smooth state per lane so a lane mix-up cannot cancel out.
+  std::vector<double> x(dim * nb), dx(dim * nb);
+  ode::State lane_s(dim), lane_f(dim), ref_f(dim);
+  for (std::size_t l = 0; l < nb; ++l) {
+    const double decay = 0.6 + 0.04 * static_cast<double>(l);
+    x[0 * nb + l] = 1.0;
+    for (std::size_t i = 1; i < dim; ++i) {
+      x[i * nb + l] = x[(i - 1) * nb + l] * decay;
+    }
+  }
+
+  // Agreement with the branch-form reference recurrences, so solver
+  // trajectories are identical whichever path runs: the nb-lane kernel,
+  // its one-lane form deriv(), and the root-residual map in scalar and
+  // batched form. A lane always equals the one-lane pass bit for bit.
+  ASSERT_TRUE(model.rhs_batch(nb, x.data(), dx.data()));
+  for (std::size_t l = 0; l < nb; ++l) {
+    for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
+    reference::deriv(model, lambda, lane_s, ref_f);
+    model.deriv(0.0, lane_s, lane_f);
+    for (std::size_t i = 0; i < dim; ++i) {
+      const std::string where =
+          "lane=" + std::to_string(l) + " i=" + std::to_string(i);
+      EXPECT_EQ(dx[i * nb + l], lane_f[i]) << tag << " rhs_batch " << where;
+      expect_reference(lane_f[i], ref_f[i], "deriv " + where);
+    }
+  }
+
+  ASSERT_TRUE(model.root_residual_batch(nb, x.data(), dx.data()));
+  for (std::size_t l = 0; l < nb; ++l) {
+    for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
+    reference::root_residual(model, lambda, lane_s, ref_f);
+    model.root_residual(lane_s, lane_f);
+    for (std::size_t i = 0; i < dim; ++i) {
+      const std::string where =
+          "lane=" + std::to_string(l) + " i=" + std::to_string(i);
+      EXPECT_EQ(dx[i * nb + l], lane_f[i])
+          << tag << " root_residual_batch " << where;
+      expect_reference(lane_f[i], ref_f[i], "root_residual " + where);
+    }
+  }
+}
+
 TEST(BatchedRhs, BitEqualToReferenceKernel) {
-  // The models with a lane kernel, at their registry defaults and at a
-  // second parameter set that moves every range split of the kernel. The
+  // Every registry model, at its defaults and at a second parameter set
+  // that moves every range split of its kernel, at 1 and 8 lanes. The
   // stealing presets match their own family's recurrence bit for bit;
   // composed policies that vary several dimensions match the general
-  // recurrence to rounding.
+  // recurrence to rounding, and re-balancing (which sums its interaction
+  // in another order than the pairwise scatter) to 1e-14.
   const std::vector<std::pair<std::string, core::ModelParams>> cases = {
       {"no-stealing", {}},
+      {"no-stealing", {{"service", "hyperexp:4"}, {"L", 60}}},
       {"simple", {}},
+      {"simple", {{"service", "hyperexp:4"}, {"L", 60}}},
+      {"simple", {{"service", "erlang:3"}, {"L", 40}}},
       {"threshold", {}},
       {"threshold", {{"T", 5}}},
+      {"threshold", {{"T", 4}, {"service", "heavytail:10"}, {"L", 50}}},
       {"preemptive", {}},
       {"preemptive", {{"B", 3}, {"T", 4}}},
       {"repeated", {}},
@@ -323,74 +392,59 @@ TEST(BatchedRhs, BitEqualToReferenceKernel) {
       {"composed", {{"T", 4}, {"d", 2}, {"k", 2}, {"B", 1}}},
       {"composed", {{"T", 6}, {"k", 3}, {"B", 2}, {"r", 1}}},
       {"composed", {{"T", 5}, {"d", 3}, {"k", 2}, {"B", 3}, {"r", 2}}},
+      {"erlang", {}},
+      {"erlang", {{"c", 1}}},
+      {"erlang", {{"c", 3}, {"L", 11}}},
+      {"erlang", {{"service", "coxian:3,0.6"}, {"L", 40}}},
       {"transfer", {}},
       {"transfer", {{"T", 4}}},
+      {"transfer", {{"service", "hyperexp:4"}, {"L", 60}}},
+      {"transfer", {{"T", 3}, {"service", "erlang:3"}, {"L", 30}}},
+      {"staged-transfer", {}},
+      {"staged-transfer", {{"c", 1}, {"T", 4}, {"r", 2}}},
+      {"rebalance", {}},
+      {"rebalance", {{"r", 0.5}, {"L", 33}}},
+      {"heterogeneous", {}},
+      {"heterogeneous", {{"T", 4}, {"f", 0.5}}},
+      {"spawning", {}},
+      {"spawning", {{"int", 0.05}, {"T", 4}}},
       {"sharing", {}},
       {"sharing", {{"S", 1}}},
+      {"sharing", {{"service", "hyperexp:4"}, {"L", 60}}},
+      {"sharing", {{"S", 3}, {"service", "erlang:3"}, {"L", 40}}},
   };
-  constexpr std::size_t nb = 4;
   for (const auto& [name, params] : cases) {
     for (const double lambda : {0.5, 0.7, 0.8, 0.9}) {
       const auto model = core::make_model(name, lambda, params);
-      const std::string tag =
-          model->name() + " lambda=" + std::to_string(lambda);
-      const std::size_t dim = model->dimension();
       const auto* composed = dynamic_cast<const core::ComposedWS*>(&*model);
-      const bool exact = composed == nullptr ||
-                         reference::single_dimension(composed->policy());
-      const auto expect_reference = [&](double got, double want,
-                                        const std::string& where) {
-        if (exact) {
-          EXPECT_EQ(got, want) << tag << " " << where;
-        } else {
-          EXPECT_NEAR(got, want, 1e-15) << tag << " " << where;
-        }
-      };
-
-      // Distinct smooth state per lane so a lane mix-up cannot cancel out.
-      std::vector<double> x(dim * nb), dx(dim * nb);
-      ode::State lane_s(dim), lane_f(dim), ref_f(dim);
-      for (std::size_t l = 0; l < nb; ++l) {
-        const double decay = 0.6 + 0.08 * static_cast<double>(l);
-        x[0 * nb + l] = 1.0;
-        for (std::size_t i = 1; i < dim; ++i) {
-          x[i * nb + l] = x[(i - 1) * nb + l] * decay;
-        }
+      double tol = 0.0;
+      if (composed != nullptr &&
+          !reference::single_dimension(composed->policy())) {
+        tol = 1e-15;
+      } else if (dynamic_cast<const core::RebalanceWS*>(&*model) != nullptr) {
+        tol = 1e-14;
       }
-
-      // Agreement with the branch-form reference recurrences, so solver
-      // trajectories are identical whichever path runs: the 4-lane kernel,
-      // its one-lane form deriv(), and the root-residual map in scalar and
-      // batched form. A lane always equals the one-lane pass bit for bit.
-      ASSERT_TRUE(model->rhs_batch(nb, x.data(), dx.data()))
-          << tag << " advertises no batched kernel";
-      for (std::size_t l = 0; l < nb; ++l) {
-        for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
-        reference::deriv(*model, lambda, lane_s, ref_f);
-        model->deriv(0.0, lane_s, lane_f);
-        for (std::size_t i = 0; i < dim; ++i) {
-          const std::string where =
-              "lane=" + std::to_string(l) + " i=" + std::to_string(i);
-          EXPECT_EQ(dx[i * nb + l], lane_f[i])
-              << tag << " rhs_batch " << where;
-          expect_reference(lane_f[i], ref_f[i], "deriv " + where);
-        }
-      }
-
-      ASSERT_TRUE(model->root_residual_batch(nb, x.data(), dx.data()));
-      for (std::size_t l = 0; l < nb; ++l) {
-        for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
-        reference::root_residual(*model, lambda, lane_s, ref_f);
-        model->root_residual(lane_s, lane_f);
-        for (std::size_t i = 0; i < dim; ++i) {
-          const std::string where =
-              "lane=" + std::to_string(l) + " i=" + std::to_string(i);
-          EXPECT_EQ(dx[i * nb + l], lane_f[i])
-              << tag << " root_residual_batch " << where;
-          expect_reference(lane_f[i], ref_f[i], "root_residual " + where);
-        }
+      for (const std::size_t nb : {std::size_t{1}, std::size_t{8}}) {
+        expect_kernel_matches_reference(*model, nb, tol);
       }
     }
+  }
+  // Three classes (the registry's heterogeneous model has two), and an
+  // arrival rate and a re-balancing rate that vary with the load at every
+  // level (the registry's are constant past load 0).
+  const core::MultiClassWS three(
+      0.9, {{0.2, 3.0}, {0.3, 1.0}, {0.5, 0.6}}, 3, 40);
+  const core::GeneralArrivalWS ramp(
+      [](std::size_t j) { return 0.3 + 0.01 * static_cast<double>(j); }, 0.5,
+      3, 40);
+  const core::RebalanceWS picky(
+      0.8,
+      [](std::size_t j) { return j >= 3 ? 0.5 * static_cast<double>(j) : 0.0; },
+      48);
+  for (const std::size_t nb : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    expect_kernel_matches_reference(three, nb, 0.0);
+    expect_kernel_matches_reference(ramp, nb, 0.0);
+    expect_kernel_matches_reference(picky, nb, 1e-14);
   }
 }
 

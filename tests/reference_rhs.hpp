@@ -7,17 +7,30 @@
 // each keeps its own recurrence here, next to the composed model's general
 // recurrence, the oracle for policies that vary several dimensions.
 // The two-class recurrence of §3.5 sits here too, as the reference for the
-// K-class model at K = 2.
+// K-class model at K = 2, next to the K-class, constant-service (§3.1),
+// staged-transfer (§3.2), load-dependent arrival (§3.5), re-balancing
+// (§3.4, as the O(L^2) difference-array scatter over load pairs) and
+// phase-type recurrences.
 // Each keeps the operation order of the equations as printed, which is
-// also the kernels' per-lane order (the build contracts no FMAs).
+// also the kernels' per-lane order (the build contracts no FMAs); the
+// re-balancing kernel sums its interaction in another order and matches
+// to rounding.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 
+#include <vector>
+
 #include "core/composed_ws.hpp"
+#include "core/erlang_ws.hpp"
+#include "core/general_arrival_ws.hpp"
 #include "core/model.hpp"
+#include "core/multi_class_ws.hpp"
 #include "core/no_stealing.hpp"
+#include "core/phase_type_ws.hpp"
+#include "core/rebalance_ws.hpp"
+#include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
 #include "core/transfer_ws.hpp"
 #include "core/work_sharing.hpp"
@@ -331,6 +344,346 @@ inline double two_class_mean_tasks(std::size_t L, const ode::State& x) {
   return acc;
 }
 
+/// Section 3.5: K processor classes, packed one tail per class.
+inline void multi_class(double lambda,
+                        const std::vector<core::ProcessorClass>& classes,
+                        std::size_t T, std::size_t L, const ode::State& x,
+                        ode::State& dx) {
+  const std::size_t K = classes.size();
+  const std::size_t W = L + 1;
+  LSM_ASSERT(x.size() == K * W && dx.size() == K * W);
+  // fail = 1 - H_T, taken as 1 minus each class's u^c_T in class order.
+  double steal_rate = 0.0;
+  double fail = 1.0;
+  for (std::size_t c = 0; c < K; ++c) {
+    const double* u = x.data() + c * W;
+    steal_rate += classes[c].rate * (u[1] - u[2]);
+    fail -= u[T];
+  }
+  for (std::size_t c = 0; c < K; ++c) {
+    const double mu = classes[c].rate;
+    const double* u = x.data() + c * W;
+    double* du = dx.data() + c * W;
+    auto at = [&](std::size_t i) { return i <= L ? u[i] : 0.0; };
+    du[0] = 0.0;
+    du[1] = lambda * (u[0] - u[1]) - mu * (u[1] - u[2]) * fail;
+    for (std::size_t i = 2; i <= L; ++i) {
+      double d = lambda * (u[i - 1] - u[i]) - mu * (u[i] - at(i + 1));
+      if (i >= T) d -= steal_rate * (u[i] - at(i + 1));
+      du[i] = d;
+    }
+  }
+}
+
+/// Section 3.1: Erlang-c service stages, steal-on-empty with T = 2 tasks.
+inline void erlang(double lambda, std::size_t c, std::size_t L,
+                   const ode::State& s, ode::State& ds) {
+  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
+  auto at = [&](std::size_t i) { return i <= L ? s[i] : 0.0; };
+  const auto mu = static_cast<double>(c);  // per-stage completion rate
+  const double finishers = s[1] - s[2];    // procs on their final stage
+  ds[0] = 0.0;
+  ds[1] = lambda * (s[0] - s[1]) - mu * finishers * (1.0 - at(c + 1));
+  for (std::size_t i = 2; i <= std::min(c, L); ++i) {
+    const double s_next = (i < L) ? s[i + 1] : 0.0;
+    ds[i] = lambda * (s[0] - s[i]) + mu * finishers * at(i + c) -
+            mu * (s[i] - s_next);
+  }
+  for (std::size_t i = c + 1; i <= L; ++i) {
+    const double s_next = (i < L) ? s[i + 1] : 0.0;
+    ds[i] = lambda * (s[i - c] - s[i]) - mu * (s[i] - s_next) -
+            mu * (s[i] - at(i + c)) * finishers;
+  }
+}
+
+/// Section 3.2's remark: transfer through c Erlang stages, packed
+/// [s | w^(1) | ... | w^(c)].
+inline void staged_transfer(double lambda, double rate, std::size_t c,
+                            std::size_t T, std::size_t L,
+                            const ode::State& x, ode::State& dx) {
+  const std::size_t W = L + 1;
+  LSM_ASSERT(x.size() == (c + 1) * W && dx.size() == (c + 1) * W);
+  auto s = [&](std::size_t i) { return i <= L ? x[i] : 0.0; };
+  auto w = [&](std::size_t m, std::size_t i) {
+    return i <= L ? x[m * W + i] : 0.0;
+  };
+  const double stage_rate = static_cast<double>(c) * rate;
+  const double thief_rate = s(1) - s(2);
+  double heavy = s(T);  // any processor with >= T tasks may be a victim
+  for (std::size_t m = 1; m <= c; ++m) heavy += w(m, T);
+  const double start_wait = thief_rate * heavy;
+
+  dx[0] = stage_rate * w(1, 0) - start_wait;
+  for (std::size_t i = 1; i <= L; ++i) {
+    double d = lambda * (s(i - 1) - s(i)) + stage_rate * w(1, i - 1) -
+               (s(i) - s(i + 1));
+    if (i >= T) d -= (s(i) - s(i + 1)) * thief_rate;
+    dx[i] = d;
+  }
+  for (std::size_t m = 1; m <= c; ++m) {
+    const double in0 = (m == c) ? start_wait : stage_rate * w(m + 1, 0);
+    dx[m * W] = in0 - stage_rate * w(m, 0);
+    for (std::size_t i = 1; i <= L; ++i) {
+      const double inflow = (m == c) ? 0.0 : stage_rate * w(m + 1, i);
+      double d = lambda * (w(m, i - 1) - w(m, i)) + inflow -
+                 stage_rate * w(m, i) - (w(m, i) - w(m, i + 1));
+      if (i >= T) d -= (w(m, i) - w(m, i + 1)) * thief_rate;
+      dx[m * W + i] = d;
+    }
+  }
+}
+
+/// Section 3.5: threshold stealing with load-dependent arrival rates
+/// arrival(j) at a processor with j tasks.
+template <class Arrival>
+void general_arrival(const Arrival& arrival, std::size_t T, std::size_t L,
+                     const ode::State& s, ode::State& ds) {
+  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
+  const double s_T = s[T];
+  const double steal_rate = s[1] - s[2];
+  ds[0] = 0.0;
+  ds[1] = arrival(0) * (s[0] - s[1]) - (s[1] - s[2]) * (1.0 - s_T);
+  for (std::size_t i = 2; i <= L; ++i) {
+    const double s_next = (i < L) ? s[i + 1] : 0.0;
+    double d = arrival(i - 1) * (s[i - 1] - s[i]) - (s[i] - s_next);
+    if (i >= T) d -= (s[i] - s_next) * steal_rate;
+    ds[i] = d;
+  }
+}
+
+/// Section 3.4: pairwise re-balancing at trigger rate rate(j), the
+/// interaction summed pair by pair with a difference array (each pair
+/// perturbs s_i by +1 on (min, floor] and -1 on (ceil, max]).
+template <class Rate>
+void rebalance(double lambda, const Rate& rate, std::size_t L,
+               const ode::State& s, ode::State& ds) {
+  LSM_ASSERT(s.size() == L + 1 && ds.size() == L + 1);
+  std::vector<double> p(L + 1), rj(L + 1);
+  for (std::size_t j = 0; j <= L; ++j) {
+    p[j] = s[j] - (j < L ? s[j + 1] : 0.0);
+    rj[j] = rate(j);
+  }
+  std::vector<double> diff(L + 3, 0.0);
+  for (std::size_t j = 0; j <= L; ++j) {
+    if (rj[j] == 0.0 || p[j] == 0.0) continue;
+    for (std::size_t k = 0; k <= L; ++k) {
+      if (p[k] == 0.0) continue;
+      const double wgt = rj[j] * p[j] * p[k];
+      const std::size_t lo = (j + k) / 2;      // floor
+      const std::size_t hi = (j + k + 1) / 2;  // ceil
+      const std::size_t mn = std::min(j, k);
+      const std::size_t mx = std::max(j, k);
+      if (lo > mn) {
+        diff[mn + 1] += wgt;
+        diff[std::min(lo + 1, L + 2)] -= wgt;
+      }
+      if (mx > hi) {
+        diff[std::min(hi + 1, L + 2)] -= wgt;
+        diff[std::min(mx + 1, L + 2)] += wgt;
+      }
+    }
+  }
+  ds[0] = 0.0;
+  double interaction = 0.0;
+  for (std::size_t i = 1; i <= L; ++i) {
+    interaction += diff[i];
+    const double s_next = (i < L) ? s[i + 1] : 0.0;
+    ds[i] = lambda * (s[i - 1] - s[i]) - (s[i] - s_next) + interaction;
+  }
+}
+
+/// Phase-type service (Van Houdt, arXiv:1810.13186): the service terms
+/// M_{i,j} + alpha_j A_{i+1} of the p segments [h_j, u_{1,j}..u_{L,j}]
+/// starting at `base`, reading 0 past the truncation.
+inline double phase_service_flux(const core::PhaseType& svc, std::size_t L,
+                                 const ode::State& x, std::size_t base,
+                                 std::size_t i, std::size_t j) {
+  const std::size_t W = L + 1;
+  auto u = [&](std::size_t ii, std::size_t k) {
+    return ii <= L ? x[base + k * W + ii] : 0.0;
+  };
+  double mix = 0.0;
+  double exits = 0.0;
+  for (std::size_t k = 0; k < svc.phases(); ++k) {
+    mix += svc.subgen(k, j) * u(i, k);
+    exits += svc.exit_rates()[k] * u(i + 1, k);
+  }
+  return mix + svc.alpha()[j] * exits;
+}
+
+/// The slaved heads of the single-class phase-type models:
+/// dh_j = du_{1,j} - alpha_j sum_k du_{1,k}.
+inline void phase_heads(const core::PhaseType& svc, std::size_t L,
+                        ode::State& dx) {
+  const std::size_t W = L + 1;
+  double db = 0.0;
+  for (std::size_t k = 0; k < svc.phases(); ++k) db += dx[k * W + 1];
+  for (std::size_t j = 0; j < svc.phases(); ++j) {
+    dx[j * W] = dx[j * W + 1] - svc.alpha()[j] * db;
+  }
+}
+
+/// Threshold stealing under phase-type service (T = 0: no stealing).
+inline void phase_type_ws(double lambda, const core::PhaseType& svc,
+                          std::size_t T, std::size_t L, const ode::State& x,
+                          ode::State& dx) {
+  const std::size_t W = L + 1;
+  const std::size_t p = svc.phases();
+  LSM_ASSERT(x.size() == p * W && dx.size() == p * W);
+  auto u = [&](std::size_t i, std::size_t k) {
+    return i <= L ? x[k * W + i] : 0.0;
+  };
+  double busy = 0.0;
+  for (std::size_t k = 0; k < p; ++k) busy += x[k * W + 1];
+  const double idle = 1.0 - busy;
+  double steal_rate = 0.0;  // R: processors completing their final task
+  double success = 0.0;     // s_T: victims holding >= T tasks
+  if (T > 0) {
+    for (std::size_t k = 0; k < p; ++k) {
+      steal_rate += svc.exit_rates()[k] * (x[k * W + 1] - u(2, k));
+      success += u(T, k);
+    }
+  }
+  for (std::size_t i = 1; i <= L; ++i) {
+    for (std::size_t j = 0; j < p; ++j) {
+      const double a = svc.alpha()[j];
+      double d = phase_service_flux(svc, L, x, 0, i, j);
+      d += i == 1 ? lambda * a * idle
+                  : lambda * (x[j * W + i - 1] - x[j * W + i]);
+      if (T > 0) {
+        if (i == 1) d += steal_rate * success * a;
+        if (i >= T) d -= steal_rate * (x[j * W + i] - u(i + 1, j));
+      }
+      dx[j * W + i] = d;
+    }
+  }
+  phase_heads(svc, L, dx);
+}
+
+/// Sender-initiated work sharing under phase-type service.
+inline void phase_type_sharing(double lambda, const core::PhaseType& svc,
+                               std::size_t S, std::size_t L,
+                               const ode::State& x, ode::State& dx) {
+  const std::size_t W = L + 1;
+  const std::size_t p = svc.phases();
+  LSM_ASSERT(x.size() == p * W && dx.size() == p * W);
+  double busy = 0.0;
+  for (std::size_t k = 0; k < p; ++k) busy += x[k * W + 1];
+  const double idle = 1.0 - busy;
+  double share_tail = 0.0;  // sum_k u_{S,k}: processors that forward
+  for (std::size_t k = 0; k < p; ++k) share_tail += x[k * W + S];
+  const double forwarded = lambda * share_tail;
+  for (std::size_t i = 1; i <= L; ++i) {
+    const double direct = (i - 1 < S) ? lambda : 0.0;
+    const double arrivals = direct + forwarded;
+    for (std::size_t j = 0; j < p; ++j) {
+      double d = phase_service_flux(svc, L, x, 0, i, j);
+      d += i == 1 ? arrivals * svc.alpha()[j] * idle
+                  : arrivals * (x[j * W + i - 1] - x[j * W + i]);
+      dx[j * W + i] = d;
+    }
+  }
+  phase_heads(svc, L, dx);
+}
+
+/// Exp(1/r) transfer latency under phase-type service: p not-awaiting
+/// segments u followed by p awaiting segments v.
+inline void phase_type_transfer(double lambda, double rate,
+                                const core::PhaseType& svc, std::size_t T,
+                                std::size_t L, const ode::State& x,
+                                ode::State& dx) {
+  const std::size_t W = L + 1;
+  const std::size_t p = svc.phases();
+  const std::size_t V = p * W;
+  LSM_ASSERT(x.size() == 2 * V && dx.size() == 2 * V);
+  const auto& alpha = svc.alpha();
+  const auto& t = svc.exit_rates();
+  auto uu = [&](std::size_t i, std::size_t j) {
+    return i <= L ? x[j * W + i] : 0.0;
+  };
+  auto vv = [&](std::size_t i, std::size_t j) {
+    return i <= L ? x[V + j * W + i] : 0.0;
+  };
+  double sum_h = 0.0;
+  double sum_g = 0.0;
+  double busy_u = 0.0;
+  double busy_v = 0.0;
+  double steal_rate = 0.0;
+  double success = 0.0;
+  for (std::size_t k = 0; k < p; ++k) {
+    sum_h += x[k * W];
+    sum_g += x[V + k * W];
+    busy_u += uu(1, k);
+    busy_v += vv(1, k);
+    steal_rate += t[k] * (uu(1, k) - uu(2, k));
+    success += uu(T, k) + vv(T, k);
+  }
+  const double idle_u = sum_h - busy_u;
+  const double idle_w = sum_g - busy_v;
+  const double start_wait = steal_rate * success;
+  for (std::size_t i = 1; i <= L; ++i) {
+    for (std::size_t j = 0; j < p; ++j) {
+      double du = phase_service_flux(svc, L, x, 0, i, j);
+      du += i == 1 ? lambda * alpha[j] * idle_u
+                   : lambda * (uu(i - 1, j) - uu(i, j));
+      du += i == 1 ? rate * x[V + j * W] : rate * vv(i - 1, j);
+      if (i >= T) du -= steal_rate * (uu(i, j) - uu(i + 1, j));
+      dx[j * W + i] = du;
+      double dv = phase_service_flux(svc, L, x, V, i, j) - rate * vv(i, j);
+      dv += i == 1 ? lambda * alpha[j] * idle_w
+                   : lambda * (vv(i - 1, j) - vv(i, j));
+      if (i >= T) dv -= steal_rate * (vv(i, j) - vv(i + 1, j));
+      dx[V + j * W + i] = dv;
+    }
+  }
+  double db_u = 0.0;
+  double db_v = 0.0;
+  for (std::size_t k = 0; k < p; ++k) {
+    db_u += dx[k * W + 1];
+    db_v += dx[V + k * W + 1];
+  }
+  const double d_idle_u = rate * sum_g - start_wait - db_u;
+  const double d_idle_w = start_wait - rate * sum_g - db_v;
+  for (std::size_t j = 0; j < p; ++j) {
+    dx[j * W] = dx[j * W + 1] + alpha[j] * d_idle_u;
+    dx[V + j * W] = dx[V + j * W + 1] + alpha[j] * d_idle_w;
+  }
+}
+
+/// The phase-type transfer model's 2p constraint rows: u-head slaving with
+/// idle_u eliminated through conservation, the awaiting-mass balance, and
+/// p - 1 v-head proportionality rows.
+inline void phase_type_transfer_constraints(double rate,
+                                            const core::PhaseType& svc,
+                                            std::size_t T, std::size_t L,
+                                            const ode::State& x,
+                                            ode::State& f) {
+  const std::size_t W = L + 1;
+  const std::size_t p = svc.phases();
+  const std::size_t V = p * W;
+  const auto& alpha = svc.alpha();
+  double sum_g = 0.0;
+  double busy_u = 0.0;
+  double busy_v = 0.0;
+  double steal_rate = 0.0;
+  double success = 0.0;
+  for (std::size_t k = 0; k < p; ++k) {
+    sum_g += x[V + k * W];
+    busy_u += x[k * W + 1];
+    busy_v += x[V + k * W + 1];
+    steal_rate += svc.exit_rates()[k] * (x[k * W + 1] - x[k * W + 2]);
+    success += x[k * W + T] + x[V + k * W + T];
+  }
+  for (std::size_t j = 0; j < p; ++j) {
+    f[j * W] = x[j * W] - x[j * W + 1] - alpha[j] * (1.0 - sum_g - busy_u);
+  }
+  f[V] = steal_rate * success - rate * sum_g;
+  for (std::size_t j = 1; j < p; ++j) {
+    f[V + j * W] = (x[V + j * W] - x[V + j * W + 1]) -
+                   alpha[j] * (sum_g - busy_v);
+  }
+}
+
 /// Dispatches to the recurrence of `model`'s type at arrival rate
 /// `lambda` and the model's own parameters and truncation.
 inline void deriv(const core::MeanFieldModel& model, double lambda,
@@ -348,19 +701,71 @@ inline void deriv(const core::MeanFieldModel& model, double lambda,
   } else if (const auto* tr =
                  dynamic_cast<const core::TransferTimeWS*>(&model)) {
     transfer(lambda, tr->transfer_rate(), tr->threshold(), L, s, ds);
+  } else if (const auto* mc =
+                 dynamic_cast<const core::MultiClassWS*>(&model)) {
+    multi_class(lambda, mc->classes(), mc->threshold(), L, s, ds);
+  } else if (const auto* er =
+                 dynamic_cast<const core::ErlangServiceWS*>(&model)) {
+    erlang(lambda, er->stages(), L, s, ds);
+  } else if (const auto* st =
+                 dynamic_cast<const core::StagedTransferWS*>(&model)) {
+    staged_transfer(lambda, st->transfer_rate(), st->stages(),
+                    st->threshold(), L, s, ds);
+  } else if (const auto* ga =
+                 dynamic_cast<const core::GeneralArrivalWS*>(&model)) {
+    general_arrival([&](std::size_t j) { return ga->arrival_rate(j); },
+                    ga->threshold(), L, s, ds);
+  } else if (const auto* rb = dynamic_cast<const core::RebalanceWS*>(&model)) {
+    rebalance(lambda, [&](std::size_t j) { return rb->rate(j); }, L, s, ds);
+  } else if (const auto* pw = dynamic_cast<const core::PhaseTypeWS*>(&model)) {
+    phase_type_ws(lambda, pw->service(), pw->threshold(), L, s, ds);
+  } else if (const auto* ps =
+                 dynamic_cast<const core::PhaseTypeSharing*>(&model)) {
+    phase_type_sharing(lambda, ps->service(), ps->share_threshold(), L, s,
+                       ds);
+  } else if (const auto* pt =
+                 dynamic_cast<const core::PhaseTypeTransferWS*>(&model)) {
+    phase_type_transfer(lambda, pt->transfer_rate(), pt->service(),
+                        pt->threshold(), L, s, ds);
   } else {
     LSM_EXPECT(false, "no reference recurrence for " + model.name());
   }
 }
 
-/// The Newton root-residual map: the recurrence with its conserved row
-/// replaced by the conservation constraint (1 - s_0, or for the transfer
-/// model 1 - s_0 - w_0 on the w_0 row).
+/// The Newton root-residual map: the recurrence with its conserved rows
+/// replaced by constraints (1 - s_0 by default; see each model).
 inline void root_residual(const core::MeanFieldModel& model, double lambda,
                           const ode::State& s, ode::State& f) {
   deriv(model, lambda, s, f);
-  if (const auto* m = dynamic_cast<const core::TransferTimeWS*>(&model)) {
-    f[m->w_index(0)] = 1.0 - s[0] - s[m->w_index(0)];
+  const std::size_t W = model.truncation() + 1;
+  if (const auto* tr = dynamic_cast<const core::TransferTimeWS*>(&model)) {
+    f[tr->w_index(0)] = 1.0 - s[0] - s[tr->w_index(0)];
+  } else if (const auto* mc =
+                 dynamic_cast<const core::MultiClassWS*>(&model)) {
+    for (std::size_t c = 0; c < mc->classes().size(); ++c) {
+      f[c * W] = mc->classes()[c].fraction - s[c * W];
+    }
+  } else if (const auto* st =
+                 dynamic_cast<const core::StagedTransferWS*>(&model)) {
+    // Total class mass s_0 + sum_m w^(m)_0 = 1 on the w^(1)_0 row.
+    double mass = s[0];
+    for (std::size_t m = 1; m <= st->stages(); ++m) mass += s[m * W];
+    f[W] = 1.0 - mass;
+  } else if (const auto* ph =
+                 dynamic_cast<const core::PhaseTypeModelBase*>(&model)) {
+    // Head slaving h_j = u_{1,j} + alpha_j (1 - B).
+    const auto& svc = ph->service();
+    double busy = 0.0;
+    for (std::size_t k = 0; k < svc.phases(); ++k) busy += s[k * W + 1];
+    const double idle = 1.0 - busy;
+    for (std::size_t j = 0; j < svc.phases(); ++j) {
+      f[j * W] = s[j * W] - s[j * W + 1] - svc.alpha()[j] * idle;
+    }
+  } else if (const auto* pt =
+                 dynamic_cast<const core::PhaseTypeTransferWS*>(&model)) {
+    phase_type_transfer_constraints(pt->transfer_rate(), pt->service(),
+                                    pt->threshold(), model.truncation(), s,
+                                    f);
   } else {
     f[0] = 1.0 - s[0];
   }

@@ -110,6 +110,20 @@ TEST(Registry, OutOfRangeParameterIsInvalidArgument) {
           << e.what();
     }
   }
+  // Spawning's own limits: a total offered load ext + int at capacity, and
+  // an explicit L below min_truncation() = T + 3.
+  const std::vector<std::pair<double, core::ModelParams>> spawning = {
+      {0.95, {{"int", 0.1}}}, {0.5, {{"L", 4}}}, {0.5, {{"T", 4}, {"L", 6}}}};
+  for (const auto& [lambda, params] : spawning) {
+    try {
+      (void)core::make_model("spawning", lambda, params);
+      ADD_FAILURE() << "spawning accepted an out-of-range parameter";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("model spawning"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   // A fractional count is rejected, not truncated to a valid one: one
   // case per integer parameter, each valid once rounded down.
   const std::vector<std::tuple<std::string, std::string, double>> counts = {
