@@ -15,8 +15,8 @@
 #include "core/fixed_point.hpp"
 #include "core/registry.hpp"
 #include "core/rebalance_ws.hpp"
+#include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
-#include "core/transfer_ws.hpp"
 #include "ode/anderson.hpp"
 #include "ode/banded.hpp"
 #include "ode/integrator.hpp"
@@ -175,7 +175,7 @@ BENCHMARK(BM_FixedPointSolve)->Unit(benchmark::kMillisecond);
 
 void BM_TransferFixedPointSolve(benchmark::State& state) {
   for (auto _ : state) {
-    core::TransferTimeWS model(0.9, 0.25, 4);
+    core::StagedTransferWS model(0.9, 0.25, 1, 4);  // registry `transfer`
     auto fp = core::solve_fixed_point(model);
     benchmark::DoNotOptimize(fp.residual);
   }

@@ -10,8 +10,16 @@
 //
 //   perf_ode [out.json] [baseline.json]
 //            [--mode=current|legacy|sweep-warm|sweep-cold]
+//            [--check=<committed.json>]
 //
-// Defaults: out = BENCH_ode.json, no baseline, mode = current. Mode
+// Defaults: out = BENCH_ode.json, no baseline, mode = current. --check
+// is the counter gate: it exits 1 if any deterministic field of the run
+// differs from the committed file, doubles bit for bit (`method`,
+// `final_truncation`, `rhs_evals`, `sojourn`, `residual`; in the sweep
+// modes `rhs_evals`, `sojourn_last` and, warm, `cold_rhs_evals`,
+// `max_sojourn_dev`, `warm_rejections`). Given an out path, --check
+// makes the full timed run and writes its report there; without one it
+// runs each case once (no timing repetitions) and writes no file. Mode
 // `legacy` pins the pre-engine behaviour (explicit relaxation at the
 // constructed truncation, no Anderson acceleration, no adaptive
 // truncation); it exists to record BENCH_ode.baseline.json from the same
@@ -46,6 +54,7 @@
 #include "core/fixed_point.hpp"
 #include "core/multi_class_ws.hpp"
 #include "core/registry.hpp"
+#include "counter_check.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -159,14 +168,16 @@ core::FixedPointOptions legacy_options() {
 /// the code, not whatever else the machine was doing.
 constexpr int kRepetitions = 5;
 
-CaseResult time_case(const PerfCase& pc, bool legacy) {
+/// `quick` solves once, untimed warmup and repetitions skipped: a counter
+/// check that writes no report needs only the deterministic fields.
+CaseResult time_case(const PerfCase& pc, bool legacy, bool quick) {
   const auto model = pc.make();
   const core::FixedPointOptions opts =
       legacy ? legacy_options() : core::FixedPointOptions{};
   CaseResult out;
   out.name = pc.name;
-  (void)core::solve_fixed_point(*model, opts);  // untimed warmup
-  for (int rep = 0; rep < kRepetitions; ++rep) {
+  if (!quick) (void)core::solve_fixed_point(*model, opts);  // untimed warmup
+  for (int rep = 0; rep < (quick ? 1 : kRepetitions); ++rep) {
     const auto t0 = Clock::now();
     const auto r = core::solve_fixed_point(*model, opts);
     const double secs = seconds_since(t0);
@@ -237,7 +248,8 @@ SweepChainResult run_sweep_chain(const SweepModel& sm,
   return out;
 }
 
-int run_sweep_mode(bool warm, const std::string& out_path) {
+int run_sweep_mode(bool warm, const std::string& out_path,
+                   const std::string& check_path, bool quick) {
   const auto lambdas = sweep_lambdas();
   std::cout << "=== perf_ode: λ-sweep continuation ("
             << (warm ? "sweep-warm" : "sweep-cold") << " mode, "
@@ -256,7 +268,7 @@ int run_sweep_mode(bool warm, const std::string& out_path) {
     const auto chain = run_sweep_chain(sm, lambdas, warm);
     // Best-of-N wall time for the whole chain (evals are deterministic).
     double secs = 0.0;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (int rep = 0; rep < (quick ? 1 : kRepetitions); ++rep) {
       const auto t0 = Clock::now();
       (void)run_sweep_chain(sm, lambdas, warm);
       const double s = seconds_since(t0);
@@ -326,10 +338,18 @@ int run_sweep_mode(bool warm, const std::string& out_path) {
   doc["lambda_grid"] = "0.50 + 0.032j, j = 0..15";
   doc["sweep_cases"] = std::move(cases_json);
   doc["aggregate"] = std::move(aggregate);
-  std::ofstream out(out_path, std::ios::trunc);
-  out << doc.dump(2) << "\n";
-  std::cout << "wrote " << out_path << "\n";
-  return 0;
+  if (!quick) {
+    std::ofstream out(out_path, std::ios::trunc);
+    out << doc.dump(2) << "\n";
+    std::cout << "wrote " << out_path << "\n";
+  }
+  if (check_path.empty()) return 0;
+  return perf::check_counters(
+      check_path, doc, "sweep_cases",
+      warm ? std::vector<std::string>{"rhs_evals", "cold_rhs_evals",
+                                      "sojourn_last", "max_sojourn_dev",
+                                      "warm_rejections"}
+           : std::vector<std::string>{"rhs_evals", "sojourn_last"});
 }
 
 /// Pulls `"<key>": <v>` following `"name": "<name>"` out of a previously
@@ -358,6 +378,7 @@ std::string slurp(const std::string& path) {
 int main(int argc, char** argv) {
   std::string out_path;
   std::string baseline_path;
+  std::string check_path;
   bool legacy = false;
   int sweep = -1;  // -1 = not a sweep mode, else bool: warm?
   std::vector<std::string> positional;
@@ -371,10 +392,13 @@ int main(int argc, char** argv) {
       sweep = 1;
     } else if (arg == "--mode=sweep-cold") {
       sweep = 0;
+    } else if (arg.rfind("--check=", 0) == 0 && arg.size() > 8) {
+      check_path = arg.substr(8);
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "unknown flag " << arg
                 << " (usage: perf_ode [out.json] [baseline.json]"
-                   " [--mode=current|legacy|sweep-warm|sweep-cold])\n";
+                   " [--mode=current|legacy|sweep-warm|sweep-cold]"
+                   " [--check=<committed.json>])\n";
       return 2;
     } else {
       positional.push_back(arg);
@@ -385,7 +409,10 @@ int main(int argc, char** argv) {
   if (out_path.empty()) {
     out_path = sweep >= 0 ? "BENCH_ode_sweep.json" : "BENCH_ode.json";
   }
-  if (sweep >= 0) return run_sweep_mode(sweep == 1, out_path);
+  const bool quick = !check_path.empty() && positional.empty();
+  if (sweep >= 0) {
+    return run_sweep_mode(sweep == 1, out_path, check_path, quick);
+  }
   const std::string baseline =
       baseline_path.empty() ? "" : slurp(baseline_path);
   if (!baseline_path.empty() && baseline.empty()) {
@@ -408,7 +435,7 @@ int main(int argc, char** argv) {
   double comp_base_seconds = 0.0;
   for (const auto& pc : perf_cases()) {
     if (legacy && pc.modern_only) continue;
-    CaseResult r = time_case(pc, legacy);
+    CaseResult r = time_case(pc, legacy, quick);
     r.baseline_evals = baseline_value(baseline, r.name, "rhs_evals");
     r.baseline_seconds = baseline_value(baseline, r.name, "seconds");
     total_evals += r.rhs_evals;
@@ -491,8 +518,13 @@ int main(int argc, char** argv) {
   doc["repetitions"] = static_cast<std::size_t>(kRepetitions);
   doc["ode_cases"] = std::move(cases_json);
   doc["aggregate"] = std::move(aggregate);
-  std::ofstream out(out_path, std::ios::trunc);
-  out << doc.dump(2) << "\n";
-  std::cout << "wrote " << out_path << "\n";
-  return 0;
+  if (!quick) {
+    std::ofstream out(out_path, std::ios::trunc);
+    out << doc.dump(2) << "\n";
+    std::cout << "wrote " << out_path << "\n";
+  }
+  if (check_path.empty()) return 0;
+  return perf::check_counters(check_path, doc, "ode_cases",
+                              {"method", "final_truncation", "rhs_evals",
+                               "sojourn", "residual"});
 }

@@ -9,9 +9,13 @@
 // prints and embeds the per-case and aggregate speedups so perf
 // regressions show up as a diff.
 //
-//   perf_sim [out.json] [baseline.json]
+//   perf_sim [out.json] [baseline.json] [--check=<committed.json>]
 //
-// Defaults: out = BENCH_sim.json, no baseline. The sampled simulation
+// Defaults: out = BENCH_sim.json, no baseline. --check is the counter
+// gate: it exits 1 if any case's `events` differs from the committed
+// file. Given an out path, --check makes the full timed run and writes
+// its report there; without one it runs every case once (no warmup, no
+// timing repetitions) and writes no file. The sampled simulation
 // values are pinned by tests/sim_golden_trace_test.cpp; this harness only
 // tracks how fast the identical event sequence executes.
 #include <sys/resource.h>
@@ -24,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "counter_check.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
 #include "sim/simulator.hpp"
@@ -127,15 +132,17 @@ std::uint64_t event_count(const sim::SimResult& r) {
 /// shared single-core box the mean is dominated by preemption noise.
 constexpr int kRepetitions = 5;
 
-CaseResult time_case(const PerfCase& pc) {
+/// `quick` runs each seed once, untimed warmup skipped: a counter check
+/// that writes no report needs only the event counts.
+CaseResult time_case(const PerfCase& pc, bool quick) {
   const std::vector<std::uint64_t> seeds =
       pc.large ? std::vector<std::uint64_t>{1}
                : std::vector<std::uint64_t>{1, 2, 3};
-  const int reps = pc.large ? 2 : kRepetitions;
+  const int reps = quick ? 1 : pc.large ? 2 : kRepetitions;
   CaseResult out;
   out.name = pc.name;
   // Untimed warmup run: faults in the pages and stabilizes the clock.
-  {
+  if (!quick) {
     sim::SimConfig cfg = pc.cfg;
     cfg.seed = seeds[0];
     cfg.horizon = pc.cfg.horizon / 10.0;
@@ -228,8 +235,26 @@ std::string slurp(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_sim.json";
-  const std::string baseline_path = argc > 2 ? argv[2] : "";
+  std::vector<std::string> positional;
+  std::string check_path;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--check=", 0) == 0 && arg.size() > 8) {
+      check_path = arg.substr(8);
+    } else if (arg.rfind("--", 0) == 0) {
+      std::cerr << "unknown flag " << arg
+                << " (usage: perf_sim [out.json] [baseline.json]"
+                   " [--check=<committed.json>])\n";
+      return 2;
+    } else {
+      positional.push_back(arg);
+    }
+  }
+  const std::string out_path =
+      !positional.empty() ? positional[0] : "BENCH_sim.json";
+  const std::string baseline_path =
+      positional.size() > 1 ? positional[1] : "";
+  const bool quick = !check_path.empty() && positional.empty();
   const std::string baseline = baseline_path.empty() ? "" : slurp(baseline_path);
   if (!baseline_path.empty() && baseline.empty()) {
     std::cerr << "warning: baseline " << baseline_path << " not readable\n";
@@ -248,7 +273,7 @@ int main(int argc, char** argv) {
   for (auto& lc : large_cases()) cases.push_back(std::move(lc));
   for (const auto& pc : cases) {
     const CaseResult r = [&] {
-      CaseResult cr = time_case(pc);
+      CaseResult cr = time_case(pc, quick);
       cr.baseline_events_per_sec = baseline_rate(baseline, pc.name);
       return cr;
     }();
@@ -309,8 +334,11 @@ int main(int argc, char** argv) {
   doc["sim_cases"] = std::move(cases_json);
   doc["aggregate"] = std::move(aggregate);
   doc["runner"] = std::move(runner);
-  std::ofstream out(out_path, std::ios::trunc);
-  out << doc.dump(2) << "\n";
-  std::cout << "wrote " << out_path << "\n";
-  return 0;
+  if (!quick) {
+    std::ofstream out(out_path, std::ios::trunc);
+    out << doc.dump(2) << "\n";
+    std::cout << "wrote " << out_path << "\n";
+  }
+  if (check_path.empty()) return 0;
+  return perf::check_counters(check_path, doc, "sim_cases", {"events"});
 }

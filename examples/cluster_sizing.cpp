@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   });
   add("transfer r=0.5 (T=3)", [](double l) {
     return lsm::core::fixed_point_sojourn(
-        lsm::core::TransferTimeWS(l, 0.5, 3));
+        lsm::core::StagedTransferWS(l, 0.5, 1, 3));
   });
   table.print(std::cout);
   std::cout << "\nreading: a 1.10x headroom means 10% more load per machine "

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   models.push_back(lsm::core::make_model("multi-steal", lambda, {{"k", 2}}));
   models.push_back(std::make_unique<lsm::core::RebalanceWS>(lambda, 1.0));
   models.push_back(
-      std::make_unique<lsm::core::TransferTimeWS>(lambda, 1.0, 3));
+      lsm::core::make_model("transfer", lambda, {{"r", 1.0}, {"T", 3}}));
   models.push_back(std::make_unique<lsm::core::ErlangServiceWS>(lambda, 20));
   models.push_back(std::make_unique<lsm::core::WorkSharingWS>(lambda, 2));
   models.push_back(std::make_unique<lsm::core::ComposedWS>(

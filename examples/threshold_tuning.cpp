@@ -23,11 +23,12 @@ int main(int argc, char** argv) {
   double best_w = 1e300;
   std::size_t best_T = 0;
   for (std::size_t T = 2; T <= t_max; ++T) {
-    lsm::core::TransferTimeWS model(lambda, rate, T);
+    // One Exp(1/r) transfer stage: the registry's `transfer` model.
+    lsm::core::StagedTransferWS model(lambda, rate, 1, T);
     const auto fp = lsm::core::solve_fixed_point(model);
     const double w = model.mean_sojourn(fp.state);
     table.add_row({std::to_string(T), lsm::util::Table::fmt(w, 4),
-                   lsm::util::Table::fmt(fp.state[model.w_index(0)], 4)});
+                   lsm::util::Table::fmt(fp.state[model.w_index(1, 0)], 4)});
     if (w < best_w) {
       best_w = w;
       best_T = T;

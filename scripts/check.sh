@@ -3,8 +3,10 @@
 # over its full λ grids, a ThreadSanitizer pass over the
 # concurrency-sensitive pieces (work-stealing thread pool + experiment
 # runner), UBSan and ASan+UBSan passes over the solver stack (plus
-# parallel_map and the runner under ASan+UBSan), a warning-free build, and
-# report-only perf smokes against the committed baselines.
+# parallel_map and the runner under ASan+UBSan), a warning-free build, the
+# deterministic-counter gate against the committed BENCH files, and
+# report-only perf smokes (reports under build/perf/) against the
+# committed baselines.
 #
 #   scripts/check.sh               # everything (~4 min)
 #   SKIP_TSAN=1 scripts/check.sh   # skip the thread-sanitizer pass
@@ -251,7 +253,9 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   # runner's replication units write per-job slots the last unit then
   # reads, so test_parallel and test_exp_runner run here too. The daemon's protocol suite parses
   # hostile input into JSON trees and answers over sockets, so
-  # test_serve_protocol joins it from the UBSan leg.
+  # test_serve_protocol joins it from the UBSan leg. The transfer kernels
+  # also run under the integrator (test_trajectory) and through the
+  # Table 3 golden solves (test_golden_values).
   # test_hot_loop_alloc replaces operator new and stays on the UBSan leg.
   echo "== asan: LUs, ODE solvers, Anderson, lane kernels (phase-type included), the K-class model, the property suite, parallel_map, the runner and the daemon protocol under -fsanitize=address,undefined"
   cmake -B build-asan -G Ninja -DLSM_SANITIZE=address,undefined \
@@ -262,7 +266,7 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
     test_model_basic test_multi_class test_model_registry_sweep \
     test_banded test_anderson test_parallel test_exp_runner \
     test_model_reduction test_model_variants test_serve_protocol \
-    test_phase_type
+    test_phase_type test_trajectory test_golden_values
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   ./build-asan/tests/test_linalg
   ./build-asan/tests/test_ode
@@ -279,34 +283,41 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   ./build-asan/tests/test_exp_runner
   ./build-asan/tests/test_serve_protocol
   ./build-asan/tests/test_phase_type
+  ./build-asan/tests/test_trajectory
+  ./build-asan/tests/test_golden_values
 fi
 
+# The counter gate: evaluation counts, truncations, solver paths, sojourn
+# and residual bits of the fixed-point grids, and the simulator's event
+# counts, must equal the committed BENCH files exactly. Each grid runs
+# once: with the perf smokes on, that run also writes its report-only
+# numbers (wall time, events/sec, speedup vs the committed baseline files)
+# under build/perf/, never over the committed files. A change that moves a
+# counter must regenerate the committed file itself (run perf_ode or
+# perf_sim without --check, with the committed path as the out path) and
+# name the move in CHANGES.md.
+echo "== counters: perf_ode and perf_sim against the committed BENCH files"
+cmake --build build -j "$jobs" --target perf_ode perf_sim  # tier-1 build is Release
 if [ "${SKIP_PERF:-0}" != "1" ]; then
-  # Report-only: prints per-case and aggregate speedup vs the committed
-  # baseline (bench/perf/BENCH_sim.baseline.json, recorded from the
-  # pre-overhaul engine). A regression shows up as a shrinking speedup
-  # column in the BENCH_sim.json diff; nothing here fails the gate, since
-  # shared-runner machines are too noisy for a hard threshold.
-  echo "== perf smoke: simulator events/sec vs committed baseline (report-only)"
-  cmake --build build -j "$jobs" --target perf_sim  # tier-1 build is Release
-  ./build/bench/perf/perf_sim bench/perf/BENCH_sim.json \
-    bench/perf/BENCH_sim.baseline.json
-
-  # Same report-only contract for the fixed-point engine: rhs-eval counts
-  # are deterministic, so a real regression shows as a shrinking
-  # "eval redux" column in the BENCH_ode.json diff even on noisy machines.
-  echo "== perf smoke: ODE rhs evals vs committed baseline (report-only)"
-  cmake --build build -j "$jobs" --target perf_ode
-  ./build/bench/perf/perf_ode bench/perf/BENCH_ode.json \
-    bench/perf/BENCH_ode.baseline.json
-
-  # λ-sweep continuation: runs the 6-model x 16-λ grid through the warm
-  # chain AND the cold per-point solves in one process; a regression
-  # shows as a shrinking eval_reduction (warm vs cold) or a growing
-  # max_sojourn_dev in the BENCH_ode_sweep.json diff.
-  echo "== perf smoke: warm vs cold λ-sweep chains (report-only)"
-  ./build/bench/perf/perf_ode bench/perf/BENCH_ode_sweep.json \
-    --mode=sweep-warm
+  # Report-only: wall times on shared machines are too noisy for a hard
+  # threshold. A simulator regression shows as a shrinking speedup column
+  # against BENCH_sim.baseline.json (the pre-overhaul engine); a solver
+  # regression as a shrinking "eval redux" against BENCH_ode.baseline.json;
+  # a continuation regression as a shrinking warm-vs-cold eval_reduction
+  # or a growing max_sojourn_dev in the sweep report.
+  echo "== perf smoke: reports in build/perf/ (report-only beyond the counters)"
+  mkdir -p build/perf
+  ./build/bench/perf/perf_sim build/perf/BENCH_sim.json \
+    bench/perf/BENCH_sim.baseline.json --check=bench/perf/BENCH_sim.json
+  ./build/bench/perf/perf_ode build/perf/BENCH_ode.json \
+    bench/perf/BENCH_ode.baseline.json --check=bench/perf/BENCH_ode.json
+  ./build/bench/perf/perf_ode build/perf/BENCH_ode_sweep.json \
+    --mode=sweep-warm --check=bench/perf/BENCH_ode_sweep.json
+else
+  ./build/bench/perf/perf_sim --check=bench/perf/BENCH_sim.json
+  ./build/bench/perf/perf_ode --check=bench/perf/BENCH_ode.json
+  ./build/bench/perf/perf_ode --mode=sweep-warm \
+    --check=bench/perf/BENCH_ode_sweep.json
 fi
 
 echo "check: all green"

@@ -44,7 +44,8 @@ bool ladders(const MeanFieldModel& model, const FixedPointOptions& opts) {
 }
 
 std::string solve_label(const MeanFieldModel& model) {
-  return "model=" + model.name() + " lambda=" + std::to_string(model.lambda()) +
+  return "model=" + model.name() +
+         " lambda=" + util::Json::number_to_string(model.lambda()) +
          " L=" + std::to_string(model.truncation());
 }
 
@@ -132,13 +133,13 @@ void polish(const MeanFieldModel& model, FixedPointResult& result,
                                              reuse);
     result.rhs_evals += counted.evals();
     // Inexact Newton may stop shy of polish_tol on a hard system; any
-    // residual improvement is still worth keeping (polished stays honest:
-    // it means the full polish_tol target was reached).
+    // residual improvement is still worth keeping. `polished` means the
+    // kept residual reached polish_tol, whichever pass reached it.
     if (nk.residual_norm < result.residual) {
       result.state = std::move(nk.state);
       result.residual = nk.residual_norm;
-      result.polished = nk.converged;
     }
+    result.polished = result.residual <= opts.polish_tol;
     return;
   }
   ode::NewtonOptions nopts;

@@ -96,7 +96,7 @@ struct FixedPointOptions {
 struct FixedPointResult {
   ode::State state;
   double residual = 0.0;   ///< final ||f(s)||_inf
-  bool polished = false;   ///< Newton phase ran and converged
+  bool polished = false;   ///< Newton phase reached residual <= polish_tol
   double relax_time = 0.0; ///< virtual time used by explicit relaxation
   /// Iterative path that produced the pre-polish state (Anderson, Krylov,
   /// or Relax after a fallback) at the final ladder rung.

@@ -30,8 +30,8 @@ class MeanFieldModel : public ode::OdeSystem {
   [[nodiscard]] std::size_t dimension() const override { return trunc_ + 1; }
 
   /// Number of packed tail vectors of length truncation() + 1 making up
-  /// the state: 1 for the plain models, 2 for TransferTimeWS, K for
-  /// MultiClassWS, c + 1 for StagedTransferWS.
+  /// the state: 1 for the plain models, K for MultiClassWS, c + 1 for
+  /// StagedTransferWS (2 for the exponential transfer, c = 1).
   /// Models with a multi-segment layout MUST override this alongside
   /// dimension() so the generic truncation machinery (tail_mass,
   /// resized_tail_state) can find each segment's tail.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace lsm::core {
 
@@ -352,7 +353,7 @@ PhaseTypeTransferWS::PhaseTypeTransferWS(double lambda, double transfer_rate,
                                          std::size_t threshold,
                                          std::size_t truncation)
     // Transfer latency throttles steals, so tails decay noticeably slower
-    // than in the instant-steal models (cf. TransferTimeWS).
+    // than in the instant-steal models (cf. StagedTransferWS).
     : MeanFieldModel(
           lambda,
           truncation != 0
@@ -373,7 +374,7 @@ PhaseTypeTransferWS::PhaseTypeTransferWS(double lambda, double transfer_rate,
 }
 
 std::string PhaseTypeTransferWS::name() const {
-  return "ph-transfer-ws(r=" + std::to_string(rate_) +
+  return "ph-transfer-ws(r=" + util::Json::number_to_string(rate_) +
          ",T=" + std::to_string(threshold_) + ",svc=" + service_.label() +
          ")";
 }

@@ -131,10 +131,12 @@ class PhaseTypeSharing final : public PhaseTypeModelBase {
   [[nodiscard]] double message_rate(const ode::State& x) const;
 };
 
-/// Stealing with Exp(1/r) transfer latency (TransferTimeWS, Section 3.2)
-/// under phase-type service. State: 2p segments of length L+1 -- p
-/// "not-awaiting" classes u_{i,j} followed by p "awaiting a stolen task"
-/// classes v_{i,j}, each segment [head, tail...] with dynamic heads
+/// Stealing with Exp(1/r) transfer latency (Section 3.2) under phase-type
+/// service; under exponential service the same model is StagedTransferWS
+/// with c = 1 stage, which the registry's `transfer` builds. State: 2p
+/// segments of length L+1 -- p "not-awaiting" classes u_{i,j} followed by
+/// p "awaiting a stolen task" classes v_{i,j}, each segment [head,
+/// tail...] with dynamic heads
 /// h_j = u_{1,j} + alpha_j idle_u and g_j = v_{1,j} + alpha_j idle_w
 /// (sum_j h_j + sum_j g_j = 1 is conserved).
 class PhaseTypeTransferWS final : public MeanFieldModel {
@@ -168,7 +170,7 @@ class PhaseTypeTransferWS final : public MeanFieldModel {
   [[nodiscard]] ode::State empty_state() const override;
 
   /// E[N] counts the in-transit task of every awaiting processor, like
-  /// TransferTimeWS: sum_j g_j + sum_{i>=1,j} (u_{i,j} + v_{i,j}).
+  /// StagedTransferWS: sum_j g_j + sum_{i>=1,j} (u_{i,j} + v_{i,j}).
   [[nodiscard]] double mean_tasks(const ode::State& s) const override;
 
   /// Serving fraction sum_j (u_{1,j} + v_{1,j}).

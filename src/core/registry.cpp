@@ -12,7 +12,6 @@
 #include "core/rebalance_ws.hpp"
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
-#include "core/transfer_ws.hpp"
 #include "core/work_sharing.hpp"
 #include "util/error.hpp"
 
@@ -269,8 +268,8 @@ std::unique_ptr<MeanFieldModel> build_model(const ModelSpec& spec,
       return std::make_unique<PhaseTypeTransferWS>(
           lambda, get(params, "r", 0.25), svc.dist, T, L);
     }
-    return std::make_unique<TransferTimeWS>(lambda, get(params, "r", 0.25), T,
-                                            L);
+    return std::make_unique<StagedTransferWS>(lambda, get(params, "r", 0.25),
+                                              1, T, L);
   }
   if (name == "staged-transfer") {
     return std::make_unique<StagedTransferWS>(

@@ -1,13 +1,16 @@
 #include "core/staged_transfer_ws.hpp"
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace lsm::core {
 
 StagedTransferWS::StagedTransferWS(double lambda, double transfer_rate,
                                    std::size_t stages, std::size_t threshold,
                                    std::size_t truncation)
-    // Same slower-tail consideration as TransferTimeWS.
+    // Transfer latency throttles the steal rate, so the tails decay
+    // noticeably slower than in the instant-steal models; inflate the
+    // automatic truncation accordingly (verified against L-doubling).
     : MeanFieldModel(lambda,
                      truncation != 0
                          ? truncation
@@ -24,7 +27,7 @@ StagedTransferWS::StagedTransferWS(double lambda, double transfer_rate,
 }
 
 std::string StagedTransferWS::name() const {
-  return "staged-transfer-ws(r=" + std::to_string(rate_) +
+  return "staged-transfer-ws(r=" + util::Json::number_to_string(rate_) +
          ",c=" + std::to_string(stages_) +
          ",T=" + std::to_string(threshold_) + ")";
 }

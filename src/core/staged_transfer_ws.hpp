@@ -1,17 +1,31 @@
-// Transfer latency through Erlang stages (paper, Section 3.2 final remark:
-// the transfer time "can also be modeled as a fixed constant, or some
-// other distribution, using the technique of Section 3.1").
+// Stealing with non-zero transfer time (paper, Section 3.2), with the
+// transfer latency through Erlang stages (the section's final remark: the
+// transfer time "can also be modeled as a fixed constant, or some other
+// distribution, using the technique of Section 3.1").
 //
-// A transfer consists of c stages, each exponential with rate c*r, so the
-// total has mean 1/r and variance 1/(c r^2) -> a constant transfer time
-// as c grows. State: the non-waiting tail vector s_i plus one waiting
-// tail vector w^{(m)}_i per remaining-stage count m = 1..c.
+// A thief awaiting a stolen task will not steal again. A transfer consists
+// of c stages, each exponential with rate c*r, so the total has mean 1/r
+// and variance 1/(c r^2): c = 1 is the paper's Exp(1/r) transfer (the
+// registry's `transfer`), and the transfer time tends to a constant as c
+// grows. State: the non-waiting tail vector s_i plus one waiting tail
+// vector w^{(m)}_i per remaining-stage count m = 1..c (s_0 + sum_m
+// w^{(m)}_0 = 1 is conserved; the in-transit task itself is counted by
+// the w^{(m)}_0 when computing E[N]).
 //
 //   steal start   : s -> w^{(c)} at rate (s_1 - s_2)(s_T + sum_m w^{(m)}_T)
 //   stage progress: w^{(m)} -> w^{(m-1)} at rate c r   (m >= 2)
 //   delivery      : w^{(1)} -> s gaining one task at rate c r
 //
-// c = 1 reduces exactly to TransferTimeWS.
+// At c = 1 that is
+//   ds_0/dt = r w_0 - (s_1 - s_2)(s_T + w_T)
+//   ds_i/dt = l(s_{i-1} - s_i) + r w_{i-1} - (s_i - s_{i+1}),   1 <= i < T
+//   ds_i/dt = ... - (s_i - s_{i+1})(s_1 - s_2),                     i >= T
+//   dw_0/dt = -r w_0 + (s_1 - s_2)(s_T + w_T)
+//   dw_i/dt = l(w_{i-1} - w_i) - r w_i - (w_i - w_{i+1}),       1 <= i < T
+//   dw_i/dt = ... - (w_i - w_{i+1})(s_1 - s_2),                     i >= T
+//
+// Victims may be stolen from while awaiting a task themselves (the
+// sum_m w^{(m)}_T in the success probability).
 #pragma once
 
 #include "core/model.hpp"
@@ -52,7 +66,7 @@ class StagedTransferWS final : public MeanFieldModel {
   }
 
   /// E[N]: queued tasks in all classes plus one in-transit task per
-  /// waiting processor.
+  /// waiting processor; at c = 1, sum_{i>=1} s_i + sum_{i>=0} w_i.
   [[nodiscard]] double mean_tasks(const ode::State& s) const override;
 
   /// Index of w^{(m)}_i in the packed state (m in 1..c).

@@ -20,7 +20,6 @@
 #include "core/registry.hpp"         // IWYU pragma: export
 #include "core/staged_transfer_ws.hpp"  // IWYU pragma: export
 #include "core/threshold_ws.hpp"     // IWYU pragma: export
-#include "core/transfer_ws.hpp"      // IWYU pragma: export
 #include "core/work_sharing.hpp"     // IWYU pragma: export
 #include "exp/runner.hpp"            // IWYU pragma: export
 #include "exp/spec.hpp"              // IWYU pragma: export

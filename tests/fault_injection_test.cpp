@@ -177,6 +177,9 @@ TEST(SolverBudget, EvalBudgetFailsInsteadOfLooping) {
     FAIL() << "expected util::FailureError";
   } catch (const util::FailureError& e) {
     EXPECT_EQ(e.failure().kind, util::FailureKind::SolverBudget);
+    // The solve label prints λ losslessly.
+    EXPECT_NE(e.failure().context.find(" lambda=0.95 "), std::string::npos)
+        << e.failure().context;
   }
 }
 

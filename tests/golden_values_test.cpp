@@ -9,7 +9,7 @@
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "core/threshold_ws.hpp"
-#include "core/transfer_ws.hpp"
+#include "core/staged_transfer_ws.hpp"
 
 namespace {
 
@@ -63,7 +63,7 @@ TEST(Golden, Table3TransferEstimates) {
       {0.95, 3, 13.154}, {0.95, 6, 12.968},
   };
   for (const auto& r : rows) {
-    core::TransferTimeWS model(r.lambda, 0.25, r.T);
+    core::StagedTransferWS model(r.lambda, 0.25, 1, r.T);
     EXPECT_NEAR(core::fixed_point_sojourn(model), r.expected, 4e-3)
         << "lambda=" << r.lambda << " T=" << r.T;
   }

@@ -12,7 +12,7 @@
 #include "core/multi_class_ws.hpp"
 #include "core/rebalance_ws.hpp"
 #include "core/threshold_ws.hpp"
-#include "core/transfer_ws.hpp"
+#include "core/staged_transfer_ws.hpp"
 
 namespace {
 
@@ -136,13 +136,13 @@ TEST(FixedPointSolver, MatchesAnalyticThresholdWS) {
 }
 
 TEST(FixedPointSolver, TransferModelConservesClassMass) {
-  core::TransferTimeWS model(0.8, 0.25, 4);
+  core::StagedTransferWS model(0.8, 0.25, 1, 4);
   const auto fp = core::solve_fixed_point(model);
   EXPECT_LT(fp.residual, 1e-9);
   const auto& x = fp.state;
-  EXPECT_NEAR(x[0] + x[model.w_index(0)], 1.0, 1e-9);
+  EXPECT_NEAR(x[0] + x[model.w_index(1, 0)], 1.0, 1e-9);
   // Throughput: service happens in both classes; s_1 + w_1 = lambda.
-  EXPECT_NEAR(x[1] + x[model.w_index(1)], 0.8, 1e-8);
+  EXPECT_NEAR(x[1] + x[model.w_index(1, 1)], 0.8, 1e-8);
 }
 
 TEST(FixedPointSolver, HeterogeneousThroughputBalance) {

@@ -17,7 +17,7 @@
 #include "core/no_stealing.hpp"
 #include "core/registry.hpp"
 #include "core/threshold_ws.hpp"
-#include "core/transfer_ws.hpp"
+#include "core/staged_transfer_ws.hpp"
 #include "reference_rhs.hpp"
 
 namespace {
@@ -169,7 +169,7 @@ TEST(Reduction, FastTransferApproachesInstantStealing) {
   const double instant = th.analytic_sojourn();
   double prev_gap = 1e9;
   for (double r : {2.0, 8.0, 32.0}) {
-    core::TransferTimeWS xfer(0.8, r, 2);
+    core::StagedTransferWS xfer(0.8, r, 1, 2);
     const auto fp = core::solve_fixed_point(xfer);
     const double gap = xfer.mean_sojourn(fp.state) - instant;
     EXPECT_GT(gap, 0.0) << "transfers cost time, r=" << r;

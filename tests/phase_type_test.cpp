@@ -14,7 +14,7 @@
 #include "core/phase_type_ws.hpp"
 #include "core/registry.hpp"
 #include "core/threshold_ws.hpp"
-#include "core/transfer_ws.hpp"
+#include "core/staged_transfer_ws.hpp"
 #include "core/work_sharing.hpp"
 #include "exp/spec.hpp"
 #include "sim/distributions.hpp"
@@ -255,7 +255,7 @@ TEST(PhaseTypeModels, ExponentialServiceReducesToLegacyModels) {
   }
   {
     const core::PhaseTypeTransferWS ph_model(0.8, 1.0, exp1, 2);
-    const core::TransferTimeWS legacy(0.8, 1.0, 2);
+    const core::StagedTransferWS legacy(0.8, 1.0, 1, 2);
     const auto fp = core::solve_fixed_point(ph_model);
     const auto fl = core::solve_fixed_point(legacy);
     EXPECT_NEAR(ph_model.mean_sojourn(fp.state), legacy.mean_sojourn(fl.state),

@@ -7,7 +7,9 @@
 // each keeps its own recurrence here, next to the composed model's general
 // recurrence, the oracle for policies that vary several dimensions.
 // The two-class recurrence of §3.5 sits here too, as the reference for the
-// K-class model at K = 2, next to the K-class, constant-service (§3.1),
+// K-class model at K = 2, and the exponential-transfer recurrence of §3.2,
+// the reference for the staged-transfer model at c = 1 stage; next to them
+// are the K-class, constant-service (§3.1),
 // staged-transfer (§3.2), load-dependent arrival (§3.5), re-balancing
 // (§3.4, as the O(L^2) difference-array scatter over load pairs) and
 // phase-type recurrences.
@@ -32,7 +34,6 @@
 #include "core/rebalance_ws.hpp"
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
-#include "core/transfer_ws.hpp"
 #include "core/work_sharing.hpp"
 #include "ode/state.hpp"
 #include "util/error.hpp"
@@ -270,6 +271,8 @@ inline void composed_family(double lambda, const core::ComposedPolicy& p,
 }
 
 /// Section 3.2: Exp(1/r) transfer time, packed state [s_0..s_L, w_0..w_L].
+/// The derivative of StagedTransferWS with c = 1 stage (the registry's
+/// `transfer`) must reproduce it bit for bit.
 inline void transfer(double lambda, double rate, std::size_t T, std::size_t L,
                      const ode::State& x, ode::State& dx) {
   const std::size_t W = L + 1;  // offset of the w block
@@ -296,6 +299,17 @@ inline void transfer(double lambda, double rate, std::size_t T, std::size_t L,
     if (i >= T) d -= (w(i) - w(i + 1)) * thief_rate;
     dx[W + i] = d;
   }
+}
+
+/// Mean tasks per processor of the transfer state: w_0 (one in-transit
+/// task per waiting processor) plus s_i + w_i summed from level L down
+/// to 1.
+inline double transfer_mean_tasks(std::size_t L, const ode::State& x) {
+  const std::size_t W = L + 1;
+  LSM_ASSERT(x.size() == 2 * W);
+  double acc = x[W];
+  for (std::size_t i = L; i >= 1; --i) acc += x[i] + x[W + i];
+  return acc;
 }
 
 /// Section 3.5: two processor classes, fraction f fast at rate mu_f and the
@@ -698,9 +712,6 @@ inline void deriv(const core::MeanFieldModel& model, double lambda,
     work_sharing(lambda, sh->share_threshold(), L, s, ds);
   } else if (const auto* cw = dynamic_cast<const core::ComposedWS*>(&model)) {
     composed_family(lambda, cw->policy(), L, s, ds);
-  } else if (const auto* tr =
-                 dynamic_cast<const core::TransferTimeWS*>(&model)) {
-    transfer(lambda, tr->transfer_rate(), tr->threshold(), L, s, ds);
   } else if (const auto* mc =
                  dynamic_cast<const core::MultiClassWS*>(&model)) {
     multi_class(lambda, mc->classes(), mc->threshold(), L, s, ds);
@@ -709,8 +720,12 @@ inline void deriv(const core::MeanFieldModel& model, double lambda,
     erlang(lambda, er->stages(), L, s, ds);
   } else if (const auto* st =
                  dynamic_cast<const core::StagedTransferWS*>(&model)) {
-    staged_transfer(lambda, st->transfer_rate(), st->stages(),
-                    st->threshold(), L, s, ds);
+    if (st->stages() == 1) {
+      transfer(lambda, st->transfer_rate(), st->threshold(), L, s, ds);
+    } else {
+      staged_transfer(lambda, st->transfer_rate(), st->stages(),
+                      st->threshold(), L, s, ds);
+    }
   } else if (const auto* ga =
                  dynamic_cast<const core::GeneralArrivalWS*>(&model)) {
     general_arrival([&](std::size_t j) { return ga->arrival_rate(j); },
@@ -738,9 +753,7 @@ inline void root_residual(const core::MeanFieldModel& model, double lambda,
                           const ode::State& s, ode::State& f) {
   deriv(model, lambda, s, f);
   const std::size_t W = model.truncation() + 1;
-  if (const auto* tr = dynamic_cast<const core::TransferTimeWS*>(&model)) {
-    f[tr->w_index(0)] = 1.0 - s[0] - s[tr->w_index(0)];
-  } else if (const auto* mc =
+  if (const auto* mc =
                  dynamic_cast<const core::MultiClassWS*>(&model)) {
     for (std::size_t c = 0; c < mc->classes().size(); ++c) {
       f[c * W] = mc->classes()[c].fraction - s[c * W];

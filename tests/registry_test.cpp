@@ -66,6 +66,24 @@ TEST(Registry, ComposedTakesAllKnobs) {
   EXPECT_EQ(name_of("composed"), "composed-ws(T=2)");
 }
 
+TEST(Registry, TransferNamesPrintTheRateLosslessly) {
+  // `transfer` is the one-stage staged-transfer model; every transfer
+  // model prints r in shortest round-trip form, so distinct rates never
+  // share a name.
+  EXPECT_EQ(core::make_model("transfer", 0.9, {{"r", 4e-7}})->name(),
+            "staged-transfer-ws(r=4e-07,c=1,T=2)");
+  EXPECT_EQ(core::make_model("transfer", 0.9)->name(),
+            "staged-transfer-ws(r=0.25,c=1,T=2)");
+  EXPECT_EQ(core::make_model("staged-transfer", 0.9, {{"r", 0.1}, {"c", 3}})
+                ->name(),
+            "staged-transfer-ws(r=0.1,c=3,T=2)");
+  EXPECT_EQ(core::make_model("transfer", 0.9,
+                             {{"r", 4e-7}, {"service", "hyperexp:4"}})
+                ->name()
+                .rfind("ph-transfer-ws(r=4e-07,T=2,svc=", 0),
+            0u);
+}
+
 TEST(Registry, MultiStealDefaultsThresholdToTwiceK) {
   // k=3 without T must not violate the k <= T/2 constraint.
   const auto model = core::make_model("multi-steal", 0.9, {{"k", 3}});

@@ -14,7 +14,6 @@
 #include "core/rebalance_ws.hpp"
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
-#include "core/transfer_ws.hpp"
 #include "sim/replicate.hpp"
 
 namespace {
@@ -100,7 +99,7 @@ TEST(SimVsModel, TransferTime) {
   cfg.policy = sim::StealPolicy::with_transfer(4.0, 4);  // r = 0.25
   const double sim_w = sim_sojourn(cfg, lambda);
   const double model_w =
-      core::fixed_point_sojourn(core::TransferTimeWS(lambda, 0.25, 4));
+      core::fixed_point_sojourn(core::StagedTransferWS(lambda, 0.25, 1, 4));
   EXPECT_NEAR(sim_w / model_w, 1.0, 0.05);
 }
 

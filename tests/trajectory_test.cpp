@@ -10,7 +10,6 @@
 #include "core/registry.hpp"
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
-#include "core/transfer_ws.hpp"
 #include "ode/integrator.hpp"
 #include "ode/steppers.hpp"
 
@@ -56,9 +55,9 @@ TEST(Trajectory, TailMonotonicityPreserved) {
 }
 
 TEST(Trajectory, TransferClassMassConserved) {
-  core::TransferTimeWS model(0.9, 0.25, 4);
+  core::StagedTransferWS model(0.9, 0.25, 1, 4);
   along_trajectory(model, 20.0, [&](double t, const State& x) {
-    ASSERT_NEAR(x[0] + x[model.w_index(0)], 1.0, 1e-7) << "t=" << t;
+    ASSERT_NEAR(x[0] + x[model.w_index(1, 0)], 1.0, 1e-7) << "t=" << t;
   });
 }
 
