@@ -15,7 +15,8 @@
 // Defaults: out = BENCH_ode.json, no baseline, mode = current. --check
 // is the counter gate: it exits 1 if any deterministic field of the run
 // differs from the committed file, doubles bit for bit (`method`,
-// `final_truncation`, `rhs_evals`, `sojourn`, `residual`; in the sweep
+// `final_truncation`, `rhs_evals`, `sojourn`, `residual`, `fellback`:
+// whether Anderson gave up and relaxation finished; in the sweep
 // modes `rhs_evals`, `sojourn_last` and, warm, `cold_rhs_evals`,
 // `max_sojourn_dev`, `warm_rejections`). Given an out path, --check
 // makes the full timed run and writes its report there; without one it
@@ -83,6 +84,7 @@ struct CaseResult {
   double residual = 0.0;
   std::string method;
   std::size_t final_truncation = 0;
+  bool fellback = false;
   double baseline_evals = 0.0;   // 0 = no baseline
   double baseline_seconds = 0.0;
 };
@@ -187,6 +189,7 @@ CaseResult time_case(const PerfCase& pc, bool legacy, bool quick) {
     out.residual = r.residual;
     out.method = ode::to_string(r.method);
     out.final_truncation = r.final_truncation;
+    out.fellback = r.fellback;
   }
   return out;
 }
@@ -468,6 +471,7 @@ int main(int argc, char** argv) {
     j["seconds"] = r.seconds;
     j["sojourn"] = r.sojourn;
     j["residual"] = r.residual;
+    j["fellback"] = r.fellback;
     if (has_base) {
       j["baseline_rhs_evals"] = r.baseline_evals;
       j["eval_reduction"] =
@@ -526,5 +530,5 @@ int main(int argc, char** argv) {
   if (check_path.empty()) return 0;
   return perf::check_counters(check_path, doc, "ode_cases",
                               {"method", "final_truncation", "rhs_evals",
-                               "sojourn", "residual"});
+                               "sojourn", "residual", "fellback"});
 }

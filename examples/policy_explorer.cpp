@@ -38,13 +38,11 @@ int main(int argc, char** argv) {
   struct Row {
     std::string name;
     double sojourn;
-    double busy;
   };
   std::vector<Row> rows;
   for (const auto& m : models) {
     const auto fp = lsm::core::solve_fixed_point(*m);
-    rows.push_back({m->name(), m->mean_sojourn(fp.state),
-                    lsm::core::busy_fraction(fp.state)});
+    rows.push_back({m->name(), m->mean_sojourn(fp.state)});
   }
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.sojourn < b.sojourn; });

@@ -15,9 +15,6 @@ namespace lsm::core {
 [[nodiscard]] double tail_decay_ratio(const ode::State& pi, std::size_t begin,
                                       double floor = 1e-10);
 
-/// Fraction of processors that are busy (load >= 1) in state s.
-[[nodiscard]] inline double busy_fraction(const ode::State& s) { return s[1]; }
-
 /// Integrates a static/drain model until the expected work per processor
 /// falls below `epsilon`; returns the drain time (Section 3.5). The model
 /// must have zero external arrivals for this to terminate.

@@ -36,6 +36,16 @@ double MeanFieldModel::mean_tasks(const ode::State& s) const {
   return acc;
 }
 
+double MeanFieldModel::busy_fraction(const ode::State& s) const {
+  const std::size_t len = trunc_ + 1;
+  LSM_ASSERT(s.size() == tail_segments() * len);
+  double busy = 0.0;
+  for (std::size_t seg = 0; seg < tail_segments(); ++seg) {
+    busy += s[seg * len + 1];
+  }
+  return busy;
+}
+
 double MeanFieldModel::mean_sojourn(const ode::State& s) const {
   LSM_EXPECT(lambda_ > 0.0, "mean sojourn undefined for lambda = 0");
   return mean_tasks(s) / lambda_;

@@ -30,8 +30,9 @@ class MeanFieldModel : public ode::OdeSystem {
   [[nodiscard]] std::size_t dimension() const override { return trunc_ + 1; }
 
   /// Number of packed tail vectors of length truncation() + 1 making up
-  /// the state: 1 for the plain models, K for MultiClassWS, c + 1 for
-  /// StagedTransferWS (2 for the exponential transfer, c = 1).
+  /// the state: 1 for the plain models, K for MultiClassWS, p for the
+  /// phase-type models, (c + 1) p for StagedTransferWS (2 for the
+  /// exponential transfer, c = 1).
   /// Models with a multi-segment layout MUST override this alongside
   /// dimension() so the generic truncation machinery (tail_mass,
   /// resized_tail_state) can find each segment's tail.
@@ -86,11 +87,10 @@ class MeanFieldModel : public ode::OdeSystem {
   /// E[T] = E[N] / lambda. The quantity reported in the paper's tables.
   [[nodiscard]] virtual double mean_sojourn(const ode::State& s) const;
 
-  /// Fraction of busy (load >= 1) processors: s_1 for the plain tail
-  /// layout; phase-type models sum their per-phase occupancies.
-  [[nodiscard]] virtual double busy_fraction(const ode::State& s) const {
-    return s[1];
-  }
+  /// Fraction of busy (load >= 1) processors: row 1 summed over the
+  /// tail_segments() segments (s_1 for the plain tail layout; every
+  /// class's and phase's occupancy for the segmented models).
+  [[nodiscard]] double busy_fraction(const ode::State& s) const;
 
   /// Clamp to [0,1], pin s_0 = 1, restore the non-increasing tail property.
   /// Overridden by models whose state is not a single monotone tail vector.

@@ -27,7 +27,9 @@
 // completing their final task) and success probability s_T =
 // sum_k u_{T,k}. At p = 1 this reduces term-by-term to ThresholdWS;
 // threshold = 0 disables stealing entirely (independent M/PH/1 queues,
-// the Pollaczek-Khinchine validation target).
+// the Pollaczek-Khinchine validation target). Stealing with transfer
+// latency under phase-type service is StagedTransferWS, which shares
+// detail::PhaseView with these kernels.
 #pragma once
 
 #include "core/model.hpp"
@@ -62,12 +64,6 @@ class PhaseTypeModelBase : public MeanFieldModel {
 
   /// E[N] = sum_{i>=1} sum_j u_{i,j}.
   [[nodiscard]] double mean_tasks(const ode::State& s) const override;
-
-  /// Busy fraction B = sum_k u_{1,k}.
-  [[nodiscard]] double busy(const ode::State& s) const;
-  [[nodiscard]] double busy_fraction(const ode::State& s) const override {
-    return busy(s);
-  }
 
  protected:
   PhaseTypeModelBase(double lambda, PhaseType service, std::size_t threshold,
@@ -131,65 +127,79 @@ class PhaseTypeSharing final : public PhaseTypeModelBase {
   [[nodiscard]] double message_rate(const ode::State& x) const;
 };
 
-/// Stealing with Exp(1/r) transfer latency (Section 3.2) under phase-type
-/// service; under exponential service the same model is StagedTransferWS
-/// with c = 1 stage, which the registry's `transfer` builds. State: 2p
-/// segments of length L+1 -- p "not-awaiting" classes u_{i,j} followed by
-/// p "awaiting a stolen task" classes v_{i,j}, each segment [head,
-/// tail...] with dynamic heads
-/// h_j = u_{1,j} + alpha_j idle_u and g_j = v_{1,j} + alpha_j idle_w
-/// (sum_j h_j + sum_j g_j = 1 is conserved).
-class PhaseTypeTransferWS final : public MeanFieldModel {
- public:
-  PhaseTypeTransferWS(double lambda, double transfer_rate, PhaseType service,
-                      std::size_t threshold, std::size_t truncation = 0);
-
-  [[nodiscard]] std::size_t dimension() const override {
-    return 2 * service_.phases() * (trunc_ + 1);
-  }
-  [[nodiscard]] std::size_t tail_segments() const override {
-    return 2 * service_.phases();
-  }
-
-  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
-                               double* dx) const override;
-  /// The kernel with the 2p head rows replaced by the conservation,
-  /// awaiting-balance and head-slaving constraints.
-  [[nodiscard]] bool root_residual_batch(std::size_t nb, const double* x,
-                                         double* f) const override;
-  [[nodiscard]] std::string name() const override;
-  void project(ode::State& s) const override;
-
-  [[nodiscard]] const PhaseType& service() const noexcept { return service_; }
-  [[nodiscard]] double transfer_rate() const noexcept { return rate_; }
-  [[nodiscard]] std::size_t threshold() const noexcept { return threshold_; }
-  [[nodiscard]] std::size_t min_truncation() const override {
-    return threshold_ + 3;
-  }
-
-  [[nodiscard]] ode::State empty_state() const override;
-
-  /// E[N] counts the in-transit task of every awaiting processor, like
-  /// StagedTransferWS: sum_j g_j + sum_{i>=1,j} (u_{i,j} + v_{i,j}).
-  [[nodiscard]] double mean_tasks(const ode::State& s) const override;
-
-  /// Serving fraction sum_j (u_{1,j} + v_{1,j}).
-  [[nodiscard]] double busy_fraction(const ode::State& s) const override;
-
- private:
-  [[nodiscard]] std::size_t seg(std::size_t cls, std::size_t j) const {
-    return (cls * service_.phases() + j) * (trunc_ + 1);
-  }
-
-  PhaseType service_;
-  double rate_;
-  std::size_t threshold_;
-};
-
 /// Truncation adequate for phase-type service: near saturation the queue
 /// tail of an M/PH/1-like station decays at roughly
 /// 1 - 2 (1 - lambda) / (1 + scv) per task, so high-SCV service needs a
 /// substantially deeper tail than the exponential default_truncation.
 [[nodiscard]] std::size_t phase_type_truncation(double lambda, double scv);
+
+namespace detail {
+
+/// Raw views of a service distribution for the lane kernels' inner loops:
+/// locals, so stores through dx cannot force their reload. Sums run over
+/// k in order from 0.0, as the recurrences write them. `u` points at lane
+/// row i of a class's first phase segment; the class's segments lie
+/// `seg` = W nb components apart.
+struct PhaseView {
+  explicit PhaseView(const PhaseType& svc)
+      : p(svc.phases()),
+        alpha(svc.alpha().data()),
+        S(svc.subgenerator().data()),
+        t(svc.exit_rates().data()) {}
+
+  /// Lane l's phase mix M_{i,j} = sum_k S_kj u_{i,k}.
+  [[nodiscard]] double mix(const double* u, std::size_t seg, std::size_t l,
+                           std::size_t j) const {
+    double m = 0.0;
+    for (std::size_t k = 0; k < p; ++k) m += S[k * p + j] * u[k * seg + l];
+    return m;
+  }
+  /// Lane l's exit-weighted tail A_i = sum_k t_k u_{i,k}.
+  [[nodiscard]] double exits(const double* u, std::size_t seg,
+                             std::size_t l) const {
+    double e = 0.0;
+    for (std::size_t k = 0; k < p; ++k) e += t[k] * u[k * seg + l];
+    return e;
+  }
+  /// Lane l's sum_k u_{i,k} (the busy fraction B at row 1).
+  [[nodiscard]] double total(const double* u, std::size_t seg,
+                             std::size_t l) const {
+    double b = 0.0;
+    for (std::size_t k = 0; k < p; ++k) b += u[k * seg + l];
+    return b;
+  }
+  /// Lane l's rate of processors completing their final task,
+  /// R = sum_k t_k (u_{1,k} - u_{2,k}), with `u` at row 1.
+  [[nodiscard]] double drain(const double* u, std::size_t seg, std::size_t nb,
+                             std::size_t l) const {
+    double r = 0.0;
+    for (std::size_t k = 0; k < p; ++k) {
+      r += t[k] * (u[k * seg + l] - u[k * seg + nb + l]);
+    }
+    return r;
+  }
+  /// Lane l's service term of row i, phase j: M_{i,j} + alpha_j A_{i+1},
+  /// given A_{i+1} as `next_exits`.
+  [[nodiscard]] double service(const double* u, std::size_t seg,
+                               std::size_t l, std::size_t j,
+                               double next_exits) const {
+    return mix(u, seg, l, j) + alpha[j] * next_exits;
+  }
+  /// Stages the lanes' exit sums of the rows at `u` in `scratch` (a dx row
+  /// written later) and returns it.
+  template <class NB>
+  const double* exits_row(NB nb, const double* u, std::size_t seg,
+                          double* scratch) const {
+    for (std::size_t l = 0; l < nb; ++l) scratch[l] = exits(u, seg, l);
+    return scratch;
+  }
+
+  std::size_t p;
+  const double* alpha;
+  const double* S;
+  const double* t;
+};
+
+}  // namespace detail
 
 }  // namespace lsm::core

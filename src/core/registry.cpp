@@ -264,12 +264,8 @@ std::unique_ptr<MeanFieldModel> build_model(const ModelSpec& spec,
                                              L);
   }
   if (name == "transfer") {
-    if (svc.phase_typed) {
-      return std::make_unique<PhaseTypeTransferWS>(
-          lambda, get(params, "r", 0.25), svc.dist, T, L);
-    }
     return std::make_unique<StagedTransferWS>(lambda, get(params, "r", 0.25),
-                                              1, T, L);
+                                              svc.dist, 1, T, L);
   }
   if (name == "staged-transfer") {
     return std::make_unique<StagedTransferWS>(

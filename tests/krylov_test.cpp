@@ -19,6 +19,7 @@
 #include "core/multi_class_ws.hpp"
 #include "core/rebalance_ws.hpp"
 #include "core/registry.hpp"
+#include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/krylov.hpp"
 #include "ode/linalg.hpp"
@@ -376,8 +377,11 @@ TEST(BatchedRhs, BitEqualToReferenceKernel) {
   // that moves every range split of its kernel, at 1 and 8 lanes. The
   // stealing presets match their own family's recurrence bit for bit;
   // composed policies that vary several dimensions match the general
-  // recurrence to rounding, and re-balancing (which sums its interaction
-  // in another order than the pairwise scatter) to 1e-14.
+  // recurrence to rounding, re-balancing (which sums its interaction in
+  // another order than the pairwise scatter) to 1e-14, and phase-type
+  // transfer (the staged-transfer kernel's operation order, not the
+  // per-class order of the oracle) to 1e-13, the states' largest entry
+  // being 1.
   const std::vector<std::pair<std::string, core::ModelParams>> cases = {
       {"no-stealing", {}},
       {"no-stealing", {{"service", "hyperexp:4"}, {"L", 60}}},
@@ -431,6 +435,10 @@ TEST(BatchedRhs, BitEqualToReferenceKernel) {
         tol = 1e-15;
       } else if (dynamic_cast<const core::RebalanceWS*>(&*model) != nullptr) {
         tol = 1e-14;
+      } else if (const auto* st =
+                     dynamic_cast<const core::StagedTransferWS*>(&*model);
+                 st != nullptr && st->service().phases() > 1) {
+        tol = 1e-13;
       }
       for (const std::size_t nb : {std::size_t{1}, std::size_t{8}}) {
         expect_kernel_matches_reference(*model, nb, tol);

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "core/fixed_point.hpp"
+#include "core/multi_class_ws.hpp"
 #include "core/registry.hpp"
 
 namespace {
@@ -56,6 +57,33 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range<std::size_t>(0, 15),
                        ::testing::Values(0.4, 0.7, 0.9)),
     registry_sweep_name);
+
+TEST(RegistrySweep, BusyFractionIsTheOfferedWork) {
+  // Work conservation at the fixed point: the busy fraction (row 1 summed
+  // over every segment) equals lambda E[S] for every single-speed family,
+  // also those whose state splits into classes (transfer) or phases. The
+  // two-speed heterogeneous model is busy u_1 + v_1, where its service
+  // capacity balances the arrivals: mu_f u_1 + mu_s v_1 = lambda.
+  for (const double lambda : {0.5, 0.8}) {
+    for (const auto& name : core::model_names()) {
+      const auto model = core::make_model(name, lambda);
+      const auto fp = core::solve_fixed_point(*model);
+      const double busy = model->busy_fraction(fp.state);
+      const auto* mc = dynamic_cast<const core::MultiClassWS*>(&*model);
+      if (mc == nullptr) {
+        EXPECT_NEAR(busy, lambda, 1e-9) << name << " lambda=" << lambda;
+        continue;
+      }
+      const std::size_t W = model->truncation() + 1;
+      const double u1 = fp.state[1];
+      const double v1 = fp.state[W + 1];
+      EXPECT_EQ(busy, 0.0 + u1 + v1) << name;
+      EXPECT_NEAR(mc->classes()[0].rate * u1 + mc->classes()[1].rate * v1,
+                  lambda, 1e-9)
+          << name << " lambda=" << lambda;
+    }
+  }
+}
 
 TEST(RegistrySweepMeta, CoversTheWholeRegistry) {
   // If a 16th model is registered, widen the Range above.

@@ -246,6 +246,23 @@ TEST(StagedTransfer, MassConservedAtFixedPoint) {
   EXPECT_NEAR(busy, 0.8, 1e-8);
 }
 
+TEST(StagedTransfer, LumpablePhaseTypeServiceMatchesExponential) {
+  // Two unit-rate phases entered with probabilities (0.3, 0.7) lump to
+  // Exp(1): the two-phase, three-stage state (no oracle covers p > 1 with
+  // c > 1) must give the exponential three-stage answer.
+  const auto lumped = core::PhaseType::general({0.3, 0.7},
+                                               {-1.0, 0.0, 0.0, -1.0},
+                                               "lumped-exp");
+  for (const double lambda : {0.5, 0.9}) {
+    const core::StagedTransferWS phased(lambda, 0.25, lumped, 3, 2);
+    const core::StagedTransferWS plain(lambda, 0.25, 3, 2);
+    ASSERT_EQ(phased.service().phases(), 2u);
+    EXPECT_NEAR(core::fixed_point_sojourn(phased),
+                core::fixed_point_sojourn(plain), 1e-10)
+        << "lambda=" << lambda;
+  }
+}
+
 TEST(StagedTransfer, TransferVarianceActuallyHelps) {
   // Opposite of service times: at equal mean, *constant* transfers are
   // WORSE than exponential ones, because a quickly-completing transfer

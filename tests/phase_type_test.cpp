@@ -254,7 +254,7 @@ TEST(PhaseTypeModels, ExponentialServiceReducesToLegacyModels) {
                 1e-9);
   }
   {
-    const core::PhaseTypeTransferWS ph_model(0.8, 1.0, exp1, 2);
+    const core::StagedTransferWS ph_model(0.8, 1.0, exp1, 1, 2);
     const core::StagedTransferWS legacy(0.8, 1.0, 1, 2);
     const auto fp = core::solve_fixed_point(ph_model);
     const auto fl = core::solve_fixed_point(legacy);
@@ -315,7 +315,8 @@ TEST(PhaseTypeRegistry, NonExponentialServiceDispatchesToPhaseClasses) {
   EXPECT_NE(queue->name().find("ph-queue"), std::string::npos);
   const auto transfer = core::make_model(
       "transfer", 0.9, {{"r", 0.5}, {"service", "hyperexp:4"}});
-  EXPECT_NE(transfer->name().find("ph-transfer-ws"), std::string::npos);
+  EXPECT_NE(transfer->name().find("staged-transfer-ws(r=0.5,c=1,T=2,svc="),
+            std::string::npos);
   // erlang model: an Erlang spec keeps the stage-state class, anything
   // else generalizes.
   const auto erl = core::make_model("erlang", 0.9, {{"service", "erlang:4"}});

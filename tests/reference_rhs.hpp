@@ -12,7 +12,10 @@
 // are the K-class, constant-service (§3.1),
 // staged-transfer (§3.2), load-dependent arrival (§3.5), re-balancing
 // (§3.4, as the O(L^2) difference-array scatter over load pairs) and
-// phase-type recurrences.
+// phase-type recurrences. The phase-type transfer recurrence (one
+// exponential transfer stage, per-class order) is the reference for the
+// staged-transfer model at c = 1 with p > 1 service phases, which the
+// kernel evaluates in the staged order and matches to rounding.
 // Each keeps the operation order of the equations as printed, which is
 // also the kernels' per-lane order (the build contracts no FMAs); the
 // re-balancing kernel sums its interaction in another order and matches
@@ -601,7 +604,9 @@ inline void phase_type_sharing(double lambda, const core::PhaseType& svc,
 }
 
 /// Exp(1/r) transfer latency under phase-type service: p not-awaiting
-/// segments u followed by p awaiting segments v.
+/// segments u followed by p awaiting segments v. The derivative of
+/// StagedTransferWS with c = 1 stage and p > 1 phases matches it to
+/// rounding.
 inline void phase_type_transfer(double lambda, double rate,
                                 const core::PhaseType& svc, std::size_t T,
                                 std::size_t L, const ode::State& x,
@@ -664,38 +669,36 @@ inline void phase_type_transfer(double lambda, double rate,
   }
 }
 
-/// The phase-type transfer model's 2p constraint rows: u-head slaving with
-/// idle_u eliminated through conservation, the awaiting-mass balance, and
-/// p - 1 v-head proportionality rows.
-inline void phase_type_transfer_constraints(double rate,
-                                            const core::PhaseType& svc,
-                                            std::size_t T, std::size_t L,
+/// The phase-type transfer model's 2p constraint rows, over f holding
+/// the derivative: each class's first head row becomes the class flow
+/// sum_j dg_j, the others the head slaving g_j = v_{1,j} + alpha_j
+/// (H - B), and the awaiting class's first the total mass 1 - sum_j (h_j
+/// + g_j).
+inline void phase_type_transfer_constraints(const core::PhaseType& svc,
+                                            std::size_t L,
                                             const ode::State& x,
                                             ode::State& f) {
   const std::size_t W = L + 1;
   const std::size_t p = svc.phases();
-  const std::size_t V = p * W;
-  const auto& alpha = svc.alpha();
-  double sum_g = 0.0;
-  double busy_u = 0.0;
-  double busy_v = 0.0;
-  double steal_rate = 0.0;
-  double success = 0.0;
-  for (std::size_t k = 0; k < p; ++k) {
-    sum_g += x[V + k * W];
-    busy_u += x[k * W + 1];
-    busy_v += x[V + k * W + 1];
-    steal_rate += svc.exit_rates()[k] * (x[k * W + 1] - x[k * W + 2]);
-    success += x[k * W + T] + x[V + k * W + T];
+  double mass = 0.0;
+  for (std::size_t cls = 0; cls < 2; ++cls) {
+    const std::size_t base = cls * p * W;
+    double flow = 0.0;
+    double heads = 0.0;
+    double busy = 0.0;
+    for (std::size_t k = 0; k < p; ++k) {
+      flow += f[base + k * W];
+      heads += x[base + k * W];
+      busy += x[base + k * W + 1];
+    }
+    mass += heads;
+    f[base] = flow;
+    for (std::size_t j = 1; j < p; ++j) {
+      f[base + j * W] = x[base + j * W] - x[base + j * W + 1] -
+                        svc.alpha()[j] * (heads - busy);
+    }
   }
-  for (std::size_t j = 0; j < p; ++j) {
-    f[j * W] = x[j * W] - x[j * W + 1] - alpha[j] * (1.0 - sum_g - busy_u);
-  }
-  f[V] = steal_rate * success - rate * sum_g;
-  for (std::size_t j = 1; j < p; ++j) {
-    f[V + j * W] = (x[V + j * W] - x[V + j * W + 1]) -
-                   alpha[j] * (sum_g - busy_v);
-  }
+  f[p * W] = 1.0 - mass;
 }
 
 /// Dispatches to the recurrence of `model`'s type at arrival rate
@@ -720,7 +723,12 @@ inline void deriv(const core::MeanFieldModel& model, double lambda,
     erlang(lambda, er->stages(), L, s, ds);
   } else if (const auto* st =
                  dynamic_cast<const core::StagedTransferWS*>(&model)) {
-    if (st->stages() == 1) {
+    if (!(st->service() == core::PhaseType::exponential())) {
+      LSM_EXPECT(st->stages() == 1,
+                 "no reference recurrence for " + model.name());
+      phase_type_transfer(lambda, st->transfer_rate(), st->service(),
+                          st->threshold(), L, s, ds);
+    } else if (st->stages() == 1) {
       transfer(lambda, st->transfer_rate(), st->threshold(), L, s, ds);
     } else {
       staged_transfer(lambda, st->transfer_rate(), st->stages(),
@@ -738,10 +746,6 @@ inline void deriv(const core::MeanFieldModel& model, double lambda,
                  dynamic_cast<const core::PhaseTypeSharing*>(&model)) {
     phase_type_sharing(lambda, ps->service(), ps->share_threshold(), L, s,
                        ds);
-  } else if (const auto* pt =
-                 dynamic_cast<const core::PhaseTypeTransferWS*>(&model)) {
-    phase_type_transfer(lambda, pt->transfer_rate(), pt->service(),
-                        pt->threshold(), L, s, ds);
   } else {
     LSM_EXPECT(false, "no reference recurrence for " + model.name());
   }
@@ -760,10 +764,15 @@ inline void root_residual(const core::MeanFieldModel& model, double lambda,
     }
   } else if (const auto* st =
                  dynamic_cast<const core::StagedTransferWS*>(&model)) {
-    // Total class mass s_0 + sum_m w^(m)_0 = 1 on the w^(1)_0 row.
-    double mass = s[0];
-    for (std::size_t m = 1; m <= st->stages(); ++m) mass += s[m * W];
-    f[W] = 1.0 - mass;
+    if (st->service().phases() > 1) {
+      phase_type_transfer_constraints(st->service(), model.truncation(), s,
+                                      f);
+    } else {
+      // Total class mass s_0 + sum_m w^(m)_0 = 1 on the w^(1)_0 row.
+      double mass = s[0];
+      for (std::size_t m = 1; m <= st->stages(); ++m) mass += s[m * W];
+      f[W] = 1.0 - mass;
+    }
   } else if (const auto* ph =
                  dynamic_cast<const core::PhaseTypeModelBase*>(&model)) {
     // Head slaving h_j = u_{1,j} + alpha_j (1 - B).
@@ -774,11 +783,6 @@ inline void root_residual(const core::MeanFieldModel& model, double lambda,
     for (std::size_t j = 0; j < svc.phases(); ++j) {
       f[j * W] = s[j * W] - s[j * W + 1] - svc.alpha()[j] * idle;
     }
-  } else if (const auto* pt =
-                 dynamic_cast<const core::PhaseTypeTransferWS*>(&model)) {
-    phase_type_transfer_constraints(pt->transfer_rate(), pt->service(),
-                                    pt->threshold(), model.truncation(), s,
-                                    f);
   } else {
     f[0] = 1.0 - s[0];
   }

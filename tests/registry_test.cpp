@@ -80,7 +80,7 @@ TEST(Registry, TransferNamesPrintTheRateLosslessly) {
   EXPECT_EQ(core::make_model("transfer", 0.9,
                              {{"r", 4e-7}, {"service", "hyperexp:4"}})
                 ->name()
-                .rfind("ph-transfer-ws(r=4e-07,T=2,svc=", 0),
+                .rfind("staged-transfer-ws(r=4e-07,c=1,T=2,svc=", 0),
             0u);
 }
 
