@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/no_stealing.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/integrator.hpp"
 

@@ -9,7 +9,6 @@
 #include "core/composed_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "core/metrics.hpp"
-#include "core/no_stealing.hpp"
 #include "core/threshold_ws.hpp"
 
 int main() {

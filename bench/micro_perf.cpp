@@ -72,15 +72,20 @@ void BM_RebalanceDeriv(benchmark::State& state) {
 }
 BENCHMARK(BM_RebalanceDeriv)->Arg(64)->Arg(128);
 
-/// The stealing kernels at L = 200 and lambda = 0.85: threshold T = 4, the
-/// four single-extension presets of ComposedWS at their serve_solve
-/// parameters, and the composed policy serve_solve runs (d = 2, r = 0.5).
+/// The stealing kernels at L = 200 and lambda = 0.85: the section 2
+/// families (no stealing, simple, threshold T = 4 and the sharing foil at
+/// S = 2), the four single-extension presets of ComposedWS at their
+/// serve_solve parameters, and the composed policy serve_solve runs
+/// (d = 2, r = 0.5).
 struct StealingCase {
   const char* model;
   core::ModelParams params;
 };
 const StealingCase kStealingCases[] = {
+    {"no-stealing", {}},
+    {"simple", {}},
     {"threshold", {{"T", 4}}},
+    {"sharing", {{"S", 2}}},
     {"preemptive", {{"B", 1}, {"T", 2}}},
     {"repeated", {{"r", 1}}},
     {"multi-choice", {{"d", 2}}},
@@ -127,7 +132,7 @@ void BM_StealingPresetDeriv(benchmark::State& state) {
   time_lane_kernel(state, *model, static_cast<std::size_t>(state.range(1)));
 }
 BENCHMARK(BM_StealingPresetDeriv)
-    ->ArgsProduct({benchmark::CreateDenseRange(0, 5, 1), {1, 8}});
+    ->ArgsProduct({benchmark::CreateDenseRange(0, 8, 1), {1, 8}});
 
 /// The kernels of the section 3 variants and the phase-type service axis,
 /// auto-sized at lambda = 0.85: phase-type stealing, sharing and transfer

@@ -4,6 +4,7 @@
 # concurrency-sensitive pieces (work-stealing thread pool + experiment
 # runner), UBSan and ASan+UBSan passes over the solver stack (plus
 # parallel_map and the runner under ASan+UBSan), a warning-free build, the
+# paper's Tables 1-4 rendered cold against their committed rows, the
 # deterministic-counter gate against the committed BENCH files, and
 # report-only perf smokes (reports under build/perf/) against the
 # committed baselines.
@@ -14,6 +15,7 @@
 #   SKIP_ASAN=1 scripts/check.sh   # skip the address+UB-sanitizer pass
 #   SKIP_PERF=1 scripts/check.sh   # skip the perf smokes
 #   SKIP_PROPERTIES=1 scripts/check.sh  # skip the full-grid property pass
+#   SKIP_TABLES=1 scripts/check.sh     # skip the golden-table leg
 #   SKIP_FAULTS=1 scripts/check.sh # skip the fault-injection leg
 #   SKIP_PHASE_TYPE=1 scripts/check.sh  # skip the phase-type service leg
 #   SKIP_LARGE_N=1 scripts/check.sh  # skip the 10^5-processor smoke leg
@@ -47,6 +49,30 @@ if [ "${SKIP_PROPERTIES:-0}" != "1" ]; then
   echo "== properties: fixed-point suite over the full λ grids"
   LSM_PROPERTIES_FULL=1 ctest --test-dir build --output-on-failure \
     -j "$jobs" -L properties
+fi
+
+if [ "${SKIP_TABLES:-0}" != "1" ]; then
+  # Tables 1-4 at quick fidelity, each rendered with a fresh result cache
+  # and artifact directory so that no cached job can answer, must print
+  # exactly the table rows committed under bench/golden/. A change that
+  # moves a row on purpose re-renders the file and names the move in
+  # CHANGES.md.
+  echo "== tables: table1-table4 rows against bench/golden/"
+  tbl_tmp="$(mktemp -d)"
+  tbl_failed=0
+  for bench in table1_simple_ws table2_constant_service \
+      table3_transfer_time table4_two_choices; do
+    golden="bench/golden/${bench%%_*}.txt"
+    LSM_CACHE_DIR="$tbl_tmp/$bench/cache" \
+      LSM_ARTIFACTS="$tbl_tmp/$bench/artifacts" \
+      "./build/bench/$bench" > "$tbl_tmp/$bench.out"
+    if ! grep '^|' "$tbl_tmp/$bench.out" | diff "$golden" -; then
+      echo "tables: $bench printed rows that differ from $golden" >&2
+      tbl_failed=1
+    fi
+  done
+  rm -rf "$tbl_tmp"
+  [ "$tbl_failed" = 0 ]
 fi
 
 if [ "${SKIP_FAULTS:-0}" != "1" ]; then

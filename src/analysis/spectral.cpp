@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/fixed_point.hpp"
+#include "ode/fd_columns.hpp"
 #include "ode/linalg.hpp"
 #include "util/error.hpp"
 #include "util/xoshiro.hpp"
@@ -18,21 +20,20 @@ SpectralResult dominant_relaxation_mode(const core::MeanFieldModel& model,
   // Dense finite-difference Jacobian of the *root residual* (conserved
   // rows replaced by constraints, so pinned components contribute inert
   // -1 diagonal modes that cannot masquerade as the slow mode unless the
-  // physical gap exceeds 1, which never happens near saturation).
-  ode::State f0(n), f1(n);
+  // physical gap exceeds 1, which never happens near saturation), its
+  // columns eight per batched pass through ode::fd_columns.
+  ode::State f0(n);
   model.root_residual(state, f0);
   ode::Matrix jac(n, n);
-  ode::State pert = state;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double h = 1e-7 * std::max(1.0, std::abs(state[j]));
-    pert[j] = state[j] + h;
-    model.root_residual(pert, f1);
-    pert[j] = state[j];
-    const double inv_h = 1.0 / h;
-    for (std::size_t i = 0; i < n; ++i) {
-      jac(i, j) = (f1[i] - f0[i]) * inv_h;
-    }
-  }
+  ode::FdScratch scratch;
+  ode::fd_columns(core::RootSystem(model), 0.0, state, 1e-7, scratch,
+                  [&](std::size_t j, const double* f1, std::size_t stride,
+                      double h) {
+                    const double inv_h = 1.0 / h;
+                    for (std::size_t i = 0; i < n; ++i) {
+                      jac(i, j) = (f1[i * stride] - f0[i]) * inv_h;
+                    }
+                  });
 
   // Phase 1 - inverse power iteration (shift 0) to land near the
   // smallest-|lambda| mode; phase 2 - Rayleigh quotient iteration, whose

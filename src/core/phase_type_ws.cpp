@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/json.hpp"
 
 namespace lsm::core {
 
@@ -20,66 +19,19 @@ std::size_t phase_type_truncation(double lambda, double scv) {
   return static_cast<std::size_t>(std::clamp(needed + 8.0, 48.0, 3072.0));
 }
 
-namespace {
-
-using detail::PhaseView;
-
-/// Fills the p head rows from the finished tail rows, lane by lane:
-/// dh_j = du_{1,j} - alpha_j sum_k du_{1,k}.
-template <class NB>
-void slave_heads(NB nb, const PhaseView& ph, double* dx, std::size_t seg) {
-  for (std::size_t l = 0; l < nb; ++l) {
-    const double db = ph.total(dx + nb, seg, l);
-    for (std::size_t j = 0; j < ph.p; ++j) {
-      dx[j * seg + l] = dx[j * seg + nb + l] - ph.alpha[j] * db;
-    }
-  }
-}
-
-/// Rows i0 .. i1 - 1 (i >= 2) of a single-class model: the service terms,
-/// arrivals at rate arrival(l) from the row below and, with `steal`,
-/// victims leaving at rate R[l]. `last` marks row L, whose successor and
-/// exit sum are the truncation's zeros.
-template <class NB, class Arrival, class Steal, class Last>
-void tail_rows(NB nb, const PhaseView& ph, const double* x, double* dx,
-               std::size_t seg, std::size_t i0, std::size_t i1,
-               const Arrival& arrival, const double* R, Steal steal,
-               Last last) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const double* ui = x + i * nb;
-    const double* ex = nullptr;
-    if constexpr (!last) ex = ph.exits_row(nb, ui + nb, seg, dx + (i + 1) * nb);
-    for (std::size_t j = 0; j < ph.p; ++j) {
-      const double* uj = ui + j * seg;
-      const double* up = uj - nb;
-      double* out = dx + j * seg + i * nb;
-      for (std::size_t l = 0; l < nb; ++l) {
-        double d;
-        if constexpr (last) {
-          d = ph.service(ui, seg, l, j, 0.0);
-        } else {
-          d = ph.service(ui, seg, l, j, ex[l]);
-        }
-        d += arrival(l) * (up[l] - uj[l]);
-        if constexpr (steal && last) d -= R[l] * (uj[l] - 0.0);
-        if constexpr (steal && !last) d -= R[l] * (uj[l] - uj[l + nb]);
-        out[l] = d;
-      }
-    }
-  }
-}
-
-}  // namespace
-
 PhaseTypeModelBase::PhaseTypeModelBase(double lambda, PhaseType service,
                                        std::size_t threshold,
-                                       std::size_t truncation)
-    : MeanFieldModel(lambda, truncation != 0
-                                 ? truncation
-                                 : phase_type_truncation(lambda, service.scv()) +
-                                       threshold),
+                                       std::size_t truncation,
+                                       std::size_t unit_truncation)
+    : MeanFieldModel(lambda,
+                     truncation != 0 ? truncation
+                     : service == PhaseType::exponential()
+                         ? unit_truncation
+                         : phase_type_truncation(lambda, service.scv()) +
+                               threshold),
       service_(std::move(service)),
-      threshold_(threshold) {
+      threshold_(threshold),
+      unit_(service_ == PhaseType::exponential()) {
   trunc_explicit_ = truncation != 0;
   LSM_EXPECT(lambda * service_.mean() < 1.0,
              "model is unstable for lambda * E[service] >= 1");
@@ -96,6 +48,7 @@ ode::State PhaseTypeModelBase::empty_state() const {
 }
 
 ode::State PhaseTypeModelBase::mm1_state() const {
+  if (unit_) return MeanFieldModel::mm1_state();
   const std::size_t W = trunc_ + 1;
   const double rho = std::min(lambda_ * service_.mean(), 0.999);
   ode::State s(dimension(), 0.0);
@@ -112,6 +65,10 @@ ode::State PhaseTypeModelBase::mm1_state() const {
 }
 
 void PhaseTypeModelBase::project(ode::State& s) const {
+  if (unit_) {
+    MeanFieldModel::project(s);
+    return;
+  }
   const std::size_t W = trunc_ + 1;
   const std::size_t p = service_.phases();
   for (std::size_t j = 0; j < p; ++j) {
@@ -125,6 +82,7 @@ void PhaseTypeModelBase::project(ode::State& s) const {
 
 bool PhaseTypeModelBase::root_residual_batch(std::size_t nb, const double* x,
                                              double* f) const {
+  if (unit_) return MeanFieldModel::root_residual_batch(nb, x, f);
   (void)rhs_batch(nb, x, f);
   // The head rows are slaved to the tails; replace them with the slaving
   // constraints themselves (identity Jacobian block in the heads).
@@ -150,140 +108,6 @@ double PhaseTypeModelBase::mean_tasks(const ode::State& s) const {
     for (std::size_t i = trunc_; i >= 1; --i) acc += s[j * W + i];
   }
   return acc;
-}
-
-PhaseTypeWS::PhaseTypeWS(double lambda, PhaseType service,
-                         std::size_t threshold, std::size_t truncation)
-    : PhaseTypeModelBase(lambda, std::move(service), threshold, truncation) {
-  LSM_EXPECT(threshold != 1, "steal threshold must be 0 (off) or >= 2");
-}
-
-std::string PhaseTypeWS::name() const {
-  return threshold_ == 0
-             ? "ph-queue(svc=" + service_.label() + ")"
-             : "ph-ws(T=" + std::to_string(threshold_) +
-                   ",svc=" + service_.label() + ")";
-}
-
-bool PhaseTypeWS::rhs_batch(std::size_t lanes, const double* x,
-                            double* dx) const {
-  return for_lanes(lanes, [&](auto nb) {
-    const std::size_t L = trunc_;
-    const std::size_t T = threshold_;
-    const std::size_t seg = (L + 1) * nb;  // between phase segments
-    const double lam = lambda_;  // a local cannot alias dx
-    const PhaseView ph(service_);
-    // Phase 0's head row holds R, the rate of processors completing their
-    // final task, until the heads are written last.
-    double* R = dx;
-    if (T > 0) {
-      for (std::size_t l = 0; l < nb; ++l) R[l] = ph.drain(x + nb, seg, nb, l);
-    }
-    // Rows 2..L: service, arrivals, and for i >= T steal victims.
-    const auto arrival = [lam](std::size_t) { return lam; };
-    const std::true_type yes;
-    const std::false_type no;
-    if (T == 0) {
-      tail_rows(nb, ph, x, dx, seg, 2, L, arrival, R, no, no);
-      tail_rows(nb, ph, x, dx, seg, L, L + 1, arrival, R, no, yes);
-    } else {
-      tail_rows(nb, ph, x, dx, seg, 2, T, arrival, R, no, no);
-      tail_rows(nb, ph, x, dx, seg, T, L, arrival, R, yes, no);
-      tail_rows(nb, ph, x, dx, seg, L, L + 1, arrival, R, yes, yes);
-    }
-    // Row 1: arrivals to idle processors and successful thieves start a
-    // task in phase alpha_j (T >= 2, so no victims leave row 1).
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double idle = 1.0 - ph.total(x + nb, seg, l);
-      double success = 0.0;  // s_T: victims holding >= T tasks
-      if (T > 0) success = ph.total(x + T * nb, seg, l);
-      const double exits = ph.exits(x + 2 * nb, seg, l);
-      for (std::size_t j = 0; j < ph.p; ++j) {
-        const double a = ph.alpha[j];
-        double d = ph.service(x + nb, seg, l, j, exits);
-        d += lam * a * idle;
-        if (T > 0) d += R[l] * success * a;
-        dx[j * seg + nb + l] = d;
-      }
-    }
-    slave_heads(nb, ph, dx, seg);
-  });
-}
-
-double PhaseTypeWS::message_rate(const ode::State& x) const {
-  const std::size_t p = service_.phases();
-  const auto& t = service_.exit_rates();
-  double r = 0.0;
-  for (std::size_t k = 0; k < p; ++k) {
-    r += t[k] * (u(x, 1, k) - u(x, 2, k));
-  }
-  return r;
-}
-
-double PhaseTypeWS::analytic_sojourn_no_steal() const {
-  LSM_EXPECT(threshold_ == 0, "closed form only for the no-steal case");
-  const double rho = lambda_ * service_.mean();
-  return service_.mean() +
-         lambda_ * service_.moment2() / (2.0 * (1.0 - rho));
-}
-
-PhaseTypeSharing::PhaseTypeSharing(double lambda, PhaseType service,
-                                   std::size_t share_threshold,
-                                   std::size_t truncation)
-    : PhaseTypeModelBase(lambda, std::move(service), share_threshold,
-                         truncation) {
-  LSM_EXPECT(share_threshold >= 1, "sharing threshold must be at least 1");
-}
-
-std::string PhaseTypeSharing::name() const {
-  return "ph-sharing(S=" + std::to_string(threshold_) +
-         ",svc=" + service_.label() + ")";
-}
-
-bool PhaseTypeSharing::rhs_batch(std::size_t lanes, const double* x,
-                                 double* dx) const {
-  return for_lanes(lanes, [&](auto nb) {
-    const std::size_t L = trunc_;
-    const std::size_t S = threshold_;
-    const std::size_t seg = (L + 1) * nb;  // between phase segments
-    const double lam = lambda_;  // a local cannot alias dx
-    const PhaseView ph(service_);
-    // Phase 0's head row holds the forwarded stream lambda sum_k u_{S,k}
-    // until the heads are written last.
-    double* fw = dx;
-    for (std::size_t l = 0; l < nb; ++l) {
-      fw[l] = lam * ph.total(x + S * nb, seg, l);
-    }
-    // Rows 2..L: service and arrivals, direct ones only below S (rows
-    // i <= S).
-    const auto both = [&](std::size_t l) { return lam + fw[l]; };
-    const auto forwarded = [&](std::size_t l) { return 0.0 + fw[l]; };
-    const std::false_type no;
-    tail_rows(nb, ph, x, dx, seg, 2, S + 1, both, nullptr, no, no);
-    tail_rows(nb, ph, x, dx, seg, S + 1, L, forwarded, nullptr, no, no);
-    tail_rows(nb, ph, x, dx, seg, L, L + 1, forwarded, nullptr, no,
-              std::true_type{});
-    // Row 1: direct and forwarded arrivals to idle processors (S >= 1).
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double idle = 1.0 - ph.total(x + nb, seg, l);
-      const double exits = ph.exits(x + 2 * nb, seg, l);
-      for (std::size_t j = 0; j < ph.p; ++j) {
-        const double a = ph.alpha[j];
-        double d = ph.service(x + nb, seg, l, j, exits);
-        d += (lam + fw[l]) * a * idle;
-        dx[j * seg + nb + l] = d;
-      }
-    }
-    slave_heads(nb, ph, dx, seg);
-  });
-}
-
-double PhaseTypeSharing::message_rate(const ode::State& x) const {
-  double share_tail = 0.0;
-  for (std::size_t k = 0; k < service_.phases(); ++k) {
-    share_tail += u(x, threshold_, k);
-  }
-  return lambda_ * share_tail;
 }
 
 }  // namespace lsm::core

@@ -7,8 +7,6 @@
 #include "core/erlang_ws.hpp"
 #include "core/general_arrival_ws.hpp"
 #include "core/multi_class_ws.hpp"
-#include "core/no_stealing.hpp"
-#include "core/phase_type_ws.hpp"
 #include "core/rebalance_ws.hpp"
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
@@ -51,13 +49,10 @@ const ParamSpec kService{"service", 0.0,
                          "hyperexp:scv | coxian:k,scv | heavytail:scv[,k]",
                          ParamSpec::Kind::Distribution, "exp"};
 
-/// The service spec named in `params`, already parsed; empty-engaged
-/// (exponential) when absent or explicitly "exp". The bool is true when
-/// a genuinely non-exponential distribution was requested, i.e. when the
-/// phase-type model classes must be dispatched to.
+/// The service spec named in `params`, already parsed; the unit
+/// exponential when absent. `given` records whether a spec was named.
 struct ServiceChoice {
   PhaseType dist = PhaseType::exponential();
-  bool phase_typed = false;
   bool given = false;
 };
 
@@ -72,10 +67,6 @@ ServiceChoice service_of(const ModelParams& params) {
   }
   choice.given = true;
   choice.dist = parse_service(it->second.text);
-  // A spec that lands on plain exponential (e.g. "exp", "erlang:1")
-  // keeps the classic scalar-state classes: identical results, and the
-  // exponential benchmarks stay on their historical code paths.
-  choice.phase_typed = !choice.dist.is_exponential();
   return choice;
 }
 
@@ -205,22 +196,13 @@ std::unique_ptr<MeanFieldModel> build_model(const ModelSpec& spec,
   const std::size_t T = get_n(params, "T", 2);
   const ServiceChoice svc = service_of(params);
   if (name == "no-stealing") {
-    if (svc.phase_typed) {
-      return std::make_unique<PhaseTypeWS>(lambda, svc.dist, 0, L);
-    }
-    return std::make_unique<NoStealing>(lambda, L);
+    return std::make_unique<NoStealing>(lambda, svc.dist, L);
   }
   if (name == "simple") {
-    if (svc.phase_typed) {
-      return std::make_unique<PhaseTypeWS>(lambda, svc.dist, 2, L);
-    }
-    return std::make_unique<SimpleWS>(lambda, L);
+    return std::make_unique<SimpleWS>(lambda, svc.dist, L);
   }
   if (name == "threshold") {
-    if (svc.phase_typed) {
-      return std::make_unique<PhaseTypeWS>(lambda, svc.dist, T, L);
-    }
-    return std::make_unique<ThresholdWS>(lambda, T, L);
+    return std::make_unique<ThresholdWS>(lambda, svc.dist, T, L);
   }
   // The single-extension stealing families are presets of the composed
   // model: each varies one dimension and leaves the others neutral.
@@ -258,7 +240,7 @@ std::unique_ptr<MeanFieldModel> build_model(const ModelSpec& spec,
         return std::make_unique<ErlangServiceWS>(lambda, svc.dist.phases(),
                                                  L);
       }
-      return std::make_unique<PhaseTypeWS>(lambda, svc.dist, 2, L);
+      return std::make_unique<SimpleWS>(lambda, svc.dist, L);
     }
     return std::make_unique<ErlangServiceWS>(lambda, get_n(params, "c", 10),
                                              L);
@@ -283,11 +265,8 @@ std::unique_ptr<MeanFieldModel> build_model(const ModelSpec& spec,
         T, L);
   }
   if (name == "sharing") {
-    const std::size_t S = get_n(params, "S", 2);
-    if (svc.phase_typed) {
-      return std::make_unique<PhaseTypeSharing>(lambda, svc.dist, S, L);
-    }
-    return std::make_unique<WorkSharingWS>(lambda, S, L);
+    return std::make_unique<WorkSharingWS>(lambda, svc.dist,
+                                           get_n(params, "S", 2), L);
   }
   if (name == "spawning") {
     return std::make_unique<GeneralArrivalWS>(GeneralArrivalWS::spawning(

@@ -8,35 +8,6 @@
 
 namespace lsm::core {
 
-namespace {
-
-/// detail::PhaseView's interface for unit exponential service (one phase,
-/// S = [-1], t = [1], alpha = [1]) with every coefficient a compile-time
-/// constant: the kernel then compiles to the exponential recurrence, whose
-/// service term is -(v_i - v_{i+1}) and whose exit sums are the next row.
-struct UnitService {
-  static constexpr std::integral_constant<std::size_t, 1> p{};
-  static constexpr double alpha[1] = {1.0};
-
-  static double total(const double* u, std::size_t, std::size_t l) {
-    return u[l];
-  }
-  static double drain(const double* u, std::size_t, std::size_t nb,
-                      std::size_t l) {
-    return u[l] - u[nb + l];
-  }
-  static double service(const double* u, std::size_t, std::size_t l,
-                        std::size_t, double next_exits) {
-    return -(u[l] - next_exits);
-  }
-  template <class NB>
-  static const double* exits_row(NB, const double* u, std::size_t, double*) {
-    return u;
-  }
-};
-
-}  // namespace
-
 StagedTransferWS::StagedTransferWS(double lambda, double transfer_rate,
                                    std::size_t stages, std::size_t threshold,
                                    std::size_t truncation)
@@ -220,11 +191,8 @@ bool StagedTransferWS::rhs_batch(std::size_t lanes, const double* x,
     }
   };
   return for_lanes(lanes, [&](auto nb) {
-    if (unit_) {
-      kernel(nb, UnitService{});
-    } else {
-      kernel(nb, detail::PhaseView(service_));
-    }
+    detail::with_service(unit_, service_,
+                         [&](const auto& ph) { kernel(nb, ph); });
   });
 }
 

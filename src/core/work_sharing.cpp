@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace lsm::core {
 
 namespace {
-std::size_t pick_truncation(double lambda, std::size_t requested) {
-  if (requested != 0) return requested;
-  // Below S the profile decays roughly like the M/M/1 tail (ratio about
-  // lambda); size for that, like the no-stealing model.
+/// Unit exponential service's automatic L: below S the profile decays
+/// roughly like the M/M/1 tail (ratio about lambda); size for that, like
+/// the no-stealing model.
+std::size_t unit_truncation(double lambda) {
   const double needed =
       lambda > 0.0 ? std::log(1e-13) / std::log(lambda) : 48.0;
   return static_cast<std::size_t>(std::clamp(needed + 8.0, 48.0, 2048.0));
@@ -20,61 +21,66 @@ std::size_t pick_truncation(double lambda, std::size_t requested) {
 
 WorkSharingWS::WorkSharingWS(double lambda, std::size_t share_threshold,
                              std::size_t truncation)
-    : MeanFieldModel(lambda, pick_truncation(lambda, truncation)),
-      threshold_(share_threshold) {
-  trunc_explicit_ = truncation != 0;
+    : WorkSharingWS(lambda, PhaseType::exponential(), share_threshold,
+                    truncation) {}
+
+WorkSharingWS::WorkSharingWS(double lambda, PhaseType service,
+                             std::size_t share_threshold,
+                             std::size_t truncation)
+    : PhaseTypeModelBase(lambda, std::move(service), share_threshold,
+                         truncation, unit_truncation(lambda)) {
   LSM_EXPECT(share_threshold >= 1, "sharing threshold must be at least 1");
-  LSM_EXPECT(lambda < 1.0, "model is unstable for lambda >= 1");
-  LSM_EXPECT(trunc_ > share_threshold + 2,
-             "truncation too small for threshold");
 }
 
 std::string WorkSharingWS::name() const {
-  return "work-sharing(S=" + std::to_string(threshold_) + ")";
+  return unit_ ? "work-sharing(S=" + std::to_string(threshold_) + ")"
+               : "ph-sharing(S=" + std::to_string(threshold_) +
+                     ",svc=" + service_.label() + ")";
 }
 
 bool WorkSharingWS::rhs_batch(std::size_t lanes, const double* x,
                               double* dx) const {
-  return for_lanes(lanes, [&](auto nb) {
+  return run_kernel(lanes, [&](auto nb, const auto& ph) {
     const std::size_t L = trunc_;
-    const double lam = lambda_;  // a local cannot alias dx
     const std::size_t S = threshold_;
-    // Rows split at S so the direct-arrival term [i-1 < S] is hoisted out
-    // of each inner loop (beyond S it is the exact 0.0 + forwarded sum).
-    const double* sS = x + S * nb;
-    for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
-    for (std::size_t i = 1; i <= S; ++i) {
-      const double* sp = x + (i - 1) * nb;
-      const double* si = x + i * nb;
-      const double* sn = x + (i + 1) * nb;  // i <= S < L - 1, tracked
-      double* out = dx + i * nb;
-      for (std::size_t l = 0; l < nb; ++l) {
-        out[l] = (lam + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - sn[l]);
+    const std::size_t seg = (L + 1) * nb;  // between phase segments
+    const double lam = lambda_;  // a local cannot alias dx
+    // Phase 0's head row holds the forwarded stream lambda sum_k u_{S,k}
+    // until the heads are written last.
+    double* fw = dx;
+    for (std::size_t l = 0; l < nb; ++l) {
+      fw[l] = lam * ph.total(x + S * nb, seg, l);
+    }
+    // Rows 2..L: service and arrivals, direct ones only below S (rows
+    // i <= S); beyond S the arrival rate is the exact 0.0 + forwarded sum.
+    const auto both = [&](std::size_t l) { return lam + fw[l]; };
+    const auto forwarded = [&](std::size_t l) { return 0.0 + fw[l]; };
+    const std::false_type no;
+    detail::tail_rows(nb, ph, x, dx, seg, 2, S + 1, both, nullptr, no, no);
+    detail::tail_rows(nb, ph, x, dx, seg, S + 1, L, forwarded, nullptr, no,
+                      no);
+    detail::tail_rows(nb, ph, x, dx, seg, L, L + 1, forwarded, nullptr, no,
+                      std::true_type{});
+    // Row 1: direct and forwarded arrivals to idle processors (S >= 1).
+    for (std::size_t l = 0; l < nb; ++l) {
+      const double idle = ph.idle(x, seg, nb, l);
+      const double exits = ph.exits(x + 2 * nb, seg, l);
+      for (std::size_t j = 0; j < ph.p; ++j) {
+        double d = ph.service(x + nb, seg, l, j, exits);
+        d += (lam + fw[l]) * ph.alpha[j] * idle;
+        dx[j * seg + nb + l] = d;
       }
     }
-    for (std::size_t i = S + 1; i < L; ++i) {
-      const double* sp = x + (i - 1) * nb;
-      const double* si = x + i * nb;
-      const double* sn = x + (i + 1) * nb;
-      double* out = dx + i * nb;
-      for (std::size_t l = 0; l < nb; ++l) {
-        out[l] = (0.0 + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - sn[l]);
-      }
-    }
-    {
-      const double* sp = x + (L - 1) * nb;
-      const double* si = x + L * nb;
-      double* out = dx + L * nb;
-      for (std::size_t l = 0; l < nb; ++l) {
-        out[l] = (0.0 + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - 0.0);
-      }
-    }
+    ph.slave_heads(nb, dx, seg);
   });
 }
 
-double WorkSharingWS::message_rate(const ode::State& s) const {
-  LSM_ASSERT(s.size() > threshold_);
-  return lambda_ * s[threshold_];
+double WorkSharingWS::message_rate(const ode::State& x) const {
+  double share_tail = 0.0;
+  for (std::size_t k = 0; k < service_.phases(); ++k) {
+    share_tail += u(x, threshold_, k);
+  }
+  return lambda_ * share_tail;
 }
 
 double stealing_message_rate(const ode::State& s, double retry_rate) {

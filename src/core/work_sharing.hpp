@@ -14,17 +14,26 @@
 // lambda * pi_S -- vanishingly small at light load, but the *message*
 // rate lambda * pi_S per processor GROWS with load, the mirror image of
 // stealing whose attempt rate lambda - pi_2 vanishes as lambda -> 1.
+//
+// Under phase-type service (per-phase occupancy state,
+// core/phase_type_ws.hpp) row i of phase j takes arrivals at the same
+// rates, lambda ([i-1 < S] + sum_k u_{S,k}), and the phase-type service
+// term; the equation above is the unit exponential case, which the kernel
+// evaluates bit for bit in its operation order.
 #pragma once
 
-#include "core/model.hpp"
+#include "core/phase_type_ws.hpp"
 
 namespace lsm::core {
 
-class WorkSharingWS final : public MeanFieldModel {
+class WorkSharingWS final : public PhaseTypeModelBase {
  public:
-  /// `share_threshold` = S >= 1: forward arrivals hitting a processor
-  /// with load >= S.
+  /// Unit exponential service. `share_threshold` = S >= 1: forward
+  /// arrivals hitting a processor with load >= S.
   WorkSharingWS(double lambda, std::size_t share_threshold,
+                std::size_t truncation = 0);
+  /// Phase-type service of mean E[S], lambda E[S] < 1.
+  WorkSharingWS(double lambda, PhaseType service, std::size_t share_threshold,
                 std::size_t truncation = 0);
 
   [[nodiscard]] bool rhs_batch(std::size_t nb, const double* x,
@@ -35,16 +44,9 @@ class WorkSharingWS final : public MeanFieldModel {
     return threshold_;
   }
 
-  [[nodiscard]] std::size_t min_truncation() const override {
-    return threshold_ + 3;
-  }
-
   /// Control messages (forwards) per processor per unit time at state s:
-  /// lambda * s_S.
+  /// lambda * s_S (lambda sum_k u_{S,k} under phase-type service).
   [[nodiscard]] double message_rate(const ode::State& s) const;
-
- private:
-  std::size_t threshold_;
 };
 
 /// Steal-attempt messages per processor per unit time for the on-empty

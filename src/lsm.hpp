@@ -15,7 +15,6 @@
 #include "core/metrics.hpp"          // IWYU pragma: export
 #include "core/model.hpp"            // IWYU pragma: export
 #include "core/multi_class_ws.hpp"   // IWYU pragma: export
-#include "core/no_stealing.hpp"      // IWYU pragma: export
 #include "core/rebalance_ws.hpp"     // IWYU pragma: export
 #include "core/registry.hpp"         // IWYU pragma: export
 #include "core/staged_transfer_ws.hpp"  // IWYU pragma: export

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "core/fixed_point.hpp"
-#include "core/no_stealing.hpp"
 #include "core/registry.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/newton.hpp"

@@ -6,7 +6,6 @@
 
 #include "core/fixed_point.hpp"
 #include "core/general_arrival_ws.hpp"
-#include "core/no_stealing.hpp"
 #include "core/threshold_ws.hpp"
 #include "util/error.hpp"
 

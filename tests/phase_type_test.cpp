@@ -5,22 +5,24 @@
 // keys that must separate distinct fitted distributions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/erlang_ws.hpp"
 #include "core/fixed_point.hpp"
-#include "core/no_stealing.hpp"
 #include "core/phase_type.hpp"
 #include "core/phase_type_ws.hpp"
 #include "core/registry.hpp"
-#include "core/threshold_ws.hpp"
 #include "core/staged_transfer_ws.hpp"
+#include "core/threshold_ws.hpp"
 #include "core/work_sharing.hpp"
 #include "exp/spec.hpp"
 #include "sim/distributions.hpp"
 #include "sim/replicate.hpp"
 #include "util/error.hpp"
 #include "util/xoshiro.hpp"
+#include "reference_rhs.hpp"
 
 namespace {
 
@@ -213,60 +215,138 @@ TEST(PhaseTypeModels, MPH1MatchesPollaczekKhinchine) {
   for (const auto& ph :
        {core::PhaseType::hyperexp(4.0), core::PhaseType::coxian(3, 0.6),
         core::PhaseType::erlang(4)}) {
-    const core::PhaseTypeWS model(0.5, ph, 0);
+    const core::NoStealing model(0.5, ph);
     const auto fp = core::solve_fixed_point(model);
     EXPECT_NEAR(model.mean_sojourn(fp.state), pk_sojourn(0.5, ph), 1e-10)
         << ph.label();
-    EXPECT_NEAR(model.analytic_sojourn_no_steal(), pk_sojourn(0.5, ph), 1e-12)
+    EXPECT_NEAR(model.analytic_sojourn(), pk_sojourn(0.5, ph), 1e-12)
         << ph.label();
   }
   // Higher load: the truncation grows but the closed form still holds.
   const auto ph = core::PhaseType::hyperexp(4.0);
-  const core::PhaseTypeWS model(0.8, ph, 0);
+  const core::NoStealing model(0.8, ph);
   const auto fp = core::solve_fixed_point(model);
   EXPECT_NEAR(model.mean_sojourn(fp.state), pk_sojourn(0.8, ph), 1e-8);
 }
 
-TEST(PhaseTypeModels, ExponentialServiceReducesToLegacyModels) {
+/// Every observable of `b` equals `a`'s bit for bit, and `a`'s kernel and
+/// root residual equal the exponential recurrences of reference_rhs.hpp,
+/// at a state off the fixed point whose head s_0 is not 1.
+void expect_same_model(const core::MeanFieldModel& a,
+                       const core::MeanFieldModel& b, const std::string& tag) {
+  EXPECT_EQ(a.name(), b.name()) << tag;
+  ASSERT_EQ(a.truncation(), b.truncation()) << tag;
+  EXPECT_EQ(a.truncation_explicit(), b.truncation_explicit()) << tag;
+  EXPECT_EQ(a.min_truncation(), b.min_truncation()) << tag;
+  ASSERT_EQ(a.dimension(), a.truncation() + 1) << tag;
+  ASSERT_EQ(b.dimension(), a.dimension()) << tag;
+
+  const std::size_t n = a.dimension();
+  ode::State s = a.mm1_state();
+  EXPECT_EQ(s, b.mm1_state()) << tag;
+  util::Xoshiro256 rng(7);
+  s[0] = 0.97;
+  for (std::size_t i = 1; i < n; ++i) s[i] *= 0.9 + 0.2 * rng.uniform();
+  ode::State fa(n), fb(n), want(n);
+  a.deriv(0.0, s, fa);
+  b.deriv(0.0, s, fb);
+  reference::deriv(a, a.lambda(), s, want);
+  EXPECT_EQ(fa, fb) << tag << " deriv";
+  EXPECT_EQ(fa, want) << tag << " deriv vs recurrence";
+  a.root_residual(s, fa);
+  b.root_residual(s, fb);
+  reference::root_residual(a, a.lambda(), s, want);
+  EXPECT_EQ(fa, fb) << tag << " root residual";
+  EXPECT_EQ(fa, want) << tag << " root residual vs recurrence";
+  EXPECT_EQ(a.mean_tasks(s), b.mean_tasks(s)) << tag;
+
+  // The default projection: s_0 pinned at 1, then clamped monotone.
+  ode::State pa = s;
+  pa[0] = 1.2;
+  pa[2] = pa[1] + 0.1;
+  pa[n - 2] = -1e-3;
+  ode::State pb = pa;
+  want = pa;
+  want[0] = 1.0;
+  for (std::size_t i = 1; i < n; ++i) {
+    want[i] = std::clamp(want[i], 0.0, want[i - 1]);
+  }
+  a.project(pa);
+  b.project(pb);
+  EXPECT_EQ(pa, want) << tag << " project";
+  EXPECT_EQ(pb, want) << tag << " project";
+
+  const auto ra = core::solve_fixed_point(a);
+  const auto rb = core::solve_fixed_point(b);
+  EXPECT_EQ(ra.rhs_evals, rb.rhs_evals) << tag;
+  EXPECT_EQ(ra.final_truncation, rb.final_truncation) << tag;
+  EXPECT_EQ(a.mean_sojourn(ra.state), b.mean_sojourn(rb.state)) << tag;
+}
+
+TEST(PhaseTypeModels, UnitExponentialServiceIsTheExponentialModelBitForBit) {
   const auto exp1 = core::PhaseType::exponential();
-  {
-    // Threshold stealing: the paper model has a closed form.
-    for (const std::size_t T : {std::size_t{2}, std::size_t{4}}) {
-      const core::PhaseTypeWS ph_model(0.9, exp1, T);
-      const auto fp = core::solve_fixed_point(ph_model);
-      const core::ThresholdWS legacy(0.9, T);
-      EXPECT_NEAR(ph_model.mean_sojourn(fp.state), legacy.analytic_sojourn(),
-                  1e-8)
-          << "T=" << T;
+  // No stealing's and sharing's automatic L: the M/M/1 tail ratio lambda.
+  const auto mm1_truncation = [](double lambda) {
+    return static_cast<std::size_t>(std::clamp(
+        std::log(1e-13) / std::log(lambda) + 8.0, 48.0, 2048.0));
+  };
+  // A registry model at its default service, "exp" and "erlang:1".
+  const auto expect_service_specs = [](const std::string& name, double lambda,
+                                       core::ModelParams params) {
+    const auto def = core::make_model(name, lambda, params);
+    for (const char* spec : {"exp", "erlang:1"}) {
+      params["service"] = spec;
+      expect_same_model(*def, *core::make_model(name, lambda, params),
+                        name + " --service=" + spec);
+    }
+  };
+  for (const double lambda : {0.7, 0.95}) {
+    for (const std::size_t T : {0, 2, 3, 4, 6}) {
+      const std::string tag =
+          "T=" + std::to_string(T) + " lambda=" + std::to_string(lambda);
+      const core::ThresholdWS model(lambda, T);
+      EXPECT_EQ(model.truncation(),
+                T == 0 ? mm1_truncation(lambda)
+                       : core::default_truncation(lambda) + T)
+          << tag;
+      expect_same_model(model, core::ThresholdWS(lambda, exp1, T), tag);
+      if (T == 0) {
+        expect_same_model(core::NoStealing(lambda),
+                          core::NoStealing(lambda, exp1), tag);
+        expect_service_specs("no-stealing", lambda, {});
+      } else if (T == 2) {
+        expect_same_model(core::SimpleWS(lambda), core::SimpleWS(lambda, exp1),
+                          tag);
+        expect_service_specs("simple", lambda, {});
+      }
+      if (T > 0) {
+        expect_service_specs("threshold", lambda,
+                             {{"T", static_cast<double>(T)}});
+      }
+    }
+    for (const std::size_t S : {1, 2, 3}) {
+      const std::string tag =
+          "S=" + std::to_string(S) + " lambda=" + std::to_string(lambda);
+      const core::WorkSharingWS model(lambda, S);
+      EXPECT_EQ(model.truncation(), mm1_truncation(lambda)) << tag;
+      expect_same_model(model, core::WorkSharingWS(lambda, exp1, S), tag);
+      expect_service_specs("sharing", lambda, {{"S", static_cast<double>(S)}});
     }
   }
-  {
-    const core::PhaseTypeWS ph_model(0.7, exp1, 0);
-    const auto fp = core::solve_fixed_point(ph_model);
-    EXPECT_NEAR(ph_model.mean_sojourn(fp.state), 1.0 / (1.0 - 0.7), 1e-9);
-  }
-  {
-    const core::PhaseTypeSharing ph_model(0.8, exp1, 2);
-    const core::WorkSharingWS legacy(0.8, 2);
-    const auto fp = core::solve_fixed_point(ph_model);
-    const auto fl = core::solve_fixed_point(legacy);
-    EXPECT_NEAR(ph_model.mean_sojourn(fp.state), legacy.mean_sojourn(fl.state),
-                1e-9);
-  }
-  {
-    const core::StagedTransferWS ph_model(0.8, 1.0, exp1, 1, 2);
-    const core::StagedTransferWS legacy(0.8, 1.0, 1, 2);
-    const auto fp = core::solve_fixed_point(ph_model);
-    const auto fl = core::solve_fixed_point(legacy);
-    EXPECT_NEAR(ph_model.mean_sojourn(fp.state), legacy.mean_sojourn(fl.state),
-                1e-8);
-  }
+  // Transfer: the same unit service takes the same compile-time kernel.
+  const core::StagedTransferWS staged(0.8, 1.0, exp1, 1, 2);
+  const core::StagedTransferWS exponential(0.8, 1.0, 1, 2);
+  const auto rs = core::solve_fixed_point(staged);
+  const auto re = core::solve_fixed_point(exponential);
+  EXPECT_EQ(staged.name(), exponential.name());
+  EXPECT_EQ(rs.rhs_evals, re.rhs_evals);
+  EXPECT_EQ(staged.mean_sojourn(rs.state), exponential.mean_sojourn(re.state));
 }
 
 TEST(PhaseTypeModels, ErlangServiceMatchesStageStateModel) {
   // Same dynamics, two very different state spaces: per-phase occupancy
-  // (PhaseTypeWS) vs the stage-counting ErlangServiceWS.
-  const core::PhaseTypeWS ph_model(0.9, core::PhaseType::erlang(3), 2);
+  // (SimpleWS) vs the stage-counting ErlangServiceWS.
+  const core::SimpleWS ph_model(0.9, core::PhaseType::erlang(3));
   const core::ErlangServiceWS legacy(0.9, 3);
   const auto fp = core::solve_fixed_point(ph_model);
   const auto fl = core::solve_fixed_point(legacy);
@@ -277,16 +357,16 @@ TEST(PhaseTypeModels, ErlangServiceMatchesStageStateModel) {
 
 TEST(PhaseTypeModels, RejectsInvalidConfigurations) {
   const auto exp1 = core::PhaseType::exponential();
-  EXPECT_THROW(core::PhaseTypeWS(0.5, exp1, 1), util::LogicError);
-  EXPECT_THROW(core::PhaseTypeWS(1.2, exp1, 2), util::LogicError);
+  EXPECT_THROW(core::ThresholdWS(0.5, exp1, 1), util::LogicError);
+  EXPECT_THROW(core::ThresholdWS(1.2, exp1, 2), util::LogicError);
   // Unstable in work even though lambda < 1 in tasks.
-  EXPECT_THROW(core::PhaseTypeWS(0.9, core::PhaseType::exponential(1.5), 2),
+  EXPECT_THROW(core::ThresholdWS(0.9, core::PhaseType::exponential(1.5), 2),
                util::LogicError);
 }
 
 TEST(PhaseTypeModels, BusyFractionEqualsOfferedLoad) {
   const auto ph = core::PhaseType::hyperexp(4.0);
-  const core::PhaseTypeSharing model(0.8, ph, 2);
+  const core::WorkSharingWS model(0.8, ph, 2);
   const auto fp = core::solve_fixed_point(model);
   EXPECT_NEAR(model.busy_fraction(fp.state), 0.8, 1e-9);
 }
@@ -296,7 +376,7 @@ TEST(PhaseTypeModels, BusyFractionEqualsOfferedLoad) {
 TEST(PhaseTypeRegistry, ExponentialServiceDispatchesToLegacyClasses) {
   EXPECT_EQ(core::make_model("simple", 0.9, {{"service", "exp"}})->name(),
             core::make_model("simple", 0.9)->name());
-  // erlang:1 is the exponential; it must also stay on the legacy class.
+  // erlang:1 is the unit exponential; it keeps the exponential name.
   const auto m = core::make_model("threshold", 0.9,
                                   {{"T", 3}, {"service", "erlang:1"}});
   EXPECT_NE(m->name().find("threshold-ws"), std::string::npos) << m->name();
@@ -379,7 +459,7 @@ TEST(PhaseTypeSimulation, MeanFieldMatchesSimulatorUnderHighVariability) {
   const double lambda = 0.7;
   const auto ph = core::PhaseType::hyperexp(4.0);
 
-  const core::PhaseTypeWS model(lambda, ph, 2);
+  const core::SimpleWS model(lambda, ph);
   const auto fp = core::solve_fixed_point(model);
   const double est = model.mean_sojourn(fp.state);
 

@@ -12,7 +12,10 @@
 // are the K-class, constant-service (§3.1),
 // staged-transfer (§3.2), load-dependent arrival (§3.5), re-balancing
 // (§3.4, as the O(L^2) difference-array scatter over load pairs) and
-// phase-type recurrences. The phase-type transfer recurrence (one
+// phase-type recurrences. The threshold-stealing and work-sharing classes
+// take any phase-type service: deriv() picks the exponential recurrence
+// (no stealing, threshold, work sharing) at unit exponential service and
+// the phase-type one otherwise. The phase-type transfer recurrence (one
 // exponential transfer stage, per-class order) is the reference for the
 // staged-transfer model at c = 1 with p > 1 service phases, which the
 // kernel evaluates in the staged order and matches to rounding.
@@ -32,7 +35,6 @@
 #include "core/general_arrival_ws.hpp"
 #include "core/model.hpp"
 #include "core/multi_class_ws.hpp"
-#include "core/no_stealing.hpp"
 #include "core/phase_type_ws.hpp"
 #include "core/rebalance_ws.hpp"
 #include "core/staged_transfer_ws.hpp"
@@ -701,18 +703,33 @@ inline void phase_type_transfer_constraints(const core::PhaseType& svc,
   f[p * W] = 1.0 - mass;
 }
 
-/// Dispatches to the recurrence of `model`'s type at arrival rate
-/// `lambda` and the model's own parameters and truncation.
+/// The single-class models' unit exponential service, whose recurrences
+/// are the paper's exponential equations.
+inline bool unit_service(const core::PhaseTypeModelBase& model) {
+  return model.service() == core::PhaseType::exponential();
+}
+
+/// Dispatches to the recurrence of `model`'s type and service at arrival
+/// rate `lambda` and the model's own parameters and truncation.
 inline void deriv(const core::MeanFieldModel& model, double lambda,
                   const ode::State& s, ode::State& ds) {
   const std::size_t L = model.truncation();
-  if (dynamic_cast<const core::NoStealing*>(&model) != nullptr) {
-    no_stealing(lambda, L, s, ds);
-  } else if (const auto* th = dynamic_cast<const core::ThresholdWS*>(&model)) {
-    threshold(lambda, th->threshold(), L, s, ds);
+  if (const auto* th = dynamic_cast<const core::ThresholdWS*>(&model)) {
+    if (!unit_service(*th)) {
+      phase_type_ws(lambda, th->service(), th->threshold(), L, s, ds);
+    } else if (th->threshold() == 0) {
+      no_stealing(lambda, L, s, ds);
+    } else {
+      threshold(lambda, th->threshold(), L, s, ds);
+    }
   } else if (const auto* sh =
                  dynamic_cast<const core::WorkSharingWS*>(&model)) {
-    work_sharing(lambda, sh->share_threshold(), L, s, ds);
+    if (unit_service(*sh)) {
+      work_sharing(lambda, sh->share_threshold(), L, s, ds);
+    } else {
+      phase_type_sharing(lambda, sh->service(), sh->share_threshold(), L, s,
+                         ds);
+    }
   } else if (const auto* cw = dynamic_cast<const core::ComposedWS*>(&model)) {
     composed_family(lambda, cw->policy(), L, s, ds);
   } else if (const auto* mc =
@@ -740,12 +757,6 @@ inline void deriv(const core::MeanFieldModel& model, double lambda,
                     ga->threshold(), L, s, ds);
   } else if (const auto* rb = dynamic_cast<const core::RebalanceWS*>(&model)) {
     rebalance(lambda, [&](std::size_t j) { return rb->rate(j); }, L, s, ds);
-  } else if (const auto* pw = dynamic_cast<const core::PhaseTypeWS*>(&model)) {
-    phase_type_ws(lambda, pw->service(), pw->threshold(), L, s, ds);
-  } else if (const auto* ps =
-                 dynamic_cast<const core::PhaseTypeSharing*>(&model)) {
-    phase_type_sharing(lambda, ps->service(), ps->share_threshold(), L, s,
-                       ds);
   } else {
     LSM_EXPECT(false, "no reference recurrence for " + model.name());
   }
@@ -774,7 +785,8 @@ inline void root_residual(const core::MeanFieldModel& model, double lambda,
       f[W] = 1.0 - mass;
     }
   } else if (const auto* ph =
-                 dynamic_cast<const core::PhaseTypeModelBase*>(&model)) {
+                 dynamic_cast<const core::PhaseTypeModelBase*>(&model);
+             ph != nullptr && !unit_service(*ph)) {
     // Head slaving h_j = u_{1,j} + alpha_j (1 - B).
     const auto& svc = ph->service();
     double busy = 0.0;

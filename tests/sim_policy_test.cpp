@@ -10,7 +10,6 @@
 #include "core/fixed_point.hpp"
 #include "core/multi_class_ws.hpp"
 #include "core/general_arrival_ws.hpp"
-#include "core/no_stealing.hpp"
 #include "core/rebalance_ws.hpp"
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"

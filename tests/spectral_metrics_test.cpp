@@ -8,7 +8,6 @@
 #include "analysis/stability.hpp"
 #include "core/composed_ws.hpp"
 #include "core/fixed_point.hpp"
-#include "core/no_stealing.hpp"
 #include "core/threshold_ws.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"

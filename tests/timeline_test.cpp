@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/general_arrival_ws.hpp"
-#include "core/no_stealing.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/integrator.hpp"
 #include "sim/simulator.hpp"

@@ -7,7 +7,6 @@
 
 #include "core/fixed_point.hpp"
 #include "core/metrics.hpp"
-#include "core/no_stealing.hpp"
 #include "core/threshold_ws.hpp"
 #include "core/work_sharing.hpp"
 #include "sim/replicate.hpp"
