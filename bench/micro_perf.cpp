@@ -2,8 +2,8 @@
 // discrete-event simulator: derivative evaluation cost by model and
 // truncation, stepper cost, fixed-point solve latency, the solver layer's
 // linear algebra (LU of real Jacobians, alone and with their
-// finite-difference assembly; Anderson's per-iteration overhead), event
-// throughput.
+// finite-difference assembly; Anderson's per-iteration overhead and its
+// least-squares window step), event throughput.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -19,6 +19,7 @@
 #include "core/threshold_ws.hpp"
 #include "ode/anderson.hpp"
 #include "ode/banded.hpp"
+#include "ode/history_qr.hpp"
 #include "ode/integrator.hpp"
 #include "ode/linalg.hpp"
 #include "ode/newton.hpp"
@@ -341,6 +342,47 @@ void BM_AndersonIteration(benchmark::State& state) {
 BENCHMARK(BM_AndersonIteration)
     ->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);
+
+void BM_HistoryQrStep(benchmark::State& state) {
+  // One steady-state step of AA(10)'s least squares with a full window:
+  // solve (from the Q^T r the last push carried), extrapolate, drop the
+  // oldest column, push the newest with the next residual. Columns and
+  // residuals cycle through 32 random vectors, so each pushed column is
+  // independent of the window. n = 193 and 481 are serve_solve's L = 192
+  // single-segment rung and its erlang c = 10 rung.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kDepth = 10;
+  constexpr std::size_t kRing = 32;
+  util::Xoshiro256 rng(193);
+  const auto random_vector = [&] {
+    ode::State v(n);
+    for (double& x : v) x = 2.0 * rng.uniform() - 1.0;
+    return v;
+  };
+  std::vector<ode::State> cols, res, dg;
+  for (std::size_t j = 0; j < kRing; ++j) {
+    cols.push_back(random_vector());
+    res.push_back(random_vector());
+  }
+  for (std::size_t j = 0; j < kDepth; ++j) dg.push_back(random_vector());
+  const ode::State x = random_vector();
+  ode::State xn(n);
+  std::vector<double> theta(kDepth);
+  ode::detail::HistoryQr qr(n, kDepth);
+  std::size_t step = 0;
+  for (; step < kDepth; ++step) qr.push(cols[step], &res[step + 1]);
+  for (auto _ : state) {
+    const ode::State& r = res[step % kRing];
+    qr.solve(r, theta.data());
+    ode::detail::extrapolate(x, r, dg, theta.data(), qr.size(), xn);
+    qr.drop_oldest();
+    qr.push(cols[step % kRing], &res[(step + 1) % kRing]);
+    benchmark::DoNotOptimize(xn.data());
+    ++step;
+  }
+  state.SetLabel("depth 10, n=" + std::to_string(n));
+}
+BENCHMARK(BM_HistoryQrStep)->Arg(193)->Arg(481)->Unit(benchmark::kMicrosecond);
 
 /// I - h J at the erlang c = 10 rung (n = 621, kl = ku = 10): the FD
 /// Jacobian band at the rung's fixed point, shifted with h = 100, a band

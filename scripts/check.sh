@@ -342,6 +342,13 @@ if [ "${SKIP_PERF:-0}" != "1" ]; then
     bench/perf/BENCH_ode.baseline.json --check=bench/perf/BENCH_ode.json
   ./build/bench/perf/perf_ode build/perf/BENCH_ode_sweep.json \
     --mode=sweep-warm --check=bench/perf/BENCH_ode_sweep.json
+  # Anderson's cost per iteration and its least-squares window step alone
+  # (solve, extrapolate, drop, push at depth 10), report-only.
+  cmake --build build -j "$jobs" --target micro_perf
+  ./build/bench/micro_perf \
+    --benchmark_filter='BM_AndersonIteration|BM_HistoryQrStep' \
+    --benchmark_out=build/perf/micro_perf_anderson.json \
+    --benchmark_out_format=json
 else
   ./build/bench/perf/perf_sim --check=bench/perf/BENCH_sim.json
   ./build/bench/perf/perf_ode --check=bench/perf/BENCH_ode.json

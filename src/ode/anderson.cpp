@@ -46,7 +46,7 @@ class Workspace {
       dr_[i] = r_new[i] - r_old[i];
       dg[i] = dx + dr_[i];
     }
-    if (!qr_.push(dr_)) deficient_ = true;
+    if (!qr_.push(dr_, &r_new)) deficient_ = true;
   }
 
   /// Least squares min_theta ||r - DR theta||_2 from the updated QR of the

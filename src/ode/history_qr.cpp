@@ -2,12 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 #include "util/error.hpp"
 
 namespace lsm::ode::detail {
 
 namespace {
+
+/// Two doubles: one SSE2 register on baseline x86-64. The arithmetic is
+/// element-wise IEEE, so a lane computes what a scalar loop would.
+using V2 = double __attribute__((vector_size(16)));
+/// The same at a double's alignment, for loads and stores at any entry.
+/// GCC and Clang let a vector type alias its element type, so these
+/// accesses are typed as doubles (a memcpy would alias everything and
+/// force the pointers a pass reads to be reloaded after every store).
+using V2u = double __attribute__((vector_size(16), aligned(8)));
+
+template <class T>
+T load(const double* p) {
+  if constexpr (std::is_same_v<T, double>) {
+    return *p;
+  } else {
+    return *reinterpret_cast<const V2u*>(p);
+  }
+}
+
+inline void store(double* p, double x) { *p = x; }
+inline void store(double* p, V2 x) { *reinterpret_cast<V2u*>(p) = x; }
 
 /// Columns per pass of the blocked kernels: enough independent chains to
 /// hide the add latency, few enough to stay in registers.
@@ -18,17 +41,45 @@ static_assert(kBlock == 4, "the remainder switches handle 1-3 columns");
 /// in L1 while all the rotations pass over it.
 constexpr std::size_t kChunk = 256;
 
-/// out[b] = dot(cols[b], r) for b < B in one pass over r, each dot
-/// accumulated in index order in its own register.
+/// R reductions over t < n in one pass, in the order of the header:
+/// step(t, acc) adds entry t's term of reduction j to acc[j], with acc
+/// the pair accumulators (V2) of partials 0-1 or 2-3, or, for a last odd
+/// entry, that entry's partial (double). out[j] = (s0 + s2) + (s1 + s3).
+template <std::size_t R, class Step>
+void reduce(std::size_t n, double* out, Step&& step) {
+  V2 lo[R] = {};  // partials 0 and 1 of each reduction
+  V2 hi[R] = {};  // partials 2 and 3
+  std::size_t t = 0;
+  for (; t + 4 <= n; t += 4) {
+    step(t, lo);
+    step(t + 2, hi);
+  }
+  if (t + 2 <= n) {
+    step(t, lo);
+    t += 2;
+  }
+  double s[4][R];
+  for (std::size_t j = 0; j < R; ++j) {
+    s[0][j] = lo[j][0];
+    s[1][j] = lo[j][1];
+    s[2][j] = hi[j][0];
+    s[3][j] = hi[j][1];
+  }
+  if (t < n) step(t, s[t % 4]);
+  for (std::size_t j = 0; j < R; ++j) {
+    out[j] = (s[0][j] + s[2][j]) + (s[1][j] + s[3][j]);
+  }
+}
+
+/// out[b] = cols[b] . r for b < B in one pass over r.
 template <std::size_t B>
 void dots(const double* const* cols, const double* r, std::size_t n,
           double* out) {
-  double acc[B] = {};
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ri = r[i];
-    for (std::size_t b = 0; b < B; ++b) acc[b] += cols[b][i] * ri;
-  }
-  for (std::size_t b = 0; b < B; ++b) out[b] = acc[b];
+  reduce<B>(n, out, [&](std::size_t t, auto* acc) {
+    using T = std::remove_pointer_t<decltype(acc)>;
+    const T y = load<T>(r + t);
+    for (std::size_t b = 0; b < B; ++b) acc[b] += load<T>(cols[b] + t) * y;
+  });
 }
 
 /// xn[i] -= th[0] cols[0][i], then th[1] cols[1][i], ... for B columns in
@@ -50,55 +101,83 @@ HistoryQr::HistoryQr(std::size_t n, std::size_t capacity)
       q_(capacity, State(n)),
       r_(capacity * capacity),
       rhs_(capacity),
+      carry_(capacity),
+      carry_r_(n),
       cos_(capacity),
       sin_(capacity) {}
 
+bool HistoryQr::push(const State& v, const State* r) {
+  carried_ = false;
+  return r != nullptr ? push_impl<true>(v, r->data())
+                      : push_impl<false>(v, nullptr);
+}
+
 // Modified Gram-Schmidt with each projection fused to the next dot: pass i
-// subtracts r_ik q_i from w and, element by element, accumulates
-// q_{i+1} . w from the updated entries, so every dot and every entry of w
-// sees the operations of the unfused loop in the same order. The chain of
-// dots, each needing the whole previous pass, is what remains: k + 2
-// passes over n.
-bool HistoryQr::push(const State& v) {
+// subtracts r_ik q_i from w and accumulates q_{i+1} . w from the updated
+// entries (||w||^2 on the last pass) and, with r, q_i . r: k + 2 passes
+// over n. The scaling pass adds q_k . r and keeps a copy of r.
+template <bool kCarry>
+bool HistoryQr::push_impl(const State& v, const double* r) {
   LSM_ASSERT(k_ < m_);
   double* w = q_[k_].data();
+  const double* x = v.data();
   const std::size_t n = v.size();
   LSM_ASSERT(n == q_[k_].size());
+  // ||v||^2, and q_0 . v (||v||^2 again, from the stored w, if no q_0).
   const double* next = k_ > 0 ? q_[0].data() : w;
-  double sq = 0.0;    // ||v||^2
-  double proj = 0.0;  // q_0 . v, or ||v||^2 again when there is no q_0
-  for (std::size_t t = 0; t < n; ++t) {
-    const double x = v[t];
-    w[t] = x;
-    sq += x * x;
-    proj += next[t] * x;
-  }
-  const double col_norm = std::sqrt(sq);
+  double sums[2];
+  reduce<2>(n, sums, [&](std::size_t t, auto* acc) {
+    using T = std::remove_pointer_t<decltype(acc)>;
+    const T xt = load<T>(x + t);
+    store(w + t, xt);
+    acc[0] += xt * xt;
+    acc[1] += load<T>(next + t) * xt;
+  });
+  const double col_norm = std::sqrt(sums[0]);
+  double proj = sums[1];
   for (std::size_t i = 0; i < k_; ++i) {
     const double rik = proj;
     r_[i * m_ + k_] = rik;
     const double a = -rik;
     const double* qi = q_[i].data();
-    next = i + 1 < k_ ? q_[i + 1].data() : w;  // last pass: ||w||^2
-    double acc = 0.0;
-    for (std::size_t t = 0; t < n; ++t) {
-      const double x = w[t] + a * qi[t];
-      w[t] = x;
-      acc += next[t] * x;
-    }
-    proj = acc;
+    next = i + 1 < k_ ? q_[i + 1].data() : w;
+    double out[2];
+    reduce<kCarry ? 2 : 1>(n, out, [&](std::size_t t, auto* acc) {
+      using T = std::remove_pointer_t<decltype(acc)>;
+      const T qt = load<T>(qi + t);
+      const T wt = load<T>(w + t) + a * qt;
+      store(w + t, wt);
+      acc[0] += load<T>(next + t) * wt;  // the stored wt when next is w
+      if constexpr (kCarry) acc[1] += qt * load<T>(r + t);
+    });
+    proj = out[0];
+    if constexpr (kCarry) carry_[i] = out[1];
   }
   const double rkk = std::sqrt(proj);
   if (!(rkk > 1e-12 * std::max(col_norm, 1e-300))) return false;
   r_[k_ * m_ + k_] = rkk;
   const double inv = 1.0 / rkk;
-  for (std::size_t t = 0; t < n; ++t) w[t] *= inv;
+  if constexpr (kCarry) {
+    double* keep = carry_r_.data();
+    reduce<1>(n, carry_.data() + k_, [&](std::size_t t, auto* acc) {
+      using T = std::remove_pointer_t<decltype(acc)>;
+      const T qt = load<T>(w + t) * inv;
+      const T rt = load<T>(r + t);
+      store(w + t, qt);
+      store(keep + t, rt);
+      acc[0] += qt * rt;
+    });
+    carried_ = true;
+  } else {
+    for (std::size_t t = 0; t < n; ++t) w[t] *= inv;
+  }
   ++k_;
   return true;
 }
 
 void HistoryQr::drop_oldest() {
   LSM_ASSERT(k_ > 0);
+  carried_ = false;
   const std::size_t k = k_;
   // Deleting column 0 leaves H(i, j) = R(i, j + 1): upper Hessenberg, its
   // subdiagonal H(j + 1, j) = R(j + 1, j + 1) > 0. Shift it into place.
@@ -114,7 +193,10 @@ void HistoryQr::drop_oldest() {
   for (std::size_t j = 0; j + 1 < k; ++j) {
     const double a = r_[j * m_ + j];
     const double b = r_[(j + 1) * m_ + j];
-    const double rho = std::hypot(a, b);
+    // a and b are entries of R, whose squares the push's sums of squares
+    // already formed, so the plain radius neither overflows nor vanishes
+    // where std::hypot would not.
+    const double rho = std::sqrt(a * a + b * b);
     const double c = a / rho;
     const double s = b / rho;
     cos_[j] = c;
@@ -149,23 +231,29 @@ void HistoryQr::drop_oldest() {
 }
 
 void HistoryQr::solve(const State& r, double* theta) {
-  // Q^T r: the k dots are independent, so they go kBlock to a pass.
   const std::size_t n = r.size();
-  const double* cols[kBlock];
-  std::size_t i = 0;
-  for (; i + kBlock <= k_; i += kBlock) {
-    for (std::size_t b = 0; b < kBlock; ++b) cols[b] = q_[i + b].data();
-    dots<kBlock>(cols, r.data(), n, rhs_.data() + i);
+  const bool use_carry =
+      carried_ &&
+      std::memcmp(r.data(), carry_r_.data(), n * sizeof(double)) == 0;
+  if (!use_carry) {
+    // Q^T r: the k dots are independent, so they go kBlock to a pass.
+    const double* cols[kBlock];
+    std::size_t i = 0;
+    for (; i + kBlock <= k_; i += kBlock) {
+      for (std::size_t b = 0; b < kBlock; ++b) cols[b] = q_[i + b].data();
+      dots<kBlock>(cols, r.data(), n, rhs_.data() + i);
+    }
+    for (std::size_t b = 0; i + b < k_; ++b) cols[b] = q_[i + b].data();
+    switch (k_ - i) {
+      case 3: dots<3>(cols, r.data(), n, rhs_.data() + i); break;
+      case 2: dots<2>(cols, r.data(), n, rhs_.data() + i); break;
+      case 1: dots<1>(cols, r.data(), n, rhs_.data() + i); break;
+      default: break;
+    }
   }
-  for (std::size_t b = 0; i + b < k_; ++b) cols[b] = q_[i + b].data();
-  switch (k_ - i) {
-    case 3: dots<3>(cols, r.data(), n, rhs_.data() + i); break;
-    case 2: dots<2>(cols, r.data(), n, rhs_.data() + i); break;
-    case 1: dots<1>(cols, r.data(), n, rhs_.data() + i); break;
-    default: break;
-  }
+  const double* qtr = use_carry ? carry_.data() : rhs_.data();
   for (std::size_t j = k_; j-- > 0;) {
-    double acc = rhs_[j];
+    double acc = qtr[j];
     for (std::size_t l = j + 1; l < k_; ++l) acc -= r_[j * m_ + l] * theta[l];
     theta[j] = acc / r_[j * m_ + j];
   }

@@ -379,9 +379,9 @@ TEST(HistoryQr, NearlyDependentColumnIsDeficient) {
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// Counts entries of R (leading k x k), Q (first k columns) and theta
-/// whose bits differ from the oracle's.
-std::size_t qr_mismatches(const ode::detail::HistoryQr& qr,
-                          const reference::HistoryQr& ref,
+/// whose bits differ from the oracle's (or another factorization's).
+template <class Ref>
+std::size_t qr_mismatches(const ode::detail::HistoryQr& qr, const Ref& ref,
                           const std::vector<double>& theta,
                           const std::vector<double>& theta_ref) {
   std::size_t bad = 0;
@@ -400,9 +400,11 @@ std::size_t qr_mismatches(const ode::detail::HistoryQr& qr,
 
 TEST(HistoryQrOracle, PushDropSolveSequencesMatchBitForBit) {
   // Depths on both sides of the four-column block, most of them not a
-  // multiple of it; n = 621 is the erlang c = 10 shape, not a multiple of
-  // the Givens chunk.
-  for (const std::size_t n : {1U, 37U, 621U}) {
+  // multiple of it; lengths with every remainder mod 4 of the partial
+  // sums but 0, n = 621 the erlang c = 10 shape, not a multiple of the
+  // Givens chunk. Every other push carries the next solve's residual, so
+  // both ways of forming Q^T r meet the oracle.
+  for (const std::size_t n : {1U, 3U, 37U, 193U, 621U}) {
     for (const std::size_t m : {1U, 2U, 3U, 4U, 5U, 7U, 8U, 10U, 13U}) {
       ode::detail::HistoryQr qr(n, m);
       reference::HistoryQr ref(n, m);
@@ -422,11 +424,11 @@ TEST(HistoryQrOracle, PushDropSolveSequencesMatchBitForBit) {
             v[t] = 0.7 * qr.q(0)[t] * qr.r(0, 0) + 1e-14 * v[t];
           }
         }
-        const bool kept = qr.push(v);
+        const ode::State r = random_column(rng, n);
+        const bool kept = qr.push(v, step % 2 == 0 ? &r : nullptr);
         ASSERT_EQ(kept, ref.push(v)) << "n=" << n << " m=" << m;
         rejected += kept ? 0 : 1;
         ASSERT_EQ(qr.size(), ref.size());
-        const ode::State r = random_column(rng, n);
         qr.solve(r, theta.data());
         ref.solve(r, theta_ref.data());
         ASSERT_EQ(qr_mismatches(qr, ref, theta, theta_ref), 0U)
@@ -438,6 +440,94 @@ TEST(HistoryQrOracle, PushDropSolveSequencesMatchBitForBit) {
       }
     }
   }
+}
+
+TEST(HistoryQr, CarriedQtrMatchesRecomputedSolveBitForBit) {
+  // Twin factorizations of one random push/drop sequence: `carry` gives
+  // each push the residual of the next solve, `plain` gives none and so
+  // forms Q^T r in the solve. The factors and theta must agree bit for
+  // bit; lengths cover every remainder mod 4 but 0, and dependent columns
+  // are refused by both.
+  for (const std::size_t n : {1U, 3U, 37U, 193U, 621U}) {
+    for (const std::size_t m : {1U, 4U, 7U, 10U}) {
+      ode::detail::HistoryQr carry(n, m), plain(n, m);
+      util::Xoshiro256 rng(7000 * n + m);
+      std::vector<double> theta(m), theta_plain(m), theta_again(m);
+      std::size_t carried = 0;
+      for (std::size_t step = 0; step < 80; ++step) {
+        // (At most n columns of length n are independent.)
+        if (carry.size() == std::min(m, n)) {
+          carry.drop_oldest();
+          plain.drop_oldest();
+        }
+        ode::State v = random_column(rng, n);
+        if (step % 9 == 8 && carry.size() >= 1) {
+          for (std::size_t t = 0; t < n; ++t) {
+            v[t] = -1.1 * carry.q(0)[t] * carry.r(0, 0) + 1e-14 * v[t];
+          }
+        }
+        const ode::State r = random_column(rng, n);
+        const bool kept = carry.push(v, &r);
+        ASSERT_EQ(kept, plain.push(v)) << "n=" << n << " m=" << m;
+        ASSERT_EQ(carry.carried(), kept);
+        ASSERT_FALSE(plain.carried());
+        if (carry.size() == 0) continue;
+        carried += kept ? 1 : 0;
+        carry.solve(r, theta.data());
+        plain.solve(r, theta_plain.data());
+        ASSERT_EQ(qr_mismatches(carry, plain, theta, theta_plain), 0U)
+            << "n=" << n << " m=" << m << " step=" << step;
+        // Another residual is not the carried one: recomputed, same bits.
+        const ode::State other = random_column(rng, n);
+        carry.solve(other, theta.data());
+        plain.solve(other, theta_plain.data());
+        for (std::size_t j = 0; j < carry.size(); ++j) {
+          ASSERT_EQ(bits(theta[j]), bits(theta_plain[j])) << "step=" << step;
+        }
+        // The carry outlives a solve for another residual.
+        ASSERT_TRUE(carry.carried() == kept);
+        carry.solve(r, theta_again.data());
+        plain.solve(r, theta_plain.data());
+        for (std::size_t j = 0; j < carry.size(); ++j) {
+          ASSERT_EQ(bits(theta_again[j]), bits(theta_plain[j]));
+        }
+      }
+      EXPECT_GT(carried, 40U) << "n=" << n << " m=" << m;
+    }
+  }
+}
+
+TEST(HistoryQr, CarryIsDroppedWhenTheFactorizationMoves) {
+  const std::size_t n = 37;
+  ode::detail::HistoryQr qr(n, 4);
+  util::Xoshiro256 rng(29);
+  const ode::State r = random_column(rng, n);
+  const ode::State a = random_column(rng, n);
+  const ode::State b = random_column(rng, n);
+  EXPECT_FALSE(qr.carried());
+  ASSERT_TRUE(qr.push(a, &r));
+  EXPECT_TRUE(qr.carried());
+  qr.clear();
+  EXPECT_FALSE(qr.carried());
+
+  ASSERT_TRUE(qr.push(a, &r));
+  ASSERT_TRUE(qr.push(b, &r));
+  EXPECT_TRUE(qr.carried());
+  qr.drop_oldest();
+  EXPECT_FALSE(qr.carried());
+
+  ASSERT_TRUE(qr.push(a, &r));
+  ASSERT_TRUE(qr.carried());
+  ode::State dep(n);
+  for (std::size_t t = 0; t < n; ++t) dep[t] = 2.0 * a[t] - 0.5 * b[t];
+  EXPECT_FALSE(qr.push(dep, &r));  // dependent: refused
+  EXPECT_FALSE(qr.carried());
+
+  qr.drop_oldest();
+  ASSERT_TRUE(qr.push(b, &r));
+  ASSERT_TRUE(qr.carried());
+  ASSERT_TRUE(qr.push(random_column(rng, n)));  // no residual given
+  EXPECT_FALSE(qr.carried());
 }
 
 TEST(HistoryQrOracle, ExtrapolationMatchesBitForBit) {

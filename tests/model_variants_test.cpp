@@ -149,10 +149,12 @@ TEST(Transfer, PresetPinsColdAnswers) {
   // The registry's `transfer` (one Exp(1/r) stage of the staged-transfer
   // model) solved cold over the daemon benchmark's grid at its defaults
   // (r = 0.25, T = 2), then at BENCH_ode's r = 4 case: evaluation counts,
-  // truncations and sojourn bits. The dedicated exponential-transfer model
-  // this preset replaced took the same evaluations to the same
-  // truncations; its sojourns differ by at most 3 ulps (it summed the mass
-  // constraint and E[N] in another order).
+  // truncations and sojourn bits, recorded with Anderson's history in its
+  // four-partial summation order (ode/history_qr.hpp). The dedicated
+  // exponential-transfer model this preset replaced took the same
+  // evaluations to the same truncations under the serial order; its
+  // sojourns differed by at most 3 ulps (it summed the mass constraint and
+  // E[N] in another order).
   struct Pin {
     std::size_t rhs_evals;
     std::size_t truncation;
@@ -160,9 +162,9 @@ TEST(Transfer, PresetPinsColdAnswers) {
   };
   const Pin pins[8] = {
       {150, 48, 0x400142defe78b69aULL}, {164, 48, 0x4002bb874eaa8563ULL},
-      {188, 48, 0x4004693cae38c146ULL}, {306, 96, 0x40066876eae37d58ULL},
-      {334, 96, 0x4008ea7d0e2ddfe2ULL}, {331, 96, 0x400c491aa645ae13ULL},
-      {412, 96, 0x40109bfa9b1ccdd1ULL}, {687, 192, 0x4014ac755faa205bULL},
+      {188, 48, 0x4004693cae38c145ULL}, {306, 96, 0x40066876eae37d58ULL},
+      {334, 96, 0x4008ea7d0e2ddfe1ULL}, {331, 96, 0x400c491aa645ae14ULL},
+      {412, 96, 0x40109bfa9b1ccdd2ULL}, {687, 192, 0x4014ac755faa205bULL},
   };
   const auto expect_pin = [](const core::ModelParams& params, double lambda,
                              const Pin& pin) {
@@ -176,7 +178,7 @@ TEST(Transfer, PresetPinsColdAnswers) {
   for (int k = 0; k < 8; ++k) {
     expect_pin({}, 0.50 + (0.85 - 0.50) * k / 7, pins[k]);
   }
-  expect_pin({{"r", 4}, {"T", 2}}, 0.9, {670, 192, 0x40105cdd5ba01c56ULL});
+  expect_pin({{"r", 4}, {"T", 2}}, 0.9, {739, 192, 0x40105cdd5ba01c57ULL});
 }
 
 TEST(Transfer, WaitingMassGrowsWithTransferTime) {

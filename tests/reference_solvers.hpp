@@ -136,14 +136,16 @@ class RowMajorBandedLu {
   std::vector<std::size_t> pivot_;
 };
 
+/// The history's summation order: partial sum j adds the terms i = j,
+/// j + 4, j + 8, ... in turn from +0.0, then (s0 + s2) + (s1 + s3).
 inline double dot(const ode::State& a, const ode::State& b) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
+  double s[4] = {0.0, 0.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < a.size(); ++i) s[i % 4] += a[i] * b[i];
+  return (s[0] + s[2]) + (s[1] + s[3]);
 }
 
-/// Updating thin QR of a window of columns, one pass over n per dot,
-/// projection, normalization and Givens rotation.
+/// Updating thin QR of a window of columns, one pass over n per dot (in
+/// the order of dot above), projection, normalization and Givens rotation.
 class HistoryQr {
  public:
   HistoryQr(std::size_t n, std::size_t capacity)
@@ -185,7 +187,7 @@ class HistoryQr {
     for (std::size_t j = 0; j + 1 < k; ++j) {
       const double a = r_[j * m_ + j];
       const double b = r_[(j + 1) * m_ + j];
-      const double rho = std::hypot(a, b);
+      const double rho = std::sqrt(a * a + b * b);
       const double c = a / rho;
       const double s = b / rho;
       r_[j * m_ + j] = rho;
