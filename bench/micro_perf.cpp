@@ -20,10 +20,8 @@
 #include "ode/anderson.hpp"
 #include "ode/banded.hpp"
 #include "ode/history_qr.hpp"
-#include "ode/integrator.hpp"
+#include "ode/krylov.hpp"
 #include "ode/linalg.hpp"
-#include "ode/newton.hpp"
-#include "ode/steppers.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/xoshiro.hpp"
@@ -159,17 +157,6 @@ void BM_VariantKernelDeriv(benchmark::State& state) {
 BENCHMARK(BM_VariantKernelDeriv)
     ->ArgsProduct({benchmark::CreateDenseRange(0, 7, 1), {1, 8}});
 
-void BM_Rk4Step(benchmark::State& state) {
-  core::SimpleWS model(0.9, 256);
-  ode::RungeKutta4 rk4;
-  auto s = model.mm1_state();
-  for (auto _ : state) {
-    rk4.step(model, 0.0, s, 0.01);
-    benchmark::DoNotOptimize(s.data());
-  }
-}
-BENCHMARK(BM_Rk4Step);
-
 void BM_FixedPointSolve(benchmark::State& state) {
   for (auto _ : state) {
     core::SimpleWS model(0.9);
@@ -242,7 +229,7 @@ ode::State rung_state(const core::MeanFieldModel& model) {
 ode::SparseColumns rung_jacobian(const core::MeanFieldModel& model) {
   const ode::State s = rung_state(model);
   const std::size_t n = s.size();
-  const double fd_eps = ode::NewtonOptions{}.fd_eps;
+  const double fd_eps = ode::NewtonKrylovOptions{}.fd_eps;
   ode::State f(n), fp(n), pert = s;
   model.root_residual(s, f);
   ode::SparseColumns jac;
@@ -285,7 +272,7 @@ void BM_FdJacobianFactor(benchmark::State& state) {
   const ode::State s = rung_state(*model);
   ode::State f(s.size());
   model->root_residual(s, f);
-  const double fd_eps = ode::NewtonOptions{}.fd_eps;
+  const double fd_eps = ode::NewtonKrylovOptions{}.fd_eps;
   for (auto _ : state) {
     const auto lu = ode::detail::factor_fd_jacobian(root, s, f, fd_eps);
     benchmark::DoNotOptimize(lu->size());

@@ -342,12 +342,13 @@ if [ "${SKIP_PERF:-0}" != "1" ]; then
     bench/perf/BENCH_ode.baseline.json --check=bench/perf/BENCH_ode.json
   ./build/bench/perf/perf_ode build/perf/BENCH_ode_sweep.json \
     --mode=sweep-warm --check=bench/perf/BENCH_ode_sweep.json
-  # Anderson's cost per iteration and its least-squares window step alone
-  # (solve, extrapolate, drop, push at depth 10), report-only.
+  # Anderson's cost per iteration, its least-squares window step alone
+  # (solve, extrapolate, drop, push at depth 10), and two whole solves,
+  # polish included (simple and transfer at lambda = 0.9), report-only.
   cmake --build build -j "$jobs" --target micro_perf
   ./build/bench/micro_perf \
-    --benchmark_filter='BM_AndersonIteration|BM_HistoryQrStep' \
-    --benchmark_out=build/perf/micro_perf_anderson.json \
+    --benchmark_filter='BM_AndersonIteration|BM_HistoryQrStep|BM_FixedPointSolve|BM_TransferFixedPointSolve' \
+    --benchmark_out=build/perf/micro_perf_smoke.json \
     --benchmark_out_format=json
 else
   ./build/bench/perf/perf_sim --check=bench/perf/BENCH_sim.json

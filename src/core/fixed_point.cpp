@@ -5,7 +5,7 @@
 #include <string>
 #include <utility>
 
-#include "ode/newton.hpp"
+#include "ode/krylov.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
 #include "util/fault_injection.hpp"
@@ -120,37 +120,24 @@ FixedPointResult finish_failed(FixedPointResult&& result, std::size_t rung) {
   return std::move(result);
 }
 
+/// Newton-GMRES on the root residual. Inexact Newton may stop shy of
+/// polish_tol on a hard system; any residual improvement is still worth
+/// keeping. `reuse` carries a continuation chain's chord; without one the
+/// chord lives for this polish only.
 void polish(const MeanFieldModel& model, FixedPointResult& result,
             const FixedPointOptions& opts,
             ode::NewtonWorkspace* reuse = nullptr) {
   if (!opts.polish) return;
   const RootSystem root(model);
-  const ode::CountingSystem counted(root);
-  if (model.dimension() > opts.newton_max_dim) {
-    ode::NewtonKrylovOptions kopts = opts.krylov;
-    kopts.tol = opts.polish_tol;
-    auto nk = ode::newton_krylov_fixed_point(counted, result.state, kopts,
-                                             reuse);
-    result.rhs_evals += counted.evals();
-    // Inexact Newton may stop shy of polish_tol on a hard system; any
-    // residual improvement is still worth keeping. `polished` means the
-    // kept residual reached polish_tol, whichever pass reached it.
-    if (nk.residual_norm < result.residual) {
-      result.state = std::move(nk.state);
-      result.residual = nk.residual_norm;
-    }
-    result.polished = result.residual <= opts.polish_tol;
-    return;
+  ode::NewtonKrylovOptions kopts = opts.krylov;
+  kopts.tol = opts.polish_tol;
+  auto nk = ode::newton_krylov_fixed_point(root, result.state, kopts, reuse);
+  result.rhs_evals += nk.rhs_evals;
+  if (nk.residual_norm < result.residual) {
+    result.state = std::move(nk.state);
+    result.residual = nk.residual_norm;
   }
-  ode::NewtonOptions nopts;
-  nopts.tol = opts.polish_tol;
-  auto polished = ode::newton_fixed_point(counted, result.state, nopts, reuse);
-  result.rhs_evals += counted.evals();
-  if (polished.converged) {
-    result.state = std::move(polished.state);
-    result.residual = polished.residual_norm;
-    result.polished = true;
-  }
+  result.polished = result.residual <= opts.polish_tol;
 }
 
 /// Auto mode: re-extends the solution at the ladder's final rung back to
@@ -168,10 +155,9 @@ void restore_truncation(const MeanFieldModel& model, FixedPointResult& result,
   model.deriv(0.0, result.state, f);
   result.residual = ode::norm_linf(f);
   result.rhs_evals += 1;
-  if (result.polished && result.residual > opts.polish_tol) {
-    result.polished = false;
-    polish(model, result, opts);
-  }
+  const bool was_polished = result.polished;
+  result.polished = opts.polish && result.residual <= opts.polish_tol;
+  if (was_polished && !result.polished) polish(model, result, opts);
 }
 
 /// Continuation warm solve: the warm state replaces the truncation ladder.
@@ -248,7 +234,7 @@ FixedPointResult solve_warm(const MeanFieldModel& model,
   }
 
   // The chord workspace only serves genuinely warm chains: a rejected warm
-  // attempt was answered by the cold path, which polishes classically.
+  // attempt was answered by the cold path, which polishes with its own.
   polish(model, result, opts, result.warm ? opts.newton_reuse : nullptr);
   result.final_truncation = rung;
   result.compact_state = result.state;

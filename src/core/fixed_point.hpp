@@ -1,8 +1,8 @@
 // Fixed-point computation for any MeanFieldModel, built on the fast engine
 // in ode/solve.hpp: Anderson acceleration (or Newton-Krylov for banded and
 // very large models) over an adaptively grown truncation ladder, finished
-// by a Newton polish on the algebraic system f(s) = 0 for high-accuracy
-// tails.
+// by a Newton-GMRES polish (ode/krylov.hpp) on the algebraic system
+// f(s) = 0 for high-accuracy tails.
 //
 // Adaptive truncation: the tail indices are a discretization knob, not part
 // of the model, and most of the relaxation budget at a generous L is spent
@@ -15,7 +15,7 @@
 #pragma once
 
 #include "core/model.hpp"
-#include "ode/newton.hpp"
+#include "ode/krylov.hpp"
 #include "ode/solve.hpp"
 #include "ode/state.hpp"
 
@@ -40,13 +40,11 @@ struct FixedPointOptions {
   double relax_tol = 1e-8;
   double polish_tol = 1e-13;  ///< ||f||_inf target for the Newton phase
   bool polish = true;
-  /// Largest dimension polished with the dense-Jacobian Newton (an O(n)
-  /// evaluation Jacobian plus O(n^3) factorization per rebuild). Above it
-  /// the polish is matrix-free Newton-Krylov.
-  std::size_t newton_max_dim = 1400;
-  /// Newton-Krylov tuning for the large-dimension polish and for solves
-  /// routed to ode's Krylov path (tol is overwritten with polish_tol
-  /// respectively the rung tolerance).
+  /// Newton-Krylov tuning for the polish and for solves routed to ode's
+  /// Krylov path (tol is overwritten with polish_tol respectively the rung
+  /// tolerance). Its dense_precond_max_dim is the one dimension threshold:
+  /// at or below it the chord is the LU of the full finite-difference
+  /// Jacobian, above it a banded LU.
   ode::NewtonKrylovOptions krylov{};
   double t_max = 1e6;                 ///< relaxation horizon before giving up
   double check_interval = 25.0;       ///< relaxation convergence test period
@@ -77,10 +75,10 @@ struct FixedPointOptions {
   /// whenever warm_state is set.
   std::size_t warm_truncation = 0;
   /// Optional cross-solve Newton workspace: consecutive solves in a
-  /// continuation chain that share it reuse the previous point's Jacobian
-  /// factorization as a chord during the polish phase (see
-  /// ode::NewtonWorkspace). Only consulted on warm solves; cold solves
-  /// always polish with the classic fresh-Jacobian iteration.
+  /// continuation chain that share it reuse the previous point's chord
+  /// factorization and GMRES basis during the polish phase (see
+  /// ode::NewtonWorkspace). Only consulted on warm solves; a cold solve
+  /// polishes with a workspace local to the solve.
   ode::NewtonWorkspace* newton_reuse = nullptr;
   /// Optional budgets across the whole ladder (0 = unlimited); the
   /// remainder is threaded into every rung solve. Exhaustion fails the
@@ -96,7 +94,9 @@ struct FixedPointOptions {
 struct FixedPointResult {
   ode::State state;
   double residual = 0.0;   ///< final ||f(s)||_inf
-  bool polished = false;   ///< Newton phase reached residual <= polish_tol
+  /// Exactly residual <= polish_tol when the polish is on; always false
+  /// when it is off.
+  bool polished = false;
   double relax_time = 0.0; ///< virtual time used by explicit relaxation
   /// Iterative path that produced the pre-polish state (Anderson, Krylov,
   /// or Relax after a fallback) at the final ladder rung.

@@ -23,7 +23,7 @@
 #include "exp/runner.hpp"            // IWYU pragma: export
 #include "exp/spec.hpp"              // IWYU pragma: export
 #include "ode/integrator.hpp"        // IWYU pragma: export
-#include "ode/newton.hpp"            // IWYU pragma: export
+#include "ode/krylov.hpp"            // IWYU pragma: export
 #include "ode/steady_state.hpp"      // IWYU pragma: export
 #include "parallel/parallel_for.hpp"  // IWYU pragma: export
 #include "parallel/rng_streams.hpp"  // IWYU pragma: export

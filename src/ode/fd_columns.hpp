@@ -1,5 +1,5 @@
 // Forward-difference Jacobian columns of an OdeSystem's right-hand side,
-// shared by the dense (ode/newton.cpp) and banded (ode/banded.cpp)
+// shared by the dense (ode/krylov.cpp) and banded (ode/banded.cpp)
 // assemblies: eight columns per deriv_batch pass when the system has a
 // lane kernel, one deriv per column otherwise. A caller takes them a
 // column at a time (fd_columns) or a whole pass at a time

@@ -7,22 +7,6 @@
 
 namespace lsm::ode {
 
-double integrate_fixed(const OdeSystem& sys, Stepper& stepper, State& s,
-                       double t0, double t1, double dt,
-                       const Observer& observe) {
-  LSM_EXPECT(dt > 0.0, "fixed step size must be positive");
-  LSM_EXPECT(t1 >= t0, "integration interval is inverted");
-  double t = t0;
-  while (t < t1) {
-    const double h = std::min(dt, t1 - t);
-    stepper.step(sys, t, s, h);
-    sys.project(s);
-    t += h;
-    if (observe && !observe(t, s)) break;
-  }
-  return t;
-}
-
 double AdaptiveIntegrator::integrate(const OdeSystem& sys, State& s,
                                      double t0, double t1,
                                      const AdaptiveOptions& opts,

@@ -1,6 +1,5 @@
-// Time-integration drivers over the steppers: fixed-step with observer
-// callbacks, and an adaptive Cash-Karp 4(5) driver with PI-free classical
-// step-size control.
+// Time integration: an adaptive Cash-Karp 4(5) driver with PI-free
+// classical step-size control and observer callbacks.
 #pragma once
 
 #include <functional>
@@ -13,13 +12,6 @@ namespace lsm::ode {
 /// Called after every accepted step with (t, state). Return false to stop
 /// integration early.
 using Observer = std::function<bool(double, const State&)>;
-
-/// Integrates from t0 to t1 with fixed steps of size dt (last step clipped).
-/// The system's project() runs after each step. Returns the final time
-/// (== t1 unless the observer stopped early).
-double integrate_fixed(const OdeSystem& sys, Stepper& stepper, State& s,
-                       double t0, double t1, double dt,
-                       const Observer& observe = nullptr);
 
 struct AdaptiveOptions {
   double atol = 1e-10;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "ode/banded.hpp"
+#include "ode/fd_columns.hpp"
 #include "ode/linalg.hpp"
 #include "util/error.hpp"
 
@@ -26,7 +27,179 @@ double dot(const double* a, const double* b, std::size_t n) {
   return acc;
 }
 
+/// Gives every row of `jac` whose largest |entry| is zero a unit diagonal,
+/// inserting the entry or overwriting a stored one.
+void unit_diagonal_on_zero_rows(SparseColumns& jac) {
+  const std::size_t n = jac.n;
+  std::vector<double> row_max(n, 0.0);
+  for (std::size_t p = 0; p < jac.row.size(); ++p) {
+    double& m = row_max[jac.row[p]];
+    m = std::max(m, std::abs(jac.value[p]));
+  }
+  if (std::find(row_max.begin(), row_max.end(), 0.0) == row_max.end()) return;
+  SparseColumns reg;
+  reg.n = n;
+  reg.col_start.reserve(n + 1);
+  reg.row.reserve(jac.row.size() + n);
+  reg.value.reserve(jac.row.size() + n);
+  const auto copy = [&](std::size_t p) {
+    reg.row.push_back(jac.row[p]);
+    reg.value.push_back(jac.value[p]);
+  };
+  for (std::size_t j = 0; j < n; ++j) {
+    std::size_t p = jac.col_start[j];
+    const std::size_t p_end = jac.col_start[j + 1];
+    for (; p < p_end && jac.row[p] < j; ++p) copy(p);
+    if (row_max[j] == 0.0) {
+      reg.row.push_back(j);
+      reg.value.push_back(1.0);
+      if (p < p_end && jac.row[p] == j) ++p;
+    }
+    for (; p < p_end; ++p) copy(p);
+    reg.col_start.push_back(reg.row.size());
+  }
+  jac = std::move(reg);
+}
+
+/// Appends the nb columns of one fd_column_batches pass to jac. The
+/// differences (fp - f0) / h are formed row by row over the pass's
+/// contiguous lanes; each lane's nonzeros go to its own buffer (n entries
+/// per lane in rows and values), and the buffers are appended in column
+/// order, so jac gets the entries, in the order and with the bits, of a
+/// scan down each column. kNb is nb for a full pass, whose lane loop then
+/// unrolls with the counts in registers, or 0 for a width known only at
+/// run time. (Compacting without the branch, each entry written and its
+/// count advanced when nonzero, measured slower: the scan is n^2 entries,
+/// almost all of them zero.)
+template <std::size_t kNb>
+void append_fd_columns(SparseColumns& jac, const double* f0, const double* fb,
+                       const double* h, std::size_t nb, std::size_t* rows,
+                       double* values) {
+  const std::size_t n = jac.n;
+  const std::size_t lanes = kNb == 0 ? nb : kNb;
+  double inv_h[kFdLanes];
+  std::size_t count[kFdLanes] = {};
+  for (std::size_t l = 0; l < lanes; ++l) inv_h[l] = 1.0 / h[l];
+  for (std::size_t i = 0; i < n; ++i) {
+    const double fi = f0[i];
+    const double* fp = fb + i * lanes;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const double d = (fp[l] - fi) * inv_h[l];
+      if (d == 0.0) continue;
+      rows[l * n + count[l]] = i;
+      values[l * n + count[l]] = d;
+      ++count[l];
+    }
+  }
+  for (std::size_t l = 0; l < lanes; ++l) {
+    jac.row.insert(jac.row.end(), rows + l * n, rows + l * n + count[l]);
+    jac.value.insert(jac.value.end(), values + l * n,
+                     values + l * n + count[l]);
+    jac.col_start.push_back(jac.row.size());
+  }
+}
+
 }  // namespace
+
+NewtonWorkspace::NewtonWorkspace() = default;
+NewtonWorkspace::~NewtonWorkspace() = default;
+NewtonWorkspace::NewtonWorkspace(NewtonWorkspace&&) noexcept = default;
+NewtonWorkspace& NewtonWorkspace::operator=(NewtonWorkspace&&) noexcept =
+    default;
+
+void NewtonWorkspace::reset() {
+  lu_.reset();
+  dim_ = 0;
+  banded_dim_ = 0;
+}
+
+const LuSolver* NewtonWorkspace::dense_chord(std::size_t dim) const {
+  return dim_ == dim ? lu_.get() : nullptr;
+}
+
+const LuSolver& NewtonWorkspace::build_dense_chord(const OdeSystem& sys,
+                                                   const State& s,
+                                                   const State& f,
+                                                   double fd_eps) {
+  dim_ = 0;
+  lu_ = detail::factor_fd_jacobian(sys, s, f, fd_eps,
+                                   /*regularize_zero_rows=*/true);
+  dim_ = s.size();
+  return *lu_;
+}
+
+const BandedLuSolver* NewtonWorkspace::banded_chord(std::size_t dim) const {
+  return banded_dim_ == dim ? banded_.get() : nullptr;
+}
+
+const BandedLuSolver& NewtonWorkspace::build_banded_chord(const OdeSystem& sys,
+                                                          const State& s,
+                                                          std::size_t bw,
+                                                          double fd_eps) {
+  const std::size_t n = s.size();
+  banded_dim_ = 0;
+  // A row with no entry of positive magnitude in its band gets a unit
+  // diagonal.
+  const auto assemble = [&](BandedMatrix& jac) {
+    banded_fd_into(sys, 0.0, s, fd_eps, jac, banded_scratch_);
+    for (std::size_t i = 0; i < n; ++i) {
+      bool live = false;
+      const std::size_t j_hi = std::min(i + bw, n - 1);
+      for (std::size_t j = i > bw ? i - bw : 0; j <= j_hi && !live; ++j) {
+        live = std::abs(jac.get(i, j)) > 0.0;
+      }
+      if (!live) jac.set(i, i, 1.0);
+    }
+  };
+  const BandedMatrix* held = banded_ ? &banded_->factors() : nullptr;
+  if (held != nullptr && held->size() == n && held->lower() == bw &&
+      held->upper() == bw) {
+    banded_->refactor(assemble);
+  } else {
+    BandedMatrix jac(n, bw, bw);
+    assemble(jac);
+    banded_ = std::make_unique<BandedLuSolver>(std::move(jac));
+  }
+  banded_dim_ = n;
+  return *banded_;
+}
+
+namespace detail {
+
+std::unique_ptr<LuSolver> factor_fd_jacobian(const OdeSystem& sys,
+                                             const State& s, const State& f,
+                                             double fd_eps,
+                                             bool regularize_zero_rows) {
+  const std::size_t n = sys.dimension();
+  SparseColumns jac;
+  jac.n = n;
+  jac.col_start.reserve(n + 1);
+  jac.row.reserve(8 * n);
+  jac.value.reserve(8 * n);
+  // The counter charges a batched pass nb evaluations, so the eval count,
+  // the factorization and everything downstream (golden artifacts
+  // included) do not depend on the path fd_column_batches takes.
+  std::vector<std::size_t> lane_row(kFdLanes * n);
+  std::vector<double> lane_value(kFdLanes * n);
+  FdScratch scratch;
+  fd_column_batches(sys, 0.0, s, fd_eps, scratch,
+                    [&](std::size_t, std::size_t nb, const double* fb,
+                        const double* h) {
+                      if (nb == kFdLanes) {
+                        append_fd_columns<kFdLanes>(jac, f.data(), fb, h, nb,
+                                                    lane_row.data(),
+                                                    lane_value.data());
+                      } else {
+                        append_fd_columns<0>(jac, f.data(), fb, h, nb,
+                                             lane_row.data(),
+                                             lane_value.data());
+                      }
+                    });
+  if (regularize_zero_rows) unit_diagonal_on_zero_rows(jac);
+  return std::make_unique<LuSolver>(jac);
+}
+
+}  // namespace detail
 
 void GmresWorkspace::ensure(std::size_t n, std::size_t restart) {
   if (n == n_ && restart == m_) return;
@@ -231,7 +404,6 @@ NewtonKrylovResult newton_krylov_fixed_point(const OdeSystem& sys, State s0,
   res.residual_norm = norm_linf(f);
 
   JacobianOperator jac(counted, opts.fd_eps);
-  GmresWorkspace gws;
   const bool dense_pc =
       opts.dense_precond_max_dim > 0 && n <= opts.dense_precond_max_dim;
   const std::size_t bw = opts.banded_precond_bandwidth;
@@ -240,6 +412,7 @@ NewtonKrylovResult newton_krylov_fixed_point(const OdeSystem& sys, State s0,
   NewtonWorkspace own_ws;
   NewtonWorkspace& chord_ws =
       precond_reuse != nullptr ? *precond_reuse : own_ws;
+  GmresWorkspace& gws = chord_ws.gmres();
   // A factorization taken at the CURRENT iterate; a stale chord that stops
   // helping is dropped and rebuilt here before the solve gives up.
   bool precond_fresh = false;
@@ -274,27 +447,23 @@ NewtonKrylovResult newton_krylov_fixed_point(const OdeSystem& sys, State s0,
     const LuSolver* dense_lu = nullptr;
     const BandedLuSolver* banded_lu = nullptr;
     if (dense_pc) {
-      dense_lu = detail::cached_lu(chord_ws, n);
+      dense_lu = chord_ws.dense_chord(n);
       if (dense_lu == nullptr) {
         try {
-          detail::cache_lu(chord_ws,
-                           detail::factor_fd_jacobian(
-                               counted, res.state, f, opts.fd_eps,
-                               /*regularize_zero_rows=*/true),
-                           n);
+          dense_lu = &chord_ws.build_dense_chord(counted, res.state, f,
+                                                 opts.fd_eps);
           ++res.jacobian_builds;
           precond_fresh = true;
-          dense_lu = detail::cached_lu(chord_ws, n);
         } catch (const util::Error&) {
           dense_lu = nullptr;
         }
       }
     } else if (banded_pc) {
-      banded_lu = detail::cached_banded(chord_ws, n);
+      banded_lu = chord_ws.banded_chord(n);
       if (banded_lu == nullptr) {
         try {
-          banded_lu = detail::build_banded_chord(chord_ws, counted, res.state,
-                                                 bw, opts.fd_eps);
+          banded_lu = &chord_ws.build_banded_chord(counted, res.state, bw,
+                                                   opts.fd_eps);
           ++res.jacobian_builds;
           precond_fresh = true;
         } catch (const util::Error&) {
@@ -331,8 +500,8 @@ NewtonKrylovResult newton_krylov_fixed_point(const OdeSystem& sys, State s0,
     }
     res.inner_iterations += inner.iterations;
 
-    // Backtracking line search on the true residual (projected, matching
-    // the dense polish).
+    // Backtracking line search on the true residual, each trial projected
+    // onto the feasible set.
     double alpha = 1.0;
     bool improved = false;
     for (int bt = 0; bt < 30; ++bt) {

@@ -1,4 +1,4 @@
-// Matrix-free Newton–Krylov machinery for large fixed-point polish:
+// Newton–Krylov machinery, the one Newton loop of the fixed-point polish:
 //
 //  * gmres            - restarted GMRES(m) with modified Gram–Schmidt
 //    Arnoldi, Givens-rotation least squares and optional RIGHT
@@ -13,25 +13,23 @@
 //  * newton_krylov_fixed_point - inexact Newton over GMRES with
 //    Eisenstat–Walker forcing, a backtracking line search on the true
 //    residual, and a chord preconditioner: an LU of the full
-//    finite-difference Jacobian for small systems (reusable across solves
-//    via ode::NewtonWorkspace, same contract as the Newton polish) or a
-//    finite-difference banded LU for large ones. The mean-field Jacobians
-//    are band + low-rank tail couplings, so the exact band (per-column
-//    differences) preconditions the system down to a low-rank perturbation
-//    of the identity — GMRES's best case.
+//    finite-difference Jacobian for small systems or a finite-difference
+//    banded LU for large ones, both reusable across solves via
+//    NewtonWorkspace. The mean-field Jacobians are band + low-rank tail
+//    couplings, so the exact band (per-column differences) preconditions
+//    the system down to a low-rank perturbation of the identity — GMRES's
+//    best case.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 
 #include "ode/banded.hpp"
-#include "ode/newton.hpp"
 #include "ode/state.hpp"
 #include "ode/system.hpp"
 
 namespace lsm::ode {
 
-class BandedLuSolver;
 class LuSolver;
 
 /// Abstract y = A x over raw length-n arrays. Implementations are small
@@ -83,6 +81,81 @@ class GmresWorkspace {
   std::size_t m_ = 0;
 };
 
+/// Cross-solve state of newton_krylov_fixed_point: the chord
+/// preconditioner's factorization and the GMRES basis. A λ-sweep polishes
+/// a chain of nearby fixed points; the Jacobian barely moves between
+/// neighbouring λ, so the previous point's factorization makes a good chord
+/// for the next, and one Krylov basis serves every solve of the chain's
+/// shape. A chord that stops helping is dropped and rebuilt at the current
+/// iterate, so reuse is an optimization, never a correctness risk:
+/// convergence is still judged against the true residual.
+class NewtonWorkspace {
+ public:
+  NewtonWorkspace();
+  ~NewtonWorkspace();
+  NewtonWorkspace(NewtonWorkspace&&) noexcept;
+  NewtonWorkspace& operator=(NewtonWorkspace&&) noexcept;
+
+  /// Drops the cached chords (e.g. when the chain jumps to an unrelated
+  /// model or the discretization changes shape). The banded chord's and
+  /// the GMRES basis's storage stays, so a rebuild at the same shape
+  /// reuses it.
+  void reset();
+
+  /// The cached dense chord, or null unless one of dimension `dim` is held.
+  [[nodiscard]] const LuSolver* dense_chord(std::size_t dim) const;
+  /// Factors the forward-difference Jacobian of sys.deriv at `s` (residual
+  /// `f` already evaluated there; see detail::factor_fd_jacobian, zero
+  /// rows regularized) and caches it as the dense chord. Throws
+  /// util::Error on numerical singularity, leaving no dense chord cached.
+  const LuSolver& build_dense_chord(const OdeSystem& sys, const State& s,
+                                    const State& f, double fd_eps);
+
+  /// The cached banded chord, or null unless one of dimension `dim` is
+  /// held.
+  [[nodiscard]] const BandedLuSolver* banded_chord(std::size_t dim) const;
+  /// Builds, factors and caches the banded chord of sys.deriv at `s`
+  /// (kl = ku = bw): the finite-difference band (banded_fd_into, dimension
+  /// evaluations), with rows that have no nonzero band entry given a unit
+  /// diagonal. A chord of the same shape left here, valid or reset, is
+  /// refactored in place with the FD buffers of the last build, so a
+  /// rebuild does not touch the heap. Throws util::Error on numerical
+  /// singularity, leaving no banded chord cached.
+  const BandedLuSolver& build_banded_chord(const OdeSystem& sys,
+                                           const State& s, std::size_t bw,
+                                           double fd_eps);
+
+  [[nodiscard]] GmresWorkspace& gmres() noexcept { return gmres_; }
+
+ private:
+  std::unique_ptr<LuSolver> lu_;
+  std::size_t dim_ = 0;
+  std::unique_ptr<BandedLuSolver> banded_;
+  BandedFdScratch banded_scratch_;
+  std::size_t banded_dim_ = 0;
+  GmresWorkspace gmres_;
+};
+
+namespace detail {
+
+/// Builds and factors the forward-difference Jacobian of sys.deriv at `s`
+/// (residual `f` already evaluated there). Costs exactly `dimension`
+/// derivative evaluations — assembled through deriv_batch in blocks when
+/// the system provides it (bit-identical entries and eval count either
+/// way). Each column's nonzeros go straight into compressed sparse
+/// columns; no n x n matrix is formed. Throws util::Error on numerical
+/// singularity.
+/// With regularize_zero_rows, identically-zero rows (e.g. the conserved
+/// ds_0/dt = 0 row of a raw mean-field derivative) get a unit diagonal
+/// before factoring — harmless for a preconditioner, since the residual
+/// component on such a row is identically zero anyway.
+std::unique_ptr<LuSolver> factor_fd_jacobian(const OdeSystem& sys,
+                                             const State& s, const State& f,
+                                             double fd_eps,
+                                             bool regularize_zero_rows = false);
+
+}  // namespace detail
+
 /// Solves A x = b (x holds the initial guess on entry, the solution on
 /// exit) by restarted GMRES. With `right_precond` (an operator applying
 /// M^-1) the Krylov iteration runs on A M^-1 and un-preconditions the
@@ -131,7 +204,7 @@ struct NewtonKrylovOptions {
   /// solves.
   /// Above it, a banded LU with kl = ku = banded_precond_bandwidth;
   /// 0 bandwidth runs unpreconditioned.
-  std::size_t dense_precond_max_dim = 600;
+  std::size_t dense_precond_max_dim = 1400;
   /// The banded chord is differenced column by column (n evaluations), so
   /// the off-band low-rank couplings of the mean-field models never alias
   /// into the band.
@@ -157,14 +230,14 @@ struct NewtonKrylovResult {
 
 /// Solves f(s) = 0 (f = sys.deriv at t = 0) by inexact Newton–GMRES. On
 /// stagnation returns the best iterate with converged = false rather than
-/// throwing, matching newton_fixed_point. A non-null `precond_reuse`
-/// workspace shares the chord factorization across solves in a
-/// continuation chain — the dense LU at dimension <= dense_precond_max_dim,
-/// the banded LU above it. Sharing the banded chord matters most: a
-/// per-column banded build costs `dimension` evaluations, so a chain of
-/// nearby solves that reuses one build amortizes its cost to near zero
-/// (stale chords that stop contracting are dropped and rebuilt, so reuse
-/// never compromises the converged residual).
+/// throwing. A non-null `precond_reuse` workspace shares the chord
+/// factorization (the dense LU at dimension <= dense_precond_max_dim, the
+/// banded LU above it) and the GMRES basis across the solves of a
+/// continuation chain: a chord costs `dimension` evaluations to build, so
+/// a chain of nearby solves that reuses one build amortizes its cost to
+/// near zero (stale chords that stop helping are dropped and rebuilt, so
+/// reuse never compromises the converged residual). Without one, the
+/// chords and the basis live for this solve only.
 NewtonKrylovResult newton_krylov_fixed_point(
     const OdeSystem& sys, State s0, const NewtonKrylovOptions& opts = {},
     NewtonWorkspace* precond_reuse = nullptr);

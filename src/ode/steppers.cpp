@@ -3,44 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/error.hpp"
-
 namespace lsm::ode {
-
-void ExplicitEuler::step(const OdeSystem& sys, double t, State& s, double dt) {
-  k1_.resize(s.size());
-  sys.deriv(t, s, k1_);
-  axpy(dt, k1_, s);
-}
-
-void Heun::step(const OdeSystem& sys, double t, State& s, double dt) {
-  k1_.resize(s.size());
-  k2_.resize(s.size());
-  sys.deriv(t, s, k1_);
-  add_scaled(s, dt, k1_, tmp_);
-  sys.deriv(t + dt, tmp_, k2_);
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    s[i] += 0.5 * dt * (k1_[i] + k2_[i]);
-  }
-}
-
-void RungeKutta4::step(const OdeSystem& sys, double t, State& s, double dt) {
-  const std::size_t n = s.size();
-  k1_.resize(n);
-  k2_.resize(n);
-  k3_.resize(n);
-  k4_.resize(n);
-  sys.deriv(t, s, k1_);
-  add_scaled(s, 0.5 * dt, k1_, tmp_);
-  sys.deriv(t + 0.5 * dt, tmp_, k2_);
-  add_scaled(s, 0.5 * dt, k2_, tmp_);
-  sys.deriv(t + 0.5 * dt, tmp_, k3_);
-  add_scaled(s, dt, k3_, tmp_);
-  sys.deriv(t + dt, tmp_, k4_);
-  for (std::size_t i = 0; i < n; ++i) {
-    s[i] += dt / 6.0 * (k1_[i] + 2.0 * k2_[i] + 2.0 * k3_[i] + k4_[i]);
-  }
-}
 
 CashKarp45::Result CashKarp45::attempt(const OdeSystem& sys, double t,
                                        const State& s, double dt, double atol,
@@ -103,13 +66,6 @@ CashKarp45::Result CashKarp45::attempt(const OdeSystem& sys, double t,
     res.error_norm = std::max(res.error_norm, std::abs(y5 - y4) / scale);
   }
   return res;
-}
-
-std::unique_ptr<Stepper> make_stepper(const std::string& name) {
-  if (name == "euler") return std::make_unique<ExplicitEuler>();
-  if (name == "heun") return std::make_unique<Heun>();
-  if (name == "rk4") return std::make_unique<RungeKutta4>();
-  throw util::Error("unknown stepper: " + name);
 }
 
 }  // namespace lsm::ode

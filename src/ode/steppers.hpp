@@ -1,58 +1,11 @@
-// Explicit one-step methods. Fixed-step steppers share the Stepper
-// interface; CashKarp45 is an embedded 4(5) pair exposing an error estimate
-// for the adaptive driver in integrator.hpp.
+// The explicit one-step method of the adaptive driver in integrator.hpp:
+// CashKarp45, an embedded 4(5) pair exposing an error estimate.
 #pragma once
-
-#include <memory>
-#include <string>
 
 #include "ode/state.hpp"
 #include "ode/system.hpp"
 
 namespace lsm::ode {
-
-/// Fixed-step explicit stepper: advances s from t to t + dt in place.
-class Stepper {
- public:
-  virtual ~Stepper() = default;
-  virtual void step(const OdeSystem& sys, double t, State& s, double dt) = 0;
-  /// Classical order of accuracy (global error O(dt^order)).
-  [[nodiscard]] virtual int order() const noexcept = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// Forward Euler: first order, one RHS evaluation per step.
-class ExplicitEuler final : public Stepper {
- public:
-  void step(const OdeSystem& sys, double t, State& s, double dt) override;
-  [[nodiscard]] int order() const noexcept override { return 1; }
-  [[nodiscard]] std::string name() const override { return "euler"; }
-
- private:
-  State k1_;
-};
-
-/// Heun's method (explicit trapezoid): second order.
-class Heun final : public Stepper {
- public:
-  void step(const OdeSystem& sys, double t, State& s, double dt) override;
-  [[nodiscard]] int order() const noexcept override { return 2; }
-  [[nodiscard]] std::string name() const override { return "heun"; }
-
- private:
-  State k1_, k2_, tmp_;
-};
-
-/// Classical fourth-order Runge-Kutta.
-class RungeKutta4 final : public Stepper {
- public:
-  void step(const OdeSystem& sys, double t, State& s, double dt) override;
-  [[nodiscard]] int order() const noexcept override { return 4; }
-  [[nodiscard]] std::string name() const override { return "rk4"; }
-
- private:
-  State k1_, k2_, k3_, k4_, tmp_;
-};
 
 /// Cash-Karp embedded Runge-Kutta 4(5): produces a 5th-order solution and a
 /// 4th-order embedded estimate whose difference drives step-size control.
@@ -69,8 +22,5 @@ class CashKarp45 {
  private:
   State k1_, k2_, k3_, k4_, k5_, k6_, tmp_;
 };
-
-/// Factory by name ("euler" | "heun" | "rk4") for CLI-driven tools.
-std::unique_ptr<Stepper> make_stepper(const std::string& name);
 
 }  // namespace lsm::ode

@@ -99,17 +99,17 @@ TEST_P(EngineVsLegacyNearCritical, SojournsAgree) {
   // Near criticality the spectral gap is tiny, so a relax-level residual
   // (1e-8) still means O(1e-3) state error: both sides need the Newton
   // polish to be comparable at 1e-9. The sharing model's constructed
-  // truncation (2048 at lambda = 0.99) sits above the default polish cap,
-  // so raise it for this comparison.
+  // truncation (2048 at lambda = 0.99) sits above the default dense-chord
+  // cap, so raise it for this comparison.
   const auto model = core::make_model(name, 0.99);
   auto lopts = legacy_options();
-  lopts.newton_max_dim = 3000;
+  lopts.krylov.dense_precond_max_dim = 3000;
   const auto legacy = core::solve_fixed_point(*model, lopts);
   ASSERT_TRUE(legacy.polished) << name;
   const double w_legacy = model->mean_sojourn(legacy.state);
 
   core::FixedPointOptions eopts;
-  eopts.newton_max_dim = 3000;
+  eopts.krylov.dense_precond_max_dim = 3000;
   const auto engine = core::solve_fixed_point(*model, eopts);
   const double w_engine = model->mean_sojourn(engine.state);
   EXPECT_NEAR(w_engine, w_legacy,
@@ -225,7 +225,7 @@ TEST(EngineDispatch, BistableFallbackReproducesRelaxation) {
   const auto legacy = core::solve_fixed_point(model, legacy_options());
   const auto engine = core::solve_fixed_point(model);
   // Both solves stop at relax-level residuals (the model's dimension is
-  // past the Newton cap), so compare at that accuracy; the spurious
+  // past the dense-chord cap), so compare at that accuracy; the spurious
   // equilibrium sits 0.7 away and would fail this by five orders.
   EXPECT_NEAR(model.mean_sojourn(engine.state),
               model.mean_sojourn(legacy.state), 1e-4);

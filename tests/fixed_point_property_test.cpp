@@ -9,13 +9,15 @@
 //                       neglected tail mass under tolerance), warm or cold;
 //   (c) monotonicity  — mean sojourn is non-decreasing in λ;
 //   (d) closed forms  — models with analytic fixed points match them;
-//   (e) honest polish — a result flagged polished has a residual within
-//                       polish_tol at the discretization it is returned at.
+//   (e) honest polish — a result is flagged polished exactly when its
+//                       residual is within polish_tol at the discretization
+//                       it is returned at, warm or cold.
 //
 // Plus targeted regressions: the bistable staged-transfer hysteresis sweep
 // (a warm chain must never report a different equilibrium than the cold
-// solve), the basin-escape probe in ode::solve_fixed_point, and the chord
-// Newton workspace reuse.
+// solve), the basin-escape probe in ode::solve_fixed_point, the chord
+// Newton workspace reuse, and Newton-GMRES against a classic Newton
+// oracle.
 //
 // The default grids keep the suite at tier-1 speed; LSM_PROPERTIES_FULL=1
 // (the `ctest -L properties` leg of scripts/check.sh) widens the λ grids.
@@ -30,8 +32,9 @@
 #include "core/fixed_point.hpp"
 #include "core/registry.hpp"
 #include "core/threshold_ws.hpp"
-#include "ode/newton.hpp"
+#include "ode/krylov.hpp"
 #include "ode/solve.hpp"
+#include "reference_solvers.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -134,9 +137,9 @@ std::string registry_name(const ::testing::TestParamInfo<std::size_t>& info) {
 INSTANTIATE_TEST_SUITE_P(AllModels, RegistryContinuation,
                          ::testing::Range<std::size_t>(0, 15), registry_name);
 
-// Property (e) over the whole registry, on warm chains over an 8-point
-// grid whose λ make the Auto-mode restore graft tails back onto the
-// constructed truncation; the grafted tail can lift the residual there
+// Property (e) over the whole registry, on warm chains and cold solves over
+// an 8-point grid whose λ make the Auto-mode restore graft tails back onto
+// the constructed truncation; the grafted tail can lift the residual there
 // above polish_tol.
 TEST_P(RegistryContinuation, PolishedMeansPolishTolReached) {
   const std::string& name = core::model_names()[GetParam()];
@@ -146,11 +149,15 @@ TEST_P(RegistryContinuation, PolishedMeansPolishTolReached) {
     const double lambda = 0.50405 + 0.05 * k;
     const auto model = core::make_model(name, lambda);
     const auto warm = chain.solve(*model);
-    if (warm.polished) {
-      EXPECT_LE(warm.residual, polish_tol)
-          << name << " λ=" << lambda << " final L=" << warm.final_truncation
-          << " returned L=" << warm.state_truncation;
-    }
+    EXPECT_EQ(warm.polished, warm.residual <= polish_tol)
+        << name << " warm λ=" << lambda << " residual=" << warm.residual
+        << " final L=" << warm.final_truncation
+        << " returned L=" << warm.state_truncation;
+    const auto cold = core::solve_fixed_point(*model);
+    EXPECT_EQ(cold.polished, cold.residual <= polish_tol)
+        << name << " cold λ=" << lambda << " residual=" << cold.residual
+        << " final L=" << cold.final_truncation
+        << " returned L=" << cold.state_truncation;
   }
 }
 
@@ -295,34 +302,74 @@ struct CosineSystem final : ode::OdeSystem {
 };
 
 // Chord reuse: the second solve of a continuation pair must converge with
-// ZERO fresh Jacobian assemblies (pure chord steps on the previous
-// factorization) and still land on the same root as the classic path.
+// ZERO fresh Jacobian assemblies (Newton-GMRES preconditioned by the
+// previous factorization) and still land on the same root as a solve
+// without the workspace.
 TEST(NewtonWorkspace, SecondSolveReusesTheFactorization) {
   const CosineSystem sys;
   const ode::State start(6, 0.3);
 
   ode::NewtonWorkspace ws;
-  const auto first = ode::newton_fixed_point(sys, start, {}, &ws);
+  const auto first = ode::newton_krylov_fixed_point(sys, start, {}, &ws);
   ASSERT_TRUE(first.converged);
   EXPECT_GE(first.jacobian_builds, 1u);
-  EXPECT_TRUE(ws.holds(6));
+  EXPECT_NE(ws.dense_chord(6), nullptr);
 
   // Perturb the root slightly, as the next λ of a sweep would.
   ode::State nearby = first.state;
   for (auto& v : nearby) v += 1e-3;
-  const auto second = ode::newton_fixed_point(sys, nearby, {}, &ws);
+  const auto second = ode::newton_krylov_fixed_point(sys, nearby, {}, &ws);
   EXPECT_TRUE(second.converged);
-  EXPECT_EQ(second.jacobian_builds, 0u) << "expected pure chord steps";
+  EXPECT_EQ(second.jacobian_builds, 0u) << "expected the cached chord";
 
-  const auto classic = ode::newton_fixed_point(sys, nearby, {});
+  const auto fresh = ode::newton_krylov_fixed_point(sys, nearby, {});
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_NEAR(second.state[i], classic.state[i], 1e-12) << i;
+    EXPECT_NEAR(second.state[i], fresh.state[i], 1e-12) << i;
   }
 
   // A dimension change invalidates the workspace instead of misusing it.
-  EXPECT_FALSE(ws.holds(5));
+  EXPECT_EQ(ws.dense_chord(5), nullptr);
   ws.reset();
-  EXPECT_FALSE(ws.holds(6));
+  EXPECT_EQ(ws.dense_chord(6), nullptr);
+}
+
+// Newton-GMRES, the polish's one Newton loop, against the classic
+// fresh-Jacobian Newton of reference_solvers.hpp: from the same start both
+// reach the same root to 1e-12, on a toy system and on the root residuals
+// of exponential, transfer and phase-type models at a fixed truncation
+// (started from the unpolished engine answer, as the polish is).
+TEST(NewtonOracle, NewtonGmresReachesTheClassicNewtonRoot) {
+  const auto expect_same_root = [](const ode::OdeSystem& sys,
+                                   const ode::State& start,
+                                   const std::string& tag) {
+    const auto oracle = reference::classic_newton(sys, start);
+    ASSERT_TRUE(oracle.converged) << tag << " " << oracle.residual_norm;
+    const auto nk = ode::newton_krylov_fixed_point(sys, start);
+    ASSERT_TRUE(nk.converged) << tag << " " << nk.residual_norm;
+    ASSERT_EQ(nk.state.size(), oracle.state.size()) << tag;
+    for (std::size_t i = 0; i < nk.state.size(); ++i) {
+      EXPECT_NEAR(nk.state[i], oracle.state[i], 1e-12) << tag << " i=" << i;
+    }
+  };
+  expect_same_root(CosineSystem{}, ode::State(6, 0.3), "cosine");
+
+  struct Case {
+    const char* name;
+    core::ModelParams params;
+  };
+  const Case cases[] = {{"simple", {}},
+                        {"transfer", {}},
+                        {"simple", {{"service", "hyperexp:4"}}}};
+  for (const Case& c : cases) {
+    const auto model = core::make_model(c.name, 0.9, c.params);
+    core::FixedPointOptions opts;
+    opts.truncation = core::TruncationMode::Fixed;
+    opts.polish = false;
+    const auto start = core::solve_fixed_point(*model, opts);
+    expect_same_root(core::RootSystem(*model), start.state,
+                     model->name() + " dim=" +
+                         std::to_string(model->dimension()));
+  }
 }
 
 // Metamorphic property of the phase-type service axis: at fixed mean

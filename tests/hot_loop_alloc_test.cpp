@@ -1,11 +1,11 @@
 // Counting-allocator enforcement of the allocation-free hot loops: once an
-// AdaptiveIntegrator (or a fixed-step Stepper) is warm, further integration
-// performs zero heap allocations, an Anderson run's allocation count is a
-// function of the problem size only, never of the iteration count, a
-// factored LuSolver or BandedLuSolver solves without touching the heap,
-// neither does any registry model's lane-kernel RHS evaluation (one lane
-// or a batch), and a rebuild of the Krylov path's banded chord reuses the
-// storage of the first build.
+// AdaptiveIntegrator is warm, further integration performs zero heap
+// allocations, an Anderson run's allocation count is a function of the
+// problem size only, never of the iteration count, and so is a Newton-GMRES
+// polish's on a warm NewtonWorkspace, a factored LuSolver or BandedLuSolver
+// solves without touching the heap, neither does any registry model's
+// lane-kernel RHS evaluation (one lane or a batch), and a rebuild of the
+// Krylov path's banded chord reuses the storage of the first build.
 //
 // The counter hooks the global operator new/delete for this test binary.
 // Only allocation DELTAS measured around the hot region are asserted, so
@@ -29,7 +29,6 @@
 #include "ode/integrator.hpp"
 #include "ode/krylov.hpp"
 #include "ode/linalg.hpp"
-#include "ode/steppers.hpp"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -78,17 +77,6 @@ TEST(HotLoopAlloc, AdaptiveIntegratorIsAllocationFreeOnceWarm) {
   EXPECT_EQ(allocations(), warm)
       << "steady-state adaptive integration must not touch the heap";
   EXPECT_DOUBLE_EQ(t, 50.0);
-}
-
-TEST(HotLoopAlloc, FixedStepDriverIsAllocationFreeOnceWarm) {
-  core::SimpleWS model(0.9, 96);
-  ode::State s = model.empty_state();
-  ode::RungeKutta4 rk4;
-  ode::integrate_fixed(model, rk4, s, 0.0, 1.0, 0.01);  // warms the stages
-  const std::size_t warm = allocations();
-  ode::integrate_fixed(model, rk4, s, 1.0, 10.0, 0.01);
-  EXPECT_EQ(allocations(), warm)
-      << "fixed-step integration must reuse the stepper's stage vectors";
 }
 
 TEST(HotLoopAlloc, AndersonAllocationsIndependentOfIterationCount) {
@@ -253,17 +241,63 @@ TEST(HotLoopAlloc, BandedChordRebuildReusesItsStorage) {
   const ode::State s = model.mm1_state();
   ode::NewtonWorkspace ws;
   const ode::BandedLuSolver* first =
-      ode::detail::build_banded_chord(ws, model, s, 10, 1e-7);
+      &ws.build_banded_chord(model, s, 10, 1e-7);
   ws.reset();
-  EXPECT_EQ(ode::detail::cached_banded(ws, s.size()), nullptr);
+  EXPECT_EQ(ws.banded_chord(s.size()), nullptr);
 
   const std::size_t before = allocations();
   const ode::BandedLuSolver* second =
-      ode::detail::build_banded_chord(ws, model, s, 10, 1e-7);
+      &ws.build_banded_chord(model, s, 10, 1e-7);
   EXPECT_EQ(allocations(), before)
       << "a same-shape banded chord rebuild must not touch the heap";
   EXPECT_EQ(second, first);
-  EXPECT_EQ(ode::detail::cached_banded(ws, s.size()), second);
+  EXPECT_EQ(ws.banded_chord(s.size()), second);
+}
+
+TEST(HotLoopAlloc, RepeatedPolishAllocationsIndependentOfGmresIterations) {
+  // A continuation chain polishes on one NewtonWorkspace, which keeps the
+  // Krylov basis: once it is sized, a polish allocates the same whether
+  // GMRES takes few steps or many, and less than on a fresh workspace,
+  // which sizes the basis again. Unpreconditioned, so that no chord build
+  // enters the count; the forcing term sets the GMRES step count.
+  core::SimpleWS model(0.9, 96);
+  const core::RootSystem root(model);
+  core::FixedPointOptions fp;
+  fp.truncation = core::TruncationMode::Fixed;
+  fp.polish = false;
+  ode::State start = core::solve_fixed_point(model, fp).state;
+  for (std::size_t i = 1; i < start.size(); ++i) start[i] *= 1.0 + 1e-4;
+
+  ode::NewtonKrylovOptions loose;
+  loose.dense_precond_max_dim = 0;
+  loose.banded_precond_bandwidth = 0;
+  loose.max_iter = 4;
+  loose.forcing_max = loose.forcing_min = 1e-1;
+  ode::NewtonKrylovOptions tight = loose;
+  tight.forcing_max = tight.forcing_min = 1e-10;
+
+  ode::NewtonWorkspace ws;
+  (void)ode::newton_krylov_fixed_point(root, start, loose, &ws);  // sizes it
+  const auto polish = [&](const ode::NewtonKrylovOptions& opts,
+                          ode::NewtonWorkspace& on, std::size_t& inner) {
+    const std::size_t before = allocations();
+    const auto res = ode::newton_krylov_fixed_point(root, start, opts, &on);
+    const std::size_t made = allocations() - before;
+    inner = res.inner_iterations;
+    return made;
+  };
+  std::size_t few = 0;
+  std::size_t many = 0;
+  std::size_t fresh_inner = 0;
+  const std::size_t loose_allocs = polish(loose, ws, few);
+  const std::size_t tight_allocs = polish(tight, ws, many);
+  ASSERT_GT(many, 2 * few) << "the forcing term must move the step count";
+  EXPECT_EQ(tight_allocs, loose_allocs)
+      << few << " vs " << many << " GMRES steps";
+
+  ode::NewtonWorkspace fresh;
+  EXPECT_LT(loose_allocs, polish(loose, fresh, fresh_inner))
+      << "a warm workspace must not size the Krylov basis again";
 }
 
 }  // namespace

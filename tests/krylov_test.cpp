@@ -1,8 +1,8 @@
 // Matrix-free Newton-Krylov acceptance tests: GMRES against dense LU on
 // banded systems (including singular/stagnating ones), the directional
 // finite-difference J.v against the analytic simple-WS Jacobian, parity of
-// the Krylov-polished fixed points with the dense-Newton engine across the
-// registry, the Auto routing of 10^3.5+-dimensional systems, and the
+// the banded-chord Krylov fixed points with the dense-chord engine across
+// the registry, the Auto routing of 10^3.5+-dimensional systems, and the
 // batched RHS kernels (bit-equality with the branch-form reference
 // recurrences of reference_rhs.hpp).
 #include <gtest/gtest.h>
@@ -246,7 +246,7 @@ TEST(JacobianOperator, DirectionalDifferenceMatchesAnalyticJacobian) {
   }
 }
 
-// --- Krylov-vs-dense-Newton parity across the registry -------------------
+// --- Banded-vs-dense chord parity across the registry --------------------
 
 // std::string, not const char*: gtest prints a const char* parameter with
 // its address, which would put a per-run value into every case's name.
@@ -262,7 +262,8 @@ TEST_P(KrylovParity, SojournMatchesDenseNewtonEngine) {
   const auto krylov_model = core::make_model(name, lambda);
   core::FixedPointOptions kopts;
   kopts.method = ode::FixedPointMethod::Krylov;
-  kopts.newton_max_dim = 4;  // force the matrix-free polish at any size
+  // Force the banded chord at any size, in the polish as on the path.
+  kopts.krylov.dense_precond_max_dim = 4;
   const auto krylov = core::solve_fixed_point(*krylov_model, kopts);
 
   EXPECT_LE(krylov.residual, 1e-10);
@@ -288,13 +289,13 @@ TEST(KrylovDispatch, AutoRoutesLargeNearCriticalSystemsToKrylov) {
   EXPECT_NEAR(model->mean_sojourn(fp.state), 100.0, 1e-3);
 }
 
-TEST(KrylovDispatch, PolishAboveNewtonMaxDimIsMatrixFree) {
-  // Too large for the dense-Jacobian Newton: the polish goes matrix-free
-  // and still reaches polish accuracy.
+TEST(KrylovDispatch, PolishAboveDensePrecondMaxDimUsesTheBandedChord) {
+  // Too large for the dense chord: the polish preconditions with the
+  // banded one and still reaches polish accuracy.
   const auto model = core::make_model("no-stealing", 0.9, {{"L", 1999}});
   core::FixedPointOptions opts;
   opts.truncation = core::TruncationMode::Fixed;
-  ASSERT_GT(model->dimension(), opts.newton_max_dim);
+  ASSERT_GT(model->dimension(), opts.krylov.dense_precond_max_dim);
 
   const auto polished = core::solve_fixed_point(*model, opts);
   EXPECT_TRUE(polished.polished);

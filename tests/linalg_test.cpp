@@ -20,8 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "ode/krylov.hpp"
 #include "ode/linalg.hpp"
-#include "ode/newton.hpp"
 #include "util/error.hpp"
 #include "util/xoshiro.hpp"
 

@@ -1,5 +1,5 @@
-// Unit tests for src/ode: stepper accuracy orders, adaptive control,
-// steady-state relaxation, dense LU, and Newton.
+// Unit tests for src/ode: adaptive control, steady-state relaxation, dense
+// LU, and Newton-GMRES.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,10 +7,9 @@
 
 #include "ode/anderson.hpp"
 #include "ode/integrator.hpp"
+#include "ode/krylov.hpp"
 #include "ode/linalg.hpp"
-#include "ode/newton.hpp"
 #include "ode/steady_state.hpp"
-#include "ode/steppers.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -46,70 +45,6 @@ class LinearRelax final : public ode::OdeSystem {
   }
   [[nodiscard]] std::size_t dimension() const override { return 2; }
 };
-
-double decay_error(ode::Stepper& stepper, double dt) {
-  Decay sys;
-  State s = {1.0};
-  ode::integrate_fixed(sys, stepper, s, 0.0, 2.0, dt);
-  return std::abs(s[0] - std::exp(-2.0));
-}
-
-TEST(Steppers, EulerIsFirstOrder) {
-  ode::ExplicitEuler euler;
-  const double e1 = decay_error(euler, 0.01);
-  const double e2 = decay_error(euler, 0.005);
-  EXPECT_NEAR(e1 / e2, 2.0, 0.15);  // halving dt halves the error
-}
-
-TEST(Steppers, HeunIsSecondOrder) {
-  ode::Heun heun;
-  const double e1 = decay_error(heun, 0.02);
-  const double e2 = decay_error(heun, 0.01);
-  EXPECT_NEAR(e1 / e2, 4.0, 0.5);
-}
-
-TEST(Steppers, Rk4IsFourthOrder) {
-  ode::RungeKutta4 rk4;
-  const double e1 = decay_error(rk4, 0.1);
-  const double e2 = decay_error(rk4, 0.05);
-  EXPECT_NEAR(e1 / e2, 16.0, 2.5);
-}
-
-TEST(Steppers, Rk4IsAccurateOnOscillator) {
-  Oscillator sys;
-  ode::RungeKutta4 rk4;
-  State s = {1.0, 0.0};
-  ode::integrate_fixed(sys, rk4, s, 0.0, 2.0 * M_PI, 1e-3);
-  EXPECT_NEAR(s[0], 1.0, 1e-9);
-  EXPECT_NEAR(s[1], 0.0, 1e-9);
-}
-
-TEST(Steppers, FactoryByName) {
-  EXPECT_EQ(ode::make_stepper("euler")->order(), 1);
-  EXPECT_EQ(ode::make_stepper("heun")->order(), 2);
-  EXPECT_EQ(ode::make_stepper("rk4")->order(), 4);
-  EXPECT_THROW(ode::make_stepper("rk77"), util::Error);
-}
-
-TEST(IntegrateFixed, ObserverStopsEarly) {
-  Decay sys;
-  ode::ExplicitEuler euler;
-  State s = {1.0};
-  const double t_end = ode::integrate_fixed(
-      sys, euler, s, 0.0, 100.0, 0.01,
-      [](double t, const State&) { return t < 1.0; });
-  EXPECT_LT(t_end, 1.1);
-}
-
-TEST(IntegrateFixed, RejectsBadArguments) {
-  Decay sys;
-  ode::ExplicitEuler euler;
-  State s = {1.0};
-  EXPECT_THROW(ode::integrate_fixed(sys, euler, s, 0.0, 1.0, 0.0),
-               util::LogicError);
-  EXPECT_THROW(ode::integrate_fixed(sys, euler, s, 1.0, 0.0, 0.1),
-               util::LogicError);
-}
 
 TEST(IntegrateAdaptive, MeetsTolerance) {
   Oscillator sys;
@@ -235,7 +170,7 @@ TEST(LuSolver, LargerRandomSystemRoundTrips) {
 
 TEST(Newton, SolvesLinearSystemInOneStep) {
   LinearRelax sys;
-  const auto res = ode::newton_fixed_point(sys, {5.0, -3.0});
+  const auto res = ode::newton_krylov_fixed_point(sys, {5.0, -3.0});
   EXPECT_TRUE(res.converged);
   EXPECT_NEAR(res.state[0], 1.0, 1e-9);
   EXPECT_NEAR(res.state[1], 2.0, 1e-9);
@@ -253,16 +188,16 @@ class Quadratic final : public ode::OdeSystem {
 
 TEST(Newton, SolvesNonlinearRoot) {
   Quadratic sys;
-  const auto res = ode::newton_fixed_point(sys, {1.0});
+  const auto res = ode::newton_krylov_fixed_point(sys, {1.0});
   EXPECT_TRUE(res.converged);
   EXPECT_NEAR(res.state[0], 2.0, 1e-9);
 }
 
 TEST(Newton, ReportsNonConvergenceGracefully) {
   Quadratic sys;
-  ode::NewtonOptions opts;
+  ode::NewtonKrylovOptions opts;
   opts.max_iter = 0;
-  const auto res = ode::newton_fixed_point(sys, {1.0}, opts);
+  const auto res = ode::newton_krylov_fixed_point(sys, {1.0}, opts);
   EXPECT_FALSE(res.converged);
 }
 
@@ -336,7 +271,7 @@ TEST(NonFiniteResidual, RelaxationReportsDivergence) {
 TEST(NonFiniteResidual, NewtonDoesNotConverge) {
   const OneNanComponent sys;
   for (const State& s0 : kNanStarts) {
-    const auto res = ode::newton_fixed_point(sys, s0, {});
+    const auto res = ode::newton_krylov_fixed_point(sys, s0, {});
     EXPECT_FALSE(res.converged);
     EXPECT_FALSE(std::isfinite(res.residual_norm));
   }

@@ -1,11 +1,13 @@
-// Test-only oracles: the banded LU and Anderson's history kernels as
-// plain loops, one element and one column at a time. The banded LU keeps
+// Test-only oracles: the banded LU, Anderson's history kernels and a
+// classic Newton iteration as plain loops, one element and one column at
+// a time. The banded LU keeps
 // its band row by row (row i of column j at band row ku + kl + i - j, a
 // stride of n doubles) behind bounds-checked accessors; HistoryQr takes
 // one pass over n per dot, projection, rotation and column. The library
 // runs the same arithmetic over column-major band storage and in fused,
 // blocked passes; these loops are the independent reference it is
-// compared against bit for bit.
+// compared against bit for bit. The Newton oracle is compared on the root
+// it reaches, not on its path.
 #pragma once
 
 #include <algorithm>
@@ -14,7 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "ode/linalg.hpp"
 #include "ode/state.hpp"
+#include "ode/system.hpp"
 #include "util/error.hpp"
 
 namespace lsm::reference {
@@ -243,6 +247,67 @@ inline void extrapolate(const ode::State& x, const ode::State& r,
     const ode::State& col = dg[j];
     for (std::size_t i = 0; i < xn.size(); ++i) xn[i] -= th * col[i];
   }
+}
+
+struct ClassicNewtonRun {
+  ode::State state;
+  double residual_norm = 0.0;  ///< final ||f||_inf
+  std::size_t iterations = 0;
+  bool converged = false;
+};
+
+/// Classic Newton for f(s) = sys.deriv(0, s) = 0: every iteration
+/// differences a fresh Jacobian one column per deriv call (step
+/// fd_eps max(1, |s_j|)), factors it densely, and backtracks on the
+/// projected residual until it falls. Stops below `tol`, after `max_iter`
+/// iterations, on a singular Jacobian, or when no step helps, returning
+/// the best iterate.
+inline ClassicNewtonRun classic_newton(const ode::OdeSystem& sys,
+                                          ode::State s, double tol = 1e-13,
+                                          std::size_t max_iter = 60,
+                                          double fd_eps = 1e-7) {
+  const std::size_t n = sys.dimension();
+  ClassicNewtonRun res;
+  ode::State f(n), fp(n), trial(n);
+  sys.deriv(0.0, s, f);
+  res.residual_norm = ode::norm_linf(f);
+  for (; res.iterations < max_iter && res.residual_norm >= tol;
+       ++res.iterations) {
+    ode::Matrix jac(n, n);
+    ode::State pert = s;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double h = fd_eps * std::max(1.0, std::abs(s[j]));
+      pert[j] = s[j] + h;
+      sys.deriv(0.0, pert, fp);
+      pert[j] = s[j];
+      for (std::size_t i = 0; i < n; ++i) jac(i, j) = (fp[i] - f[i]) / h;
+    }
+    std::vector<double> delta(n);
+    for (std::size_t i = 0; i < n; ++i) delta[i] = -f[i];
+    try {
+      delta = ode::LuSolver(jac).solve(std::move(delta));
+    } catch (const util::Error&) {
+      break;
+    }
+    bool improved = false;
+    double alpha = 1.0;
+    for (int bt = 0; bt < 30 && !improved; ++bt, alpha *= 0.5) {
+      for (std::size_t i = 0; i < n; ++i) trial[i] = s[i] + alpha * delta[i];
+      sys.project(trial);
+      sys.deriv(0.0, trial, fp);
+      const double norm = ode::norm_linf(fp);
+      if (norm < res.residual_norm) {
+        s.swap(trial);
+        f.swap(fp);
+        res.residual_norm = norm;
+        improved = true;
+      }
+    }
+    if (!improved) break;
+  }
+  res.converged = res.residual_norm < tol;
+  res.state = std::move(s);
+  return res;
 }
 
 }  // namespace lsm::reference

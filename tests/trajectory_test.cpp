@@ -11,7 +11,6 @@
 #include "core/staged_transfer_ws.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/integrator.hpp"
-#include "ode/steppers.hpp"
 
 namespace {
 
@@ -31,6 +30,30 @@ void along_trajectory(const core::MeanFieldModel& model, double duration,
                             check(t, x);
                             return true;
                           });
+}
+
+/// Integrates from the empty state for `steps` accepted steps of at most
+/// `dt_max` each and applies `check(t0, before, t1, after)` to every one.
+/// The observer stops the run, so no step is clipped to a horizon.
+template <typename Check>
+void step_by_step(const core::MeanFieldModel& model, std::size_t steps,
+                  double dt_max, Check check) {
+  State s = model.empty_state();
+  State prev = s;
+  double t_prev = 0.0;
+  std::size_t taken = 0;
+  ode::AdaptiveOptions opts;
+  opts.dt_init = dt_max;
+  opts.dt_max = dt_max;
+  ode::AdaptiveIntegrator integrator;
+  integrator.integrate(model, s, 0.0, 2.0 * dt_max * static_cast<double>(steps),
+                       opts, [&](double t, const State& x) {
+                         check(t_prev, prev, t, x);
+                         prev = x;
+                         t_prev = t;
+                         return ++taken < steps;
+                       });
+  EXPECT_EQ(taken, steps);
 }
 
 TEST(Trajectory, FeasibilityPreservedForEveryRegistryModel) {
@@ -83,43 +106,51 @@ TEST(Trajectory, WorkBalanceRateHoldsInstantaneously) {
   // work at rate lambda, busy processors drain it at rate s_1, and steals
   // only move tasks around. Checked by finite differences along the path.
   core::SimpleWS model(0.9);
-  State s = model.empty_state();
-  ode::RungeKutta4 rk4;
-  const double dt = 1e-3;
-  double t = 0.0;
-  for (int step = 0; step < 4000; ++step) {
-    const double before = model.mean_tasks(s);
-    const double busy = s[1];
-    rk4.step(model, t, s, dt);
-    t += dt;
-    const double after = model.mean_tasks(s);
-    ASSERT_NEAR((after - before) / dt, 0.9 - busy, 1e-3) << "t=" << t;
-  }
+  step_by_step(model, 4000, 1e-3,
+               [&](double t0, const State& before, double t1,
+                   const State& after) {
+                 const double rate =
+                     (model.mean_tasks(after) - model.mean_tasks(before)) /
+                     (t1 - t0);
+                 ASSERT_NEAR(rate, 0.9 - before[1], 1e-3) << "t=" << t1;
+               });
 }
 
 TEST(Trajectory, SteppersAgreeOnModelTrajectory) {
-  // Euler (tiny step), RK4, and the adaptive integrator all land on the
-  // same state: a strong cross-check of the integration machinery on a
-  // production right-hand side.
+  // The adaptive integrator lands on the same state at a loose and a tight
+  // tolerance, and in one call or in fifty restarts of one reused driver:
+  // a strong cross-check of the integration machinery on a production
+  // right-hand side.
   core::ComposedWS model(0.9, {.threshold = 4, .choices = 2, .steal_count = 2});
   const double horizon = 5.0;
-
-  State euler_s = model.empty_state();
-  ode::ExplicitEuler euler;
-  ode::integrate_fixed(model, euler, euler_s, 0.0, horizon, 1e-4);
-
-  State rk4_s = model.empty_state();
-  ode::RungeKutta4 rk4;
-  ode::integrate_fixed(model, rk4, rk4_s, 0.0, horizon, 1e-2);
 
   State adaptive_s = model.empty_state();
   ode::AdaptiveOptions opts;
   opts.rtol = 1e-11;
-  ode::integrate_adaptive(model, adaptive_s, 0.0, horizon, opts);
+  double last_t = 0.0;
+  ode::integrate_adaptive(model, adaptive_s, 0.0, horizon, opts,
+                          [&](double t, const State&) {
+                            EXPECT_GT(t, last_t);
+                            last_t = t;
+                            return true;
+                          });
+  EXPECT_EQ(last_t, horizon);
+
+  State restarted_s = model.empty_state();
+  ode::AdaptiveIntegrator driver;
+  for (int k = 0; k < 50; ++k) {
+    driver.integrate(model, restarted_s, 0.1 * k, 0.1 * (k + 1), opts);
+  }
+
+  State loose_s = model.empty_state();
+  ode::AdaptiveOptions loose;
+  loose.rtol = 1e-5;
+  loose.atol = 1e-8;
+  ode::integrate_adaptive(model, loose_s, 0.0, horizon, loose);
 
   for (std::size_t i = 0; i < model.dimension(); ++i) {
-    EXPECT_NEAR(rk4_s[i], adaptive_s[i], 1e-8) << "i=" << i;
-    EXPECT_NEAR(euler_s[i], adaptive_s[i], 1e-3) << "i=" << i;
+    EXPECT_NEAR(restarted_s[i], adaptive_s[i], 1e-8) << "i=" << i;
+    EXPECT_NEAR(loose_s[i], adaptive_s[i], 1e-3) << "i=" << i;
   }
 }
 
@@ -127,24 +158,19 @@ TEST(Trajectory, ErlangStageMassDrainsAtStageRate) {
   // In the stage model, total stages change at rate c*lambda (arrivals
   // carry c stages) minus c*s_1 (busy processors complete stages at c).
   core::ErlangServiceWS model(0.8, 5);
-  State s = model.empty_state();
-  ode::RungeKutta4 rk4;
-  const double dt = 5e-4;
-  double t = 0.0;
   auto stage_mass = [&](const State& x) {
     double acc = 0.0;
     for (std::size_t i = model.truncation(); i >= 1; --i) acc += x[i];
     return acc;
   };
-  for (int step = 0; step < 2000; ++step) {
-    const double before = stage_mass(s);
-    const double busy = s[1];
-    rk4.step(model, t, s, dt);
-    t += dt;
-    const double after = stage_mass(s);
-    ASSERT_NEAR((after - before) / dt, 5.0 * (0.8 - busy), 5e-3)
-        << "t=" << t;
-  }
+  step_by_step(model, 2000, 5e-4,
+               [&](double t0, const State& before, double t1,
+                   const State& after) {
+                 ASSERT_NEAR((stage_mass(after) - stage_mass(before)) /
+                                 (t1 - t0),
+                             5.0 * (0.8 - before[1]), 5e-3)
+                     << "t=" << t1;
+               });
 }
 
 }  // namespace
