@@ -49,6 +49,51 @@ std::string solve_label(const MeanFieldModel& model) {
          " L=" + std::to_string(model.truncation());
 }
 
+/// Writes what is left of `from`'s budget after `spent` evaluations and
+/// `elapsed` seconds into a nested phase's budget fields. A limited budget
+/// never becomes 0 (the unlimited sentinel): a fully spent one fails fast
+/// downstream.
+template <class From, class To>
+void carry_budget(const From& from, std::size_t spent, double elapsed,
+                  To& to) {
+  if (from.max_rhs_evals != 0) {
+    to.max_rhs_evals =
+        from.max_rhs_evals > spent ? from.max_rhs_evals - spent : 1;
+  }
+  if (from.max_wall_seconds > 0.0) {
+    to.max_wall_seconds = std::max(from.max_wall_seconds - elapsed, 1e-9);
+  }
+}
+
+/// One rung solve under `sopts`. A Krylov-routed rung is the ode layer's
+/// Anderson warmup finished by Newton on the root system to sopts.tol,
+/// with what is left of the rung's budget, under the ode dispatcher's
+/// warm-rejection, fallback and budget contract.
+ode::FixedPointSolveResult solve_rung(const MeanFieldModel& model,
+                                      ode::State s0,
+                                      const ode::FixedPointSolveOptions& sopts,
+                                      const ode::NewtonKrylovOptions& krylov) {
+  if (ode::resolve_method(model, sopts) != ode::FixedPointMethod::Krylov) {
+    return ode::solve_fixed_point(model, std::move(s0), sopts);
+  }
+  return ode::solve_with_fallbacks(
+      model, std::move(s0), sopts,
+      [&](ode::State s, const ode::FixedPointSolveOptions& o) {
+        const auto t0 = std::chrono::steady_clock::now();
+        ode::Attempt out{ode::solve_fixed_point(model, std::move(s), o)};
+        ode::NewtonKrylovOptions kopts = krylov;
+        kopts.tol = o.tol;
+        carry_budget(o, out.result.rhs_evals, since(t0), kopts);
+        auto nk = newton_finish(model, std::move(out.result.state), kopts);
+        out.result.state = std::move(nk.state);
+        out.result.residual = nk.residual_norm;
+        out.result.rhs_evals += nk.rhs_evals;
+        out.result.iterations += nk.iterations;
+        out.accepted = nk.converged;
+        return out;
+      });
+}
+
 /// One iterative solve at the model's current truncation. Intermediate
 /// ladder rungs pass loose = true: they only exist to produce warm starts
 /// and tail-mass estimates, so relax_tol accuracy is plenty.
@@ -61,16 +106,8 @@ ode::FixedPointSolveResult iterate(const MeanFieldModel& model, ode::State s0,
   ode::FixedPointSolveOptions sopts;
   sopts.method = opts.method;
   sopts.throw_on_failure = opts.throw_on_failure;
-  // Hand each rung only what is left of the ladder-wide budget (never 0,
-  // the unlimited sentinel: a fully spent budget fails fast downstream).
-  if (opts.max_rhs_evals != 0) {
-    sopts.max_rhs_evals = opts.max_rhs_evals > spent_evals
-                              ? opts.max_rhs_evals - spent_evals
-                              : 1;
-  }
-  if (opts.max_wall_seconds > 0.0) {
-    sopts.max_wall_seconds = std::max(opts.max_wall_seconds - elapsed, 1e-9);
-  }
+  // Hand each rung only what is left of the ladder-wide budget.
+  carry_budget(opts, spent_evals, elapsed, sopts);
   sopts.jacobian_bandwidth = model.jacobian_bandwidth();
   sopts.tol = loose ? opts.relax_tol : std::min(opts.relax_tol, 1e-10);
   // Warm continuation solves with a Newton polish downstream stop the
@@ -80,7 +117,6 @@ ode::FixedPointSolveResult iterate(const MeanFieldModel& model, ode::State s0,
   if (warm && opts.polish) sopts.tol = opts.relax_tol;
   sopts.label = solve_label(model);
   sopts.anderson = opts.anderson;
-  sopts.krylov = opts.krylov;
   sopts.relax_fallback = relax_fallback;
   // With a Newton polish downstream a stalled-but-close Anderson run is
   // worth accepting over a relaxation fallback (see solve.hpp).
@@ -94,7 +130,7 @@ ode::FixedPointSolveResult iterate(const MeanFieldModel& model, ode::State s0,
   // diverged or basin-escaped warm attempt is redone cold from the empty
   // state rather than trusted.
   if (warm) sopts.cold_start = model.empty_state();
-  return ode::solve_fixed_point(model, std::move(s0), sopts);
+  return solve_rung(model, std::move(s0), sopts, opts.krylov);
 }
 
 void accumulate(FixedPointResult& result,
@@ -120,23 +156,23 @@ FixedPointResult finish_failed(FixedPointResult&& result, std::size_t rung) {
   return std::move(result);
 }
 
-/// Newton-GMRES on the root residual. Inexact Newton may stop shy of
-/// polish_tol on a hard system; any residual improvement is still worth
-/// keeping. `reuse` carries a continuation chain's chord; without one the
-/// chord lives for this polish only.
+/// The Newton finish to polish_tol. Its line search never ends above its
+/// start, so the result is kept outright: `residual` is then the root
+/// residual, and `polished` means the root system is solved. Inexact
+/// Newton may stop shy of polish_tol on a hard system. `reuse` carries a
+/// continuation chain's chord; without one the chord lives for this polish
+/// only.
 void polish(const MeanFieldModel& model, FixedPointResult& result,
             const FixedPointOptions& opts,
             ode::NewtonWorkspace* reuse = nullptr) {
   if (!opts.polish) return;
-  const RootSystem root(model);
   ode::NewtonKrylovOptions kopts = opts.krylov;
   kopts.tol = opts.polish_tol;
-  auto nk = ode::newton_krylov_fixed_point(root, result.state, kopts, reuse);
+  auto nk = newton_finish(model, std::move(result.state), kopts, reuse);
+  result.state = std::move(nk.state);
+  result.residual = nk.residual_norm;
   result.rhs_evals += nk.rhs_evals;
-  if (nk.residual_norm < result.residual) {
-    result.state = std::move(nk.state);
-    result.residual = nk.residual_norm;
-  }
+  result.iterations += nk.iterations;
   result.polished = result.residual <= opts.polish_tol;
 }
 
@@ -152,7 +188,7 @@ void restore_truncation(const MeanFieldModel& model, FixedPointResult& result,
   model.set_truncation(original);
   result.state = model.resized_tail_state(result.state, rung);
   ode::State f(model.dimension());
-  model.deriv(0.0, result.state, f);
+  model.root_residual(result.state, f);
   result.residual = ode::norm_linf(f);
   result.rhs_evals += 1;
   const bool was_polished = result.polished;
@@ -246,6 +282,17 @@ FixedPointResult solve_warm(const MeanFieldModel& model,
 }
 
 }  // namespace
+
+ode::NewtonKrylovResult newton_finish(const MeanFieldModel& model,
+                                      ode::State s,
+                                      ode::NewtonKrylovOptions kopts,
+                                      ode::NewtonWorkspace* reuse) {
+  if (model.jacobian_bandwidth() > 0) {
+    kopts.banded_precond_bandwidth = model.jacobian_bandwidth();
+  }
+  return ode::newton_krylov_fixed_point(RootSystem(model), std::move(s),
+                                        kopts, reuse);
+}
 
 FixedPointResult solve_fixed_point(const MeanFieldModel& model,
                                    const FixedPointOptions& opts) {

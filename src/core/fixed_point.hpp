@@ -1,8 +1,11 @@
 // Fixed-point computation for any MeanFieldModel, built on the fast engine
-// in ode/solve.hpp: Anderson acceleration (or Newton-Krylov for banded and
-// very large models) over an adaptively grown truncation ladder, finished
-// by a Newton-GMRES polish (ode/krylov.hpp) on the algebraic system
-// f(s) = 0 for high-accuracy tails.
+// in ode/solve.hpp: Anderson acceleration (or an Anderson warm-up finished
+// by Newton, for banded and very large models) over an adaptively grown
+// truncation ladder, then a Newton polish for high-accuracy tails. Every
+// Newton step runs newton_finish: Newton-GMRES (ode/krylov.hpp) on the root
+// system, whose constraint rows pin the conserved class mass (on the raw
+// derivative, singular along that mass, Newton can settle on a mass-losing
+// fixed point).
 //
 // Adaptive truncation: the tail indices are a discretization knob, not part
 // of the model, and most of the relaxation budget at a generous L is spent
@@ -40,11 +43,11 @@ struct FixedPointOptions {
   double relax_tol = 1e-8;
   double polish_tol = 1e-13;  ///< ||f||_inf target for the Newton phase
   bool polish = true;
-  /// Newton-Krylov tuning for the polish and for solves routed to ode's
-  /// Krylov path (tol is overwritten with polish_tol respectively the rung
-  /// tolerance). Its dense_precond_max_dim is the one dimension threshold:
-  /// at or below it the chord is the LU of the full finite-difference
-  /// Jacobian, above it a banded LU.
+  /// Newton-Krylov tuning of newton_finish, the polish's and the Krylov
+  /// rungs' (tol, budgets and a declared band are set per call). Its
+  /// dense_precond_max_dim is the one dimension threshold: at or below it
+  /// the chord is the LU of the full finite-difference Jacobian, above it
+  /// a banded LU.
   ode::NewtonKrylovOptions krylov{};
   double t_max = 1e6;                 ///< relaxation horizon before giving up
   double check_interval = 25.0;       ///< relaxation convergence test period
@@ -81,9 +84,10 @@ struct FixedPointOptions {
   /// polishes with a workspace local to the solve.
   ode::NewtonWorkspace* newton_reuse = nullptr;
   /// Optional budgets across the whole ladder (0 = unlimited); the
-  /// remainder is threaded into every rung solve. Exhaustion fails the
-  /// solve with ode::SolveStatus::BudgetExhausted. The Newton polish is
-  /// not budget-checked — it is a bounded handful of evaluations.
+  /// remainder is threaded into every rung solve, Newton finish included.
+  /// Exhaustion fails the solve with ode::SolveStatus::BudgetExhausted.
+  /// The Newton polish is not budget-checked — it is a bounded handful of
+  /// evaluations.
   std::size_t max_rhs_evals = 0;
   double max_wall_seconds = 0.0;
   /// Failures throw util::FailureError by default; set false to get a
@@ -93,16 +97,18 @@ struct FixedPointOptions {
 
 struct FixedPointResult {
   ode::State state;
-  double residual = 0.0;   ///< final ||f(s)||_inf
-  /// Exactly residual <= polish_tol when the polish is on; always false
-  /// when it is off.
+  /// Final ||root_residual(s)||_inf; with the polish off, an Anderson or
+  /// relaxation rung's ||f(s)||_inf (they differ on constraint rows only).
+  double residual = 0.0;
+  /// Exactly residual <= polish_tol, the root system solved, when the
+  /// polish is on; always false when it is off.
   bool polished = false;
   double relax_time = 0.0; ///< virtual time used by explicit relaxation
   /// Iterative path that produced the pre-polish state (Anderson, Krylov,
   /// or Relax after a fallback) at the final ladder rung.
   ode::FixedPointMethod method = ode::FixedPointMethod::Relax;
   std::size_t rhs_evals = 0;   ///< derivative evaluations, all phases
-  std::size_t iterations = 0;  ///< AA + Newton iterations, all rungs
+  std::size_t iterations = 0;  ///< AA + Newton iterations, all phases
   /// Truncation at which the solve/polish actually happened. Under
   /// TruncationMode::Auto the model (and state) are restored to the
   /// constructed truncation afterwards, so this may be smaller than
@@ -150,6 +156,14 @@ class RootSystem final : public ode::OdeSystem {
  private:
   const MeanFieldModel& model_;
 };
+
+/// Newton-GMRES on the root system of `model` from `s` to kopts.tol: the
+/// finish of every Krylov-routed rung and the polish. A declared
+/// jacobian_bandwidth() is the banded chord's band; `reuse` carries a
+/// continuation chain's chord (see ode::newton_krylov_fixed_point).
+[[nodiscard]] ode::NewtonKrylovResult newton_finish(
+    const MeanFieldModel& model, ode::State s, ode::NewtonKrylovOptions kopts,
+    ode::NewtonWorkspace* reuse = nullptr);
 
 /// Computes the fixed point of `model`. When no applicable path
 /// converges (see ode::solve_fixed_point) throws util::FailureError (a

@@ -1,5 +1,7 @@
-// Banded dense linear algebra (LAPACK-style band storage) for the
-// Newton-Krylov path's banded chord: the mean-field Jacobians are dominated
+// Banded dense linear algebra (LAPACK-style band storage) for the banded
+// chord of Newton-GMRES (ode/krylov.hpp) above dense_precond_max_dim
+// unknowns, in the polish and in the Krylov route's finish, both on the
+// root system (core::newton_finish): the mean-field Jacobians are dominated
 // by a narrow band (nearest-neighbor and +/- c stage coupling), so an
 // O(n b^2) banded factorization replaces the O(n^3) dense one.
 //
@@ -113,7 +115,7 @@ class BandedLuSolver {
 inline constexpr double kBandedFdEps = 1e-7;
 
 /// Buffers of the banded FD assembly, kept by callers that rebuild a
-/// Jacobian of the same size repeatedly (the Krylov path's banded chord),
+/// Jacobian of the same size repeatedly (Newton-GMRES's banded chord),
 /// so that a rebuild does not touch the heap.
 struct BandedFdScratch {
   State f0;           ///< the unperturbed residual

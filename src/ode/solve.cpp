@@ -108,38 +108,33 @@ FixedPointSolveResult run_relax(const OdeSystem& sys, State s0,
   return out;
 }
 
-FixedPointSolveResult run_anderson(const OdeSystem& sys, State s0,
-                                   const FixedPointSolveOptions& opts);
-FixedPointSolveResult run_krylov(const OdeSystem& sys, State s0,
-                                 const FixedPointSolveOptions& opts);
-
-/// Discards a warm attempt and re-runs the calling path cold from
-/// opts.cold_start (the Krylov runner must come back as Krylov: its cold
-/// behaviour, not Anderson's, is the contract warm rejection restores).
-/// Recursion is bounded: the nested options clear cold_start, so the
-/// re-run is an ordinary cold solve.
-FixedPointSolveResult rerun_cold(const OdeSystem& sys,
+/// Anderson from s0 to `tol`: its best iterate, whether or not it got there.
+FixedPointSolveResult accelerate(const OdeSystem& sys, State s0,
                                  const FixedPointSolveOptions& opts,
-                                 bool krylov) {
-  FixedPointSolveOptions copts = opts;
-  State cold = std::move(copts.cold_start);
-  copts.cold_start = State{};
-  return krylov ? run_krylov(sys, std::move(cold), copts)
-                : run_anderson(sys, std::move(cold), copts);
+                                 double tol, FixedPointMethod method) {
+  AndersonOptions aopts = opts.anderson;
+  aopts.tol = tol;
+  if (opts.max_rhs_evals != 0) {
+    // Acceleration costs ~1 eval per iteration, so the eval budget caps
+    // the iteration count (floor 2 keeps the result well-formed).
+    aopts.max_iter =
+        std::min(aopts.max_iter, std::max<std::size_t>(opts.max_rhs_evals, 2));
+  }
+  AndersonResult aa = anderson_fixed_point(sys, std::move(s0), aopts);
+  FixedPointSolveResult out;
+  out.state = std::move(aa.state);
+  out.residual = aa.residual_norm;
+  out.method = method;
+  out.rhs_evals = aa.rhs_evals;
+  out.iterations = aa.iterations;
+  return out;
 }
 
 /// Shared out-of-budget exit: hand back the best iterate marked
 /// BudgetExhausted, or throw the SolverBudget failure.
 FixedPointSolveResult budget_exhausted_result(
-    const FixedPointSolveOptions& opts, State state, double residual,
-    FixedPointMethod method, std::size_t rhs_evals, std::size_t iterations,
+    const FixedPointSolveOptions& opts, FixedPointSolveResult out,
     bool warm_rejected) {
-  FixedPointSolveResult out;
-  out.state = std::move(state);
-  out.residual = residual;
-  out.method = method;
-  out.rhs_evals = rhs_evals;
-  out.iterations = iterations;
   out.fellback = true;
   out.warm_rejected = warm_rejected;
   out.status = SolveStatus::BudgetExhausted;
@@ -158,194 +153,64 @@ FixedPointSolveResult budget_exhausted_result(
   return out;
 }
 
-FixedPointSolveResult run_anderson(const OdeSystem& sys, State s0,
-                                   const FixedPointSolveOptions& opts) {
+}  // namespace
+
+FixedPointSolveResult solve_with_fallbacks(const OdeSystem& sys, State s0,
+                                           const FixedPointSolveOptions& opts,
+                                           const AttemptFn& attempt) {
   const Budget budget(opts);
   const bool warm = !opts.cold_start.empty();
-  AndersonOptions aopts = opts.anderson;
-  aopts.tol = opts.tol;
-  if (opts.max_rhs_evals != 0) {
-    // Acceleration costs ~1 eval per iteration, so the eval budget caps
-    // the iteration count (floor 2 keeps the result well-formed).
-    aopts.max_iter =
-        std::min(aopts.max_iter, std::max<std::size_t>(opts.max_rhs_evals, 2));
-  }
-  // Out-of-budget exit shared by every phase transition below: hand back
-  // Anderson's best iterate marked BudgetExhausted (or throw).
-  auto budget_failure = [&opts](AndersonResult&& aa, std::size_t extra,
-                                bool warm_rejected) -> FixedPointSolveResult {
-    return budget_exhausted_result(opts, std::move(aa.state),
-                                   aa.residual_norm,
-                                   FixedPointMethod::Anderson,
-                                   aa.rhs_evals + extra, aa.iterations,
-                                   warm_rejected);
-  };
-  // Keep the caller's start around: if acceleration fails we relax from
-  // THERE, not from Anderson's best iterate. Truncated systems can be
-  // bistable, and the physically meaningful equilibrium is the one that
-  // forward time integration reaches from the caller's start -- a diverged
-  // Anderson iterate may already sit in the wrong basin. Warm solves also
-  // need the start for the basin probe.
+  // Keep the caller's start around: if the attempt fails we relax from
+  // THERE, not from its best iterate. Truncated systems can be bistable,
+  // and the physically meaningful equilibrium is the one that forward time
+  // integration reaches from the caller's start -- a diverged iterate may
+  // already sit in the wrong basin. Warm solves also need the start for
+  // the basin probe.
   State start;
   if (opts.relax_fallback || warm) start = s0;
-  AndersonResult aa = anderson_fixed_point(sys, std::move(s0), aopts);
-  if (aa.converged ||
-      aa.residual_norm <= opts.anderson_accept_factor * aopts.tol) {
-    std::size_t probe_evals = 0;
-    if (warm && basin_escaped(sys, start, aa.state, opts, probe_evals)) {
-      if (budget.exhausted(aa.rhs_evals + probe_evals)) {
-        return budget_failure(std::move(aa), probe_evals, true);
-      }
-      FixedPointSolveOptions copts = opts;
-      budget.carry_into(copts, aa.rhs_evals + probe_evals);
-      FixedPointSolveResult out = rerun_cold(sys, copts, /*krylov=*/false);
-      out.rhs_evals += aa.rhs_evals + probe_evals;
-      out.warm_rejected = true;
-      return out;
+  Attempt tried = attempt(std::move(s0), opts);
+  FixedPointSolveResult& out = tried.result;
+  if (tried.accepted) {
+    if (!warm || !basin_escaped(sys, start, out.state, opts, out.rhs_evals)) {
+      return std::move(out);
     }
-    FixedPointSolveResult out;
-    out.state = std::move(aa.state);
-    out.residual = aa.residual_norm;
-    out.method = FixedPointMethod::Anderson;
-    out.rhs_evals = aa.rhs_evals + probe_evals;
-    out.iterations = aa.iterations;
-    return out;
+  } else if (budget.exhausted(out.rhs_evals)) {
+    return budget_exhausted_result(opts, std::move(out), false);
   }
   if (warm) {
-    // Warm acceleration stalled or diverged: never fall back from the warm
-    // iterate. Re-run the whole cold path (including its own fallback
-    // semantics) so the answer is exactly what a cold caller would get.
-    if (budget.exhausted(aa.rhs_evals)) {
-      return budget_failure(std::move(aa), 0, true);
+    // A warm attempt that failed or escaped its basin: never fall back from
+    // the warm iterate. Re-run the whole cold path (including its own
+    // fallback semantics) so the answer is exactly what a cold caller would
+    // get. The nested options clear cold_start, so the re-run is an
+    // ordinary cold solve.
+    if (budget.exhausted(out.rhs_evals)) {
+      return budget_exhausted_result(opts, std::move(out), true);
     }
     FixedPointSolveOptions copts = opts;
-    budget.carry_into(copts, aa.rhs_evals);
-    FixedPointSolveResult out = rerun_cold(sys, copts, /*krylov=*/false);
-    out.rhs_evals += aa.rhs_evals;
-    out.warm_rejected = true;
-    return out;
+    State cold = std::move(copts.cold_start);
+    copts.cold_start = State{};
+    budget.carry_into(copts, out.rhs_evals);
+    FixedPointSolveResult redo =
+        solve_with_fallbacks(sys, std::move(cold), copts, attempt);
+    redo.rhs_evals += out.rhs_evals;
+    redo.warm_rejected = true;
+    return redo;
   }
   if (!opts.relax_fallback) {
     // Caller will orchestrate its own retry: hand back the best iterate.
-    FixedPointSolveResult out;
-    out.state = std::move(aa.state);
-    out.residual = aa.residual_norm;
-    out.method = FixedPointMethod::Anderson;
-    out.rhs_evals = aa.rhs_evals;
-    out.iterations = aa.iterations;
     out.fellback = true;
-    return out;
+    return std::move(out);
   }
-  // Acceleration stalled or diverged: relax from the original start so the
-  // fallback reproduces the plain-relaxation result exactly.
-  if (budget.exhausted(aa.rhs_evals)) {
-    return budget_failure(std::move(aa), 0, false);
-  }
+  // Relax from the original start so the fallback reproduces the
+  // plain-relaxation result exactly.
   FixedPointSolveOptions fopts = opts;
-  budget.carry_into(fopts, aa.rhs_evals);
-  FixedPointSolveResult out = run_relax(sys, std::move(start), fopts);
-  out.rhs_evals += aa.rhs_evals;
-  out.iterations = aa.iterations;
-  out.fellback = true;
-  return out;
+  budget.carry_into(fopts, out.rhs_evals);
+  FixedPointSolveResult relaxed = run_relax(sys, std::move(start), fopts);
+  relaxed.rhs_evals += out.rhs_evals;
+  relaxed.iterations = out.iterations;
+  relaxed.fellback = true;
+  return relaxed;
 }
-
-/// The large-system path: a cheap Anderson warmup into the Newton basin,
-/// then matrix-free Newton-GMRES for the remaining digits. Mirrors
-/// run_anderson's warm/cold/fallback/budget ladder so callers see the same
-/// contract whichever path Auto picks.
-FixedPointSolveResult run_krylov(const OdeSystem& sys, State s0,
-                                 const FixedPointSolveOptions& opts) {
-  const Budget budget(opts);
-  const bool warm = !opts.cold_start.empty();
-  State start;
-  if (opts.relax_fallback || warm) start = s0;
-
-  AndersonOptions aopts = opts.anderson;
-  aopts.tol = std::max(opts.tol, opts.krylov_warmup_tol);
-  if (opts.max_rhs_evals != 0) {
-    aopts.max_iter =
-        std::min(aopts.max_iter, std::max<std::size_t>(opts.max_rhs_evals, 2));
-  }
-  // Newton starts from the warmup's best iterate whether or not the warmup
-  // "converged": its line search judges the iterate on the true residual.
-  AndersonResult aa = anderson_fixed_point(sys, std::move(s0), aopts);
-
-  NewtonKrylovOptions kopts = opts.krylov;
-  kopts.tol = opts.tol;
-  if (opts.jacobian_bandwidth > 0) {
-    kopts.banded_precond_bandwidth = opts.jacobian_bandwidth;
-  }
-  if (budget.max_evals != 0) {
-    kopts.max_rhs_evals =
-        budget.max_evals > aa.rhs_evals ? budget.max_evals - aa.rhs_evals : 1;
-  }
-  if (budget.max_seconds > 0.0) {
-    kopts.max_wall_seconds = std::max(budget.max_seconds - budget.elapsed(),
-                                      1e-9);
-  }
-  NewtonKrylovResult nk =
-      newton_krylov_fixed_point(sys, std::move(aa.state), kopts);
-  const std::size_t spent = aa.rhs_evals + nk.rhs_evals;
-  const std::size_t iters = aa.iterations + nk.iterations;
-
-  if (nk.converged) {
-    std::size_t probe_evals = 0;
-    if (warm && basin_escaped(sys, start, nk.state, opts, probe_evals)) {
-      if (budget.exhausted(spent + probe_evals)) {
-        return budget_exhausted_result(opts, std::move(nk.state),
-                                       nk.residual_norm,
-                                       FixedPointMethod::Krylov,
-                                       spent + probe_evals, iters, true);
-      }
-      FixedPointSolveOptions copts = opts;
-      budget.carry_into(copts, spent + probe_evals);
-      FixedPointSolveResult out = rerun_cold(sys, copts, /*krylov=*/true);
-      out.rhs_evals += spent + probe_evals;
-      out.warm_rejected = true;
-      return out;
-    }
-    FixedPointSolveResult out;
-    out.state = std::move(nk.state);
-    out.residual = nk.residual_norm;
-    out.method = FixedPointMethod::Krylov;
-    out.rhs_evals = spent + probe_evals;
-    out.iterations = iters;
-    return out;
-  }
-  if (nk.budget_exhausted || budget.exhausted(spent)) {
-    return budget_exhausted_result(opts, std::move(nk.state),
-                                   nk.residual_norm, FixedPointMethod::Krylov,
-                                   spent, iters, false);
-  }
-  if (warm) {
-    FixedPointSolveOptions copts = opts;
-    budget.carry_into(copts, spent);
-    FixedPointSolveResult out = rerun_cold(sys, copts, /*krylov=*/true);
-    out.rhs_evals += spent;
-    out.warm_rejected = true;
-    return out;
-  }
-  if (!opts.relax_fallback) {
-    FixedPointSolveResult out;
-    out.state = std::move(nk.state);
-    out.residual = nk.residual_norm;
-    out.method = FixedPointMethod::Krylov;
-    out.rhs_evals = spent;
-    out.iterations = iters;
-    out.fellback = true;
-    return out;
-  }
-  FixedPointSolveOptions fopts = opts;
-  budget.carry_into(fopts, spent);
-  FixedPointSolveResult out = run_relax(sys, std::move(start), fopts);
-  out.rhs_evals += spent;
-  out.iterations = iters;
-  out.fellback = true;
-  return out;
-}
-
-}  // namespace
 
 const char* to_string(SolveStatus status) noexcept {
   switch (status) {
@@ -388,25 +253,40 @@ FixedPointMethod parse_fixed_point_method(const std::string& name) {
                     expected + ")");
 }
 
+FixedPointMethod resolve_method(const OdeSystem& sys,
+                                const FixedPointSolveOptions& opts) {
+  if (opts.method != FixedPointMethod::Auto) return opts.method;
+  const bool krylov =
+      opts.jacobian_bandwidth > 0 ||
+      (opts.krylov_auto_dim != 0 && sys.dimension() >= opts.krylov_auto_dim);
+  return krylov ? FixedPointMethod::Krylov : FixedPointMethod::Anderson;
+}
+
 FixedPointSolveResult solve_fixed_point(const OdeSystem& sys, State s0,
                                         const FixedPointSolveOptions& opts) {
   LSM_EXPECT(s0.size() == sys.dimension(),
              "solve_fixed_point: state dimension mismatch");
-  switch (opts.method) {
+  switch (resolve_method(sys, opts)) {
     case FixedPointMethod::Relax:
       return run_relax(sys, std::move(s0), opts);
-    case FixedPointMethod::Anderson:
-      return run_anderson(sys, std::move(s0), opts);
     case FixedPointMethod::Krylov:
-      return run_krylov(sys, std::move(s0), opts);
+      // The warmup only has to reach the caller's Newton basin.
+      return accelerate(sys, std::move(s0), opts,
+                        std::max(opts.tol, opts.krylov_warmup_tol),
+                        FixedPointMethod::Krylov);
     case FixedPointMethod::Auto:
+    case FixedPointMethod::Anderson:
       break;
   }
-  if (opts.jacobian_bandwidth > 0 ||
-      (opts.krylov_auto_dim != 0 && sys.dimension() >= opts.krylov_auto_dim)) {
-    return run_krylov(sys, std::move(s0), opts);
-  }
-  return run_anderson(sys, std::move(s0), opts);
+  const auto anderson = [&sys](State s, const FixedPointSolveOptions& o) {
+    Attempt out{
+        accelerate(sys, std::move(s), o, o.tol, FixedPointMethod::Anderson)};
+    // Anderson converged exactly when its residual is below tol.
+    const double r = out.result.residual;
+    out.accepted = r < o.tol || r <= o.anderson_accept_factor * o.tol;
+    return out;
+  };
+  return solve_with_fallbacks(sys, std::move(s0), opts, anderson);
 }
 
 }  // namespace lsm::ode

@@ -1,26 +1,31 @@
 // Single entry point for locating fixed points of ds/dt = f(s): dispatches
 // between Anderson acceleration (anderson.hpp, the fast default), explicit
-// time relaxation (steady_state.hpp, the robust safety net) and an
-// Anderson warmup finished by Newton-GMRES (krylov.hpp), and reports the
-// method used plus the RHS-evaluation budget it consumed.
+// time relaxation (steady_state.hpp, the robust safety net) and the Krylov
+// route's Anderson warmup, and reports the method used plus the
+// RHS-evaluation budget it consumed.
 //
-// Dispatch rules (FixedPointMethod::Auto):
+// Dispatch rules (FixedPointMethod::Auto, resolve_method):
 //   * jacobian_bandwidth > 0 or dimension >= krylov_auto_dim -> Krylov
-//     (Anderson warmup + Newton-GMRES; a declared band, such as the +/- c
-//     stage coupling of the Erlang models, sizes the banded chord; at 10^4
-//     unknowns Anderson's deep near-critical stall and any dense-Jacobian
-//     polish are both unaffordable);
+//     (the Anderson warmup of a Newton finish: the +/- c stage coupling of
+//     the Erlang models slows Anderson down, and at 10^4 unknowns its deep
+//     near-critical stall is unaffordable);
 //   * otherwise            -> Anderson, falling back to Relax from the
 //     caller's original start when acceleration fails to converge (NOT from
 //     Anderson's best iterate: truncated systems can be bistable, and the
 //     meaningful equilibrium is the one relaxation reaches from the start).
+//
+// The ode layer has no Newton. Its Krylov route returns the warmup's best
+// iterate (method Krylov), reached its target or not. The caller finishes
+// it on a nonsingular system (core::solve_fixed_point: Newton on the
+// mass-conserving root system), under the same warm-rejection, fallback
+// and budget contract as Anderson's, solve_with_fallbacks.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "ode/anderson.hpp"
-#include "ode/krylov.hpp"
 #include "ode/status.hpp"
 #include "ode/steady_state.hpp"
 #include "ode/system.hpp"
@@ -31,7 +36,7 @@ enum class FixedPointMethod {
   Auto,      ///< krylov when banded or huge, else Anderson
   Relax,     ///< explicit time relaxation only (the pre-engine behaviour)
   Anderson,  ///< Anderson acceleration with relaxation fallback
-  Krylov,    ///< Anderson warmup + matrix-free Newton-GMRES finish
+  Krylov,    ///< Anderson warmup; the caller finishes with Newton
 };
 
 /// Every parseable method name, in declaration order. The single source of
@@ -50,8 +55,7 @@ enum class FixedPointMethod {
 struct FixedPointSolveOptions {
   FixedPointMethod method = FixedPointMethod::Auto;
   /// Jacobian half-bandwidth the model declares; > 0 routes Auto to the
-  /// Krylov path and sizes its banded chord Jacobian
-  /// (krylov.banded_precond_bandwidth).
+  /// Krylov path.
   std::size_t jacobian_bandwidth = 0;
   /// ||f||_inf target for the Anderson and Krylov paths. The relaxation
   /// path (requested or fallback) runs to max(tol, relax.deriv_tol) so a
@@ -68,16 +72,12 @@ struct FixedPointSolveOptions {
   /// iterations, where the fallback relaxation would spend thousands of
   /// evaluations re-deriving it.
   double anderson_accept_factor = 1.0;
-  /// When false, a failed (and not accepted) Anderson run returns its
+  /// When false, a failed (not accepted) attempt returns its
   /// best iterate with fellback = true INSTEAD of finishing with the slow
   /// relaxation. For orchestrators that would rather retry from another
   /// start: check result.residual against tol before trusting the state.
   bool relax_fallback = true;
   SteadyStateOptions relax{};
-  /// Newton-Krylov finisher settings for the Krylov path (tol, budgets
-  /// and a declared jacobian_bandwidth are overwritten from the fields
-  /// above).
-  NewtonKrylovOptions krylov{};
   /// Auto routes systems of at least this dimension to the Krylov path
   /// (0 disables the size-based routing). The default sits above every
   /// auto-sized discretization the existing grids produce (the largest is
@@ -87,16 +87,16 @@ struct FixedPointSolveOptions {
   /// path.
   std::size_t krylov_auto_dim = 4096;
   /// Anderson warmup target of the Krylov path: acceleration stops at
-  /// max(tol, this) and Newton-GMRES finishes the remaining digits. The
-  /// warmup only has to reach the Newton basin — pushing AA deeper wastes
-  /// its worst (stall-prone) regime, stopping far earlier hands Newton an
-  /// iterate its line search cannot yet work with.
+  /// max(tol, this) and the caller's Newton finishes the remaining digits.
+  /// The warmup only has to reach the Newton basin — pushing AA deeper
+  /// wastes its worst (stall-prone) regime, stopping far earlier hands
+  /// Newton an iterate its line search cannot yet work with.
   double krylov_warmup_tol = 1e-6;
   /// Continuation safeguard. When s0 is a warm start carried over from a
   /// neighbouring solve (a λ-sweep threading the previous fixed point
   /// forward), set cold_start to the canonical cold start for this system
-  /// (typically the empty state). Two behaviours change: a failed Anderson
-  /// run re-runs the whole cold path from cold_start instead of relaxing
+  /// (typically the empty state). Two behaviours change: a failed attempt
+  /// re-runs the whole cold path from cold_start instead of relaxing
   /// from the possibly-wrong-basin warm s0, and a converged warm answer
   /// that moved further than basin_check_dist from s0 must pass a
   /// forward-integration probe (the real flow from s0 has to approach it)
@@ -126,11 +126,12 @@ struct FixedPointSolveOptions {
 struct FixedPointSolveResult {
   State state;
   double residual = 0.0;  ///< final ||f||_inf
-  FixedPointMethod method = FixedPointMethod::Relax;  ///< path that produced state
+  /// Path that produced state (Krylov: the warmup, still to be finished).
+  FixedPointMethod method = FixedPointMethod::Relax;
   std::size_t rhs_evals = 0;   ///< derivative evaluations, all phases
-  std::size_t iterations = 0;  ///< AA + Newton iterations (0 for relax)
+  std::size_t iterations = 0;  ///< AA iterations (0 for relax)
   double relax_time = 0.0;     ///< virtual time, when relaxation ran
-  bool fellback = false;  ///< Anderson failed; relaxation re-ran from s0
+  bool fellback = false;  ///< the attempt failed; relaxation re-ran from s0
   /// The warm start was rejected (divergence or basin escape) and the
   /// returned answer was produced by the cold path from opts.cold_start.
   bool warm_rejected = false;
@@ -142,12 +143,37 @@ struct FixedPointSolveResult {
   std::string failure;  ///< human-readable reason when status != Converged
 };
 
-/// Finds s with ||f(s)||_inf < opts.tol starting from s0. When every
+/// Finds s with ||f(s)||_inf < opts.tol starting from s0 (the Krylov route:
+/// its warmup, see above). When every
 /// applicable path fails (relaxation exhausts its horizon or a budget),
 /// throws util::FailureError — or, with
 /// opts.throw_on_failure=false, returns the best iterate with
 /// status/failure describing the problem.
 [[nodiscard]] FixedPointSolveResult solve_fixed_point(
     const OdeSystem& sys, State s0, const FixedPointSolveOptions& opts = {});
+
+/// The path opts.method takes for `sys`: Auto resolved by the dispatch
+/// rules above.
+[[nodiscard]] FixedPointMethod resolve_method(
+    const OdeSystem& sys, const FixedPointSolveOptions& opts);
+
+/// One run of a path's main phase from a start.
+struct Attempt {
+  FixedPointSolveResult result;
+  bool accepted = false;  ///< converged, or close enough to keep
+};
+using AttemptFn =
+    std::function<Attempt(State, const FixedPointSolveOptions&)>;
+
+/// Runs `attempt` from s0 under the dispatcher's contract, Anderson's and
+/// the caller-finished Krylov route's alike. An accepted warm answer must
+/// pass the basin probe. A budget spent on a failed attempt fails the
+/// solve (SolveStatus::BudgetExhausted). A failed or basin-escaped warm
+/// attempt re-runs the whole contract cold from opts.cold_start
+/// (warm_rejected). A failed cold one relaxes from s0 (fellback), or,
+/// without relax_fallback, returns its best iterate marked fellback.
+[[nodiscard]] FixedPointSolveResult solve_with_fallbacks(
+    const OdeSystem& sys, State s0, const FixedPointSolveOptions& opts,
+    const AttemptFn& attempt);
 
 }  // namespace lsm::ode

@@ -9,6 +9,7 @@
 #include "core/composed_ws.hpp"
 #include "core/fixed_point.hpp"
 #include "core/metrics.hpp"
+#include "core/registry.hpp"
 #include "core/threshold_ws.hpp"
 #include "util/error.hpp"
 
@@ -63,6 +64,24 @@ TEST(Convergence, AllRandomStartsReachFixedPoint) {
       model, starts, pi, {.t_max = 400.0, .tol = 1e-6});
   EXPECT_TRUE(report.all_converged())
       << "worst distance " << report.worst_final_distance;
+}
+
+TEST(Convergence, SolverDriveFinishesTheKrylovRoute) {
+  // Erlang's declared band routes the Solver drive to the Krylov route,
+  // whose ode half is only the Anderson warm-up: every start must still
+  // end on the fixed point, so the Newton finish has to run.
+  const auto model = core::make_model("erlang", 0.8, {{"c", 10}});
+  ASSERT_GT(model->jacobian_bandwidth(), 0u);
+  const auto fp = core::solve_fixed_point(*model);
+  const auto starts = analysis::random_starts(*model, 6, 2026);
+  analysis::MultiStartOptions opts;
+  opts.drive = analysis::MultiStartOptions::Drive::Solver;
+  const auto report = analysis::check_convergence(*model, starts, fp.state,
+                                                  opts);
+  EXPECT_EQ(report.starts, 6u);
+  EXPECT_TRUE(report.all_converged())
+      << "worst distance " << report.worst_final_distance;
+  EXPECT_GT(report.rhs_evals, 0u);
 }
 
 TEST(Convergence, RandomStartsAreFeasible) {

@@ -183,6 +183,35 @@ TEST(SolverBudget, EvalBudgetFailsInsteadOfLooping) {
   }
 }
 
+// The Krylov route carries the budget into its Newton finish: the Anderson
+// warm-up spends it (a near-critical 5000-unknown system needs far more),
+// and the finish stops after its one residual evaluation instead of
+// running Newton to convergence. `model_cli no-stealing --L=4999
+// --lambda=0.99 --solver=krylov --max-evals=500` checks the same contract.
+TEST(SolverBudget, KrylovRouteFinishCarriesTheBudget) {
+  const auto model = core::make_model("no-stealing", 0.99, {{"L", 4999}});
+  core::FixedPointOptions opts;
+  opts.method = ode::FixedPointMethod::Krylov;
+  opts.max_rhs_evals = 500;
+  opts.throw_on_failure = false;
+  const auto r = core::solve_fixed_point(*model, opts);
+  EXPECT_EQ(r.status, ode::SolveStatus::BudgetExhausted);
+  EXPECT_EQ(r.method, ode::FixedPointMethod::Krylov);
+  EXPECT_GE(r.rhs_evals, 500u);
+  EXPECT_LE(r.rhs_evals, 505u);
+  EXPECT_NE(r.failure.find("budget exhausted before convergence"),
+            std::string::npos)
+      << r.failure;
+
+  opts.throw_on_failure = true;
+  try {
+    (void)core::solve_fixed_point(*model, opts);
+    FAIL() << "expected util::FailureError";
+  } catch (const util::FailureError& e) {
+    EXPECT_EQ(e.failure().kind, util::FailureKind::SolverBudget);
+  }
+}
+
 TEST(SolverBudget, WallBudgetFailsInsteadOfLooping) {
   const auto model = core::make_model("simple", 0.9, {});
   core::FixedPointOptions opts;

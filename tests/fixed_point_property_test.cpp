@@ -11,7 +11,9 @@
 //   (d) closed forms  — models with analytic fixed points match them;
 //   (e) honest polish — a result is flagged polished exactly when its
 //                       residual is within polish_tol at the discretization
-//                       it is returned at, warm or cold.
+//                       it is returned at, warm or cold;
+//   (f) conservation  — auto, anderson and krylov answers all solve the
+//                       mass-conserving root system and agree.
 //
 // Plus targeted regressions: the bistable staged-transfer hysteresis sweep
 // (a warm chain must never report a different equilibrium than the cold
@@ -20,7 +22,8 @@
 // oracle.
 //
 // The default grids keep the suite at tier-1 speed; LSM_PROPERTIES_FULL=1
-// (the `ctest -L properties` leg of scripts/check.sh) widens the λ grids.
+// (the `ctest -L properties` leg of scripts/check.sh) widens the λ grids
+// and runs the whole staged-transfer (c, r) grid of property (f).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -396,6 +399,88 @@ TEST(PhaseTypeProperties, SojournMonotoneInServiceScvForWorkSharing) {
       prev = sojourn;
     }
   }
+}
+
+// (f) Conservation across solvers. Every solver route must return a fixed
+// point of the mass-conserving root system: Newton on the raw derivative,
+// whose Jacobian is singular along the conserved class mass, can settle on
+// a mass-losing fixed point (the all-zero state is one). Under auto,
+// anderson and krylov, every answer meets its family's flow identity
+// (busy fraction = λ for unit-mean service at unit speed; heterogeneous
+// speeds break it), the three sojourns agree, and a polished answer
+// solves the root system to polish_tol at the discretization it is
+// returned at.
+void expect_conserving_across_solvers(const std::string& name, double lambda,
+                                      const core::ModelParams& params) {
+  const double polish_tol = core::FixedPointOptions{}.polish_tol;
+  const bool flow_identity = name != "heterogeneous";
+  double auto_sojourn = 0.0;
+  for (const auto method :
+       {ode::FixedPointMethod::Auto, ode::FixedPointMethod::Anderson,
+        ode::FixedPointMethod::Krylov}) {
+    const auto model = core::make_model(name, lambda, params);
+    core::FixedPointOptions opts;
+    opts.method = method;
+    const auto fp = core::solve_fixed_point(*model, opts);
+    const std::string ctx = model->name() + " λ=" + std::to_string(lambda) +
+                            " solver=" + ode::to_string(method);
+    if (flow_identity) {
+      EXPECT_NEAR(model->busy_fraction(fp.state), lambda, 1e-9) << ctx;
+    }
+    const double sojourn = model->mean_sojourn(fp.state);
+    if (method == ode::FixedPointMethod::Auto) {
+      auto_sojourn = sojourn;
+    } else {
+      EXPECT_NEAR(sojourn, auto_sojourn,
+                  1e-9 * std::max(1.0, std::abs(auto_sojourn)))
+          << ctx;
+    }
+    if (fp.polished) {
+      ode::State f(model->dimension());
+      model->root_residual(fp.state, f);
+      EXPECT_LE(ode::norm_linf(f), polish_tol) << ctx;
+    }
+  }
+}
+
+TEST_P(RegistryContinuation, ConservesMassUnderEverySolver) {
+  const std::string& name = core::model_names()[GetParam()];
+  for (const double lambda : {0.3, 0.5, 0.8, 0.9}) {
+    expect_conserving_across_solvers(name, lambda, {});
+  }
+}
+
+// The staged-transfer (c, r) grid at T = 2, where the Krylov route used to
+// lose mass for c >= 2 (c = 8, r = 0.25, λ = 0.5 reported a busy fraction
+// of 0.48). Tier 1 runs the c in {1, 3, 8}, r in {0.25, 4} corners.
+TEST(StagedTransferConservation, ConservesMassUnderEverySolver) {
+  const std::vector<int> cs =
+      full_grids() ? std::vector<int>{1, 2, 3, 4, 6, 8}
+                   : std::vector<int>{1, 3, 8};
+  const std::vector<double> rs = full_grids()
+                                     ? std::vector<double>{0.25, 1.0, 4.0}
+                                     : std::vector<double>{0.25, 4.0};
+  for (const int c : cs) {
+    for (const double r : rs) {
+      for (const double lambda : {0.3, 0.5, 0.8, 0.9}) {
+        expect_conserving_across_solvers("staged-transfer", lambda,
+                                         {{"c", c}, {"r", r}});
+      }
+    }
+  }
+}
+
+// The krylov answer that used to come back all-zero, marked polished: c = 8
+// stages at T = 4, λ = 0.8 (Auto's sojourn is 4.056450792).
+TEST(StagedTransferConservation, EightStagesThresholdFourKeepsItsMass) {
+  expect_conserving_across_solvers("staged-transfer", 0.8,
+                                   {{"c", 8}, {"T", 4}});
+  const auto model =
+      core::make_model("staged-transfer", 0.8, {{"c", 8}, {"T", 4}});
+  core::FixedPointOptions opts;
+  opts.method = ode::FixedPointMethod::Krylov;
+  const auto fp = core::solve_fixed_point(*model, opts);
+  EXPECT_NEAR(model->mean_sojourn(fp.state), 4.056450792, 1e-9);
 }
 
 }  // namespace

@@ -117,6 +117,20 @@ TEST(FixedPointSolver, PolishImprovesResidual) {
   EXPECT_LT(fine.residual, 1e-12);
 }
 
+TEST(FixedPointSolver, IterationsCountThePolish) {
+  // `iterations` counts every Newton step, the polish's included. Pinned
+  // to the Anderson route, whose iterations stop at the rung tolerance.
+  core::SimpleWS model(0.9);
+  core::FixedPointOptions with_polish;
+  with_polish.method = ode::FixedPointMethod::Anderson;
+  core::FixedPointOptions no_polish = with_polish;
+  no_polish.polish = false;
+  const auto rough = core::solve_fixed_point(model, no_polish);
+  const auto fine = core::solve_fixed_point(model, with_polish);
+  ASSERT_TRUE(fine.polished);
+  EXPECT_GT(fine.iterations, rough.iterations);
+}
+
 TEST(FixedPointSolver, MatchesAnalyticSimpleWS) {
   for (double lambda : {0.5, 0.7, 0.9, 0.95, 0.99}) {
     core::SimpleWS model(lambda);
