@@ -40,30 +40,23 @@ ConvergenceReport check_convergence(const core::MeanFieldModel& model,
   LSM_EXPECT(!starts.empty(), "need at least one start");
   ConvergenceReport report;
   report.starts = starts.size();
-  const ode::CountingSystem counted(model);
   if (mopts.drive == MultiStartOptions::Drive::Solver) {
     ode::FixedPointSolveOptions sopts;
     sopts.method = mopts.method;
     sopts.jacobian_bandwidth = model.jacobian_bandwidth();
     sopts.label = "convergence model=" + model.name();
+    const ode::NewtonKrylovOptions krylov = core::FixedPointOptions{}.krylov;
     for (const auto& start : starts) {
-      auto solved = ode::solve_fixed_point(counted, start, sopts);
-      if (solved.method == ode::FixedPointMethod::Krylov) {
-        // The Krylov route hands back its warm-up; Newton finishes it.
-        ode::NewtonKrylovOptions kopts;
-        kopts.tol = sopts.tol;
-        auto nk = core::newton_finish(model, std::move(solved.state), kopts);
-        solved.state = std::move(nk.state);
-        report.rhs_evals += nk.rhs_evals;
-      }
+      const auto solved = core::solve_rung(model, start, sopts, krylov);
+      report.rhs_evals += solved.rhs_evals;
       const double dist = ode::distance_l1(solved.state, fixed_point);
       if (dist < mopts.tol) ++report.converged;
       report.worst_final_distance =
           std::max(report.worst_final_distance, dist);
     }
-    report.rhs_evals += counted.evals();
     return report;
   }
+  const ode::CountingSystem counted(model);
   ode::AdaptiveOptions opts;
   opts.dt_max = 5.0;
   for (const auto& start : starts) {

@@ -23,8 +23,8 @@ struct MultiStartOptions {
   /// How each start is driven toward the fixed point. Trajectory integrates
   /// the ODE forward in time -- the paper's literal experiment, probing the
   /// basin of attraction of the dynamics. Solver instead runs the
-  /// fixed-point engine (ode::solve_fixed_point, its Krylov route finished
-  /// by core::newton_finish) from each start: orders of
+  /// fixed-point engine (core::solve_rung: Anderson, or the Krylov route's
+  /// warmup and Newton finish) from each start: orders of
   /// magnitude cheaper, and it additionally checks that the accelerated
   /// solver is basin-robust, i.e. does not get captured by a spurious
   /// equilibrium of the truncated system when started far from s*.

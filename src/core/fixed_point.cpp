@@ -49,51 +49,6 @@ std::string solve_label(const MeanFieldModel& model) {
          " L=" + std::to_string(model.truncation());
 }
 
-/// Writes what is left of `from`'s budget after `spent` evaluations and
-/// `elapsed` seconds into a nested phase's budget fields. A limited budget
-/// never becomes 0 (the unlimited sentinel): a fully spent one fails fast
-/// downstream.
-template <class From, class To>
-void carry_budget(const From& from, std::size_t spent, double elapsed,
-                  To& to) {
-  if (from.max_rhs_evals != 0) {
-    to.max_rhs_evals =
-        from.max_rhs_evals > spent ? from.max_rhs_evals - spent : 1;
-  }
-  if (from.max_wall_seconds > 0.0) {
-    to.max_wall_seconds = std::max(from.max_wall_seconds - elapsed, 1e-9);
-  }
-}
-
-/// One rung solve under `sopts`. A Krylov-routed rung is the ode layer's
-/// Anderson warmup finished by Newton on the root system to sopts.tol,
-/// with what is left of the rung's budget, under the ode dispatcher's
-/// warm-rejection, fallback and budget contract.
-ode::FixedPointSolveResult solve_rung(const MeanFieldModel& model,
-                                      ode::State s0,
-                                      const ode::FixedPointSolveOptions& sopts,
-                                      const ode::NewtonKrylovOptions& krylov) {
-  if (ode::resolve_method(model, sopts) != ode::FixedPointMethod::Krylov) {
-    return ode::solve_fixed_point(model, std::move(s0), sopts);
-  }
-  return ode::solve_with_fallbacks(
-      model, std::move(s0), sopts,
-      [&](ode::State s, const ode::FixedPointSolveOptions& o) {
-        const auto t0 = std::chrono::steady_clock::now();
-        ode::Attempt out{ode::solve_fixed_point(model, std::move(s), o)};
-        ode::NewtonKrylovOptions kopts = krylov;
-        kopts.tol = o.tol;
-        carry_budget(o, out.result.rhs_evals, since(t0), kopts);
-        auto nk = newton_finish(model, std::move(out.result.state), kopts);
-        out.result.state = std::move(nk.state);
-        out.result.residual = nk.residual_norm;
-        out.result.rhs_evals += nk.rhs_evals;
-        out.result.iterations += nk.iterations;
-        out.accepted = nk.converged;
-        return out;
-      });
-}
-
 /// One iterative solve at the model's current truncation. Intermediate
 /// ladder rungs pass loose = true: they only exist to produce warm starts
 /// and tail-mass estimates, so relax_tol accuracy is plenty.
@@ -107,7 +62,7 @@ ode::FixedPointSolveResult iterate(const MeanFieldModel& model, ode::State s0,
   sopts.method = opts.method;
   sopts.throw_on_failure = opts.throw_on_failure;
   // Hand each rung only what is left of the ladder-wide budget.
-  carry_budget(opts, spent_evals, elapsed, sopts);
+  ode::carry_budget(opts, spent_evals, elapsed, sopts);
   sopts.jacobian_bandwidth = model.jacobian_bandwidth();
   sopts.tol = loose ? opts.relax_tol : std::min(opts.relax_tol, 1e-10);
   // Warm continuation solves with a Newton polish downstream stop the
@@ -292,6 +247,31 @@ ode::NewtonKrylovResult newton_finish(const MeanFieldModel& model,
   }
   return ode::newton_krylov_fixed_point(RootSystem(model), std::move(s),
                                         kopts, reuse);
+}
+
+ode::FixedPointSolveResult solve_rung(const MeanFieldModel& model,
+                                      ode::State s0,
+                                      const ode::FixedPointSolveOptions& sopts,
+                                      const ode::NewtonKrylovOptions& krylov) {
+  if (ode::resolve_method(model, sopts) != ode::FixedPointMethod::Krylov) {
+    return ode::solve_fixed_point(model, std::move(s0), sopts);
+  }
+  return ode::solve_with_fallbacks(
+      model, std::move(s0), sopts,
+      [&](ode::State s, const ode::FixedPointSolveOptions& o) {
+        const auto t0 = std::chrono::steady_clock::now();
+        ode::Attempt out{ode::krylov_warmup(model, std::move(s), o)};
+        ode::NewtonKrylovOptions kopts = krylov;
+        kopts.tol = o.tol;
+        ode::carry_budget(o, out.result.rhs_evals, since(t0), kopts);
+        auto nk = newton_finish(model, std::move(out.result.state), kopts);
+        out.result.state = std::move(nk.state);
+        out.result.residual = nk.residual_norm;
+        out.result.rhs_evals += nk.rhs_evals;
+        out.result.iterations += nk.iterations;
+        out.accepted = nk.converged;
+        return out;
+      });
 }
 
 FixedPointResult solve_fixed_point(const MeanFieldModel& model,

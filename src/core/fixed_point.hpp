@@ -165,6 +165,18 @@ class RootSystem final : public ode::OdeSystem {
     const MeanFieldModel& model, ode::State s, ode::NewtonKrylovOptions kopts,
     ode::NewtonWorkspace* reuse = nullptr);
 
+/// One solve of `model` at its current truncation under `sopts`. Anderson
+/// and relaxation run in ode::solve_fixed_point. A Krylov-routed solve is
+/// ode::krylov_warmup finished by newton_finish (tuned by `krylov`) to
+/// sopts.tol with what is left of sopts' budget, under the ode
+/// dispatcher's warm-rejection, fallback and budget contract
+/// (ode::solve_with_fallbacks). Throws util::FailureError, or with
+/// sopts.throw_on_failure=false reports the failure in status/failure.
+[[nodiscard]] ode::FixedPointSolveResult solve_rung(
+    const MeanFieldModel& model, ode::State s0,
+    const ode::FixedPointSolveOptions& sopts,
+    const ode::NewtonKrylovOptions& krylov);
+
 /// Computes the fixed point of `model`. When no applicable path
 /// converges (see ode::solve_fixed_point) throws util::FailureError (a
 /// util::Error subclass), or — with opts.throw_on_failure=false —

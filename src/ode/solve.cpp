@@ -16,13 +16,13 @@ namespace {
 /// Tracks the dispatcher-level eval/wall budget across phases so nested
 /// calls (fallback relaxation, cold re-runs) only get what is left.
 struct Budget {
-  std::size_t max_evals;
-  double max_seconds;
+  std::size_t max_rhs_evals;
+  double max_wall_seconds;
   std::chrono::steady_clock::time_point start;
 
   explicit Budget(const FixedPointSolveOptions& opts)
-      : max_evals(opts.max_rhs_evals),
-        max_seconds(opts.max_wall_seconds),
+      : max_rhs_evals(opts.max_rhs_evals),
+        max_wall_seconds(opts.max_wall_seconds),
         start(std::chrono::steady_clock::now()) {}
 
   [[nodiscard]] double elapsed() const {
@@ -32,21 +32,14 @@ struct Budget {
   }
 
   [[nodiscard]] bool exhausted(std::size_t spent_evals) const {
-    if (max_evals != 0 && spent_evals >= max_evals) return true;
-    if (max_seconds > 0.0 && elapsed() >= max_seconds) return true;
+    if (max_rhs_evals != 0 && spent_evals >= max_rhs_evals) return true;
+    if (max_wall_seconds > 0.0 && elapsed() >= max_wall_seconds) return true;
     return false;
   }
 
-  /// Shrinks the budget fields of nested options to the remainder. A
-  /// limited budget never becomes 0 (the "unlimited" sentinel): fully
-  /// spent maps to the smallest value the nested solver fails fast on.
+  /// Shrinks the budget fields of nested options to the remainder.
   void carry_into(FixedPointSolveOptions& opts, std::size_t spent_evals) const {
-    if (max_evals != 0) {
-      opts.max_rhs_evals = max_evals > spent_evals ? max_evals - spent_evals : 1;
-    }
-    if (max_seconds > 0.0) {
-      opts.max_wall_seconds = std::max(max_seconds - elapsed(), 1e-9);
-    }
+    carry_budget(*this, spent_evals, elapsed(), opts);
   }
 };
 
@@ -262,21 +255,26 @@ FixedPointMethod resolve_method(const OdeSystem& sys,
   return krylov ? FixedPointMethod::Krylov : FixedPointMethod::Anderson;
 }
 
+FixedPointSolveResult krylov_warmup(const OdeSystem& sys, State s0,
+                                    const FixedPointSolveOptions& opts) {
+  LSM_EXPECT(s0.size() == sys.dimension(),
+             "krylov_warmup: state dimension mismatch");
+  // The warmup only has to reach the caller's Newton basin.
+  return accelerate(sys, std::move(s0), opts,
+                    std::max(opts.tol, opts.krylov_warmup_tol),
+                    FixedPointMethod::Krylov);
+}
+
 FixedPointSolveResult solve_fixed_point(const OdeSystem& sys, State s0,
                                         const FixedPointSolveOptions& opts) {
   LSM_EXPECT(s0.size() == sys.dimension(),
              "solve_fixed_point: state dimension mismatch");
-  switch (resolve_method(sys, opts)) {
-    case FixedPointMethod::Relax:
-      return run_relax(sys, std::move(s0), opts);
-    case FixedPointMethod::Krylov:
-      // The warmup only has to reach the caller's Newton basin.
-      return accelerate(sys, std::move(s0), opts,
-                        std::max(opts.tol, opts.krylov_warmup_tol),
-                        FixedPointMethod::Krylov);
-    case FixedPointMethod::Auto:
-    case FixedPointMethod::Anderson:
-      break;
+  const FixedPointMethod method = resolve_method(sys, opts);
+  LSM_EXPECT(method != FixedPointMethod::Krylov,
+             "solve_fixed_point: the Krylov route needs a Newton finish "
+             "(krylov_warmup, then Newton)");
+  if (method == FixedPointMethod::Relax) {
+    return run_relax(sys, std::move(s0), opts);
   }
   const auto anderson = [&sys](State s, const FixedPointSolveOptions& o) {
     Attempt out{

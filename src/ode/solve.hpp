@@ -14,13 +14,17 @@
 //     Anderson's best iterate: truncated systems can be bistable, and the
 //     meaningful equilibrium is the one relaxation reaches from the start).
 //
-// The ode layer has no Newton. Its Krylov route returns the warmup's best
-// iterate (method Krylov), reached its target or not. The caller finishes
-// it on a nonsingular system (core::solve_fixed_point: Newton on the
-// mass-conserving root system), under the same warm-rejection, fallback
-// and budget contract as Anderson's, solve_with_fallbacks.
+// The ode layer has no Newton, so solve_fixed_point does not take the
+// Krylov route: it rejects a method that resolves to Krylov. That route's
+// ode half is krylov_warmup, which returns the warmup's best iterate,
+// reached its target or not. The caller finishes it on a nonsingular
+// system (core::solve_rung: Newton on the mass-conserving root system),
+// under the same warm-rejection, fallback and budget contract as
+// Anderson's, solve_with_fallbacks.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -143,19 +147,44 @@ struct FixedPointSolveResult {
   std::string failure;  ///< human-readable reason when status != Converged
 };
 
-/// Finds s with ||f(s)||_inf < opts.tol starting from s0 (the Krylov route:
-/// its warmup, see above). When every
-/// applicable path fails (relaxation exhausts its horizon or a budget),
-/// throws util::FailureError — or, with
-/// opts.throw_on_failure=false, returns the best iterate with
-/// status/failure describing the problem.
+/// Finds s with ||f(s)||_inf < opts.tol starting from s0 by Anderson or
+/// relaxation; a method that resolves to Krylov is a precondition failure
+/// (util::LogicError), that route needs a Newton finish. When every applicable
+/// path fails (relaxation exhausts its horizon or a budget), throws
+/// util::FailureError — or, with opts.throw_on_failure=false, returns the
+/// best iterate with status/failure describing the problem.
 [[nodiscard]] FixedPointSolveResult solve_fixed_point(
     const OdeSystem& sys, State s0, const FixedPointSolveOptions& opts = {});
+
+/// The Krylov route's ode half: Anderson from s0 to
+/// max(opts.tol, opts.krylov_warmup_tol), its eval budget capping the
+/// iterations. Returns the best iterate (method Krylov) whether or not it
+/// got there, always with status Converged: the caller's Newton finish
+/// decides whether the route succeeded.
+[[nodiscard]] FixedPointSolveResult krylov_warmup(
+    const OdeSystem& sys, State s0, const FixedPointSolveOptions& opts);
 
 /// The path opts.method takes for `sys`: Auto resolved by the dispatch
 /// rules above.
 [[nodiscard]] FixedPointMethod resolve_method(
     const OdeSystem& sys, const FixedPointSolveOptions& opts);
+
+/// Writes what is left of `from`'s budget (max_rhs_evals, max_wall_seconds)
+/// after `spent` evaluations and `elapsed` seconds into `to`'s budget
+/// fields, for a nested phase. A limited budget never becomes 0 (the
+/// unlimited sentinel): a fully spent one maps to the smallest value the
+/// nested phase fails fast on. Unlimited budgets leave `to` untouched.
+template <class From, class To>
+void carry_budget(const From& from, std::size_t spent, double elapsed,
+                  To& to) {
+  if (from.max_rhs_evals != 0) {
+    to.max_rhs_evals =
+        from.max_rhs_evals > spent ? from.max_rhs_evals - spent : 1;
+  }
+  if (from.max_wall_seconds > 0.0) {
+    to.max_wall_seconds = std::max(from.max_wall_seconds - elapsed, 1e-9);
+  }
+}
 
 /// One run of a path's main phase from a start.
 struct Attempt {

@@ -193,6 +193,29 @@ TEST(EngineDispatch, StiffModelsTakeTheStiffPath) {
   EXPECT_NEAR(model->mean_sojourn(fp.state), 2.709, 2e-3);
 }
 
+TEST(EngineDispatch, OdeDispatcherLeavesTheKrylovRouteToItsFinish) {
+  // The ode layer has no Newton: its full-solve entry point refuses the
+  // Krylov route, asked for or reached by Auto through a declared band,
+  // rather than hand back an unfinished warmup as converged. The warmup
+  // itself is krylov_warmup, stopping at krylov_warmup_tol.
+  const auto model = core::make_model("erlang", 0.8, {{"c", 10}});
+  ode::FixedPointSolveOptions opts;
+  opts.method = ode::FixedPointMethod::Krylov;
+  opts.anderson = core::FixedPointOptions{}.anderson;
+  EXPECT_THROW((void)ode::solve_fixed_point(*model, model->empty_state(), opts),
+               util::LogicError);
+  ode::FixedPointSolveOptions banded;
+  banded.jacobian_bandwidth = model->jacobian_bandwidth();
+  EXPECT_THROW(
+      (void)ode::solve_fixed_point(*model, model->empty_state(), banded),
+      util::LogicError);
+
+  const auto warm = ode::krylov_warmup(*model, model->empty_state(), opts);
+  EXPECT_EQ(warm.method, ode::FixedPointMethod::Krylov);
+  EXPECT_LE(warm.residual, opts.krylov_warmup_tol);
+  EXPECT_GT(warm.residual, opts.tol);
+}
+
 TEST(EngineDispatch, ExplicitRelaxRequestIsHonoured) {
   const auto model = core::make_model("simple", 0.7);
   core::FixedPointOptions opts;

@@ -471,16 +471,23 @@ TEST(StagedTransferConservation, ConservesMassUnderEverySolver) {
 }
 
 // The krylov answer that used to come back all-zero, marked polished: c = 8
-// stages at T = 4, λ = 0.8 (Auto's sojourn is 4.056450792).
+// stages at T = 4, λ = 0.8. It must match Auto's sojourn (4.056450792) to
+// 1e-10 relative.
 TEST(StagedTransferConservation, EightStagesThresholdFourKeepsItsMass) {
   expect_conserving_across_solvers("staged-transfer", 0.8,
                                    {{"c", 8}, {"T", 4}});
-  const auto model =
-      core::make_model("staged-transfer", 0.8, {{"c", 8}, {"T", 4}});
+  const core::ModelParams params = {{"c", 8}, {"T", 4}};
+  const auto auto_model = core::make_model("staged-transfer", 0.8, params);
+  const double auto_sojourn =
+      auto_model->mean_sojourn(core::solve_fixed_point(*auto_model).state);
+  ASSERT_NEAR(auto_sojourn, 4.056450792, 1e-9);
+  const auto model = core::make_model("staged-transfer", 0.8, params);
   core::FixedPointOptions opts;
   opts.method = ode::FixedPointMethod::Krylov;
   const auto fp = core::solve_fixed_point(*model, opts);
-  EXPECT_NEAR(model->mean_sojourn(fp.state), 4.056450792, 1e-9);
+  EXPECT_NEAR(model->mean_sojourn(fp.state), auto_sojourn,
+              1e-10 * auto_sojourn);
+  EXPECT_NEAR(model->busy_fraction(fp.state), 0.8, 1e-9);
 }
 
 }  // namespace
