@@ -148,11 +148,11 @@ struct FixedPointSolveResult {
 };
 
 /// Finds s with ||f(s)||_inf < opts.tol starting from s0 by Anderson or
-/// relaxation; a method that resolves to Krylov is a precondition failure
-/// (util::LogicError), that route needs a Newton finish. When every applicable
-/// path fails (relaxation exhausts its horizon or a budget), throws
-/// util::FailureError — or, with opts.throw_on_failure=false, returns the
-/// best iterate with status/failure describing the problem.
+/// relaxation. A method that resolves to Krylov is a precondition failure
+/// (util::LogicError): that route needs a Newton finish. When every
+/// applicable path fails (relaxation exhausts its horizon or a budget),
+/// throws util::FailureError — or, with opts.throw_on_failure=false,
+/// returns the best iterate with status/failure describing the problem.
 [[nodiscard]] FixedPointSolveResult solve_fixed_point(
     const OdeSystem& sys, State s0, const FixedPointSolveOptions& opts = {});
 
