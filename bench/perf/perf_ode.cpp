@@ -1,7 +1,8 @@
 // Fixed-point engine performance harness: the repo's tracked ODE baseline.
 //
-// Solves a pinned model x lambda grid spanning the Anderson, banded
-// Newton-Krylov and multi-class paths and reports, per case, the
+// Solves a pinned model x lambda grid spanning the registry's families
+// (single-tail, banded Erlang stages, multi-class, 10^4-unknown) on the
+// default Newton-Krylov route and reports, per case, the
 // derivative-evaluation count (the primary metric: it is deterministic
 // and machine-independent) and best-of-5 wall time. Writes the
 // measurements as JSON and, when given a committed baseline file, prints
@@ -144,8 +145,8 @@ std::vector<PerfCase> perf_cases() {
         2);
   });
   // 10^4-unknown near-critical studies: explicit truncations (registry "L")
-  // force the full discretization, and Auto dispatch routes dimensions this
-  // large to the matrix-free Newton-Krylov path. no-stealing at λ = 0.995
+  // force the full discretization, where the Newton-Krylov route stays
+  // matrix-free with a banded chord. no-stealing at λ = 0.995
   // doubles as an accuracy pin — its M/M/1 sojourn is exactly
   // 1/(1-λ) = 200.
   add("sharing_S1_L10239_l0.99",

@@ -135,6 +135,7 @@ int main(int argc, char** argv) {
       doc["iterations"] = static_cast<double>(fp.iterations);
       doc["rhs_evals"] = static_cast<double>(fp.rhs_evals);
       doc["final_truncation"] = static_cast<double>(fp.final_truncation);
+      doc["truncation_capped"] = fp.truncation_capped;
       doc["wall_seconds"] = wall_seconds;
       doc["mean_sojourn"] = model->mean_sojourn(fp.state);
       doc["mean_tasks"] = model->mean_tasks(fp.state);
@@ -162,7 +163,9 @@ int main(int argc, char** argv) {
               << (fp.fellback ? " (fell back to relaxation)" : "") << ", "
               << fp.rhs_evals << " RHS evals, " << fp.iterations
               << " iterations, " << wall_seconds * 1e3 << " ms, L="
-              << fp.final_truncation << "\n"
+              << fp.final_truncation
+              << (fp.truncation_capped ? " (capped: tail not resolved)" : "")
+              << "\n"
               << "E[time in system]: " << model->mean_sojourn(fp.state) << "\n"
               << "E[tasks/processor]: " << model->mean_tasks(fp.state) << "\n"
               << "busy fraction    : " << model->busy_fraction(fp.state)

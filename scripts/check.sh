@@ -97,9 +97,18 @@ if [ "${SKIP_FAULTS:-0}" != "1" ]; then
   fi
   grep -q '"error"' "$fault_tmp/cli.json"
   grep -q '"kind": "solver-budget"' "$fault_tmp/cli.json"
-  # Same contract on the matrix-free path: an exhausted budget inside a
-  # Newton-Krylov solve and an injected divergence armed against a
-  # --solver=krylov run must both surface as structured errors.
+  # That run takes the default Krylov route (Anderson warmup, Newton
+  # finish). The explicit Anderson path keeps the same contract.
+  if ./build/examples/model_cli simple --lambda=0.97 --max-evals=40 \
+      --solver=anderson --json > "$fault_tmp/cli_anderson.json"; then
+    echo "anderson model_cli should have failed under an exhausted budget" >&2
+    exit 1
+  fi
+  grep -q '"kind": "solver-budget"' "$fault_tmp/cli_anderson.json"
+  # Same contract for an explicit --solver=krylov at 5000 unknowns, where
+  # the Newton finish preconditions with the banded chord: an exhausted
+  # budget inside the Newton-Krylov solve and an injected divergence must
+  # both surface as structured errors.
   if ./build/examples/model_cli no-stealing --lambda=0.99 --L=4999 \
       --solver=krylov --max-evals=500 --json > "$fault_tmp/cli_krylov.json"; then
     echo "krylov model_cli should have failed under an exhausted budget" >&2

@@ -43,7 +43,6 @@ ConvergenceReport check_convergence(const core::MeanFieldModel& model,
   if (mopts.drive == MultiStartOptions::Drive::Solver) {
     ode::FixedPointSolveOptions sopts;
     sopts.method = mopts.method;
-    sopts.jacobian_bandwidth = model.jacobian_bandwidth();
     sopts.label = "convergence model=" + model.name();
     const ode::NewtonKrylovOptions krylov = core::FixedPointOptions{}.krylov;
     for (const auto& start : starts) {

@@ -63,7 +63,6 @@ ode::FixedPointSolveResult iterate(const MeanFieldModel& model, ode::State s0,
   sopts.throw_on_failure = opts.throw_on_failure;
   // Hand each rung only what is left of the ladder-wide budget.
   ode::carry_budget(opts, spent_evals, elapsed, sopts);
-  sopts.jacobian_bandwidth = model.jacobian_bandwidth();
   sopts.tol = loose ? opts.relax_tol : std::min(opts.relax_tol, 1e-10);
   // Warm continuation solves with a Newton polish downstream stop the
   // accelerator at relax_tol: near-critical AA spends hundreds of weakly
@@ -224,6 +223,8 @@ FixedPointResult solve_warm(const MeanFieldModel& model,
     }
   }
 
+  result.truncation_capped =
+      ladder && model.tail_mass(result.state) > opts.tail_tol;
   // The chord workspace only serves genuinely warm chains: a rejected warm
   // attempt was answered by the cold path, which polishes with its own.
   polish(model, result, opts, result.warm ? opts.newton_reuse : nullptr);
@@ -253,7 +254,8 @@ ode::FixedPointSolveResult solve_rung(const MeanFieldModel& model,
                                       ode::State s0,
                                       const ode::FixedPointSolveOptions& sopts,
                                       const ode::NewtonKrylovOptions& krylov) {
-  if (ode::resolve_method(model, sopts) != ode::FixedPointMethod::Krylov) {
+  if (sopts.method == ode::FixedPointMethod::Anderson ||
+      sopts.method == ode::FixedPointMethod::Relax) {
     return ode::solve_fixed_point(model, std::move(s0), sopts);
   }
   return ode::solve_with_fallbacks(
@@ -357,7 +359,12 @@ FixedPointResult solve_fixed_point(const MeanFieldModel& model,
       if (result.status != ode::SolveStatus::Converged) {
         return finish_failed(std::move(result), rung);
       }
-      if (model.tail_mass(result.state) <= opts.tail_tol || rung >= cap) break;
+      const bool tail_resolved =
+          model.tail_mass(result.state) <= opts.tail_tol;
+      if (tail_resolved || rung >= cap) {
+        result.truncation_capped = !tail_resolved;
+        break;
+      }
     }
     const std::size_t next = std::min(cap, 2 * rung);
     model.set_truncation(next);

@@ -1,11 +1,12 @@
-// Fixed-point computation for any MeanFieldModel, built on the fast engine
-// in ode/solve.hpp: Anderson acceleration (or an Anderson warm-up finished
-// by Newton, for banded and very large models) over an adaptively grown
-// truncation ladder, then a Newton polish for high-accuracy tails. Every
-// Newton step runs newton_finish: Newton-GMRES (ode/krylov.hpp) on the root
-// system, whose constraint rows pin the conserved class mass (on the raw
-// derivative, singular along that mass, Newton can settle on a mass-losing
-// fixed point).
+// Fixed-point computation for any MeanFieldModel, built on the engine in
+// ode/solve.hpp: by default the Krylov route (an Anderson warm-up finished
+// by Newton) at every rung of an adaptively grown truncation ladder, then a
+// Newton polish for high-accuracy tails. Every Newton step runs
+// newton_finish: Newton-GMRES (ode/krylov.hpp) on the root system, whose
+// constraint rows pin the conserved class mass (on the raw derivative,
+// singular along that mass, Newton can settle on a mass-losing fixed
+// point). Explicit Anderson and relaxation remain selectable as reference
+// paths.
 //
 // Adaptive truncation: the tail indices are a discretization knob, not part
 // of the model, and most of the relaxation budget at a generous L is spent
@@ -51,15 +52,17 @@ struct FixedPointOptions {
   ode::NewtonKrylovOptions krylov{};
   double t_max = 1e6;                 ///< relaxation horizon before giving up
   double check_interval = 25.0;       ///< relaxation convergence test period
-  /// Iterative engine selection, forwarded to ode::solve_fixed_point
-  /// (Auto = banded or very large models take the Krylov path, the rest
-  /// Anderson).
+  /// Iterative engine selection (see solve_rung): Auto and Krylov take the
+  /// Krylov route at every dimension; Anderson and Relax are forwarded to
+  /// ode::solve_fixed_point.
   ode::FixedPointMethod method = ode::FixedPointMethod::Auto;
-  /// Anderson tuning. The mean-field systems reward a deeper residual
+  /// Anderson tuning, of the Krylov route's warmup and of the explicit
+  /// anderson path. The mean-field systems reward a deeper residual
   /// history than the library default (the near-critical and multi-class
   /// cases stall at m = 5 but converge comfortably at m = 10) and the
-  /// iterations are cheap, so the cap is generous: hitting it costs one
-  /// relaxation fallback, far more than the extra iterations.
+  /// iterations are cheap, so the cap is generous: on the anderson path
+  /// hitting it costs one relaxation fallback, far more than the extra
+  /// iterations.
   ode::AndersonOptions anderson{.depth = 10, .max_iter = 2500};
   TruncationMode truncation = TruncationMode::Auto;
   /// Ladder stop: grow L until the largest last-tracked tail entry falls
@@ -104,7 +107,7 @@ struct FixedPointResult {
   /// polish is on; always false when it is off.
   bool polished = false;
   double relax_time = 0.0; ///< virtual time used by explicit relaxation
-  /// Iterative path that produced the pre-polish state (Anderson, Krylov,
+  /// Iterative path that produced the pre-polish state (Krylov, Anderson,
   /// or Relax after a fallback) at the final ladder rung.
   ode::FixedPointMethod method = ode::FixedPointMethod::Relax;
   std::size_t rhs_evals = 0;   ///< derivative evaluations, all phases
@@ -117,13 +120,18 @@ struct FixedPointResult {
   /// Truncation the RETURNED state is discretized at (after any Auto-mode
   /// restore).
   std::size_t state_truncation = 0;
+  /// The Auto ladder stopped at its cap (the constructed truncation) with
+  /// the tail mass still above tail_tol: the answer carries a truncation
+  /// error the ladder could not remove. Always false for solves that do
+  /// not ladder (explicit truncation, TruncationMode::Fixed).
+  bool truncation_capped = false;
   /// The solution at the ladder's final rung (final_truncation), BEFORE
   /// any Auto-mode restore — the natural seed for continuation chains:
   /// ladder rungs are quantized (24, 48, 96, …), so neighbouring λ share a
   /// discretization and the chain's Newton chord stays valid, where the
   /// restored `state` would change dimension at every grid point.
   ode::State compact_state;
-  bool fellback = false;  ///< Anderson gave up; relaxation finished
+  bool fellback = false;  ///< the iterative path gave up; relaxation finished
   /// A warm start was supplied and actually used (no divergence/basin
   /// rejection forced the cold path).
   bool warm = false;
@@ -165,9 +173,10 @@ class RootSystem final : public ode::OdeSystem {
     const MeanFieldModel& model, ode::State s, ode::NewtonKrylovOptions kopts,
     ode::NewtonWorkspace* reuse = nullptr);
 
-/// One solve of `model` at its current truncation under `sopts`. Anderson
-/// and relaxation run in ode::solve_fixed_point. A Krylov-routed solve is
-/// ode::krylov_warmup finished by newton_finish (tuned by `krylov`) to
+/// One solve of `model` at its current truncation under `sopts`. Explicit
+/// Anderson and relaxation run in ode::solve_fixed_point. Every other
+/// method (Auto, Krylov) takes the Krylov route: ode::krylov_warmup
+/// finished by newton_finish (tuned by `krylov`) to
 /// sopts.tol with what is left of sopts' budget, under the ode
 /// dispatcher's warm-rejection, fallback and budget contract
 /// (ode::solve_with_fallbacks). Throws util::FailureError, or with

@@ -97,8 +97,8 @@ class MeanFieldModel : public ode::OdeSystem {
   void project(ode::State& s) const override;
 
   /// Jacobian half-bandwidth hint: 0 means none declared. Models whose
-  /// service happens in c fast stages return c, which routes Auto solves to
-  /// the Newton-Krylov path and sizes its banded chord Jacobian.
+  /// service happens in c fast stages return c, which sizes the Newton
+  /// finish's banded chord Jacobian.
   [[nodiscard]] virtual std::size_t jacobian_bandwidth() const { return 0; }
 
   /// The model's right-hand side at its own lambda: lane 0 of a one-lane

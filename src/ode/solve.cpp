@@ -246,15 +246,6 @@ FixedPointMethod parse_fixed_point_method(const std::string& name) {
                     expected + ")");
 }
 
-FixedPointMethod resolve_method(const OdeSystem& sys,
-                                const FixedPointSolveOptions& opts) {
-  if (opts.method != FixedPointMethod::Auto) return opts.method;
-  const bool krylov =
-      opts.jacobian_bandwidth > 0 ||
-      (opts.krylov_auto_dim != 0 && sys.dimension() >= opts.krylov_auto_dim);
-  return krylov ? FixedPointMethod::Krylov : FixedPointMethod::Anderson;
-}
-
 FixedPointSolveResult krylov_warmup(const OdeSystem& sys, State s0,
                                     const FixedPointSolveOptions& opts) {
   LSM_EXPECT(s0.size() == sys.dimension(),
@@ -269,11 +260,11 @@ FixedPointSolveResult solve_fixed_point(const OdeSystem& sys, State s0,
                                         const FixedPointSolveOptions& opts) {
   LSM_EXPECT(s0.size() == sys.dimension(),
              "solve_fixed_point: state dimension mismatch");
-  const FixedPointMethod method = resolve_method(sys, opts);
-  LSM_EXPECT(method != FixedPointMethod::Krylov,
-             "solve_fixed_point: the Krylov route needs a Newton finish "
-             "(krylov_warmup, then Newton)");
-  if (method == FixedPointMethod::Relax) {
+  LSM_EXPECT(opts.method == FixedPointMethod::Anderson ||
+                 opts.method == FixedPointMethod::Relax,
+             "solve_fixed_point: the Krylov route (auto, krylov) needs a "
+             "Newton finish (krylov_warmup, then Newton)");
+  if (opts.method == FixedPointMethod::Relax) {
     return run_relax(sys, std::move(s0), opts);
   }
   const auto anderson = [&sys](State s, const FixedPointSolveOptions& o) {

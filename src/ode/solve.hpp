@@ -1,25 +1,20 @@
-// Single entry point for locating fixed points of ds/dt = f(s): dispatches
-// between Anderson acceleration (anderson.hpp, the fast default), explicit
-// time relaxation (steady_state.hpp, the robust safety net) and the Krylov
-// route's Anderson warmup, and reports the method used plus the
-// RHS-evaluation budget it consumed.
+// Single entry point for locating fixed points of ds/dt = f(s) by
+// Anderson acceleration (anderson.hpp) or explicit time relaxation
+// (steady_state.hpp, the robust safety net), plus the Anderson warmup of the
+// Krylov route; each reports the method used and the RHS-evaluation budget
+// it consumed.
 //
-// Dispatch rules (FixedPointMethod::Auto, resolve_method):
-//   * jacobian_bandwidth > 0 or dimension >= krylov_auto_dim -> Krylov
-//     (the Anderson warmup of a Newton finish: the +/- c stage coupling of
-//     the Erlang models slows Anderson down, and at 10^4 unknowns its deep
-//     near-critical stall is unaffordable);
-//   * otherwise            -> Anderson, falling back to Relax from the
-//     caller's original start when acceleration fails to converge (NOT from
-//     Anderson's best iterate: truncated systems can be bistable, and the
-//     meaningful equilibrium is the one relaxation reaches from the start).
+// Anderson falls back to Relax from the caller's original start when
+// acceleration fails to converge (NOT from Anderson's best iterate:
+// truncated systems can be bistable, and the meaningful equilibrium is the
+// one relaxation reaches from the start).
 //
-// The ode layer has no Newton, so solve_fixed_point does not take the
-// Krylov route: it rejects a method that resolves to Krylov. That route's
-// ode half is krylov_warmup, which returns the warmup's best iterate,
-// reached its target or not. The caller finishes it on a nonsingular
-// system (core::solve_rung: Newton on the mass-conserving root system),
-// under the same warm-rejection, fallback and budget contract as
+// The ode layer has no Newton, so solve_fixed_point serves the explicit
+// Anderson and Relax methods only: Auto and Krylov both mean the Krylov
+// route, whose ode half is krylov_warmup, returning the warmup's best
+// iterate, reached its target or not. The caller finishes it on a
+// nonsingular system (core::solve_rung: Newton on the mass-conserving root
+// system), under the same warm-rejection, fallback and budget contract as
 // Anderson's, solve_with_fallbacks.
 #pragma once
 
@@ -37,7 +32,7 @@
 namespace lsm::ode {
 
 enum class FixedPointMethod {
-  Auto,      ///< krylov when banded or huge, else Anderson
+  Auto,      ///< the Krylov route (the default)
   Relax,     ///< explicit time relaxation only (the pre-engine behaviour)
   Anderson,  ///< Anderson acceleration with relaxation fallback
   Krylov,    ///< Anderson warmup; the caller finishes with Newton
@@ -58,9 +53,6 @@ enum class FixedPointMethod {
 
 struct FixedPointSolveOptions {
   FixedPointMethod method = FixedPointMethod::Auto;
-  /// Jacobian half-bandwidth the model declares; > 0 routes Auto to the
-  /// Krylov path.
-  std::size_t jacobian_bandwidth = 0;
   /// ||f||_inf target for the Anderson and Krylov paths. The relaxation
   /// path (requested or fallback) runs to max(tol, relax.deriv_tol) so a
   /// caller who polishes afterwards can keep the slow safety net cheap.
@@ -82,14 +74,6 @@ struct FixedPointSolveOptions {
   /// start: check result.residual against tol before trusting the state.
   bool relax_fallback = true;
   SteadyStateOptions relax{};
-  /// Auto routes systems of at least this dimension to the Krylov path
-  /// (0 disables the size-based routing). The default sits above every
-  /// auto-sized discretization the existing grids produce (the largest is
-  /// the two-segment transfer model near lambda = 0.98, dimension ~2.6k),
-  /// so tracked solves keep their Anderson trajectories byte for byte,
-  /// while the 10^4-dim near-critical studies pick up the matrix-free
-  /// path.
-  std::size_t krylov_auto_dim = 4096;
   /// Anderson warmup target of the Krylov path: acceleration stops at
   /// max(tol, this) and the caller's Newton finishes the remaining digits.
   /// The warmup only has to reach the Newton basin — pushing AA deeper
@@ -148,8 +132,8 @@ struct FixedPointSolveResult {
 };
 
 /// Finds s with ||f(s)||_inf < opts.tol starting from s0 by Anderson or
-/// relaxation. A method that resolves to Krylov is a precondition failure
-/// (util::LogicError): that route needs a Newton finish. When every
+/// relaxation, as opts.method names. Auto and Krylov are a precondition
+/// failure (util::LogicError): that route needs a Newton finish. When every
 /// applicable path fails (relaxation exhausts its horizon or a budget),
 /// throws util::FailureError — or, with opts.throw_on_failure=false,
 /// returns the best iterate with status/failure describing the problem.
@@ -163,11 +147,6 @@ struct FixedPointSolveResult {
 /// decides whether the route succeeded.
 [[nodiscard]] FixedPointSolveResult krylov_warmup(
     const OdeSystem& sys, State s0, const FixedPointSolveOptions& opts);
-
-/// The path opts.method takes for `sys`: Auto resolved by the dispatch
-/// rules above.
-[[nodiscard]] FixedPointMethod resolve_method(
-    const OdeSystem& sys, const FixedPointSolveOptions& opts);
 
 /// Writes what is left of `from`'s budget (max_rhs_evals, max_wall_seconds)
 /// after `spent` evaluations and `elapsed` seconds into `to`'s budget

@@ -134,10 +134,12 @@ INSTANTIATE_TEST_SUITE_P(NearCritical, EngineVsLegacyNearCritical,
 // --- Evaluation budget ----------------------------------------------------
 
 TEST(Engine, AndersonBeatsRelaxationByFivefold) {
+  // The default engine is the Krylov route: an Anderson warmup finished by
+  // Newton.
   core::FixedPointResult engine, legacy;
   engine_sojourn("simple", 0.9, &engine);
   legacy_sojourn("simple", 0.9, &legacy);
-  EXPECT_EQ(engine.method, ode::FixedPointMethod::Anderson);
+  EXPECT_EQ(engine.method, ode::FixedPointMethod::Krylov);
   EXPECT_FALSE(engine.fellback);
   // The tracked perf grid shows ~12x on this case; 5x here keeps the test
   // robust to tuning while still catching a silent fallback-to-relax.
@@ -172,11 +174,39 @@ TEST(AdaptiveTruncation, AutoModeRestoresTheConstructedTruncation) {
       << "explicit truncation must opt out of the Auto ladder";
 }
 
+TEST(AdaptiveTruncation, LadderStoppedAtItsCapIsFlagged) {
+  // The ladder never grows past the constructed truncation. Where the tail
+  // mass there still exceeds tail_tol, the answer says so.
+  const struct {
+    const char* name;
+    double lambda;
+    core::ModelParams params;
+    bool capped;
+  } cases[] = {
+      {"transfer", 0.99, {}, true},       {"threshold", 0.99, {{"T", 6}}, true},
+      {"heterogeneous", 0.95, {}, true},  {"no-stealing", 0.99, {}, true},
+      {"simple", 0.9, {}, false},         {"simple", 0.99, {}, false},
+      {"sharing", 0.99, {}, false},
+  };
+  for (const auto& c : cases) {
+    const auto model = core::make_model(c.name, c.lambda, c.params);
+    const auto fp = core::solve_fixed_point(*model);
+    EXPECT_EQ(fp.truncation_capped, c.capped)
+        << c.name << " λ=" << c.lambda << " L=" << fp.final_truncation;
+    if (c.capped) {
+      EXPECT_EQ(fp.final_truncation, model->truncation()) << c.name;
+    }
+  }
+  // An explicit truncation is a caller contract, not a ladder cap.
+  const auto pinned = core::make_model("transfer", 0.99, {{"L", 200}});
+  EXPECT_FALSE(core::solve_fixed_point(*pinned).truncation_capped);
+}
+
 // --- Dispatch and fallback reporting --------------------------------------
 
 TEST(EngineDispatch, StiffModelsTakeTheStiffPath) {
-  // A stiff model declares its Jacobian band, and Auto routes it to
-  // Newton-Krylov with a banded chord, on the same truncation ladder as
+  // A stiff model declares its Jacobian band, which sizes the banded chord
+  // of the Newton-Krylov route Auto takes, on the same truncation ladder as
   // every auto-sized model: at lambda = 0.7 the c = 20 stage model stops
   // below its constructed truncation, and at lambda = 0.9 it delivers the
   // paper's Table 2 estimate.
@@ -195,7 +225,7 @@ TEST(EngineDispatch, StiffModelsTakeTheStiffPath) {
 
 TEST(EngineDispatch, OdeDispatcherLeavesTheKrylovRouteToItsFinish) {
   // The ode layer has no Newton: its full-solve entry point refuses the
-  // Krylov route, asked for or reached by Auto through a declared band,
+  // Krylov route, asked for as krylov or as auto (which means that route),
   // rather than hand back an unfinished warmup as converged. The warmup
   // itself is krylov_warmup, stopping at krylov_warmup_tol.
   const auto model = core::make_model("erlang", 0.8, {{"c", 10}});
@@ -204,10 +234,10 @@ TEST(EngineDispatch, OdeDispatcherLeavesTheKrylovRouteToItsFinish) {
   opts.anderson = core::FixedPointOptions{}.anderson;
   EXPECT_THROW((void)ode::solve_fixed_point(*model, model->empty_state(), opts),
                util::LogicError);
-  ode::FixedPointSolveOptions banded;
-  banded.jacobian_bandwidth = model->jacobian_bandwidth();
+  ode::FixedPointSolveOptions automatic;
+  automatic.method = ode::FixedPointMethod::Auto;
   EXPECT_THROW(
-      (void)ode::solve_fixed_point(*model, model->empty_state(), banded),
+      (void)ode::solve_fixed_point(*model, model->empty_state(), automatic),
       util::LogicError);
 
   const auto warm = ode::krylov_warmup(*model, model->empty_state(), opts);

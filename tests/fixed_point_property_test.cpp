@@ -14,6 +14,9 @@
 //                       it is returned at, warm or cold;
 //   (f) conservation  — auto, anderson and krylov answers all solve the
 //                       mass-conserving root system and agree.
+//   (g) no fallback   — Auto takes the Krylov route and every answer is
+//                       polished, with no relaxation fallback, up to
+//                       λ = 0.99.
 //
 // Plus targeted regressions: the bistable staged-transfer hysteresis sweep
 // (a warm chain must never report a different equilibrium than the cold
@@ -488,6 +491,39 @@ TEST(StagedTransferConservation, EightStagesThresholdFourKeepsItsMass) {
   EXPECT_NEAR(model->mean_sojourn(fp.state), auto_sojourn,
               1e-10 * auto_sojourn);
   EXPECT_NEAR(model->busy_fraction(fp.state), 0.8, 1e-9);
+}
+
+// (g) No fallback. Auto is the Krylov route at every dimension: an answer
+// is the Newton finish's, polished, never a relaxation rescue, and within
+// `max_evals` evaluations when that is nonzero.
+void expect_no_fallback(const std::string& name, double lambda,
+                        const core::ModelParams& params,
+                        std::size_t max_evals = 0) {
+  const auto model = core::make_model(name, lambda, params);
+  const auto fp = core::solve_fixed_point(*model);
+  const std::string ctx = model->name() + " λ=" + std::to_string(lambda);
+  EXPECT_FALSE(fp.fellback) << ctx;
+  EXPECT_TRUE(fp.polished) << ctx << " residual=" << fp.residual;
+  EXPECT_EQ(fp.method, ode::FixedPointMethod::Krylov) << ctx;
+  if (max_evals != 0) {
+    EXPECT_LE(fp.rhs_evals, max_evals) << ctx;
+  }
+}
+
+TEST_P(RegistryContinuation, AutoNeverFallsBack) {
+  const std::string& name = core::model_names()[GetParam()];
+  for (const double lambda : {0.5, 0.7, 0.8, 0.9, 0.95, 0.99}) {
+    expect_no_fallback(name, lambda, {});
+  }
+}
+
+// Two near-critical solves that used to fall back under Auto, when it
+// meant Anderson with a relaxation fallback: transfer at an explicit
+// L = 1600 (703,204 evaluations) and staged transfer with c = 3, r = 4
+// (1,064,875).
+TEST(NoFallback, NearCriticalTransfersStayOnTheKrylovRoute) {
+  expect_no_fallback("transfer", 0.99, {{"L", 1600}}, 20000);
+  expect_no_fallback("staged-transfer", 0.99, {{"c", 3}, {"r", 4}}, 20000);
 }
 
 }  // namespace

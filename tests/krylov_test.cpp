@@ -278,11 +278,18 @@ INSTANTIATE_TEST_SUITE_P(
                                          "multi-steal", "transfer", "sharing"),
                        ::testing::Values(0.7, 0.95)));
 
-TEST(KrylovDispatch, AutoRoutesLargeNearCriticalSystemsToKrylov) {
-  // Dimensions at or above krylov_auto_dim go matrix-free under Auto; the
-  // no-stealing model doubles as an accuracy pin (M/M/1: E[T] = 1/(1-l)).
+TEST(KrylovDispatch, AutoTakesTheKrylovRouteAtEveryDimension) {
+  // Auto has no size threshold: a 24-unknown system and a 5000-unknown
+  // near-critical one both take the Krylov route. The no-stealing model
+  // doubles as an accuracy pin (M/M/1: E[T] = 1/(1-l)).
+  const auto small = core::make_model("simple", 0.7, {{"L", 23}});
+  ASSERT_EQ(small->dimension(), 24u);
+  const auto small_fp = core::solve_fixed_point(*small);
+  EXPECT_EQ(small_fp.method, ode::FixedPointMethod::Krylov);
+  EXPECT_TRUE(small_fp.polished);
+
   const auto model = core::make_model("no-stealing", 0.99, {{"L", 4999}});
-  ASSERT_GE(model->dimension(), ode::FixedPointSolveOptions{}.krylov_auto_dim);
+  ASSERT_EQ(model->dimension(), 5000u);
   const auto fp = core::solve_fixed_point(*model);
   EXPECT_EQ(fp.method, ode::FixedPointMethod::Krylov);
   EXPECT_LE(fp.residual, 1e-10);

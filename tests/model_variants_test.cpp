@@ -149,24 +149,20 @@ TEST(Transfer, PresetPinsColdAnswers) {
   // The registry's `transfer` (one Exp(1/r) stage of the staged-transfer
   // model) solved cold over the daemon benchmark's grid at its defaults
   // (r = 0.25, T = 2), then at BENCH_ode's r = 4 case: evaluation counts,
-  // truncations and sojourn bits, recorded with Anderson's history in its
-  // four-partial summation order (ode/history_qr.hpp) and the Newton-GMRES
-  // polish (ode/krylov.hpp). The classic fresh-Jacobian polish it replaced
-  // took 2 evaluations fewer per solve, to sojourns at most 46 ulps away.
-  // The dedicated exponential-transfer model this preset replaced took the
-  // same evaluations to the same truncations under the serial order; its
-  // sojourns differed by at most 3 ulps (it summed the mass constraint and
-  // E[N] in another order).
+  // truncations and sojourn bits, recorded on the Krylov route (an Anderson
+  // warmup, its history in the four-partial summation order of
+  // ode/history_qr.hpp, finished by Newton-GMRES on the root system) and the
+  // Newton-GMRES polish (ode/krylov.hpp).
   struct Pin {
     std::size_t rhs_evals;
     std::size_t truncation;
     std::uint64_t sojourn;
   };
   const Pin pins[8] = {
-      {152, 48, 0x400142defe78b69bULL}, {166, 48, 0x4002bb874eaa8563ULL},
-      {190, 48, 0x4004693cae38c14cULL}, {308, 96, 0x40066876eae37d59ULL},
-      {336, 96, 0x4008ea7d0e2ddfe9ULL}, {333, 96, 0x400c491aa645ae14ULL},
-      {414, 96, 0x40109bfa9b1ccdd2ULL}, {689, 192, 0x4014ac755faa2089ULL},
+      {181, 48, 0x400142defe78b69cULL}, {183, 48, 0x4002bb874eaa8575ULL},
+      {186, 48, 0x4004693cae38c1c0ULL}, {193, 96, 0x40066876eae2e8f2ULL},
+      {395, 96, 0x4008ea7d0e2ddfdfULL}, {411, 96, 0x400c491aa645adffULL},
+      {452, 96, 0x40109bfa9b1ccd42ULL}, {850, 192, 0x4014ac755faa205cULL},
   };
   const auto expect_pin = [](const core::ModelParams& params, double lambda,
                              const Pin& pin) {
@@ -180,7 +176,7 @@ TEST(Transfer, PresetPinsColdAnswers) {
   for (int k = 0; k < 8; ++k) {
     expect_pin({}, 0.50 + (0.85 - 0.50) * k / 7, pins[k]);
   }
-  expect_pin({{"r", 4}, {"T", 2}}, 0.9, {741, 192, 0x40105cdd5ba01c59ULL});
+  expect_pin({{"r", 4}, {"T", 2}}, 0.9, {851, 192, 0x40105cdd5ba01c57ULL});
 }
 
 TEST(Transfer, WaitingMassGrowsWithTransferTime) {
